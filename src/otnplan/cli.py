@@ -40,7 +40,6 @@ class RunRequest:
     cost_ratio: str | None = None
     gap: float = 0.03
     time_limit: float = 300.0
-    seed: int | None = None
     output_dir: str | None = None
     emit_lp: bool = False
     solution_in: str | None = None
@@ -142,7 +141,7 @@ def _cmd_plan(args) -> int:
     return run_cli(RunRequest(
         instance=args.instance, mode=args.mode, approach=args.approach,
         cost_ratio=args.cost_ratio, gap=args.gap, time_limit=args.time_limit,
-        seed=args.seed, output_dir=args.output_dir, emit_lp=args.emit_lp,
+        output_dir=args.output_dir, emit_lp=args.emit_lp,
         solution_in=args.solution_in, verify=args.verify,
         report_format=args.report_format))
 
@@ -272,7 +271,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--gap", type=float, default=0.03)
     p.add_argument("--time-limit", type=float, default=300.0,
                    help="seconds per optimization phase")
-    p.add_argument("--seed", type=int, default=None)
     p.add_argument("--output-dir", default=None)
     p.add_argument("--emit-lp", action="store_true",
                    help="write LP-format phase models and skip solving")

@@ -17,7 +17,7 @@ from . import naming
 from .milp import MilpModel
 from .modes import Approach, SurvivabilityMode
 from .netmodel import (LspDemand, Link, Node, PhysicalTopology, SystemParams,
-                       UnitCosts, normalize_link)
+                       UnitCosts, normalize_link, route_links)
 
 __all__ = [
     "ProblemInstance",
@@ -458,10 +458,6 @@ def build_integrated(instance: ProblemInstance, phase: str,
 # ---------------------------------------------------------------------------
 # exclusion sets
 
-def _route_links(route: Sequence[Node]) -> frozenset[Link]:
-    return frozenset(normalize_link(a, b) for a, b in zip(route, route[1:]))
-
-
 def exclusion_blocks_route(topology: PhysicalTopology, a: Node, b: Node,
                            excluded_nodes: frozenset[Node],
                            excluded_links: frozenset[Link]) -> bool:
@@ -532,7 +528,7 @@ def compute_exclusion_sets(state: WorkingState, mode: SurvivabilityMode) -> Excl
         links: set[Link] = set()
         for r in node_routes:
             nodes.update(r)
-            links.update(_route_links(r))
+            links.update(route_links(r))
         # logical hop points are on the physical path too
         nodes.update(state.lsp_logical_nodes.get(k, ()))
         nodes.discard(lsp.source)
@@ -579,7 +575,7 @@ def compute_exclusion_sets(state: WorkingState, mode: SurvivabilityMode) -> Excl
                 continue
             transit = frozenset(route[1:-1])
             result.lightpath_nodes.setdefault(lp_id, transit)
-            result.lightpath_links.setdefault(lp_id, _route_links(route))
+            result.lightpath_links.setdefault(lp_id, route_links(route))
 
     result.infeasible = tuple(infeasible)
     return result

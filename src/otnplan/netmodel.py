@@ -38,6 +38,7 @@ __all__ = [
     "derive_unit_costs",
     "split_demands",
     "default_interface_limit",
+    "route_links",
 ]
 
 
@@ -56,6 +57,11 @@ def as_gbps(value) -> Fraction:
 
 def normalize_link(a: Node, b: Node) -> Link:
     return (a, b) if a <= b else (b, a)
+
+
+def route_links(route: Sequence[Node]) -> frozenset[Link]:
+    """The links a node walk traverses."""
+    return frozenset(normalize_link(a, b) for a, b in zip(route, route[1:]))
 
 
 @dataclass(frozen=True)

@@ -1,12 +1,16 @@
-"""Brute-force optimum for small instances: every logical routing, lightpath
-placement and physical routing is enumerated by plain graph search, scored
-with exact rational arithmetic, and the pipeline-optimal configuration is
-returned.
+"""Brute-force optimum for small instances: the planner's survivability
+pipeline with every phase solved by enumeration instead of a MILP.
 
-No MILP machinery is involved: feasibility (capacities, interface budgets,
-wavelength budgets, exclusions) is checked natively on the enumerated
-routes.  Equal-cost ties fall to the same deterministic name-weight scores
-the planner uses, so at gap 0 the two must produce identical costs.
+Each phase enumerates every logical routing, lightpath placement or physical
+routing by plain graph search, scores it with exact rational arithmetic and
+keeps the phase optimum.  No MILP machinery is involved: feasibility
+(capacities, interface budgets, wavelength budgets, exclusions) is checked
+natively on the enumerated routes.  Equal-cost ties fall to the same
+deterministic name-weight scores the planner uses, so at gap 0 the two must
+produce identical configurations.  The step order between the phases is the
+planner's own (``planner._run_pipeline``), so the oracle checks that each
+phase is solved optimally; ``verify`` checks restorability and disjointness
+independently of both.
 """
 
 from __future__ import annotations
@@ -16,14 +20,11 @@ from fractions import Fraction
 from typing import Callable, Mapping, Sequence
 
 from . import naming
-from .formulation import (PROTECTION, WORKING, ExclusionSets,
-                          ProblemInstance, WorkingState, compute_exclusion_sets,
-                          exclusion_blocks_route, expand_lightpaths)
+from .formulation import (WORKING, ExclusionSets, Lightpath, ProblemInstance,
+                          ProtectionContext)
 from .modes import Approach, SurvivabilityMode
 from .netmodel import Link, Node, PhysicalTopology, normalize_link
-from .planner import (LspRoute, MAX_GROUPING_RETRIES, NetworkConfiguration,
-                      PlanError, assemble_configuration,
-                      _brs_colocated_forbidden, _route_links, _wavelength_usage)
+from .planner import NetworkConfiguration, PlanError, _run_pipeline
 
 __all__ = ["brute_force_optimum", "OracleBoundsError"]
 
@@ -228,6 +229,60 @@ def _route_entities(topology: PhysicalTopology,
 # ---------------------------------------------------------------------------
 # the pipeline, by enumeration
 
+class _EnumerationPhases:
+    """Phase solver of ``brute_force_optimum``: each phase by enumeration."""
+
+    def __init__(self, instance: ProblemInstance):
+        self.instance = instance
+        self.records: dict = {}  # enumeration keeps no solver statistics
+
+    def logical(self, label: str, plane: str, lsps: Sequence,
+                context: ProtectionContext | None = None, *,
+                lsp_excluded_phys_nodes=None, lsp_excluded_links=None,
+                wavelengths_used=None):
+        inst = self.instance
+        what = "logical" if plane == WORKING else "protection"
+        if context is None:
+            logical = _best_logical(inst, lsps, plane, {}, {}, ())
+        else:
+            logical = _best_logical(inst, lsps, plane, context.excluded_nodes,
+                                    context.interface_usage,
+                                    context.forbidden_groupings)
+        if not logical:
+            raise PlanError(label, f"no feasible {what} routing")
+        if inst.approach is Approach.INTEGRATED:
+            protection_ctx = None if plane == WORKING else (
+                lsp_excluded_phys_nodes, lsp_excluded_links, wavelengths_used)
+            picked = _pick_integrated(inst, logical, plane, protection_ctx)
+            if picked is None:
+                raise PlanError(label, f"no routable {what} optimum")
+            routes_logical, pair_routes = picked
+        else:
+            _cost, _f1, _f2, routes_logical = logical[0]
+            pair_routes = {}
+        hops = {k: tuple((i, j, 1) for (i, j) in _hop_pairs(path))
+                for k, path in routes_logical.items()}
+        pairs = sorted({pair for h in hops.values() for pair in h})
+        return pairs, hops, routes_logical, pair_routes
+
+    def route(self, label: str, lightpaths: Sequence[Lightpath], *,
+              protection: bool = False, exclusions: ExclusionSets | None = None,
+              working_links=None, forbidden_links=None, wavelengths_used=None
+              ) -> dict[int, tuple[Node, ...]]:
+        excl = exclusions or ExclusionSets()
+        banned = {lp.id: excl.lightpath_links.get(lp.id, frozenset())
+                  | (working_links or {}).get(lp.id, frozenset())
+                  | (forbidden_links or {}).get(lp.id, frozenset())
+                  for lp in lightpaths}
+        routed = _route_entities(
+            self.instance.topology, [(lp.id, lp.i, lp.j) for lp in lightpaths],
+            naming.plam if protection else naming.wlam, wavelengths_used or {},
+            excl_nodes=excl.lightpath_nodes, excl_links=banned)
+        if routed is None:
+            raise PlanError(label, "no feasible physical routing")
+        return routed[0]
+
+
 def brute_force_optimum(instance: ProblemInstance,
                         mode: SurvivabilityMode | None = None
                         ) -> tuple[Fraction, NetworkConfiguration]:
@@ -235,180 +290,7 @@ def brute_force_optimum(instance: ProblemInstance,
     one optimal configuration).  Bounds: N <= 5, K <= 3, Q = 1."""
     inst = instance if mode is None or mode is instance.mode else instance.with_mode(mode)
     _check_bounds(inst)
-    mode = inst.mode
-    topo = inst.topology
-    integrated = inst.approach is Approach.INTEGRATED
-
-    # ---- working side
-    logical = _best_logical(inst, inst.traffic, WORKING, {}, {}, ())
-    if not logical:
-        raise PlanError("I-working-logical", "no feasible logical routing")
-
-    if integrated:
-        picked = _pick_integrated(inst, logical, WORKING, None)
-        if picked is None:
-            raise PlanError("I-working-logical", "no routable logical optimum")
-        w_routes_logical, routes_by_pair = picked
-        w_pairs = sorted({(i, j, 1) for path in w_routes_logical.values()
-                          for (i, j) in _hop_pairs(path)})
-        w_lightpaths = expand_lightpaths(w_pairs)
-        routes_w = {lp.id: routes_by_pair[(lp.i, lp.j, lp.q)] for lp in w_lightpaths}
-    else:
-        _cost, _f1, _f2, w_routes_logical = logical[0]
-        w_pairs = sorted({(i, j, 1) for path in w_routes_logical.values()
-                          for (i, j) in _hop_pairs(path)})
-        w_lightpaths = expand_lightpaths(w_pairs)
-        routed = _route_entities(topo, [(lp.id, lp.i, lp.j) for lp in w_lightpaths],
-                                 naming.wlam, {})
-        if routed is None:
-            raise PlanError("III-working-lightpaths", "no feasible physical routing")
-        routes_w = routed[0]
-
-    w_key_to_id = {lp.key: lp.id for lp in w_lightpaths}
-    w_hops = {k: tuple((min(a, b), max(a, b), 1) for a, b in zip(p, p[1:]))
-              for k, p in w_routes_logical.items()}
-    lsp_working_lps = {
-        k: tuple(w_key_to_id[(i, j, q, WORKING)] for (i, j, q) in hops)
-        for k, hops in w_hops.items()}
-
-    if mode is SurvivabilityMode.NONE:
-        protected: tuple = ()
-    elif mode is SurvivabilityMode.SINGLE_LAYER:
-        protected = inst.traffic
-    else:
-        protected = tuple(l for l in inst.traffic if len(w_hops[l.id]) >= 2)
-
-    all_lightpaths = w_lightpaths
-    routes_p: dict[int, tuple[Node, ...]] = {}
-    lsp_plps: dict[int, tuple[int, ...]] = {}
-
-    if protected:
-        base_state = WorkingState(
-            instance=inst,
-            lsp_logical_nodes=w_routes_logical,
-            lsp_lightpaths=lsp_working_lps,
-            lightpaths={lp.id: lp for lp in w_lightpaths},
-            lightpath_routes=routes_w,
-        )
-        pre = compute_exclusion_sets(base_state, mode)
-        iface_used: dict[Node, int] = {}
-        for (i, j, _q) in w_pairs:
-            iface_used[i] = iface_used.get(i, 0) + 1
-            iface_used[j] = iface_used.get(j, 0) + 1
-
-        forbidden: list[tuple[tuple[int, Node, Node, int], ...]] = []
-        retries = 0
-        while True:
-            plogical = _best_logical(inst, protected, PROTECTION, pre.lsp_nodes,
-                                     iface_used, forbidden)
-            if not plogical:
-                raise PlanError("II-protection-logical", "no feasible protection routing",
-                                retries=retries)
-            if integrated:
-                phys_nodes = pre.lsp_phys_nodes if mode.plsp_physically_disjoint else {}
-                phys_links = pre.lsp_links if mode.plsp_physically_disjoint else {}
-                picked = _pick_integrated(inst, plogical, PROTECTION,
-                                          (phys_nodes, phys_links,
-                                           _wavelength_usage(routes_w.values())))
-                if picked is None:
-                    raise PlanError("II-protection-logical",
-                                    "no routable protection optimum", retries=retries)
-                p_routes_logical, p_routes_by_pair = picked
-            else:
-                _c, _f1, _f2, p_routes_logical = plogical[0]
-                p_routes_by_pair = None
-
-            p_pairs = sorted({(i, j, 1) for path in p_routes_logical.values()
-                              for (i, j) in _hop_pairs(path)})
-            all_lightpaths = expand_lightpaths(w_pairs, p_pairs)
-            key_to_id = {lp.key: lp.id for lp in all_lightpaths}
-            lsp_plps = {
-                k: tuple(key_to_id[(min(a, b), max(a, b), 1, PROTECTION)]
-                         for a, b in zip(path, path[1:]))
-                for k, path in p_routes_logical.items()}
-            carriers: dict[int, list[int]] = {}
-            for k, lp_ids in sorted(lsp_plps.items()):
-                for lp_id in lp_ids:
-                    carriers.setdefault(lp_id, []).append(k)
-            carrier_map = {lp: tuple(ks) for lp, ks in carriers.items()}
-
-            if integrated:
-                routes_p = {key_to_id[(i, j, q, PROTECTION)]: r
-                            for (i, j, q), r in p_routes_by_pair.items()}
-                break
-
-            state = WorkingState(
-                instance=inst,
-                lsp_logical_nodes=w_routes_logical,
-                lsp_lightpaths=lsp_working_lps,
-                lightpaths={lp.id: lp for lp in all_lightpaths},
-                lightpath_routes=routes_w,
-                plsp_carriers=carrier_map,
-            )
-            excl = (compute_exclusion_sets(state, mode)
-                    if mode.plsp_physically_disjoint else ExclusionSets())
-            if excl.infeasible:
-                if retries >= MAX_GROUPING_RETRIES:
-                    raise PlanError("II-protection-logical",
-                                    "; ".join(excl.infeasible), retries=retries)
-                for lp_id, passengers in sorted(carrier_map.items()):
-                    lp = all_lightpaths[lp_id]
-                    nodes_u = excl.lightpath_nodes.get(lp_id, frozenset())
-                    links_u = excl.lightpath_links.get(lp_id, frozenset())
-                    if lp.i in nodes_u or lp.j in nodes_u or exclusion_blocks_route(
-                            topo, lp.i, lp.j, nodes_u, links_u):
-                        forbidden.append(tuple(sorted(
-                            (k, lp.i, lp.j, lp.q) for k in passengers)))
-                retries += 1
-                continue
-
-            p_lightpaths = [lp for lp in all_lightpaths if lp.status == PROTECTION]
-            if p_lightpaths:
-                routed = _route_entities(
-                    topo, [(lp.id, lp.i, lp.j) for lp in p_lightpaths],
-                    naming.wlam, _wavelength_usage(routes_w.values()),
-                    excl_nodes=excl.lightpath_nodes, excl_links=excl.lightpath_links)
-                if routed is None:
-                    raise PlanError("III-spare-carrier-lightpaths",
-                                    "no feasible physical routing", retries=retries)
-                routes_p = routed[0]
-            break
-
-    lightpath_routes = dict(routes_w)
-    lightpath_routes.update(routes_p)
-
-    # ---- protection lightpaths
-    protection_routes: dict[int, tuple[Node, ...]] = {}
-    if mode.multilayer:
-        if mode is SurvivabilityMode.ML_DOUBLE:
-            to_protect = list(all_lightpaths)
-        else:
-            to_protect = [lp for lp in all_lightpaths if lp.status == WORKING]
-        if to_protect:
-            excl_nodes = {lp.id: frozenset(lightpath_routes[lp.id][1:-1])
-                          for lp in to_protect}
-            excl_links = {lp.id: _route_links(lightpath_routes[lp.id])
-                          for lp in to_protect}
-            if mode is SurvivabilityMode.ML_INTERLAYER_BRS:
-                forb = _brs_colocated_forbidden(lightpath_routes, w_routes_logical,
-                                                lsp_plps, to_protect)
-                for lp_id, links in forb.items():
-                    excl_links[lp_id] = excl_links[lp_id] | links
-            routed = _route_entities(
-                topo, [(lp.id, lp.i, lp.j) for lp in to_protect],
-                naming.plam, _wavelength_usage(lightpath_routes.values()),
-                excl_nodes=excl_nodes, excl_links=excl_links)
-            if routed is None:
-                raise PlanError("IV-protection-lightpaths",
-                                "no feasible physical routing")
-            protection_routes = routed[0]
-
-    lsp_routes = {
-        lsp.id: LspRoute(lsp_id=lsp.id, working=lsp_working_lps[lsp.id],
-                         protection=lsp_plps.get(lsp.id))
-        for lsp in inst.traffic}
-    config = assemble_configuration(inst, all_lightpaths, lightpath_routes,
-                                    protection_routes, lsp_routes)
+    config = _run_pipeline(inst, _EnumerationPhases(inst))
     return config.cost.total, config
 
 

@@ -28,7 +28,7 @@ from .formulation import (PROTECTION, WORKING, DecisionVarMap, ExclusionSets,
                           exclusion_blocks_route, expand_lightpaths)
 from .milp import MilpModel, MilpSolution, solve_milp
 from .modes import Approach, SurvivabilityMode
-from .netmodel import Link, Node, UnitCosts, normalize_link
+from .netmodel import Link, Node, UnitCosts, normalize_link, route_links
 
 __all__ = [
     "PlanOptions",
@@ -330,33 +330,12 @@ def _interface_usage(pairs: Iterable[tuple[Node, Node, int]]) -> dict[Node, int]
     return usage
 
 
-def _route_links(route: Sequence[Node]) -> frozenset[Link]:
-    return frozenset(normalize_link(a, b) for a, b in zip(route, route[1:]))
-
-
 def _wavelength_usage(routes: Iterable[Sequence[Node]]) -> dict[Link, int]:
     usage: dict[Link, int] = {}
     for route in routes:
-        for link in _route_links(route):
+        for link in route_links(route):
             usage[link] = usage.get(link, 0) + 1
     return usage
-
-
-def _solve_routing(lightpaths: Sequence[Lightpath], instance: ProblemInstance,
-                   options: PlanOptions, label: str, tie: bool,
-                   **routing_kwargs) -> tuple[DecisionVarMap, dict[int, float],
-                                              PhaseRecord]:
-    """Lightpath-routing phase with link-level infeasibility diagnosis."""
-    model, varmap = build_lightpath_routing(list(lightpaths), instance.topology,
-                                            instance.unit_costs, **routing_kwargs)
-    try:
-        vals, rec = _solve_stages(model, [varmap.optical_objective], options,
-                                  label, tie)
-    except PlanError as exc:
-        binding = diagnose_lightpath_infeasibility(
-            lightpaths, instance.topology, instance.unit_costs, **routing_kwargs)
-        raise PlanError(label, exc.detail, binding=binding) from exc
-    return varmap, vals, rec
 
 
 def _brs_colocated_forbidden(lightpath_routes: Mapping[int, tuple[Node, ...]],
@@ -370,7 +349,7 @@ def _brs_colocated_forbidden(lightpath_routes: Mapping[int, tuple[Node, ...]],
     for k, plp_ids in lsp_plps.items():
         links: set[Link] = set()
         for lp_id in plp_ids:
-            links |= _route_links(lightpath_routes[lp_id])
+            links |= route_links(lightpath_routes[lp_id])
         plsp_links[k] = frozenset(links)
     transit_lsps: dict[Node, list[int]] = {}
     for k, seq in lsp_logical.items():
@@ -389,51 +368,93 @@ def _brs_colocated_forbidden(lightpath_routes: Mapping[int, tuple[Node, ...]],
     return out
 
 
+class _MilpPhases:
+    """Phase solver of ``plan``: each phase is built as a MILP, solved
+    hierarchically and decoded."""
+
+    def __init__(self, instance: ProblemInstance, options: PlanOptions):
+        self.instance = instance
+        self.options = options
+        self.records: dict[str, PhaseRecord] = {}
+
+    def _solve(self, model: MilpModel, stages: Sequence[Mapping[int, float]],
+               label: str) -> dict[int, float]:
+        values, record = _solve_stages(model, stages, self.options, label,
+                                       self.options.exact())
+        earlier = self.records.get(label)
+        # a phase solved again after regrouping keeps its place and counts it
+        self.records[label] = (record if earlier is None
+                               else replace(record, retries=earlier.retries + 1))
+        return values
+
+    def logical(self, label: str, plane: str, lsps: Sequence,
+                context: ProtectionContext | None = None, **physical):
+        instance = self.instance
+        integrated = instance.approach is Approach.INTEGRATED
+        if integrated:
+            model, varmap = build_integrated(instance, plane, context, **physical)
+            stages = [varmap.mpls_objective, varmap.optical_objective]
+        else:
+            model, varmap = build_logical_design(instance, plane, context)
+            stages = [varmap.mpls_objective]
+        values = self._solve(model, stages, label)
+        pairs, hops, nodes = _decode_logical(instance, varmap, values, plane, lsps)
+        pair_routes = (_decode_integrated_routes(instance.topology, varmap, values,
+                                                 plane, pairs) if integrated else {})
+        return pairs, hops, nodes, pair_routes
+
+    def route(self, label: str, lightpaths: Sequence[Lightpath],
+              **routing) -> dict[int, tuple[Node, ...]]:
+        """Lightpath-routing phase with link-level infeasibility diagnosis."""
+        topology, unit_costs = self.instance.topology, self.instance.unit_costs
+        model, varmap = build_lightpath_routing(list(lightpaths), topology,
+                                                unit_costs, **routing)
+        try:
+            values = self._solve(model, [varmap.optical_objective], label)
+        except PlanError as exc:
+            binding = diagnose_lightpath_infeasibility(
+                lightpaths, topology, unit_costs, **routing)
+            raise PlanError(label, exc.detail, binding=binding) from exc
+        return _decode_physical(topology, varmap, values, lightpaths,
+                                "plam" if routing.get("protection") else "wlam")
+
+
 # ---------------------------------------------------------------------------
 # the pipeline
 
-def plan(instance: ProblemInstance, options: PlanOptions | None = None) -> NetworkConfiguration:
-    """Run the survivability pipeline for the instance's mode and approach.
+def _run_pipeline(instance: ProblemInstance, solver) -> NetworkConfiguration:
+    """Run the survivability steps for the instance's mode and approach, with
+    every phase solved by ``solver``, and assemble the configuration.
 
-    Steps: I working-LSP logical design, III working-side physical routing
-    (fused with I under the integrated approach), II protection-LSP logical
-    design plus spare-carrier placement, IV protection-lightpath routing
-    (multilayer modes).  Execution order follows the data dependencies: the
-    spare-unprotected and interlayer-BRS exclusion rules need the physical
-    routes of step III before step II can be posed.
+    The solver has ``records``, the phase records by name, and two methods:
+
+    * ``logical(label, plane, lsps, context=None, **physical)`` designs one
+      logical plane and returns the active (i, j, q) pairs, each LSP's hops
+      and node sequence, and (integrated approach) each pair's physical
+      route; ``physical`` are the physical-exclusion keywords of
+      ``build_integrated``;
+    * ``route(label, lightpaths, **routing)`` routes lightpaths physically,
+      taking the keywords of ``build_lightpath_routing``, and returns each
+      lightpath's route by id.
+
+    Everything between the phases is decided here, once for every solver:
+    the protected set, the exclusion sets, the regrouping retries, the step
+    IV targets and the interlayer-BRS co-location rule.
     """
-    options = options or PlanOptions()
     mode = instance.mode
-    tie = options.exact()
-    phases: list[PhaseRecord] = []
+    integrated = instance.approach is Approach.INTEGRATED
 
     # ---- step I (+ III when integrated): working-side design
-    if instance.approach is Approach.INTEGRATED:
-        model, varmap = build_integrated(instance, WORKING)
-        stages = [varmap.mpls_objective, varmap.optical_objective]
-    else:
-        model, varmap = build_logical_design(instance, WORKING)
-        stages = [varmap.mpls_objective]
-    values, record = _solve_stages(model, stages, options, "I-working-logical", tie)
-    phases.append(record)
-    w_pairs, w_hops, w_nodes = _decode_logical(instance, varmap, values, WORKING,
-                                               instance.traffic)
-
-    # ---- step III: working-status lightpath physical routing
+    w_pairs, w_hops, w_nodes, w_pair_routes = solver.logical(
+        "I-working-logical", WORKING, instance.traffic)
     w_lightpaths = expand_lightpaths(w_pairs)
     w_key_to_id = {lp.key: lp.id for lp in w_lightpaths}
-    routes_w: dict[int, tuple[Node, ...]] = {}
-    if instance.approach is Approach.INTEGRATED:
-        int_routes = _decode_integrated_routes(instance.topology, varmap, values,
-                                               WORKING, w_pairs)
-        routes_w = {w_key_to_id[(i, j, q, WORKING)]: r
-                    for (i, j, q), r in int_routes.items()}
-    elif w_lightpaths:
-        vm3, vals3, rec3 = _solve_routing(w_lightpaths, instance, options,
-                                          "III-working-lightpaths", tie)
-        phases.append(rec3)
-        routes_w = _decode_physical(instance.topology, vm3, vals3,
-                                    w_lightpaths, "wlam")
+    routes_w = {w_key_to_id[(i, j, q, WORKING)]: r
+                for (i, j, q), r in w_pair_routes.items()}
+
+    # ---- step III: working-status lightpath physical routing
+    if not integrated and w_lightpaths:
+        routes_w = solver.route("III-working-lightpaths", w_lightpaths)
 
     lsp_working_lps = {
         k: tuple(w_key_to_id[(i, j, q, WORKING)] for (i, j, q) in hops)
@@ -451,7 +472,6 @@ def plan(instance: ProblemInstance, options: PlanOptions | None = None) -> Netwo
     all_lightpaths = w_lightpaths
     routes_p: dict[int, tuple[Node, ...]] = {}
     lsp_plps: dict[int, tuple[int, ...]] = {}
-    plsp_carrier_map: dict[int, tuple[int, ...]] = {}
 
     if protected:
         base_state = WorkingState(
@@ -467,66 +487,57 @@ def plan(instance: ProblemInstance, options: PlanOptions | None = None) -> Netwo
             if lsp.source in nex or lsp.destination in nex:
                 raise PlanError("II-protection-logical",
                                 f"exclusion set of LSP {lsp.id} covers an endpoint")
+        physical = {}
+        if integrated:
+            disjoint = mode.plsp_physically_disjoint
+            physical = dict(lsp_excluded_phys_nodes=pre.lsp_phys_nodes if disjoint else {},
+                            lsp_excluded_links=pre.lsp_links if disjoint else {},
+                            wavelengths_used=_wavelength_usage(routes_w.values()))
 
         forbidden: list[tuple[tuple[int, Node, Node, int], ...]] = []
         retries = 0
-        while True:
-            ctx = ProtectionContext(
-                protected=tuple(protected),
-                interface_usage=_interface_usage(w_pairs),
-                excluded_nodes=pre.lsp_nodes,
-                forbidden_groupings=tuple(forbidden),
-            )
-            if instance.approach is Approach.INTEGRATED:
-                phys_nodes = pre.lsp_phys_nodes if mode.plsp_physically_disjoint else {}
-                phys_links = pre.lsp_links if mode.plsp_physically_disjoint else {}
-                m2, vm2 = build_integrated(
-                    instance, PROTECTION, ctx,
-                    lsp_excluded_phys_nodes=phys_nodes,
-                    lsp_excluded_links=phys_links,
-                    wavelengths_used=_wavelength_usage(routes_w.values()))
-                stages2 = [vm2.mpls_objective, vm2.optical_objective]
-            else:
-                m2, vm2 = build_logical_design(instance, PROTECTION, ctx)
-                stages2 = [vm2.mpls_objective]
-            vals2, rec2 = _solve_stages(m2, stages2, options,
-                                        "II-protection-logical", tie)
-            p_pairs, p_hops, _p_nodes = _decode_logical(instance, vm2, vals2,
-                                                        PROTECTION, protected)
-            all_lightpaths = expand_lightpaths(w_pairs, p_pairs)
-            key_to_id = {lp.key: lp.id for lp in all_lightpaths}
-            lsp_plps = {
-                k: tuple(key_to_id[(i, j, q, PROTECTION)] for (i, j, q) in hops)
-                for k, hops in p_hops.items()}
-            carriers: dict[int, list[int]] = {}
-            for k, lp_ids in sorted(lsp_plps.items()):
-                for lp_id in lp_ids:
-                    carriers.setdefault(lp_id, []).append(k)
-            plsp_carrier_map = {lp: tuple(ks) for lp, ks in carriers.items()}
-
-            if instance.approach is Approach.INTEGRATED:
-                int_p = _decode_integrated_routes(instance.topology, vm2, vals2,
-                                                  PROTECTION, p_pairs)
+        try:
+            while True:
+                ctx = ProtectionContext(
+                    protected=tuple(protected),
+                    interface_usage=_interface_usage(w_pairs),
+                    excluded_nodes=pre.lsp_nodes,
+                    forbidden_groupings=tuple(forbidden),
+                )
+                p_pairs, p_hops, _p_nodes, p_pair_routes = solver.logical(
+                    "II-protection-logical", PROTECTION, protected, ctx, **physical)
+                all_lightpaths = expand_lightpaths(w_pairs, p_pairs)
+                key_to_id = {lp.key: lp.id for lp in all_lightpaths}
+                lsp_plps = {
+                    k: tuple(key_to_id[(i, j, q, PROTECTION)] for (i, j, q) in hops)
+                    for k, hops in p_hops.items()}
                 routes_p = {key_to_id[(i, j, q, PROTECTION)]: r
-                            for (i, j, q), r in int_p.items()}
-                phases.append(replace(rec2, retries=retries))
-                break
+                            for (i, j, q), r in p_pair_routes.items()}
+                if integrated:
+                    break
 
-            # spare carriers inherit their passengers' exclusions
-            state = WorkingState(
-                instance=instance,
-                lsp_logical_nodes=w_nodes,
-                lsp_lightpaths=lsp_working_lps,
-                lightpaths={lp.id: lp for lp in all_lightpaths},
-                lightpath_routes=routes_w,
-                plsp_carriers=plsp_carrier_map,
-            )
-            excl = (compute_exclusion_sets(state, mode)
-                    if mode.plsp_physically_disjoint else ExclusionSets())
-            if excl.infeasible:
+                carriers: dict[int, list[int]] = {}
+                for k, lp_ids in sorted(lsp_plps.items()):
+                    for lp_id in lp_ids:
+                        carriers.setdefault(lp_id, []).append(k)
+                plsp_carrier_map = {lp: tuple(ks) for lp, ks in carriers.items()}
+                # spare carriers inherit their passengers' exclusions
+                state = replace(base_state,
+                                lightpaths={lp.id: lp for lp in all_lightpaths},
+                                plsp_carriers=plsp_carrier_map)
+                excl = (compute_exclusion_sets(state, mode)
+                        if mode.plsp_physically_disjoint else ExclusionSets())
+                if not excl.infeasible:
+                    p_lightpaths = tuple(lp for lp in all_lightpaths
+                                         if lp.status == PROTECTION)
+                    if p_lightpaths:
+                        routes_p = solver.route(
+                            "III-spare-carrier-lightpaths", p_lightpaths,
+                            exclusions=excl,
+                            wavelengths_used=_wavelength_usage(routes_w.values()))
+                    break
                 if retries >= MAX_GROUPING_RETRIES:
-                    raise PlanError("II-protection-logical",
-                                    "; ".join(excl.infeasible), retries=retries)
+                    raise PlanError("II-protection-logical", "; ".join(excl.infeasible))
                 for lp_id, passengers in sorted(plsp_carrier_map.items()):
                     lp = all_lightpaths[lp_id]
                     nodes_u = excl.lightpath_nodes.get(lp_id, frozenset())
@@ -536,23 +547,10 @@ def plan(instance: ProblemInstance, options: PlanOptions | None = None) -> Netwo
                         forbidden.append(tuple(sorted(
                             (k, lp.i, lp.j, lp.q) for k in passengers)))
                 retries += 1
-                continue
+        except PlanError as exc:
+            raise PlanError(exc.phase, exc.detail, retries, exc.binding) from exc
 
-            phases.append(replace(rec2, retries=retries))
-            p_lightpaths = tuple(lp for lp in all_lightpaths
-                                 if lp.status == PROTECTION)
-            if p_lightpaths:
-                vm3p, vals3p, rec3p = _solve_routing(
-                    p_lightpaths, instance, options,
-                    "III-spare-carrier-lightpaths", tie, exclusions=excl,
-                    wavelengths_used=_wavelength_usage(routes_w.values()))
-                phases.append(rec3p)
-                routes_p = _decode_physical(instance.topology, vm3p, vals3p,
-                                            p_lightpaths, "wlam")
-            break
-
-    lightpath_routes = dict(routes_w)
-    lightpath_routes.update(routes_p)
+    lightpath_routes = {**routes_w, **routes_p}
 
     # ---- step IV: protection lightpaths (optical backups), multilayer only
     protection_routes: dict[int, tuple[Node, ...]] = {}
@@ -565,36 +563,39 @@ def plan(instance: ProblemInstance, options: PlanOptions | None = None) -> Netwo
             excl4 = ExclusionSets(
                 lightpath_nodes={lp.id: frozenset(lightpath_routes[lp.id][1:-1])
                                  for lp in to_protect})
-            working_links = {lp.id: _route_links(lightpath_routes[lp.id])
+            working_links = {lp.id: route_links(lightpath_routes[lp.id])
                              for lp in to_protect}
             forb: dict[int, frozenset[Link]] = {}
             if mode is SurvivabilityMode.ML_INTERLAYER_BRS:
                 forb = _brs_colocated_forbidden(lightpath_routes, w_nodes,
                                                 lsp_plps, to_protect)
-            vm4, vals4, rec4 = _solve_routing(
-                to_protect, instance, options, "IV-protection-lightpaths", tie,
+            protection_routes = solver.route(
+                "IV-protection-lightpaths", to_protect,
                 protection=True, exclusions=excl4, working_links=working_links,
                 forbidden_links=forb,
                 wavelengths_used=_wavelength_usage(lightpath_routes.values()))
-            phases.append(rec4)
-            protection_routes = _decode_physical(instance.topology, vm4, vals4,
-                                                 to_protect, "plam")
 
-    # ---- assemble
     lsp_routes = {
         lsp.id: LspRoute(lsp_id=lsp.id, working=lsp_working_lps[lsp.id],
                          protection=lsp_plps.get(lsp.id))
         for lsp in instance.traffic}
-    config = NetworkConfiguration(
-        instance=instance,
-        lightpaths=all_lightpaths,
-        lightpath_routes=lightpath_routes,
-        protection_routes=protection_routes,
-        lsp_routes=lsp_routes,
-        phases=tuple(phases),
-    )
-    _finalize(config)
-    return config
+    return assemble_configuration(instance, all_lightpaths, lightpath_routes,
+                                  protection_routes, lsp_routes,
+                                  tuple(solver.records.values()))
+
+
+def plan(instance: ProblemInstance, options: PlanOptions | None = None) -> NetworkConfiguration:
+    """Run the survivability pipeline for the instance's mode and approach.
+
+    Steps: I working-LSP logical design, III working-side physical routing
+    (fused with I under the integrated approach), II protection-LSP logical
+    design plus spare-carrier placement, IV protection-lightpath routing
+    (multilayer modes).  Execution order follows the data dependencies: the
+    spare-unprotected and interlayer-BRS exclusion rules need the physical
+    routes of step III before step II can be posed.
+    """
+    options = options or PlanOptions()
+    return _run_pipeline(instance, _MilpPhases(instance, options))
 
 
 def transit_traffic(config: NetworkConfiguration) -> tuple[dict[Node, Fraction], Fraction]:
@@ -646,46 +647,6 @@ def total_cost(source, unit_costs: UnitCosts) -> CostBreakdown:
     return CostBreakdown(transit=transit, lightpath=lightpath, optical=optical)
 
 
-def _finalize(config: NetworkConfiguration) -> None:
-    inst = config.instance
-    pair_w: dict[Link, int] = {}
-    pair_s: dict[Link, int] = {}
-    link_w: dict[Link, int] = {}
-    link_p: dict[Link, int] = {}
-    link_s: dict[Link, int] = {}
-    for lp in config.lightpaths:
-        pair = (lp.i, lp.j)
-        if lp.status == WORKING:
-            pair_w[pair] = pair_w.get(pair, 0) + 1
-        else:
-            pair_s[pair] = pair_s.get(pair, 0) + 1
-        for link in _route_links(config.lightpath_routes[lp.id]):
-            target = link_w if lp.status == WORKING else link_p
-            target[link] = target.get(link, 0) + 1
-    for route in config.protection_routes.values():
-        for link in _route_links(route):
-            link_s[link] = link_s.get(link, 0) + 1
-    config.pair_working = pair_w
-    config.pair_spare = pair_s
-    config.link_working_w = link_w
-    config.link_working_p = link_p
-    config.link_spare = link_s
-
-    if inst.mode is SurvivabilityMode.ML_INTERLAYER_BRS:
-        apply_brs_sharing(config)
-    else:
-        total: dict[Link, int] = {}
-        for link in set(link_w) | set(link_p) | set(link_s):
-            total[link] = link_w.get(link, 0) + link_p.get(link, 0) + link_s.get(link, 0)
-        config.link_total = total
-        config.extra_wavelengths = 0
-        config.reuse_factor = None
-
-    delta, _total = transit_traffic(config)
-    config.transit = {n: v for n, v in delta.items() if v}
-    config.cost = total_cost(config, inst.unit_costs)
-
-
 def assemble_configuration(instance: ProblemInstance,
                            lightpaths: Sequence[Lightpath],
                            lightpath_routes: Mapping[int, tuple[Node, ...]],
@@ -702,7 +663,27 @@ def assemble_configuration(instance: ProblemInstance,
         lsp_routes=dict(lsp_routes),
         phases=phases,
     )
-    _finalize(config)
+    link_w, link_p, link_s = config.link_working_w, config.link_working_p, config.link_spare
+    for lp in config.lightpaths:
+        pairs = config.pair_working if lp.status == WORKING else config.pair_spare
+        pairs[(lp.i, lp.j)] = pairs.get((lp.i, lp.j), 0) + 1
+        target = link_w if lp.status == WORKING else link_p
+        for link in route_links(config.lightpath_routes[lp.id]):
+            target[link] = target.get(link, 0) + 1
+    for route in config.protection_routes.values():
+        for link in route_links(route):
+            link_s[link] = link_s.get(link, 0) + 1
+
+    if instance.mode is SurvivabilityMode.ML_INTERLAYER_BRS:
+        apply_brs_sharing(config)
+    else:
+        config.link_total = {
+            link: link_w.get(link, 0) + link_p.get(link, 0) + link_s.get(link, 0)
+            for link in set(link_w) | set(link_p) | set(link_s)}
+
+    delta, _total = transit_traffic(config)
+    config.transit = {n: v for n, v in delta.items() if v}
+    config.cost = total_cost(config, instance.unit_costs)
     return config
 
 

@@ -13,7 +13,7 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .modes import SurvivabilityMode
-from .netmodel import Link, Node, normalize_link
+from .netmodel import Link, Node, route_links
 from .planner import NetworkConfiguration
 
 __all__ = [
@@ -88,15 +88,11 @@ def enumerate_failures(config: NetworkConfiguration) -> tuple[FailureScenario, .
     return tuple(scenarios)
 
 
-def _route_links(route: Sequence[Node]) -> frozenset[Link]:
-    return frozenset(normalize_link(a, b) for a, b in zip(route, route[1:]))
-
-
 def _lightpath_dead(config: NetworkConfiguration, lp_id: int,
                     scenario: FailureScenario) -> bool:
     route = config.lightpath_routes[lp_id]
     if scenario.kind == "physical-link":
-        return scenario.target in _route_links(route)
+        return scenario.target in route_links(route)
     if scenario.kind == "node":
         return scenario.target[0] in route
     return scenario.target[0] == lp_id
@@ -108,7 +104,7 @@ def _plp_survives(config: NetworkConfiguration, lp_id: int,
     if backup is None:
         return False
     if scenario.kind == "physical-link":
-        return scenario.target not in _route_links(backup)
+        return scenario.target not in route_links(backup)
     if scenario.kind == "node":
         # a failed endpoint kills the backup too; transit nodes must be avoided
         return scenario.target[0] not in backup
@@ -160,7 +156,7 @@ def check_restorability(config: NetworkConfiguration,
             route = config.lsp_routes[lsp.id]
             w_walk = config.lsp_physical_walk(lsp.id, "working")
             if scenario.kind == "physical-link":
-                hit = scenario.target in _route_links(w_walk)
+                hit = scenario.target in route_links(w_walk)
             elif scenario.kind == "node":
                 hit = scenario.target[0] in w_walk
             else:
@@ -228,7 +224,7 @@ def _brs_contention(config: NetworkConfiguration, scenario: FailureScenario,
     claims: dict[Link, int] = {}
     for lp in config.lightpaths:
         if plp_used.get(lp.id):
-            for link in _route_links(config.protection_routes[lp.id]):
+            for link in route_links(config.protection_routes[lp.id]):
                 claims[link] = claims.get(link, 0) + 1
     needed_carriers: set[int] = set()
     for k in mpls_recovered:
@@ -237,7 +233,7 @@ def _brs_contention(config: NetworkConfiguration, scenario: FailureScenario,
     for lp_id in sorted(needed_carriers):
         if not alive[lp_id]:
             continue
-        for link in _route_links(config.lightpath_routes[lp_id]):
+        for link in route_links(config.lightpath_routes[lp_id]):
             claims[link] = claims.get(link, 0) + 1
     out: list[str] = []
     for link in sorted(claims):
@@ -285,7 +281,7 @@ def check_disjointness(config: NetworkConfiguration,
                 violations.append(
                     f"lsp {k}: physical transit nodes shared {sorted(shared_nodes)}")
             if mode is SurvivabilityMode.SINGLE_LAYER:
-                shared_links = _route_links(w_walk) & _route_links(p_walk)
+                shared_links = route_links(w_walk) & route_links(p_walk)
                 if shared_links:
                     violations.append(
                         f"lsp {k}: physical links shared {sorted(shared_links)}")
@@ -299,7 +295,7 @@ def check_disjointness(config: NetworkConfiguration,
         if shared_nodes:
             violations.append(f"lightpath {lp.id}: backup shares transit node(s) "
                               f"{sorted(shared_nodes)}")
-        shared_links = _route_links(route) & _route_links(backup)
+        shared_links = route_links(route) & route_links(backup)
         if shared_links:
             violations.append(f"lightpath {lp.id}: backup shares link(s) "
                               f"{sorted(shared_links)}")
@@ -308,7 +304,7 @@ def check_disjointness(config: NetworkConfiguration,
         plsp_links: dict[int, frozenset[Link]] = {}
         for lsp in config.instance.traffic:
             if config.lsp_routes[lsp.id].protection is not None:
-                plsp_links[lsp.id] = _route_links(
+                plsp_links[lsp.id] = route_links(
                     config.lsp_physical_walk(lsp.id, "protection"))
         for lp in config.lightpaths:
             backup = config.protection_routes.get(lp.id)
@@ -320,7 +316,7 @@ def check_disjointness(config: NetworkConfiguration,
                         continue
                     if x not in config.lsp_logical_nodes(lsp.id, "working")[1:-1]:
                         continue
-                    shared = _route_links(backup) & plsp_links[lsp.id]
+                    shared = route_links(backup) & plsp_links[lsp.id]
                     if shared:
                         violations.append(
                             f"co-located protections overlap at node {x}: lightpath "

@@ -8,6 +8,7 @@ import random
 import pytest
 
 from otnplan.formulation import ProblemInstance
+from otnplan.instance import config_to_dict
 from otnplan.modes import Approach, SurvivabilityMode
 from otnplan.netmodel import (COST_RATIO_PRESETS, PhysicalTopology, SystemParams,
                               derive_unit_costs, generate_topology, split_demands,
@@ -27,6 +28,14 @@ def make_instance(topology, demands, mode=SurvivabilityMode.NONE,
     params = SystemParams(C=C, W=topology.W, Q=q, n_nodes=topology.n)
     return ProblemInstance(topology, split_demands(demands, C), params,
                            derive_unit_costs(ratios, C), mode, approach)
+
+
+def config_without_phases(config) -> dict:
+    """The serialised configuration minus the phase records, whose wall times
+    differ between runs and which the enumeration oracle does not keep."""
+    data = config_to_dict(config)
+    data.pop("phases")
+    return data
 
 
 @pytest.fixture(scope="session")

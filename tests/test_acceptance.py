@@ -18,7 +18,7 @@ from otnplan.report import fmt_cost
 from otnplan.verify import check_disjointness, check_restorability, enumerate_failures
 from otnplan.formulation import estimate_problem_size_raw
 
-from conftest import ALL_MODES, UNIT_CR1, make_instance
+from conftest import ALL_MODES, UNIT_CR1, config_without_phases, make_instance
 
 EXACT = PlanOptions(gap=0.0, time_limit=300)
 DEFAULT = PlanOptions(gap=0.03, time_limit=300)
@@ -77,13 +77,14 @@ def test_criterion_1_cost_identities():
 # 2 ------------------------------------------------------------------------
 def test_criterion_2_oracle_equivalence(suite_results, small_suite):
     compared = 0
-    for (idx, mode), (config, oracle_cost, _ocfg) in suite_results.items():
+    for (idx, mode), (config, oracle_cost, oracle_config) in suite_results.items():
         assert config.cost.total == oracle_cost, (
             f"instance {idx} mode {mode.value}: planner "
             f"{float(config.cost.total)} != oracle {float(oracle_cost)}")
+        assert config_without_phases(config) == config_without_phases(oracle_config), (idx, mode)
         compared += 1
     _line("criterion-2 oracle equivalence", compared >= 20 * len(ALL_MODES),
-          f"{compared} exact matches over {len(small_suite)} instances x "
+          f"{compared} identical configurations over {len(small_suite)} instances x "
           f"{len(ALL_MODES)} modes")
 
 

@@ -6,6 +6,7 @@ import pytest
 from otnplan.instance import (bundled_instance_path, config_from_dict,
                               config_to_dict, instance_from_dict, load_instance)
 from otnplan.modes import Approach, SurvivabilityMode
+from otnplan.oracle import brute_force_optimum
 from otnplan.planner import PlanError, PlanOptions, plan
 from otnplan.netmodel import PhysicalTopology, validate_topology
 
@@ -76,6 +77,9 @@ class TestPlannerDiagnostics:
         topo = PhysicalTopology(range(4), [(0, 1), (0, 2), (2, 3), (1, 3)], W=32)
         inst = make_instance(topo, [(0, 2, 8), (3, 0, 4), (0, 2, 4)],
                              SurvivabilityMode.SINGLE_LAYER)
-        with pytest.raises(PlanError) as err:
-            plan(inst, EXACT)
-        assert err.value.phase == "II-protection-logical"
+        for solve in (lambda: plan(inst, EXACT), lambda: brute_force_optimum(inst)):
+            with pytest.raises(PlanError) as err:
+                solve()
+            assert err.value.phase == "II-protection-logical"
+            assert err.value.retries == 2
+            assert "after 2 retries" in str(err.value)
