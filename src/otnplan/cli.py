@@ -17,8 +17,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .formulation import audit_model, estimate_problem_size
-from .instance import (bundled_instance_path, config_from_dict, config_to_dict,
-                       instance_from_dict, load_instance)
+from .instance import bundled_instance_path, config_from_dict, config_to_dict, load_instance
 from .milp import check_solution, emit_lp_file, parse_solution_listing, solution_values_by_id
 from .modes import APPROACH_CHOICES, MODE_CHOICES, Approach, SurvivabilityMode
 from .netmodel import average_connectivity, generate_topology, validate_topology
@@ -104,7 +103,7 @@ def run_cli(request: RunRequest) -> int:
     try:
         config = plan(inst, options)
     except PlanError as exc:
-        print(f"infeasible: {exc}", file=sys.stderr)
+        print(f"no plan: {exc}", file=sys.stderr)
         return 1
 
     stem = f"{Path(request.instance).stem}.{request.mode}.{request.approach}"

@@ -3,10 +3,11 @@ LP text export."""
 
 from .branch_bound import solve_lp, solve_milp
 from .lpformat import emit_lp_file, parse_solution_listing, solution_values_by_id
-from .model import (Constraint, MilpModel, MilpSolution, MilpStats, ModelError,
-                    Variable, check_solution)
+from .model import (SOLVER_FAILURES, Constraint, MilpModel, MilpSolution, MilpStats,
+                    ModelError, Variable, check_solution)
 
 __all__ = [
+    "SOLVER_FAILURES",
     "Constraint",
     "MilpModel",
     "MilpSolution",

@@ -1,9 +1,11 @@
 """Branch-and-bound over the bounded-variable simplex relaxation.
 
 Best-bound node selection, branching on the most fractional binary (ties to
-the lowest variable id), optimality-gap and wall-clock termination.  The
-search is single threaded and fully deterministic: identical models and
-parameters reproduce identical incumbents, node counts and iteration counts.
+the lowest variable id), optimality-gap and wall-clock termination.  Each
+child re-optimises from its parent's optimal basis with the dual simplex;
+only the root is solved cold.  The search is single threaded and fully
+deterministic: identical models and parameters reproduce identical
+incumbents, node counts and iteration counts.
 """
 
 from __future__ import annotations
@@ -14,9 +16,9 @@ import time
 
 import numpy as np
 
-from .model import (INTEGRALITY_TOL, MilpModel, MilpSolution, MilpStats,
-                    check_solution, relative_gap)
-from .simplex import simplex_solve
+from .model import (INTEGRALITY_TOL, SOLVER_FAILURES, MilpModel, MilpSolution,
+                    MilpStats, check_solution, relative_gap)
+from .simplex import LpBasis, simplex_solve
 
 __all__ = ["solve_lp", "solve_milp"]
 
@@ -57,8 +59,10 @@ class _Arrays:
     trivially_infeasible: str | None = None
 
 
-def _lp(arrays: _Arrays, lo: np.ndarray, hi: np.ndarray):
-    return simplex_solve(arrays.A, arrays.relations, arrays.rhs, arrays.c, lo, hi)
+def _lp(arrays: _Arrays, lo: np.ndarray, hi: np.ndarray,
+        warm: LpBasis | None = None, deadline: float | None = None):
+    return simplex_solve(arrays.A, arrays.relations, arrays.rhs, arrays.c, lo, hi,
+                         warm, deadline)
 
 
 def solve_lp(model: MilpModel) -> MilpSolution:
@@ -75,6 +79,8 @@ def solve_lp(model: MilpModel) -> MilpSolution:
         return MilpSolution(status="infeasible", stats=stats, infeasible_rows=names)
     if res.status == "unbounded":
         return MilpSolution(status="unbounded", stats=stats, best_bound=-math.inf)
+    if res.status != "optimal":
+        return MilpSolution(status=res.status, stats=stats)
     values = {i: float(res.x[i]) for i in range(len(res.x))}
     return MilpSolution(status="optimal", values=values, objective=res.objective,
                         best_bound=res.objective, gap=0.0, stats=stats)
@@ -87,7 +93,10 @@ def solve_milp(model: MilpModel, gap: float = 0.0,
 
     The returned incumbent always satisfies every constraint and every
     integrality requirement within 1e-6 (values are rounded and re-verified
-    before acceptance).
+    before acceptance).  The limit is checked between nodes and before every
+    simplex pivot.  A node LP that fails (see ``SOLVER_FAILURES``) ends the
+    search with that status; any incumbent found so far is attached but not
+    counted as a result.
     """
     if gap < 0:
         raise ValueError("gap must be non-negative")
@@ -119,15 +128,15 @@ def solve_milp(model: MilpModel, gap: float = 0.0,
 
     binary_ids = np.nonzero(arrays.binary)[0]
 
-    # heap of (parent bound, tiebreak counter, lo array, hi array)
+    # heap of (parent bound, tiebreak counter, lo array, hi array, parent basis)
     counter = 0
-    heap: list[tuple[float, int, np.ndarray, np.ndarray]] = []
-    heapq.heappush(heap, (-math.inf, counter, arrays.lo.copy(), arrays.hi.copy()))
+    heap: list[tuple[float, int, np.ndarray, np.ndarray, LpBasis | None]] = []
+    heapq.heappush(heap, (-math.inf, counter, arrays.lo.copy(), arrays.hi.copy(), None))
     root_infeasible_rows: tuple[str, ...] = ()
     root_unbounded = False
 
     while heap:
-        bound_est, _, lo, hi = heapq.heappop(heap)
+        bound_est, _, lo, hi, warm = heapq.heappop(heap)
         open_bound = bound_est  # heap is bound-ordered, so this is the global lower bound
         if incumbent is not None:
             gap_now = relative_gap(incumbent_obj, min(open_bound, incumbent_obj))
@@ -140,8 +149,10 @@ def solve_milp(model: MilpModel, gap: float = 0.0,
             return build("time-limit", min(open_bound, incumbent_obj))
 
         nodes += 1
-        res = _lp(arrays, lo, hi)
+        res = _lp(arrays, lo, hi, warm, deadline)
         lp_iters += res.iterations
+        if res.status == "time-limit" or res.status in SOLVER_FAILURES:
+            return build(res.status, min(open_bound, incumbent_obj))
         if res.status == "infeasible":
             if nodes == 1:
                 root_infeasible_rows = tuple(
@@ -178,7 +189,7 @@ def solve_milp(model: MilpModel, gap: float = 0.0,
             lo2[pick] = fix
             hi2[pick] = fix
             counter += 1
-            heapq.heappush(heap, (res.objective, counter, lo2, hi2))
+            heapq.heappush(heap, (res.objective, counter, lo2, hi2, res.basis))
 
     if root_unbounded:
         return MilpSolution(status="unbounded", best_bound=-math.inf,

@@ -15,6 +15,7 @@ __all__ = [
     "MilpSolution",
     "check_solution",
     "GAP_FLOOR",
+    "SOLVER_FAILURES",
 ]
 
 GAP_FLOOR = 1e-9
@@ -22,6 +23,10 @@ FEASIBILITY_TOL = 1e-6
 INTEGRALITY_TOL = 1e-6
 
 RELATIONS = ("<=", "=", ">=")
+
+# statuses of a solve the LP solver could not finish: its pivot budget ran
+# out, or a basis matrix could not be inverted
+SOLVER_FAILURES = ("iteration-limit", "singular-basis")
 
 
 class ModelError(ValueError):
@@ -132,7 +137,9 @@ class MilpStats:
 
 @dataclass(frozen=True)
 class MilpSolution:
-    status: str  # optimal | feasible-with-gap | infeasible | unbounded | time-limit
+    # optimal | feasible-with-gap | infeasible | unbounded | time-limit,
+    # or one of SOLVER_FAILURES
+    status: str
     values: Mapping[int, float] = field(default_factory=dict)
     objective: float = math.nan
     best_bound: float = math.nan

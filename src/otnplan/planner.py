@@ -17,6 +17,7 @@ import math
 import time
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable, Mapping, Sequence
 
 from . import naming
@@ -26,7 +27,7 @@ from .formulation import (PROTECTION, WORKING, DecisionVarMap, ExclusionSets,
                           build_logical_design, compute_exclusion_sets,
                           diagnose_lightpath_infeasibility,
                           exclusion_blocks_route, expand_lightpaths)
-from .milp import MilpModel, MilpSolution, solve_milp
+from .milp import SOLVER_FAILURES, MilpModel, MilpSolution, solve_milp
 from .modes import Approach, SurvivabilityMode
 from .netmodel import Link, Node, UnitCosts, normalize_link, route_links
 
@@ -137,11 +138,12 @@ class NetworkConfiguration:
     def mode(self) -> SurvivabilityMode:
         return self.instance.mode
 
+    @cached_property
+    def _lsp_index(self) -> dict:
+        return {lsp.id: lsp for lsp in self.instance.traffic}
+
     def lsp_by_id(self, lsp_id: int):
-        for lsp in self.instance.traffic:
-            if lsp.id == lsp_id:
-                return lsp
-        raise KeyError(lsp_id)
+        return self._lsp_index[lsp_id]
 
     def counts(self) -> ResourceCounts:
         return ResourceCounts(
@@ -210,6 +212,8 @@ def _solve_stages(model: MilpModel, stages: Sequence[Mapping[int, float]],
         wall += sol.stats.wall_time
         if idx == 0:
             first = sol
+        if sol.status in SOLVER_FAILURES:
+            raise PlanError(label, f"LP solver failed: {sol.status}")
         if not sol.has_incumbent:
             if idx == 0:
                 raise PlanError(label, sol.status, binding=sol.infeasible_rows)

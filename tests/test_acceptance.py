@@ -12,7 +12,6 @@ from otnplan.formulation import build_integrated, build_logical_design, WORKING
 from otnplan.milp import MilpModel, check_solution, solve_milp
 from otnplan.modes import Approach, SurvivabilityMode
 from otnplan.netmodel import PhysicalTopology, generate_topology
-from otnplan.oracle import brute_force_optimum
 from otnplan.planner import PlanOptions, ResourceCounts, plan, total_cost
 from otnplan.report import fmt_cost
 from otnplan.verify import check_disjointness, check_restorability, enumerate_failures

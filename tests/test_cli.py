@@ -1,10 +1,10 @@
 import json
-import re
-from pathlib import Path
 
+import numpy as np
 import pytest
 
 from otnplan.cli import main
+from otnplan.milp import simplex
 from otnplan.instance import (bundled_instance_path, config_from_dict,
                               load_instance)
 from otnplan.modes import SurvivabilityMode
@@ -44,6 +44,23 @@ class TestPlanCommand:
             main(["plan", "--instance", str(ring_instance_file), "--mode", "bogus"])
         assert err.value.code == 2
         assert "usage" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("failure", ["iteration-limit", "singular-basis"])
+    def test_solver_failure_exits_1_with_diagnostic(self, failure, ring_instance_file,
+                                                    tmp_path, monkeypatch, capsys):
+        if failure == "iteration-limit":
+            monkeypatch.setattr(simplex, "_MAX_ITERATIONS", 0)
+        else:
+            def singular(matrix):
+                raise np.linalg.LinAlgError("Singular matrix")
+            monkeypatch.setattr(np.linalg, "inv", singular)
+        rc = main(["plan", "--instance", str(ring_instance_file), "--mode", "none",
+                   "--output-dir", str(tmp_path)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert f"phase I-working-logical: LP solver failed: {failure}" in err
+        assert "Traceback" not in err
+        assert not list(tmp_path.glob("*.config.json"))
 
     def test_schema_error_exits_2(self, tmp_path):
         bad = tmp_path / "bad.json"

@@ -10,8 +10,7 @@ from otnplan.formulation import (PROTECTION, WORKING, ProblemInstance,
                                  expand_lightpaths)
 from otnplan.milp import check_solution, solve_milp
 from otnplan.modes import Approach, SurvivabilityMode
-from otnplan.netmodel import (PhysicalTopology, SystemParams, generate_topology,
-                              split_demands)
+from otnplan.netmodel import PhysicalTopology, SystemParams, split_demands
 from otnplan.planner import PlanOptions, plan
 
 from conftest import UNIT_CR1, make_instance

@@ -4,8 +4,8 @@ from fractions import Fraction
 import pytest
 
 from otnplan.instance import (bundled_instance_path, config_from_dict,
-                              config_to_dict, instance_from_dict, load_instance)
-from otnplan.modes import Approach, SurvivabilityMode
+                              config_to_dict, instance_from_dict)
+from otnplan.modes import SurvivabilityMode
 from otnplan.oracle import brute_force_optimum
 from otnplan.planner import PlanError, PlanOptions, plan
 from otnplan.netmodel import PhysicalTopology, validate_topology

@@ -1,12 +1,18 @@
+import copy
 import itertools
 import math
+import time
 
 import numpy as np
 import pytest
 from scipy.optimize import linprog
 
-from otnplan.milp import (MilpModel, ModelError, check_solution, solve_lp,
-                          solve_milp)
+from conftest import make_instance
+from otnplan import planner
+from otnplan.milp import (MilpModel, ModelError, check_solution, simplex,
+                          solve_lp, solve_milp)
+from otnplan.milp.simplex import simplex_solve
+from otnplan.modes import SurvivabilityMode
 
 
 def lp_min_x_ge_3():
@@ -171,3 +177,117 @@ class TestSolveMilp:
                 assert sol.objective == pytest.approx(best, abs=1e-7)
             else:
                 assert sol.status == "infeasible"
+
+
+def random_bounded_lp(rng):
+    n = int(rng.integers(3, 12))
+    rows = int(rng.integers(2, 8))
+    A = np.round(rng.uniform(-4, 4, (rows, n)), 1)
+    b = np.round(rng.uniform(-2, 8, rows), 1)
+    c = np.round(rng.uniform(-3, 3, n), 1)
+    rels = list(rng.choice(["<=", ">=", "="], rows, p=[0.5, 0.3, 0.2]))
+    hi = np.where(rng.random(n) < 0.7, rng.uniform(1, 5, n).round(1), np.inf)
+    return A, rels, b, c, np.zeros(n), hi
+
+
+@pytest.fixture()
+def cold_calls(monkeypatch):
+    """Counts the solves that take the cold two-phase path."""
+    calls = []
+    cold = simplex._cold_solve
+
+    def spy(*args):
+        calls.append(args)
+        return cold(*args)
+    monkeypatch.setattr(simplex, "_cold_solve", spy)
+    return calls
+
+
+class TestWarmStart:
+    def test_fixing_a_basic_variable_matches_cold_solve(self, cold_calls):
+        rng = np.random.default_rng(17)
+        outcomes = {"optimal": 0, "infeasible": 0}
+        for _ in range(300):
+            A, rels, b, c, lo, hi = random_bounded_lp(rng)
+            base = simplex_solve(A, rels, b, c, lo, hi)
+            basic = [int(j) for j in base.basis.basis if j < lo.size] if base.basis else []
+            if base.status != "optimal" or not basic:
+                continue
+            j = basic[int(rng.integers(len(basic)))]
+            fix = float(rng.choice([math.floor(base.x[j]), math.ceil(base.x[j]),
+                                    base.x[j] + 1.0]))
+            lo2, hi2 = lo.copy(), hi.copy()
+            lo2[j] = hi2[j] = min(fix, hi[j])
+            del cold_calls[:]
+            warm = simplex_solve(A, rels, b, c, lo2, hi2, base.basis)
+            assert not cold_calls  # the dual simplex finished the solve
+            cold = simplex_solve(A, rels, b, c, lo2, hi2)
+            assert warm.status == cold.status
+            if cold.status == "optimal":
+                assert warm.objective == pytest.approx(cold.objective, abs=1e-7)
+            outcomes[cold.status] += 1
+        assert outcomes["optimal"] > 50 and outcomes["infeasible"] > 10
+
+    def test_dual_infeasible_basis_takes_cold_path(self, cold_calls):
+        A = np.array([[1.0, 1.0], [1.0, -1.0]])
+        rels = ["<=", "<="]
+        b = np.array([4.0, 2.0])
+        lo, hi = np.zeros(2), np.full(2, 3.0)
+        base = simplex_solve(A, rels, b, np.array([-1.0, -2.0]), lo, hi)
+        assert base.status == "optimal"
+        del cold_calls[:]
+        # the basis optimal for maximizing is not dual feasible for minimizing
+        res = simplex_solve(A, rels, b, np.array([1.0, 2.0]), lo, hi, base.basis)
+        assert len(cold_calls) == 1
+        assert res.status == "optimal"
+        assert res.objective == pytest.approx(0.0)
+
+    def test_every_node_after_the_root_is_warm(self, cold_calls):
+        sol = solve_milp(knapsack_model(), gap=0.0)
+        assert sol.stats.nodes > 1
+        assert len(cold_calls) == 1
+
+
+class TestLimitsAndFailures:
+    def test_past_deadline_stops_inside_the_lp(self):
+        A = np.array([[1.0, 1.0]])
+        res = simplex_solve(A, [">="], np.array([1.0]), np.array([1.0, 1.0]),
+                            np.zeros(2), np.full(2, 2.0), deadline=time.perf_counter())
+        assert res.status == "time-limit"
+        assert res.iterations == 0
+
+    def test_fixture6_protection_phase_honours_tiny_time_limit(self, six_node_fixture,
+                                                               monkeypatch):
+        models = []
+
+        def capture(model, gap=0.0, time_limit=None):
+            if model.name == "logical-protection" and not models:
+                models.append(copy.deepcopy(model))
+            return solve_milp(model, gap=gap, time_limit=time_limit)
+        monkeypatch.setattr(planner, "solve_milp", capture)
+        topo, demands = six_node_fixture
+        planner.plan(make_instance(topo, demands, SurvivabilityMode.SINGLE_LAYER),
+                     planner.PlanOptions(gap=0.03))
+        model = models[0]
+        root = solve_lp(copy.deepcopy(model))
+        start = time.perf_counter()
+        sol = solve_milp(model, gap=0.0, time_limit=0.01)
+        elapsed = time.perf_counter() - start
+        assert sol.status == "time-limit"
+        assert elapsed < 0.5
+        # the deadline stopped the root LP part-way
+        assert sol.stats.lp_iterations < root.stats.lp_iterations
+
+    def test_iteration_limit_is_a_status(self, monkeypatch):
+        monkeypatch.setattr(simplex, "_MAX_ITERATIONS", 0)
+        sol = solve_milp(knapsack_model(), gap=0.0)
+        assert sol.status == "iteration-limit"
+        assert not sol.has_incumbent
+
+    def test_singular_basis_is_a_status(self, monkeypatch):
+        def singular(matrix):
+            raise np.linalg.LinAlgError("Singular matrix")
+        monkeypatch.setattr(np.linalg, "inv", singular)
+        sol = solve_milp(knapsack_model(), gap=0.0)
+        assert sol.status == "singular-basis"
+        assert solve_lp(knapsack_model()).status == "singular-basis"

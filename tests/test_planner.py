@@ -4,10 +4,10 @@ import pytest
 
 from otnplan.formulation import PROTECTION
 from otnplan.modes import Approach, SurvivabilityMode
-from otnplan.netmodel import COST_RATIO_PRESETS, derive_unit_costs
-from otnplan.planner import (NetworkConfiguration, PlanOptions, ResourceCounts,
-                             apply_brs_sharing, assemble_configuration, plan,
-                             total_cost, transit_traffic)
+from otnplan.netmodel import COST_RATIO_PRESETS
+from otnplan.planner import (PlanOptions, ResourceCounts, apply_brs_sharing,
+                             assemble_configuration, plan, total_cost,
+                             transit_traffic)
 
 from conftest import UNIT_CR1, make_instance
 

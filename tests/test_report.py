@@ -6,8 +6,6 @@ from otnplan.modes import SurvivabilityMode
 from otnplan.planner import PlanOptions, plan
 from otnplan.report import emit_report, fmt_cost, fmt_traffic, relative_difference
 
-from conftest import make_instance
-
 EXACT = PlanOptions(gap=0.0, time_limit=120)
 
 

@@ -1,9 +1,5 @@
-from fractions import Fraction
-
-import pytest
-
-from otnplan.formulation import Lightpath, expand_lightpaths
-from otnplan.modes import Approach, SurvivabilityMode
+from otnplan.formulation import expand_lightpaths
+from otnplan.modes import SurvivabilityMode
 from otnplan.planner import (LspRoute, PlanOptions, assemble_configuration, plan)
 from otnplan.verify import (FailureScenario, check_disjointness,
                             check_restorability, enumerate_failures)
