@@ -2,8 +2,11 @@
 pipeline with every phase solved by enumeration instead of a MILP.
 
 Each phase enumerates every logical routing, lightpath placement or physical
-routing by plain graph search, scores it with exact rational arithmetic and
-keeps the phase optimum.  No MILP machinery is involved: feasibility
+routing by plain graph search, scores it exactly in integers and keeps the
+phase optimum.  Logical routings are scored as integer multiples of a common
+denominator of the bandwidths, capacity and unit costs, from per-path terms
+computed once per phase rather than once per combination; the returned costs
+are still exact ``Fraction``s.  No MILP machinery is involved: feasibility
 (capacities, interface budgets, wavelength budgets, exclusions) is checked
 natively on the enumerated routes.  Equal-cost ties fall to the same
 deterministic name-weight scores the planner uses, so at gap 0 the two must
@@ -16,6 +19,7 @@ independently of both.
 from __future__ import annotations
 
 import itertools
+import math
 from fractions import Fraction
 from typing import Callable, Mapping, Sequence
 
@@ -91,7 +95,15 @@ def _best_logical(instance: ProblemInstance, lsps: Sequence, plane: str,
 
     Scores follow the phase model exactly: transit cost over protected
     bandwidth plus lightpath cost, then the name-weight tie scores over the
-    active existence and routing entities.
+    active existence and routing entities.  Everything that does not depend
+    on the combination is computed once per call: per candidate path its hop
+    pairs, transit cost and routing tie weights, per logical pair its
+    existence tie weights.  Loads are compared and costs summed as integer
+    multiples of a common denominator (of the bandwidths and ``C``, and of
+    ``c_lp`` and every ``c_tt·b``), so the check and the order are exact; each
+    distinct cost becomes one ``Fraction`` on return.  Routings come in
+    ``itertools.product`` order before the stable sort, and the whole list is
+    kept because ``_pick_integrated`` may need a routing past the cost optimum.
     """
     topo = instance.topology
     params = instance.params
@@ -100,56 +112,79 @@ def _best_logical(instance: ProblemInstance, lsps: Sequence, plane: str,
     delta_name = naming.wdelta if plane == WORKING else naming.pdelta
     neighbors = _complete_neighbors(topo.nodes)
 
-    per_lsp: list[list[tuple[Node, ...]]] = []
-    for lsp in lsps:
+    load_den = math.lcm(params.C.denominator,
+                        *(lsp.bandwidth.denominator for lsp in lsps))
+    capacity = int(params.C * load_den)
+    transit = [uc.c_tt * lsp.bandwidth for lsp in lsps]
+    cost_den = math.lcm(uc.c_lp.denominator, *(t.denominator for t in transit))
+    c_lp = int(uc.c_lp * cost_den)
+
+    # per LSP: (path, hop pairs, hop-pair set, transit cost, tie1, tie2)
+    per_lsp: list[list[tuple]] = []
+    for lsp, unit_transit in zip(lsps, transit):
         paths = _simple_paths(neighbors, lsp.source, lsp.destination,
                               excluded_nodes.get(lsp.id, frozenset()))
         if not paths:
             return []
-        per_lsp.append(sorted(paths))
+        hop_cost = int(unit_transit * cost_den)
+        cands = []
+        for path in sorted(paths):
+            hops = _hop_pairs(path)
+            names = [delta_name(lsp.id, a, b, 1) for a, b in zip(path, path[1:])]
+            cands.append((path, hops, frozenset(hops), hop_cost * (len(path) - 2),
+                          naming.tie_score(names, 1), naming.tie_score(names, 2)))
+        per_lsp.append(cands)
+    pair_ties = {pair: (naming.tie_weight(beta_name(*pair, 1), 1),
+                        naming.tie_weight(beta_name(*pair, 1), 2))
+                 for pair in itertools.combinations(sorted(topo.nodes), 2)}
+    loads = [int(lsp.bandwidth * load_den) for lsp in lsps]
+    ids = [lsp.id for lsp in lsps]
 
-    results: list[tuple[Fraction, int, int, dict[int, tuple[Node, ...]]]] = []
+    scored: list = []
     for combo in itertools.product(*per_lsp):
-        load: dict[Link, Fraction] = {}
-        pairs: set[Link] = set()
+        load: dict[Link, int] = {}
         ok = True
-        for lsp, path in zip(lsps, combo):
-            for pair in _hop_pairs(path):
-                load[pair] = load.get(pair, Fraction(0)) + lsp.bandwidth
-                pairs.add(pair)
-                if load[pair] > params.C:
+        for bw, cand in zip(loads, combo):
+            for pair in cand[1]:
+                total = load.get(pair, 0) + bw
+                if total > capacity:
                     ok = False
                     break
+                load[pair] = total
             if not ok:
                 break
         if not ok:
             continue
         iface: dict[Node, int] = {}
-        for (a, b) in pairs:
+        for (a, b) in load:
             iface[a] = iface.get(a, 0) + 1
             iface[b] = iface.get(b, 0) + 1
         if any(cnt + interface_used.get(n, 0) > params.T for n, cnt in iface.items()):
             continue
         if forbidden:
-            routes_pairs = {lsp.id: set(_hop_pairs(path))
-                            for lsp, path in zip(lsps, combo)}
-            banned = False
-            for grouping in forbidden:
-                if all((i, j) in routes_pairs.get(k, ()) for (k, i, j, _q) in grouping):
-                    banned = True
-                    break
-            if banned:
+            routes_pairs = {k: cand[2] for k, cand in zip(ids, combo)}
+            if any(all((i, j) in routes_pairs.get(k, ()) for (k, i, j, _q) in grouping)
+                   for grouping in forbidden):
                 continue
-        cost = uc.c_lp * len(pairs)
-        names: list[str] = [beta_name(i, j, 1) for (i, j) in sorted(pairs)]
-        for lsp, path in zip(lsps, combo):
-            cost += uc.c_tt * lsp.bandwidth * (len(path) - 2)
-            for a, b in zip(path, path[1:]):
-                names.append(delta_name(lsp.id, a, b, 1))
-        results.append((cost, naming.tie_score(names, 1), naming.tie_score(names, 2),
-                        {lsp.id: path for lsp, path in zip(lsps, combo)}))
-    results.sort(key=lambda r: (r[0], r[1], r[2]))
-    return results
+        cost = c_lp * len(load)
+        tie1 = tie2 = 0
+        for pair in load:
+            w1, w2 = pair_ties[pair]
+            tie1 += w1
+            tie2 += w2
+        for _path, _hops, _pair_set, transit_cost, w1, w2 in combo:
+            cost += transit_cost
+            tie1 += w1
+            tie2 += w2
+        scored.append((cost, tie1, tie2, combo))
+    scored.sort(key=lambda r: (r[0], r[1], r[2]))
+    # entries are replaced in place, so the integer-scored list and the
+    # returned one never both exist in full
+    costs = {cost: Fraction(cost, cost_den) for cost in {r[0] for r in scored}}
+    for idx, (cost, tie1, tie2, combo) in enumerate(scored):
+        scored[idx] = (costs[cost], tie1, tie2,
+                       {k: cand[0] for k, cand in zip(ids, combo)})
+    return scored
 
 
 # ---------------------------------------------------------------------------
