@@ -1,8 +1,8 @@
 """Command-line front end: plan, verify, report, gen-topology,
 estimate-size, oracle.
 
-Exit codes: 0 success, 1 infeasible plan or failed verification, 2 usage or
-instance-schema errors.  The default output directory comes from the
+Exit codes: 0 success, 1 no plan (infeasible, time limit or a failed LP
+solve) or failed verification, 2 usage or instance-schema errors.  The default output directory comes from the
 ``OTNPLAN_OUT`` environment variable (falling back to the working
 directory).
 """

@@ -16,6 +16,7 @@ from typing import Iterable, Mapping, Sequence
 from . import naming
 from .milp import MilpModel
 from .modes import Approach, SurvivabilityMode
+from .naming import PROTECTION, WORKING
 from .netmodel import (LspDemand, Link, Node, PhysicalTopology, SystemParams,
                        UnitCosts, normalize_link, route_links)
 
@@ -31,17 +32,12 @@ __all__ = [
     "build_integrated",
     "compute_exclusion_sets",
     "exclusion_blocks_route",
-    "diagnose_lightpath_infeasibility",
     "estimate_problem_size",
     "estimate_problem_size_raw",
     "audit_model",
     "expand_lightpaths",
     "WORKING", "PROTECTION",
 ]
-
-WORKING = "working"
-PROTECTION = "protection"
-
 
 @dataclass(frozen=True)
 class ProblemInstance:
@@ -132,25 +128,19 @@ class ProtectionContext:
 
 @dataclass
 class DecisionVarMap:
-    """Semantic index -> model variable id, plus objective stage vectors."""
+    """Semantic index -> model variable id, plus objective stage vectors.
+
+    A model covers one plane, so one map per family suffices: ``beta`` is
+    keyed (i, j, q), ``delta`` (k, i, j, q), and ``lam`` (lp, m, n) when
+    given lightpaths are routed or (i, j, q, m, n) in the integrated model.
+    """
 
     model: MilpModel
-    wbeta: dict[tuple[Node, Node, int], int] = field(default_factory=dict)
-    pbeta: dict[tuple[Node, Node, int], int] = field(default_factory=dict)
-    wdelta: dict[tuple[int, Node, Node, int], int] = field(default_factory=dict)
-    pdelta: dict[tuple[int, Node, Node, int], int] = field(default_factory=dict)
-    wlam: dict[tuple[int, Node, Node], int] = field(default_factory=dict)
-    plam: dict[tuple[int, Node, Node], int] = field(default_factory=dict)
-    wlam_int: dict[tuple[Node, Node, int, Node, Node], int] = field(default_factory=dict)
-    plam_int: dict[tuple[Node, Node, int, Node, Node], int] = field(default_factory=dict)
+    beta: dict[tuple[Node, Node, int], int] = field(default_factory=dict)
+    delta: dict[tuple[int, Node, Node, int], int] = field(default_factory=dict)
+    lam: dict[tuple, int] = field(default_factory=dict)
     mpls_objective: dict[int, float] = field(default_factory=dict)
     optical_objective: dict[int, float] = field(default_factory=dict)
-
-    def lsp_routing_count(self) -> int:
-        return len(self.wdelta) + len(self.pdelta)
-
-    def lightpath_routing_count(self) -> int:
-        return len(self.wlam) + len(self.plam) + len(self.wlam_int) + len(self.plam_int)
 
 
 def _node_pairs(nodes: Sequence[Node]) -> list[tuple[Node, Node]]:
@@ -166,7 +156,7 @@ def _ordered_pairs(nodes: Sequence[Node]) -> list[tuple[Node, Node]]:
 # ---------------------------------------------------------------------------
 # logical topology design + LSP routing (sequential steps I and II)
 
-def build_logical_design(instance: ProblemInstance, phase: str,
+def build_logical_design(instance: ProblemInstance, plane: str,
                          context: ProtectionContext | None = None
                          ) -> tuple[MilpModel, DecisionVarMap]:
     """Model for one MPLS-layer phase.
@@ -176,9 +166,9 @@ def build_logical_design(instance: ProblemInstance, phase: str,
     lightpaths, skipping excluded nodes; requires a ProtectionContext.
     Objective: transit-traffic cost plus lightpath cost of the phase.
     """
-    if phase not in (WORKING, PROTECTION):
-        raise ValueError(f"unknown phase {phase!r}")
-    if phase == PROTECTION and context is None:
+    if plane not in (WORKING, PROTECTION):
+        raise ValueError(f"unknown plane {plane!r}")
+    if plane == PROTECTION and context is None:
         raise ValueError("protection phase requires a ProtectionContext")
 
     topo = instance.topology
@@ -189,21 +179,17 @@ def build_logical_design(instance: ProblemInstance, phase: str,
     qs = range(1, params.Q + 1)
     c_cap = float(params.C)
 
-    model = MilpModel(f"logical-{phase}")
+    model = MilpModel(f"logical-{plane}")
     varmap = DecisionVarMap(model)
-    prefix = "w" if phase == WORKING else "p"
-    beta_name = naming.wbeta if phase == WORKING else naming.pbeta
-    delta_name = naming.wdelta if phase == WORKING else naming.pdelta
-    beta = varmap.wbeta if phase == WORKING else varmap.pbeta
-    delta = varmap.wdelta if phase == WORKING else varmap.pdelta
+    beta, delta = varmap.beta, varmap.delta
 
-    lsps = instance.traffic if phase == WORKING else context.protected
+    lsps = instance.traffic if plane == WORKING else context.protected
     excluded: Mapping[int, frozenset[Node]] = (
-        context.excluded_nodes if phase == PROTECTION else {})
+        context.excluded_nodes if plane == PROTECTION else {})
 
     for (i, j) in pairs:
         for q in qs:
-            vid = model.add_variable(beta_name(i, j, q), "binary",
+            vid = model.add_variable(naming.beta(plane, i, j, q), "binary",
                                      objective=float(costs.c_lp))
             beta[(i, j, q)] = vid
             varmap.mpls_objective[vid] = float(costs.c_lp)
@@ -214,14 +200,14 @@ def build_logical_design(instance: ProblemInstance, phase: str,
         for (i, j) in _ordered_pairs(nodes):
             for q in qs:
                 blocked = i in nex or j in nex
-                vid = model.add_variable(delta_name(lsp.id, i, j, q), "binary",
+                vid = model.add_variable(naming.delta(plane, lsp.id, i, j, q), "binary",
                                          upper=0.0 if blocked else 1.0,
                                          objective=float(costs.c_tt) * b)
                 delta[(lsp.id, i, j, q)] = vid
                 varmap.mpls_objective[vid] = float(costs.c_tt) * b
 
     # flow conservation, eq (9) working / eq (10) protection
-    eq_flow = "eq9" if phase == WORKING else "eq10"
+    eq_flow = "eq9" if plane == WORKING else "eq10"
     for lsp in lsps:
         nex = excluded.get(lsp.id, frozenset())
         for i in nodes:
@@ -240,7 +226,7 @@ def build_logical_design(instance: ProblemInstance, phase: str,
     # eq (11): a protected LSP crosses each logical link at most once; its
     # working and protection paths can never share a lightpath because the
     # working/protection planes are split into separate entities
-    if phase == PROTECTION:
+    if plane == PROTECTION:
         for lsp in lsps:
             for (i, j) in pairs:
                 for q in qs:
@@ -250,7 +236,7 @@ def build_logical_design(instance: ProblemInstance, phase: str,
                         "<=", 1.0)
 
     # lightpath capacity, eq (12) working / eq (13) protection
-    eq_cap = "eq12" if phase == WORKING else "eq13"
+    eq_cap = "eq12" if plane == WORKING else "eq13"
     for (i, j) in pairs:
         for q in qs:
             terms: list[tuple[int, float]] = [(beta[(i, j, q)], -c_cap)]
@@ -262,7 +248,7 @@ def build_logical_design(instance: ProblemInstance, phase: str,
 
     # router interface budget, eqs (7)+(8) (one row per node: every modelled
     # lightpath is bidirectional, so origination and termination coincide)
-    usage = context.interface_usage if phase == PROTECTION else {}
+    usage = context.interface_usage if plane == PROTECTION else {}
     for i in nodes:
         terms = []
         for (a, b_) in pairs:
@@ -273,7 +259,7 @@ def build_logical_design(instance: ProblemInstance, phase: str,
                              float(params.T - usage.get(i, 0)))
 
     # no-good cuts from rejected spare-carrier groupings
-    if phase == PROTECTION:
+    if plane == PROTECTION:
         for gi, grouping in enumerate(context.forbidden_groupings):
             terms = []
             for (k, i, j, q) in grouping:
@@ -306,10 +292,10 @@ def build_lightpath_routing(lightpaths: Sequence[Lightpath],
     (the interlayer-BRS co-location rule); ``wavelengths_used`` reserves
     already-committed capacity on each link.
     """
-    model = MilpModel("lightpath-protection" if protection else "lightpath-working")
+    plane = PROTECTION if protection else WORKING
+    model = MilpModel(f"lightpath-{plane}")
     varmap = DecisionVarMap(model)
-    lam = varmap.plam if protection else varmap.wlam
-    lam_name = naming.plam if protection else naming.wlam
+    lam = varmap.lam
     eq_flow = "eq15" if protection else "eq14"
     arcs = topology.arcs()
     links = sorted(set(topology.links))
@@ -325,7 +311,7 @@ def build_lightpath_routing(lightpaths: Sequence[Lightpath],
             ex_links |= set(forbidden_links.get(lp.id, frozenset()))
         for (m, n) in arcs:
             blocked = m in ex_nodes or n in ex_nodes or normalize_link(m, n) in ex_links
-            vid = model.add_variable(lam_name(lp.id, m, n), "binary",
+            vid = model.add_variable(naming.lam(plane, lp.id, m, n), "binary",
                                      upper=0.0 if blocked else 1.0,
                                      objective=float(unit_costs.c_wl))
             lam[(lp.id, m, n)] = vid
@@ -364,7 +350,7 @@ def build_lightpath_routing(lightpaths: Sequence[Lightpath],
 # ---------------------------------------------------------------------------
 # integrated configuration (steps I+III, and II+IV's spare-carrier placement)
 
-def build_integrated(instance: ProblemInstance, phase: str,
+def build_integrated(instance: ProblemInstance, plane: str,
                      context: ProtectionContext | None = None,
                      *,
                      lsp_excluded_phys_nodes: Mapping[int, frozenset[Node]] | None = None,
@@ -380,11 +366,11 @@ def build_integrated(instance: ProblemInstance, phase: str,
     conditional rows (a lightpath arc and a passenger indicator cannot both
     be active).
     """
-    if phase == PROTECTION and context is None:
+    if plane == PROTECTION and context is None:
         raise ValueError("protection phase requires a ProtectionContext")
 
-    model, varmap = build_logical_design(instance, phase, context)
-    model.name = f"integrated-{phase}"
+    model, varmap = build_logical_design(instance, plane, context)
+    model.name = f"integrated-{plane}"
     topo = instance.topology
     params = instance.params
     costs = instance.unit_costs
@@ -394,15 +380,13 @@ def build_integrated(instance: ProblemInstance, phase: str,
     arcs = topo.arcs()
     used = wavelengths_used or {}
 
-    beta = varmap.wbeta if phase == WORKING else varmap.pbeta
-    delta = varmap.wdelta if phase == WORKING else varmap.pdelta
-    lam = varmap.wlam_int if phase == WORKING else varmap.plam_int
-    lam_name = naming.wlam_integrated if phase == WORKING else naming.plam_integrated
+    beta, delta, lam = varmap.beta, varmap.delta, varmap.lam
 
     for (i, j) in pairs:
         for q in qs:
             for (m, n) in arcs:
-                vid = model.add_variable(lam_name(i, j, q, m, n), "binary",
+                vid = model.add_variable(naming.lam_integrated(plane, i, j, q, m, n),
+                                         "binary",
                                          objective=float(costs.c_wl))
                 lam[(i, j, q, m, n)] = vid
                 varmap.optical_objective[vid] = float(costs.c_wl)
@@ -434,7 +418,7 @@ def build_integrated(instance: ProblemInstance, phase: str,
                              float(topo.W - used.get((m, n), 0)))
 
     # conditional physical exclusions for spare-carrying lightpaths
-    if phase == PROTECTION:
+    if plane == PROTECTION:
         ex_nodes = lsp_excluded_phys_nodes or {}
         ex_links = lsp_excluded_links or {}
         for lsp in context.protected:
@@ -517,35 +501,35 @@ def compute_exclusion_sets(state: WorkingState, mode: SurvivabilityMode) -> Excl
     result = ExclusionSets()
     infeasible: list[str] = []
 
-    lsp_by_id = {lsp.id: lsp for lsp in inst.traffic}
     routes = state.lightpath_routes or {}
 
-    def lsp_physical_internals(k: int) -> tuple[frozenset[Node], frozenset[Link]]:
-        lsp = lsp_by_id[k]
-        lp_ids = state.lsp_lightpaths.get(k, ())
-        node_routes = [routes[lp] for lp in lp_ids if lp in routes]
-        nodes = set()
-        links: set[Link] = set()
-        for r in node_routes:
-            nodes.update(r)
-            links.update(route_links(r))
-        # logical hop points are on the physical path too
-        nodes.update(state.lsp_logical_nodes.get(k, ()))
-        nodes.discard(lsp.source)
-        nodes.discard(lsp.destination)
-        return frozenset(nodes), frozenset(links)
+    # each LSP's physical internals: the nodes (bar its endpoints) and links
+    # of its working lightpaths' routes
+    internals: dict[int, tuple[frozenset[Node], frozenset[Link]]] = {}
+    if routes:
+        for lsp in inst.traffic:
+            nodes = set()
+            links: set[Link] = set()
+            for lp in state.lsp_lightpaths.get(lsp.id, ()):
+                if lp in routes:
+                    nodes.update(routes[lp])
+                    links.update(route_links(routes[lp]))
+            # logical hop points are on the physical path too
+            nodes.update(state.lsp_logical_nodes.get(lsp.id, ()))
+            nodes.discard(lsp.source)
+            nodes.discard(lsp.destination)
+            internals[lsp.id] = (frozenset(nodes), frozenset(links))
 
     # --- protection-LSP logical exclusions
+    physical_transit = mode in (SurvivabilityMode.ML_SPARE_UNPROTECTED,
+                                SurvivabilityMode.ML_INTERLAYER_BRS)
     for k, logical in state.lsp_logical_nodes.items():
         transit = frozenset(logical[1:-1])
-        if mode in (SurvivabilityMode.ML_SPARE_UNPROTECTED,
-                    SurvivabilityMode.ML_INTERLAYER_BRS) and routes:
-            phys_nodes, _ = lsp_physical_internals(k)
-            result.lsp_nodes[k] = transit | phys_nodes
-        else:
-            result.lsp_nodes[k] = transit
+        result.lsp_nodes[k] = transit
         if routes:
-            phys_nodes, phys_links = lsp_physical_internals(k)
+            phys_nodes, phys_links = internals[k]
+            if physical_transit:
+                result.lsp_nodes[k] = transit | phys_nodes
             result.lsp_phys_nodes[k] = phys_nodes
             result.lsp_links[k] = phys_links
 
@@ -556,7 +540,7 @@ def compute_exclusion_sets(state: WorkingState, mode: SurvivabilityMode) -> Excl
             nodes: set[Node] = set()
             links: set[Link] = set()
             for k in passengers:
-                n_k, l_k = lsp_physical_internals(k)
+                n_k, l_k = internals[k]
                 nodes |= n_k
                 links |= l_k
             result.lightpath_nodes[lp_id] = frozenset(nodes)
@@ -583,50 +567,6 @@ def compute_exclusion_sets(state: WorkingState, mode: SurvivabilityMode) -> Excl
 
 # ---------------------------------------------------------------------------
 # size estimates and audit
-
-def diagnose_lightpath_infeasibility(lightpaths: Sequence[Lightpath],
-                                     topology: PhysicalTopology,
-                                     unit_costs: UnitCosts,
-                                     **routing_kwargs) -> tuple[str, ...]:
-    """Explain an infeasible lightpath-routing phase.
-
-    The phase is re-solved with the wavelength budgets lifted: if that
-    succeeds, the binding links are those whose lifted usage exceeds the real
-    budget; otherwise some entity has no admissible route at all and it is
-    named instead.
-    """
-    from .milp import solve_milp  # local import keeps module layering simple
-
-    relaxed = PhysicalTopology(topology.nodes, topology.links, W=10 ** 6)
-    model, varmap = build_lightpath_routing(list(lightpaths), relaxed, unit_costs,
-                                            **routing_kwargs)
-    sol = solve_milp(model, gap=0.0, time_limit=60)
-    if not sol.has_incumbent:
-        lam = varmap.plam if routing_kwargs.get("protection") else varmap.wlam
-        blocked = []
-        for lp in lightpaths:
-            single, _ = build_lightpath_routing([lp], relaxed, unit_costs,
-                                                **routing_kwargs)
-            if not solve_milp(single, gap=0.0, time_limit=30).has_incumbent:
-                blocked.append(f"lightpath {lp.id} ({lp.i},{lp.j},q={lp.q}) has no "
-                               f"admissible route")
-        return tuple(blocked) or ("no joint routing exists",)
-    lam = varmap.plam if routing_kwargs.get("protection") else varmap.wlam
-    usage: dict[Link, int] = {}
-    for (lp_id, m, n), vid in lam.items():
-        if sol.value(vid) > 0.5:
-            link = normalize_link(m, n)
-            usage[link] = usage.get(link, 0) + 1
-    used = routing_kwargs.get("wavelengths_used") or {}
-    binding = []
-    for link in sorted(usage):
-        need = usage[link]
-        room = topology.W - used.get(link, 0)
-        if need > room:
-            binding.append(f"link ({link[0]},{link[1]}) needs {need} wavelengths, "
-                           f"only {room} left of W={topology.W}")
-    return tuple(binding) or ("wavelength budgets bind jointly",)
-
 
 def estimate_problem_size_raw(n_nodes: int, k_lsps: int, q: int,
                               approach: Approach, n_links: int = 0) -> int:

@@ -111,10 +111,6 @@ def _num(x: Fraction):
     return str(f)
 
 
-def _frac(x) -> Fraction:
-    return Fraction(str(x))
-
-
 def load_instance(path,
                   mode: SurvivabilityMode = SurvivabilityMode.NONE,
                   approach: Approach = Approach.SEQUENTIAL,

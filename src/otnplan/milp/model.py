@@ -113,17 +113,6 @@ class MilpModel:
                 raise ModelError(f"objective references undeclared variable id {vid}")
             self.variables[vid].objective = float(coef)
 
-    def objective_vector(self) -> dict[int, float]:
-        return {v.id: v.objective for v in self.variables if v.objective != 0.0}
-
-    def binary_ids(self) -> tuple[int, ...]:
-        return tuple(v.id for v in self.variables if v.kind == "binary")
-
-    def fix_variable(self, vid: int, value: float) -> None:
-        var = self.variables[vid]
-        var.lower = float(value)
-        var.upper = float(value)
-
     def evaluate_objective(self, values: Mapping[int, float]) -> float:
         return sum(v.objective * values.get(v.id, 0.0) for v in self.variables)
 

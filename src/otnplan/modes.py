@@ -19,10 +19,6 @@ class SurvivabilityMode(str, Enum):
                         SurvivabilityMode.ML_INTERLAYER_BRS)
 
     @property
-    def has_plsp(self) -> bool:
-        return self is not SurvivabilityMode.NONE
-
-    @property
     def plsp_physically_disjoint(self) -> bool:
         """Working/protection LSP pairs must be node-disjoint in the physical
         topology: single layer by definition, and the two multilayer variants

@@ -1,51 +1,54 @@
 """Variable naming scheme and deterministic tie-break weights.
 
-The names below are a public contract: LP exports, audit dumps and the
+Every decision entity belongs to one of two capacity planes: the working
+plane (``WORKING``, letter ``w``), which carries the working LSPs, or the
+protection plane (``PROTECTION``, letter ``p``), which carries the spare
+capacity.  A name is the plane letter, the family and the entity's index
+joined by underscores:
+
+* ``beta(plane, i, j, q)`` -> ``wbeta_i_j_q``: the q-th lightpath between
+  nodes i < j exists;
+* ``delta(plane, k, i, j, q)`` -> ``pdelta_k_i_j_q``: LSP k crosses that
+  lightpath from i to j;
+* ``lam(plane, lp, m, n)`` -> ``wlam_lp_m_n``: given lightpath ``lp`` uses
+  the physical arc m -> n;
+* ``lam_integrated(plane, i, j, q, m, n)`` -> ``plam_i_j_q_m_n``: the same
+  in the integrated model, where the lightpath is known by its (i, j, q).
+
+The names are a public contract: LP exports, audit dumps and the
 brute-force oracle all identify decision entities by these strings.  The
 tie-break weights turn "any optimum" into "one well-defined optimum": after a
 phase is solved to its optimal cost, the solution minimizing the weighted sum
-of active entity names is selected.  Weights are stable integer hashes so the
-planner (via two pinned follow-up solves) and the enumeration oracle resolve
-ties identically.
+of active entity names is selected.  Weights are stable integer hashes of the
+names, so the planner (via two pinned follow-up solves) and the enumeration
+oracle resolve ties identically.
 """
 
 from __future__ import annotations
 
 import hashlib
 
+WORKING = "working"
+PROTECTION = "protection"
+_LETTER = {WORKING: "w", PROTECTION: "p"}
+
 _WEIGHT_MODULUS = 1_000_003  # prime; sums over <=10^4 entities stay exact in float64
 
 
-def wbeta(i: int, j: int, q: int) -> str:
-    return f"wbeta_{i}_{j}_{q}"
+def beta(plane: str, i: int, j: int, q: int) -> str:
+    return f"{_LETTER[plane]}beta_{i}_{j}_{q}"
 
 
-def pbeta(i: int, j: int, q: int) -> str:
-    return f"pbeta_{i}_{j}_{q}"
+def delta(plane: str, k: int, i: int, j: int, q: int) -> str:
+    return f"{_LETTER[plane]}delta_{k}_{i}_{j}_{q}"
 
 
-def wdelta(k: int, i: int, j: int, q: int) -> str:
-    return f"wdelta_{k}_{i}_{j}_{q}"
+def lam(plane: str, lp: int, m: int, n: int) -> str:
+    return f"{_LETTER[plane]}lam_{lp}_{m}_{n}"
 
 
-def pdelta(k: int, i: int, j: int, q: int) -> str:
-    return f"pdelta_{k}_{i}_{j}_{q}"
-
-
-def wlam(lp: int, m: int, n: int) -> str:
-    return f"wlam_{lp}_{m}_{n}"
-
-
-def plam(lp: int, m: int, n: int) -> str:
-    return f"plam_{lp}_{m}_{n}"
-
-
-def wlam_integrated(i: int, j: int, q: int, m: int, n: int) -> str:
-    return f"wlam_{i}_{j}_{q}_{m}_{n}"
-
-
-def plam_integrated(i: int, j: int, q: int, m: int, n: int) -> str:
-    return f"plam_{i}_{j}_{q}_{m}_{n}"
+def lam_integrated(plane: str, i: int, j: int, q: int, m: int, n: int) -> str:
+    return f"{_LETTER[plane]}lam_{i}_{j}_{q}_{m}_{n}"
 
 
 def tie_weight(name: str, level: int = 1) -> int:

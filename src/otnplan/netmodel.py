@@ -86,9 +86,6 @@ class PhysicalTopology:
     def n(self) -> int:
         return len(self.nodes)
 
-    def link_set(self) -> frozenset[Link]:
-        return frozenset(self.links)
-
     def neighbors(self, node: Node) -> tuple[Node, ...]:
         out = []
         for a, b in self.links:

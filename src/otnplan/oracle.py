@@ -24,8 +24,8 @@ from fractions import Fraction
 from typing import Callable, Mapping, Sequence
 
 from . import naming
-from .formulation import (WORKING, ExclusionSets, Lightpath, ProblemInstance,
-                          ProtectionContext)
+from .formulation import (PROTECTION, WORKING, ExclusionSets, Lightpath,
+                          ProblemInstance, ProtectionContext)
 from .modes import Approach, SurvivabilityMode
 from .netmodel import Link, Node, PhysicalTopology, normalize_link
 from .planner import NetworkConfiguration, PlanError, _run_pipeline
@@ -108,8 +108,6 @@ def _best_logical(instance: ProblemInstance, lsps: Sequence, plane: str,
     topo = instance.topology
     params = instance.params
     uc = instance.unit_costs
-    beta_name = naming.wbeta if plane == WORKING else naming.pbeta
-    delta_name = naming.wdelta if plane == WORKING else naming.pdelta
     neighbors = _complete_neighbors(topo.nodes)
 
     load_den = math.lcm(params.C.denominator,
@@ -130,12 +128,12 @@ def _best_logical(instance: ProblemInstance, lsps: Sequence, plane: str,
         cands = []
         for path in sorted(paths):
             hops = _hop_pairs(path)
-            names = [delta_name(lsp.id, a, b, 1) for a, b in zip(path, path[1:])]
+            names = [naming.delta(plane, lsp.id, a, b, 1) for a, b in zip(path, path[1:])]
             cands.append((path, hops, frozenset(hops), hop_cost * (len(path) - 2),
                           naming.tie_score(names, 1), naming.tie_score(names, 2)))
         per_lsp.append(cands)
-    pair_ties = {pair: (naming.tie_weight(beta_name(*pair, 1), 1),
-                        naming.tie_weight(beta_name(*pair, 1), 2))
+    pair_ties = {pair: (naming.tie_weight(naming.beta(plane, *pair, 1), 1),
+                        naming.tie_weight(naming.beta(plane, *pair, 1), 2))
                  for pair in itertools.combinations(sorted(topo.nodes), 2)}
     loads = [int(lsp.bandwidth * load_den) for lsp in lsps]
     ids = [lsp.id for lsp in lsps]
@@ -309,9 +307,10 @@ class _EnumerationPhases:
                   | (working_links or {}).get(lp.id, frozenset())
                   | (forbidden_links or {}).get(lp.id, frozenset())
                   for lp in lightpaths}
+        plane = PROTECTION if protection else WORKING
         routed = _route_entities(
             self.instance.topology, [(lp.id, lp.i, lp.j) for lp in lightpaths],
-            naming.plam if protection else naming.wlam, wavelengths_used or {},
+            lambda lp_id, m, n: naming.lam(plane, lp_id, m, n), wavelengths_used or {},
             excl_nodes=excl.lightpath_nodes, excl_links=banned)
         if routed is None:
             raise PlanError(label, "no feasible physical routing")
@@ -331,7 +330,7 @@ def brute_force_optimum(instance: ProblemInstance,
 
 def _pick_integrated(instance: ProblemInstance,
                      logical: list[tuple[Fraction, int, int, dict[int, tuple[Node, ...]]]],
-                     phase: str,
+                     plane: str,
                      protection_ctx) -> tuple[dict[int, tuple[Node, ...]],
                                               dict[tuple[Node, Node, int], tuple[Node, ...]]] | None:
     """Among MPLS-cost-optimal logical routings, pick the one whose joint
@@ -346,15 +345,11 @@ def _pick_integrated(instance: ProblemInstance,
             break
         pairs = sorted({(i, j, 1) for path in routes_logical.values()
                         for (i, j) in _hop_pairs(path)})
-        if phase == WORKING:
-            name = naming.wlam_integrated
-            used: Mapping[Link, int] = {}
-            excl_nodes: dict[tuple, frozenset] = {}
-            excl_links: dict[tuple, frozenset] = {}
-        else:
+        used: Mapping[Link, int] = {}
+        excl_nodes: dict[tuple, frozenset] = {}
+        excl_links: dict[tuple, frozenset] = {}
+        if plane == PROTECTION:
             phys_nodes, phys_links, used = protection_ctx
-            excl_nodes = {}
-            excl_links = {}
             carriers: dict[tuple[Node, Node, int], list[int]] = {}
             for k, path in sorted(routes_logical.items()):
                 for (a, b) in _hop_pairs(path):
@@ -367,12 +362,11 @@ def _pick_integrated(instance: ProblemInstance,
                     links_u |= phys_links.get(k, frozenset())
                 excl_nodes[pair] = nodes_u
                 excl_links[pair] = links_u
-            name = naming.plam_integrated
 
         entities = [(pair, pair[0], pair[1]) for pair in pairs]
         routed = _route_entities(
             topo, entities,
-            lambda pair, m, n: name(pair[0], pair[1], pair[2], m, n),
+            lambda pair, m, n: naming.lam_integrated(plane, *pair, m, n),
             used, excl_nodes=excl_nodes, excl_links=excl_links)
         if routed is None:
             continue

@@ -21,15 +21,15 @@ from functools import cached_property
 from typing import Iterable, Mapping, Sequence
 
 from . import naming
-from .formulation import (PROTECTION, WORKING, DecisionVarMap, ExclusionSets,
-                          Lightpath, ProblemInstance, ProtectionContext,
-                          WorkingState, build_integrated, build_lightpath_routing,
+from .formulation import (PROTECTION, WORKING, ExclusionSets, Lightpath,
+                          ProblemInstance, ProtectionContext, WorkingState,
+                          build_integrated, build_lightpath_routing,
                           build_logical_design, compute_exclusion_sets,
-                          diagnose_lightpath_infeasibility,
                           exclusion_blocks_route, expand_lightpaths)
 from .milp import SOLVER_FAILURES, MilpModel, MilpSolution, solve_milp
 from .modes import Approach, SurvivabilityMode
-from .netmodel import Link, Node, UnitCosts, normalize_link, route_links
+from .netmodel import (Link, Node, PhysicalTopology, UnitCosts, normalize_link,
+                       route_links)
 
 __all__ = [
     "PlanOptions",
@@ -45,6 +45,7 @@ __all__ = [
     "total_cost",
     "assemble_configuration",
     "export_phase_models",
+    "diagnose_lightpath_infeasibility",
 ]
 
 MAX_GROUPING_RETRIES = 3
@@ -234,93 +235,91 @@ def _solve_stages(model: MilpModel, stages: Sequence[Mapping[int, float]],
     return values, record
 
 
-def _extract_route(active: dict[Node, list[tuple[Node, object]]], s: Node, d: Node,
-                   limit: int, label: str) -> tuple[tuple[Node, ...], list]:
-    """Follow active arcs from s to d, smallest next hop first; trailing
-    cycles in the flow are dropped."""
-    path = [s]
-    hops: list = []
-    cur = s
-    steps = 0
-    while cur != d:
-        options = active.get(cur)
-        if not options:
-            raise PlanError(label, f"route extraction stuck at node {cur}")
-        nxt, key = options.pop(0)
-        hops.append(key)
-        path.append(nxt)
-        cur = nxt
-        steps += 1
-        if steps > limit:
-            raise PlanError(label, "route extraction exceeded hop limit")
-    return tuple(path), hops
+def _decode_walks(family: Mapping[tuple, int], values: Mapping[int, float],
+                  ends: Mapping[object, tuple[Node, Node]], limit: int,
+                  label: str) -> dict[object, tuple[tuple[Node, ...], tuple]]:
+    """Each entity's walk from its source to its destination over the active
+    arcs of one routing family, smallest next hop first, with the hop key of
+    every arc taken; trailing cycles in the flow are dropped.
 
-
-def _decode_logical(instance: ProblemInstance, varmap: DecisionVarMap,
-                    values: Mapping[int, float], phase: str,
-                    lsps: Sequence) -> tuple[list[tuple[Node, Node, int]],
-                                             dict[int, tuple[tuple[Node, Node, int], ...]],
-                                             dict[int, tuple[Node, ...]]]:
-    """Active (i,j,q) pairs plus, per LSP, the hop list and node sequence."""
-    beta = varmap.wbeta if phase == WORKING else varmap.pbeta
-    delta = varmap.wdelta if phase == WORKING else varmap.pdelta
-    pairs = sorted(key for key, vid in beta.items() if values.get(vid, 0.0) > 0.5)
-    hops: dict[int, tuple[tuple[Node, Node, int], ...]] = {}
-    node_seq: dict[int, tuple[Node, ...]] = {}
-    for lsp in lsps:
-        active: dict[Node, list[tuple[Node, tuple]]] = {}
-        for (k, i, j, q), vid in delta.items():
-            if k != lsp.id or values.get(vid, 0.0) < 0.5:
-                continue
-            key = (min(i, j), max(i, j), q)
-            active.setdefault(i, []).append((j, key))
-        for lst in active.values():
-            lst.sort()
-        path, hop = _extract_route(active, lsp.source, lsp.destination,
-                                   len(instance.topology.nodes) + 1, f"decode-{phase}")
-        hops[lsp.id] = tuple(hop)
-        node_seq[lsp.id] = path
-    return pairs, hops, node_seq
-
-
-def _decode_physical(topology, varmap: DecisionVarMap, values: Mapping[int, float],
-                     lightpaths: Sequence[Lightpath], which: str) -> dict[int, tuple[Node, ...]]:
-    lam = {"wlam": varmap.wlam, "plam": varmap.plam}[which]
-    routes: dict[int, tuple[Node, ...]] = {}
-    for lp in lightpaths:
-        active: dict[Node, list[tuple[Node, Link]]] = {}
-        for (lp_id, m, n), vid in lam.items():
-            if lp_id != lp.id or values.get(vid, 0.0) < 0.5:
-                continue
-            active.setdefault(m, []).append((n, normalize_link(m, n)))
-        for lst in active.values():
-            lst.sort()
-        path, _ = _extract_route(active, lp.i, lp.j, len(topology.nodes) + 1,
-                                 f"decode-{which}")
-        routes[lp.id] = path
-    return routes
-
-
-def _decode_integrated_routes(topology, varmap: DecisionVarMap,
-                              values: Mapping[int, float], phase: str,
-                              pairs: Sequence[tuple[Node, Node, int]]
-                              ) -> dict[tuple[Node, Node, int], tuple[Node, ...]]:
-    lam = varmap.wlam_int if phase == WORKING else varmap.plam_int
-    routes: dict[tuple[Node, Node, int], tuple[Node, ...]] = {}
-    by_pair: dict[tuple[Node, Node, int], dict[Node, list[tuple[Node, Link]]]] = {}
-    for (pi, pj, pq, m, n), vid in lam.items():
+    ``family`` is a ``DecisionVarMap`` routing map: ``delta``, keyed
+    (k, i, j, q), where entity k's hops are the logical pairs (min, max, q),
+    or ``lam``, keyed by the entity then the physical arc, (lp, m, n) or
+    (i, j, q, m, n), whose hops are the links.
+    """
+    active: dict[object, dict[Node, list[tuple[Node, tuple]]]] = {}
+    for key, vid in family.items():
         if values.get(vid, 0.0) < 0.5:
             continue
-        by_pair.setdefault((pi, pj, pq), {}).setdefault(m, []).append(
-            (n, normalize_link(m, n)))
-    for (i, j, q) in pairs:
-        active = by_pair.get((i, j, q), {})
-        for lst in active.values():
+        if len(key) == 4:
+            entity, i, j, q = key
+            hop = normalize_link(i, j) + (q,)
+        else:
+            entity = key[0] if len(key) == 3 else key[:3]
+            i, j = key[-2:]
+            hop = normalize_link(i, j)
+        active.setdefault(entity, {}).setdefault(i, []).append((j, hop))
+    walks = {}
+    for entity, (s, d) in ends.items():
+        arcs = active.get(entity, {})
+        for lst in arcs.values():
             lst.sort()
-        path, _ = _extract_route(active, i, j, len(topology.nodes) + 1,
-                                 "decode-integrated")
-        routes[(i, j, q)] = path
-    return routes
+        path, hops = [s], []
+        while path[-1] != d:
+            if not arcs.get(path[-1]):
+                raise PlanError(label, f"route extraction stuck at node {path[-1]}")
+            nxt, hop = arcs[path[-1]].pop(0)
+            path.append(nxt)
+            hops.append(hop)
+            if len(hops) > limit:
+                raise PlanError(label, "route extraction exceeded hop limit")
+        walks[entity] = (tuple(path), tuple(hops))
+    return walks
+
+
+def diagnose_lightpath_infeasibility(lightpaths: Sequence[Lightpath],
+                                     topology: PhysicalTopology,
+                                     unit_costs: UnitCosts,
+                                     time_limit: float = 60.0,
+                                     **routing_kwargs) -> tuple[str, ...]:
+    """Explain an infeasible lightpath-routing phase within ``time_limit``
+    seconds.
+
+    The phase is re-solved with the wavelength budgets lifted: if that
+    succeeds, the binding links are those whose lifted usage exceeds the real
+    budget; if it is infeasible, some entity has no admissible route at all
+    and it is named instead.  Nothing is named when the time runs out first.
+    """
+    deadline = time.perf_counter() + time_limit
+    relaxed = PhysicalTopology(topology.nodes, topology.links, W=10 ** 6)
+
+    def solve(lps: Sequence[Lightpath]):
+        model, varmap = build_lightpath_routing(list(lps), relaxed, unit_costs,
+                                                **routing_kwargs)
+        left = max(0.0, deadline - time.perf_counter())
+        return solve_milp(model, gap=0.0, time_limit=left), varmap
+
+    sol, varmap = solve(lightpaths)
+    if sol.status == "infeasible":
+        blocked = [f"lightpath {lp.id} ({lp.i},{lp.j},q={lp.q}) has no admissible route"
+                   for lp in lightpaths if solve([lp])[0].status == "infeasible"]
+        return tuple(blocked) or ("no joint routing exists",)
+    if sol.status != "optimal":
+        return ()
+    usage: dict[Link, int] = {}
+    for (_lp, m, n), vid in varmap.lam.items():
+        if sol.value(vid) > 0.5:
+            link = normalize_link(m, n)
+            usage[link] = usage.get(link, 0) + 1
+    used = routing_kwargs.get("wavelengths_used") or {}
+    binding = []
+    for link in sorted(usage):
+        need = usage[link]
+        room = topology.W - used.get(link, 0)
+        if need > room:
+            binding.append(f"link ({link[0]},{link[1]}) needs {need} wavelengths, "
+                           f"only {room} left of W={topology.W}")
+    return tuple(binding) or ("wavelength budgets bind jointly",)
 
 
 # ---------------------------------------------------------------------------
@@ -402,25 +401,42 @@ class _MilpPhases:
             model, varmap = build_logical_design(instance, plane, context)
             stages = [varmap.mpls_objective]
         values = self._solve(model, stages, label)
-        pairs, hops, nodes = _decode_logical(instance, varmap, values, plane, lsps)
-        pair_routes = (_decode_integrated_routes(instance.topology, varmap, values,
-                                                 plane, pairs) if integrated else {})
+        limit = instance.topology.n + 1
+        pairs = sorted(key for key, vid in varmap.beta.items() if values.get(vid, 0.0) > 0.5)
+        walks = _decode_walks(varmap.delta, values,
+                              {lsp.id: (lsp.source, lsp.destination) for lsp in lsps},
+                              limit, f"decode-{plane}")
+        hops = {k: hop for k, (_path, hop) in walks.items()}
+        nodes = {k: path for k, (path, _hop) in walks.items()}
+        pair_routes = {}
+        if integrated:
+            pair_routes = {pair: path for pair, (path, _hop) in _decode_walks(
+                varmap.lam, values, {pair: pair[:2] for pair in pairs}, limit,
+                "decode-integrated").items()}
         return pairs, hops, nodes, pair_routes
 
     def route(self, label: str, lightpaths: Sequence[Lightpath],
               **routing) -> dict[int, tuple[Node, ...]]:
-        """Lightpath-routing phase with link-level infeasibility diagnosis."""
+        """Lightpath-routing phase; an infeasible one is diagnosed within
+        what is left of the phase's time limit."""
         topology, unit_costs = self.instance.topology, self.instance.unit_costs
+        started = time.perf_counter()
         model, varmap = build_lightpath_routing(list(lightpaths), topology,
                                                 unit_costs, **routing)
         try:
             values = self._solve(model, [varmap.optical_objective], label)
         except PlanError as exc:
+            if exc.detail != "infeasible":
+                raise
+            left = self.options.time_limit - (time.perf_counter() - started)
             binding = diagnose_lightpath_infeasibility(
-                lightpaths, topology, unit_costs, **routing)
+                lightpaths, topology, unit_costs, max(0.0, left), **routing)
             raise PlanError(label, exc.detail, binding=binding) from exc
-        return _decode_physical(topology, varmap, values, lightpaths,
-                                "plam" if routing.get("protection") else "wlam")
+        walks = _decode_walks(varmap.lam, values,
+                              {lp.id: (lp.i, lp.j) for lp in lightpaths},
+                              topology.n + 1,
+                              "decode-plam" if routing.get("protection") else "decode-wlam")
+        return {lp_id: path for lp_id, (path, _hop) in walks.items()}
 
 
 # ---------------------------------------------------------------------------

@@ -169,12 +169,12 @@ def test_criterion_7_problem_size_estimates(ring4, small_suite):
         _m, varmap = build_logical_design(inst, WORKING)
         est = estimate_problem_size_raw(topo.n, len(inst.traffic), 1,
                                         Approach.SEQUENTIAL)
-        ratio = varmap.lsp_routing_count() / est
+        ratio = len(varmap.delta) / est
         worst = max(worst, ratio, 1 / ratio)
         _m2, varmap2 = build_integrated(inst, WORKING)
         est2 = estimate_problem_size_raw(topo.n, len(inst.traffic), 1,
                                          Approach.INTEGRATED, len(set(topo.links)))
-        routing2 = varmap2.lsp_routing_count() + varmap2.lightpath_routing_count()
+        routing2 = len(varmap2.delta) + len(varmap2.lam)
         ratio2 = routing2 / est2
         worst = max(worst, ratio2, 1 / ratio2)
     assert worst <= 2.0

@@ -21,18 +21,18 @@ class TestVariableCounts:
         inst = make_instance(ring4, [(0, 2, 10), (1, 3, 4), (0, 1, 2)], q=1)
         _model, varmap = build_logical_design(inst, WORKING)
         n, k, q = 4, 3, 1
-        assert len(varmap.wdelta) == q * n * (n - 1) * k
-        assert len(varmap.wbeta) == q * n * (n - 1) // 2
+        assert len(varmap.delta) == q * n * (n - 1) * k
+        assert len(varmap.beta) == q * n * (n - 1) // 2
 
     def test_estimate_within_factor_two_of_builder(self, ring4):
         inst = make_instance(ring4, [(0, 2, 10), (1, 3, 4)], q=1)
         _m, varmap = build_logical_design(inst, WORKING)
         est = estimate_problem_size(inst, Approach.SEQUENTIAL)
-        ratio = varmap.lsp_routing_count() / est
+        ratio = len(varmap.delta) / est
         assert 0.5 <= ratio <= 2.0
         _m2, varmap2 = build_integrated(inst, WORKING)
         est2 = estimate_problem_size(inst, Approach.INTEGRATED)
-        routing = varmap2.lsp_routing_count() + varmap2.lightpath_routing_count()
+        routing = len(varmap2.delta) + len(varmap2.lam)
         assert 0.5 <= routing / est2 <= 2.0
 
     def test_paper_size_estimates(self):
@@ -50,7 +50,7 @@ class TestLogicalDesign:
         model, varmap = build_logical_design(inst, WORKING)
         sol = solve_milp(model, gap=0.0)
         assert sol.status == "optimal"
-        opened = sum(1 for vid in varmap.wbeta.values() if sol.value(vid) > 0.5)
+        opened = sum(1 for vid in varmap.beta.values() if sol.value(vid) > 0.5)
         assert opened >= 2
 
     def test_interface_budget_binds(self):
@@ -91,7 +91,7 @@ class TestLogicalDesign:
         model, varmap = build_logical_design(inst, WORKING)
         sol = solve_milp(model, gap=0.0)
         for lsp in inst.traffic:
-            arcs = [(i, j) for (k, i, j, _q), vid in varmap.wdelta.items()
+            arcs = [(i, j) for (k, i, j, _q), vid in varmap.delta.items()
                     if k == lsp.id and sol.value(vid) > 0.5]
             succ = dict(arcs)
             assert len(succ) == len(arcs), "node visited twice"
@@ -108,10 +108,10 @@ class TestLogicalDesign:
         model, varmap = build_logical_design(inst, WORKING)
         sol = solve_milp(model, gap=0.0)
         assert not check_solution(model, sol.values)
-        for (i, j, q), beta_vid in varmap.wbeta.items():
+        for (i, j, q), beta_vid in varmap.beta.items():
             load = sum(float(lsp.bandwidth) * (
-                sol.value(varmap.wdelta[(lsp.id, i, j, q)])
-                + sol.value(varmap.wdelta[(lsp.id, j, i, q)]))
+                sol.value(varmap.delta[(lsp.id, i, j, q)])
+                + sol.value(varmap.delta[(lsp.id, j, i, q)]))
                 for lsp in inst.traffic)
             assert load <= 10 * sol.value(beta_vid) + 1e-6
 
@@ -121,7 +121,7 @@ class TestLightpathRouting:
         lps = expand_lightpaths([(0, 2, 1)])
         model, varmap = build_lightpath_routing(lps, ring4, UNIT_CR1)
         sol = solve_milp(model, gap=0.0)
-        used = sum(1 for vid in varmap.wlam.values() if sol.value(vid) > 0.5)
+        used = sum(1 for vid in varmap.lam.values() if sol.value(vid) > 0.5)
         assert used == 2
 
     def test_protection_takes_opposite_side(self, ring4):
@@ -132,12 +132,12 @@ class TestLightpathRouting:
             lps, ring4, UNIT_CR1, protection=True, exclusions=excl,
             working_links={0: frozenset({(0, 1), (1, 2)})})
         sol = solve_milp(model, gap=0.0)
-        active = {(m, n) for (lp, m, n), vid in varmap.plam.items()
+        active = {(m, n) for (lp, m, n), vid in varmap.lam.items()
                   if sol.value(vid) > 0.5}
         assert active == {(0, 3), (3, 2)}
 
     def test_wavelength_budget_infeasible_names_binding_link(self):
-        from otnplan.formulation import diagnose_lightpath_infeasibility
+        from otnplan.planner import diagnose_lightpath_infeasibility
         topo = PhysicalTopology(range(3), [(0, 1), (1, 2)], W=1)
         lps = expand_lightpaths([(0, 2, 1), (1, 2, 1)])
         model, _ = build_lightpath_routing(lps, topo, UNIT_CR1)
@@ -155,9 +155,9 @@ class TestIntegrated:
         sol = solve_milp(model, gap=0.0)
         assert sol.status == "optimal"
         # any pair with physical flow must be an opened lightpath
-        for (i, j, q, m, n), vid in varmap.wlam_int.items():
+        for (i, j, q, m, n), vid in varmap.lam.items():
             if sol.value(vid) > 0.5:
-                assert sol.value(varmap.wbeta[(i, j, q)]) > 0.5
+                assert sol.value(varmap.beta[(i, j, q)]) > 0.5
         text = audit_model(model)
         assert "eq18" in text and "eq20" in text
 

@@ -28,8 +28,6 @@ def _reference_best_logical(instance, lsps, plane, excluded_nodes,
     """Score each routing on its own with Fraction loads and costs and with
     ``naming.tie_score`` over its active entity names."""
     params, uc = instance.params, instance.unit_costs
-    beta_name = naming.wbeta if plane == WORKING else naming.pbeta
-    delta_name = naming.wdelta if plane == WORKING else naming.pdelta
     nodes = sorted(instance.topology.nodes)
     per_lsp = [_reference_paths(nodes, lsp.source, lsp.destination,
                                 excluded_nodes.get(lsp.id, frozenset()))
@@ -55,8 +53,8 @@ def _reference_best_logical(instance, lsps, plane, excluded_nodes,
             continue
         cost = uc.c_lp * len(load) + sum(
             uc.c_tt * lsp.bandwidth * (len(path) - 2) for lsp, path in zip(lsps, combo))
-        names = [beta_name(i, j, 1) for (i, j) in load]
-        names += [delta_name(lsp.id, a, b, 1) for lsp, path in zip(lsps, combo)
+        names = [naming.beta(plane, i, j, 1) for (i, j) in load]
+        names += [naming.delta(plane, lsp.id, a, b, 1) for lsp, path in zip(lsps, combo)
                   for a, b in zip(path, path[1:])]
         results.append((cost, naming.tie_score(names, 1), naming.tie_score(names, 2),
                         {lsp.id: path for lsp, path in zip(lsps, combo)}))
