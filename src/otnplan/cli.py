@@ -14,6 +14,7 @@ import json
 import os
 import sys
 from dataclasses import dataclass
+from fractions import Fraction
 from pathlib import Path
 
 from .formulation import audit_model, estimate_problem_size
@@ -59,6 +60,17 @@ def _load(request: RunRequest):
         cost_ratio = json.loads(text) if text.strip().startswith("{") else text
     return load_instance(request.instance, SurvivabilityMode(request.mode),
                          Approach(request.approach), cost_ratio)
+
+
+def _verification(config) -> tuple[str, bool]:
+    """The failure-simulation report followed by any disjointness
+    violations, and whether both passed."""
+    rest = check_restorability(config, enumerate_failures(config))
+    violations = check_disjointness(config)
+    text = rest.render()
+    if violations:
+        text += "disjointness violations:\n" + "".join(f"  {v}\n" for v in violations)
+    return text, rest.fully_restorable and not violations
 
 
 def run_cli(request: RunRequest) -> int:
@@ -119,17 +131,11 @@ def run_cli(request: RunRequest) -> int:
     print(f"wrote {report_path}")
 
     if request.verify:
-        scenarios = enumerate_failures(config)
-        rest = check_restorability(config, scenarios)
-        violations = check_disjointness(config)
+        text, passed = _verification(config)
         verify_path = out / f"{stem}.verify.txt"
-        text = rest.render()
-        if violations:
-            text += "disjointness violations:\n" + "\n".join(
-                f"  {v}" for v in violations) + "\n"
         verify_path.write_text(text, encoding="utf-8")
         print(f"wrote {verify_path}")
-        if not rest.fully_restorable or violations:
+        if not passed:
             print("verification FAILED", file=sys.stderr)
             return 1
         print("verification passed: 100% restorability, no violations")
@@ -149,31 +155,21 @@ def _cmd_verify(args) -> int:
     try:
         data = json.loads(Path(args.config).read_text(encoding="utf-8"))
         config = config_from_dict(data)
+        stored = data.get("cost", {}).get("total")
+        stored_total = None if stored is None else Fraction(str(stored))
     except (OSError, ValueError, KeyError, TypeError) as exc:
         print(f"error: cannot load configuration: {exc}", file=sys.stderr)
         return 2
-    stale = []
-    stored = data.get("cost", {}).get("total")
-    if stored is not None and str(_recompute_total(config)) != str(stored):
-        stale.append(f"stored total cost {stored} != recomputed "
-                     f"{_recompute_total(config)}")
-    rest = check_restorability(config, enumerate_failures(config))
-    violations = check_disjointness(config)
-    text = rest.render()
-    if violations:
-        text += "disjointness violations:\n" + "\n".join(f"  {v}" for v in violations) + "\n"
-    if stale:
-        text += "consistency:\n" + "\n".join(f"  {s}" for s in stale) + "\n"
+    text, passed = _verification(config)
+    if stored_total is not None and stored_total != config.cost.total:
+        text += (f"consistency:\n  stored total cost {stored} != recomputed "
+                 f"{config.cost.total}\n")
+        passed = False
     print(text, end="")
     if args.output:
         Path(args.output).write_text(text, encoding="utf-8")
         print(f"wrote {args.output}")
-    return 0 if rest.fully_restorable and not violations and not stale else 1
-
-
-def _recompute_total(config):
-    from .instance import _num
-    return _num(config.cost.total)
+    return 0 if passed else 1
 
 
 def _cmd_report(args) -> int:

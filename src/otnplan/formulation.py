@@ -31,6 +31,7 @@ __all__ = [
     "build_lightpath_routing",
     "build_integrated",
     "compute_exclusion_sets",
+    "backup_exclusions",
     "exclusion_blocks_route",
     "estimate_problem_size",
     "estimate_problem_size_raw",
@@ -100,12 +101,14 @@ def expand_lightpaths(working_pairs: Iterable[tuple[Node, Node, int]],
 
 @dataclass
 class ExclusionSets:
-    """Nodes (and, for exactness, links) that protection routes must avoid.
+    """Nodes and links that protection routes must avoid.
 
-    ``lsp_nodes`` drives the protection-LSP logical routing; the lightpath
-    maps drive physical routing: spare-carrying lightpaths inherit the union
-    of their passengers' exclusions, protection lightpaths avoid the transit
-    nodes of the route they protect.
+    ``lsp_nodes`` drives the protection-LSP logical routing, and
+    ``lsp_phys_nodes``/``lsp_links`` the physical placement of the integrated
+    protection phase.  The lightpath maps drive physical routing of one
+    phase's lightpaths: spare carriers (``compute_exclusion_sets``) or
+    optical backups (``backup_exclusions``).  ``blocked`` names each spare
+    carrier that no route can take, with its passengers' ids.
     """
 
     lsp_nodes: dict[int, frozenset[Node]] = field(default_factory=dict)
@@ -113,17 +116,25 @@ class ExclusionSets:
     lsp_links: dict[int, frozenset[Link]] = field(default_factory=dict)
     lightpath_nodes: dict[int, frozenset[Node]] = field(default_factory=dict)
     lightpath_links: dict[int, frozenset[Link]] = field(default_factory=dict)
-    infeasible: tuple[str, ...] = ()
+    blocked: dict[int, tuple[int, ...]] = field(default_factory=dict)
 
 
 @dataclass
 class ProtectionContext:
-    """Fixed working-side facts feeding the protection logical phase."""
+    """Fixed working-side facts feeding the protection logical phase.
+
+    The last three maps are read by the integrated model only: the physical
+    internals each protected LSP's spare carriers must avoid, and the
+    wavelengths the working lightpaths already hold.
+    """
 
     protected: tuple[LspDemand, ...]
     interface_usage: Mapping[Node, int]
     excluded_nodes: Mapping[int, frozenset[Node]]
     forbidden_groupings: tuple[tuple[tuple[int, Node, Node, int], ...], ...] = ()
+    excluded_phys_nodes: Mapping[int, frozenset[Node]] = field(default_factory=dict)
+    excluded_links: Mapping[int, frozenset[Link]] = field(default_factory=dict)
+    wavelengths_used: Mapping[Link, int] = field(default_factory=dict)
 
 
 @dataclass
@@ -280,7 +291,6 @@ def build_lightpath_routing(lightpaths: Sequence[Lightpath],
                             protection: bool = False,
                             exclusions: ExclusionSets | None = None,
                             working_links: Mapping[int, frozenset[Link]] | None = None,
-                            forbidden_links: Mapping[int, frozenset[Link]] | None = None,
                             wavelengths_used: Mapping[Link, int] | None = None,
                             ) -> tuple[MilpModel, DecisionVarMap]:
     """Route each lightpath (or, with ``protection=True``, its protection
@@ -288,8 +298,7 @@ def build_lightpath_routing(lightpaths: Sequence[Lightpath],
 
     Exclusion nodes/links are fixed out of the flow system per entity;
     ``working_links`` bans a protection lightpath from the route it protects
-    (link disjointness); ``forbidden_links`` carries extra per-entity bans
-    (the interlayer-BRS co-location rule); ``wavelengths_used`` reserves
+    (link disjointness, eq 16); ``wavelengths_used`` reserves
     already-committed capacity on each link.
     """
     plane = PROTECTION if protection else WORKING
@@ -306,9 +315,7 @@ def build_lightpath_routing(lightpaths: Sequence[Lightpath],
 
     for lp in lightpaths:
         ex_nodes = nodemap.get(lp.id, frozenset())
-        ex_links = set(linkmap.get(lp.id, frozenset()))
-        if forbidden_links:
-            ex_links |= set(forbidden_links.get(lp.id, frozenset()))
+        ex_links = linkmap.get(lp.id, frozenset())
         for (m, n) in arcs:
             blocked = m in ex_nodes or n in ex_nodes or normalize_link(m, n) in ex_links
             vid = model.add_variable(naming.lam(plane, lp.id, m, n), "binary",
@@ -351,11 +358,7 @@ def build_lightpath_routing(lightpaths: Sequence[Lightpath],
 # integrated configuration (steps I+III, and II+IV's spare-carrier placement)
 
 def build_integrated(instance: ProblemInstance, plane: str,
-                     context: ProtectionContext | None = None,
-                     *,
-                     lsp_excluded_phys_nodes: Mapping[int, frozenset[Node]] | None = None,
-                     lsp_excluded_links: Mapping[int, frozenset[Link]] | None = None,
-                     wavelengths_used: Mapping[Link, int] | None = None,
+                     context: ProtectionContext | None = None
                      ) -> tuple[MilpModel, DecisionVarMap]:
     """Joint logical design + lightpath placement in one model.
 
@@ -364,7 +367,7 @@ def build_integrated(instance: ProblemInstance, plane: str,
     In the protection phase the physical route of a spare-carrying lightpath
     must avoid each passenger's excluded nodes/links, expressed with
     conditional rows (a lightpath arc and a passenger indicator cannot both
-    be active).
+    be active), and the working wavelengths of the context are reserved.
     """
     if plane == PROTECTION and context is None:
         raise ValueError("protection phase requires a ProtectionContext")
@@ -378,7 +381,7 @@ def build_integrated(instance: ProblemInstance, plane: str,
     pairs = _node_pairs(nodes)
     qs = range(1, params.Q + 1)
     arcs = topo.arcs()
-    used = wavelengths_used or {}
+    used = context.wavelengths_used if context is not None else {}
 
     beta, delta, lam = varmap.beta, varmap.delta, varmap.lam
 
@@ -419,11 +422,9 @@ def build_integrated(instance: ProblemInstance, plane: str,
 
     # conditional physical exclusions for spare-carrying lightpaths
     if plane == PROTECTION:
-        ex_nodes = lsp_excluded_phys_nodes or {}
-        ex_links = lsp_excluded_links or {}
         for lsp in context.protected:
-            nex = ex_nodes.get(lsp.id, frozenset())
-            lex = ex_links.get(lsp.id, frozenset())
+            nex = context.excluded_phys_nodes.get(lsp.id, frozenset())
+            lex = context.excluded_links.get(lsp.id, frozenset())
             if not nex and not lex:
                 continue
             for (i, j) in pairs:
@@ -479,35 +480,35 @@ class WorkingState:
     lsp_lightpaths: Mapping[int, tuple[int, ...]]
     lightpaths: Mapping[int, Lightpath]
     lightpath_routes: Mapping[int, tuple[Node, ...]] | None = None
-    plsp_carriers: Mapping[int, tuple[int, ...]] | None = None  # pβ lp id -> pLSP ids
+    plsp_carriers: Mapping[int, Sequence[int]] | None = None  # pβ lp id -> pLSP ids
 
 
 def compute_exclusion_sets(state: WorkingState, mode: SurvivabilityMode) -> ExclusionSets:
-    """Exclusion sets per the mode's protection-routing rules.
+    """Exclusion sets of the protection-LSP phases per the mode's rules.
 
     * protection-LSP logical routing avoids the working LSP's logical transit
       nodes; the two multilayer variants without optical protection of spare
       carriers additionally avoid the physical transit nodes of the working
       LSP's lightpaths (an OXC failure must not take out both paths);
-    * a spare-carrying lightpath physically avoids the union of its
-      passengers' working physical routes (nodes and links);
-    * a protection lightpath avoids the transit nodes and the links of the
-      working route it protects.
+    * in the modes whose LSP pairs are physically disjoint, each LSP's
+      working physical internals are ``lsp_phys_nodes``/``lsp_links``, and a
+      spare-carrying lightpath avoids the union of its passengers' internals;
+      a carrier that no route can take is listed in ``blocked`` with its
+      passengers' ids.
 
     Whatever is not derivable from the supplied state (for example physical
-    routes before step III has run) is simply left out of the result.
+    routes before step III has run) is simply left out of the result.  The
+    step IV rules are ``backup_exclusions``.
     """
-    inst = state.instance
     result = ExclusionSets()
-    infeasible: list[str] = []
-
     routes = state.lightpath_routes or {}
+    physical = bool(routes) and mode.plsp_physically_disjoint
 
     # each LSP's physical internals: the nodes (bar its endpoints) and links
     # of its working lightpaths' routes
     internals: dict[int, tuple[frozenset[Node], frozenset[Link]]] = {}
-    if routes:
-        for lsp in inst.traffic:
+    if physical:
+        for lsp in state.instance.traffic:
             nodes = set()
             links: set[Link] = set()
             for lp in state.lsp_lightpaths.get(lsp.id, ()):
@@ -526,7 +527,7 @@ def compute_exclusion_sets(state: WorkingState, mode: SurvivabilityMode) -> Excl
     for k, logical in state.lsp_logical_nodes.items():
         transit = frozenset(logical[1:-1])
         result.lsp_nodes[k] = transit
-        if routes:
+        if physical:
             phys_nodes, phys_links = internals[k]
             if physical_transit:
                 result.lsp_nodes[k] = transit | phys_nodes
@@ -534,7 +535,7 @@ def compute_exclusion_sets(state: WorkingState, mode: SurvivabilityMode) -> Excl
             result.lsp_links[k] = phys_links
 
     # --- spare-carrying lightpath physical exclusions
-    if state.plsp_carriers is not None and routes:
+    if physical and state.plsp_carriers is not None:
         for lp_id, passengers in state.plsp_carriers.items():
             lp = state.lightpaths[lp_id]
             nodes: set[Node] = set()
@@ -545,23 +546,43 @@ def compute_exclusion_sets(state: WorkingState, mode: SurvivabilityMode) -> Excl
                 links |= l_k
             result.lightpath_nodes[lp_id] = frozenset(nodes)
             result.lightpath_links[lp_id] = frozenset(links)
-            if lp.i in nodes or lp.j in nodes or exclusion_blocks_route(
-                    inst.topology, lp.i, lp.j, frozenset(nodes), frozenset(links)):
-                infeasible.append(
-                    f"lightpath {lp.id} ({lp.i},{lp.j},q={lp.q}) cannot avoid the "
-                    f"working routes of pLSPs {sorted(passengers)}")
+            if exclusion_blocks_route(state.instance.topology, lp.i, lp.j,
+                                      result.lightpath_nodes[lp_id],
+                                      result.lightpath_links[lp_id]):
+                result.blocked[lp_id] = tuple(sorted(passengers))
+    return result
 
-    # --- protection-lightpath (optical backup) exclusions
-    if routes:
-        for lp_id, route in routes.items():
-            lp = state.lightpaths.get(lp_id)
-            if lp is None:
-                continue
-            transit = frozenset(route[1:-1])
-            result.lightpath_nodes.setdefault(lp_id, transit)
-            result.lightpath_links.setdefault(lp_id, route_links(route))
 
-    result.infeasible = tuple(infeasible)
+def backup_exclusions(mode: SurvivabilityMode, to_protect: Sequence[Lightpath],
+                      lightpath_routes: Mapping[int, tuple[Node, ...]],
+                      lsp_logical_nodes: Mapping[int, tuple[Node, ...]],
+                      lsp_plps: Mapping[int, tuple[int, ...]]) -> ExclusionSets:
+    """Exclusions of the step IV optical backups of ``to_protect``.
+
+    Each backup avoids the transit nodes of the route it protects (its
+    links are banned separately, by the eq 16 rows).  Under interlayer BRS
+    a lightpath transiting an OXC and the LSPs transiting the co-located
+    router must be protected on different physical links, so their
+    restorations never compete for one shared wavelength: the backup avoids
+    every link of those LSPs' protection lightpaths.
+    """
+    result = ExclusionSets(lightpath_nodes={
+        lp.id: frozenset(lightpath_routes[lp.id][1:-1]) for lp in to_protect})
+    if mode is not SurvivabilityMode.ML_INTERLAYER_BRS:
+        return result
+    transit_lsps: dict[Node, list[int]] = {}
+    for k, seq in lsp_logical_nodes.items():
+        if k in lsp_plps:
+            for x in seq[1:-1]:
+                transit_lsps.setdefault(x, []).append(k)
+    for lp in to_protect:
+        banned: set[Link] = set()
+        for x in lightpath_routes[lp.id][1:-1]:
+            for k in transit_lsps.get(x, ()):
+                for plp in lsp_plps[k]:
+                    banned |= route_links(lightpath_routes[plp])
+        if banned:
+            result.lightpath_links[lp.id] = frozenset(banned)
     return result
 
 

@@ -62,8 +62,8 @@ def instance_from_dict(data: Mapping[str, Any],
     p = data.get("params", {})
     nodes = data["nodes"]
     topo = PhysicalTopology(nodes=nodes, links=data["links"], W=int(p.get("W", 32)))
-    params = SystemParams(C=p.get("C", 10), W=int(p.get("W", 32)),
-                          Q=int(p.get("Q", 2)), T=p.get("T"), n_nodes=len(nodes))
+    params = SystemParams(C=p.get("C", 10), Q=int(p.get("Q", 2)), T=p.get("T"),
+                          n_nodes=len(nodes))
     ratios = cost_ratio_from_spec(cost_ratio if cost_ratio is not None
                                   else data.get("cost_ratio", "CR1"))
     unit = derive_unit_costs(ratios, params.C)
@@ -71,16 +71,12 @@ def instance_from_dict(data: Mapping[str, Any],
     return ProblemInstance(topo, traffic, params, unit, mode, approach)
 
 
-def instance_to_dict(instance: ProblemInstance, cost_ratio_label: str | None = None,
-                     raw_demands=None) -> dict:
-    """Instance echo; demands default to the (already split) LSP list."""
-    demands = raw_demands if raw_demands is not None else [
-        {"s": l.source, "d": l.destination, "b": _num(l.bandwidth)}
-        for l in instance.traffic]
+def instance_to_dict(instance: ProblemInstance, cost_ratio_label: str | None = None) -> dict:
+    """Instance echo; the demands are the (already split) LSP list."""
     return {
         "nodes": list(instance.topology.nodes),
         "links": [list(l) for l in instance.topology.links],
-        "params": {"C": _num(instance.params.C), "W": instance.params.W,
+        "params": {"C": _num(instance.params.C), "W": instance.topology.W,
                    "Q": instance.params.Q, "T": instance.params.T},
         "cost_ratio": cost_ratio_label or {
             # unit costs are derived; echo back a ratio triple that regenerates them
@@ -88,7 +84,8 @@ def instance_to_dict(instance: ProblemInstance, cost_ratio_label: str | None = N
             "c_P_IP": _num(instance.unit_costs.c_tt * instance.params.C),
             "c_P_OXC": _num(_oxc(instance)),
         },
-        "demands": demands,
+        "demands": [{"s": l.source, "d": l.destination, "b": _num(l.bandwidth)}
+                    for l in instance.traffic],
     }
 
 

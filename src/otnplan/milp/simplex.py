@@ -287,9 +287,6 @@ def simplex_solve(A: np.ndarray, relations: list[str], rhs: np.ndarray,
     when it changes nothing but the bounds ``lo``/``hi``.  ``deadline`` is a
     ``time.perf_counter()`` value checked before every pivot.
     """
-    m, n = A.shape
-    if m == 0:
-        return _solve_unconstrained(c, lo, hi, n)
     used = 0
     try:
         if warm is not None:
@@ -407,18 +404,3 @@ def _cold_solve(A, relations, rhs, c, lo, hi, deadline, used: int) -> LpResult:
     tab.hi[n_plain:] = 0.0
     return _finish(tab, c, n, iters)
 
-
-def _solve_unconstrained(c, lo, hi, n) -> LpResult:
-    x = np.zeros(n)
-    for j in range(n):
-        if c[j] > 0:
-            if not math.isfinite(lo[j]):
-                return LpResult("unbounded", None, -math.inf, 0)
-            x[j] = lo[j]
-        elif c[j] < 0:
-            if not math.isfinite(hi[j]):
-                return LpResult("unbounded", None, -math.inf, 0)
-            x[j] = hi[j]
-        else:
-            x[j] = lo[j] if math.isfinite(lo[j]) else (hi[j] if math.isfinite(hi[j]) else 0.0)
-    return LpResult("optimal", x, float(c @ x), 0)

@@ -81,6 +81,8 @@ class PhysicalTopology:
         object.__setattr__(self, "nodes", tuple(nodes))
         object.__setattr__(self, "links", tuple(normalize_link(a, b) for a, b in links))
         object.__setattr__(self, "W", int(W))
+        if self.W <= 0:
+            raise ValueError("W must be positive")
 
     @property
     def n(self) -> int:
@@ -132,17 +134,16 @@ def default_interface_limit(n_nodes: int, q_max: int) -> int:
 
 @dataclass(frozen=True)
 class SystemParams:
-    """Dimensioning limits: lightpath capacity C, wavelengths W, multiplicity Q,
-    router interface budget T."""
+    """Dimensioning limits: lightpath capacity C, multiplicity Q, router
+    interface budget T.  The wavelengths per link, W, belong to the
+    topology."""
 
     C: Fraction
-    W: int
     Q: int
     T: int
 
-    def __init__(self, C=10, W: int = 32, Q: int = 2, T: int | None = None, n_nodes: int | None = None):
+    def __init__(self, C=10, Q: int = 2, T: int | None = None, n_nodes: int | None = None):
         object.__setattr__(self, "C", as_gbps(C))
-        object.__setattr__(self, "W", int(W))
         object.__setattr__(self, "Q", int(Q))
         if T is None:
             if n_nodes is None:
@@ -151,8 +152,8 @@ class SystemParams:
         object.__setattr__(self, "T", int(T))
         if self.Q not in (1, 2):
             raise ValueError(f"Q must be 1 or 2, got {self.Q}")
-        if self.C <= 0 or self.W <= 0 or self.T <= 0:
-            raise ValueError("C, W and T must be positive")
+        if self.C <= 0 or self.T <= 0:
+            raise ValueError("C and T must be positive")
 
 
 @dataclass(frozen=True)

@@ -269,24 +269,16 @@ class _EnumerationPhases:
         self.instance = instance
         self.records: dict = {}  # enumeration keeps no solver statistics
 
-    def logical(self, label: str, plane: str, lsps: Sequence,
-                context: ProtectionContext | None = None, *,
-                lsp_excluded_phys_nodes=None, lsp_excluded_links=None,
-                wavelengths_used=None):
+    def logical(self, label: str, plane: str, context: ProtectionContext | None = None):
         inst = self.instance
         what = "logical" if plane == WORKING else "protection"
-        if context is None:
-            logical = _best_logical(inst, lsps, plane, {}, {}, ())
-        else:
-            logical = _best_logical(inst, lsps, plane, context.excluded_nodes,
-                                    context.interface_usage,
-                                    context.forbidden_groupings)
+        ctx = context or ProtectionContext(inst.traffic, {}, {})
+        logical = _best_logical(inst, ctx.protected, plane, ctx.excluded_nodes,
+                                ctx.interface_usage, ctx.forbidden_groupings)
         if not logical:
             raise PlanError(label, f"no feasible {what} routing")
         if inst.approach is Approach.INTEGRATED:
-            protection_ctx = None if plane == WORKING else (
-                lsp_excluded_phys_nodes, lsp_excluded_links, wavelengths_used)
-            picked = _pick_integrated(inst, logical, plane, protection_ctx)
+            picked = _pick_integrated(inst, logical, plane, context)
             if picked is None:
                 raise PlanError(label, f"no routable {what} optimum")
             routes_logical, pair_routes = picked
@@ -300,12 +292,11 @@ class _EnumerationPhases:
 
     def route(self, label: str, lightpaths: Sequence[Lightpath], *,
               protection: bool = False, exclusions: ExclusionSets | None = None,
-              working_links=None, forbidden_links=None, wavelengths_used=None
+              working_links=None, wavelengths_used=None
               ) -> dict[int, tuple[Node, ...]]:
         excl = exclusions or ExclusionSets()
         banned = {lp.id: excl.lightpath_links.get(lp.id, frozenset())
                   | (working_links or {}).get(lp.id, frozenset())
-                  | (forbidden_links or {}).get(lp.id, frozenset())
                   for lp in lightpaths}
         plane = PROTECTION if protection else WORKING
         routed = _route_entities(
@@ -331,11 +322,14 @@ def brute_force_optimum(instance: ProblemInstance,
 def _pick_integrated(instance: ProblemInstance,
                      logical: list[tuple[Fraction, int, int, dict[int, tuple[Node, ...]]]],
                      plane: str,
-                     protection_ctx) -> tuple[dict[int, tuple[Node, ...]],
-                                              dict[tuple[Node, Node, int], tuple[Node, ...]]] | None:
+                     context: ProtectionContext | None
+                     ) -> tuple[dict[int, tuple[Node, ...]],
+                                dict[tuple[Node, Node, int], tuple[Node, ...]]] | None:
     """Among MPLS-cost-optimal logical routings, pick the one whose joint
     physical placement minimizes (wavelengths, tie1, tie2) — the enumeration
-    twin of solving the two-layer model MPLS terms first."""
+    twin of solving the two-layer model MPLS terms first.  On the protection
+    plane the context gives each carrier's passengers' physical exclusions
+    and the wavelengths already held."""
     topo = instance.topology
     best_key = None
     best_pick = None
@@ -348,8 +342,8 @@ def _pick_integrated(instance: ProblemInstance,
         used: Mapping[Link, int] = {}
         excl_nodes: dict[tuple, frozenset] = {}
         excl_links: dict[tuple, frozenset] = {}
-        if plane == PROTECTION:
-            phys_nodes, phys_links, used = protection_ctx
+        if context is not None:
+            used = context.wavelengths_used
             carriers: dict[tuple[Node, Node, int], list[int]] = {}
             for k, path in sorted(routes_logical.items()):
                 for (a, b) in _hop_pairs(path):
@@ -358,8 +352,8 @@ def _pick_integrated(instance: ProblemInstance,
                 nodes_u: frozenset[Node] = frozenset()
                 links_u: frozenset[Link] = frozenset()
                 for k in ks:
-                    nodes_u |= phys_nodes.get(k, frozenset())
-                    links_u |= phys_links.get(k, frozenset())
+                    nodes_u |= context.excluded_phys_nodes.get(k, frozenset())
+                    links_u |= context.excluded_links.get(k, frozenset())
                 excl_nodes[pair] = nodes_u
                 excl_links[pair] = links_u
 

@@ -21,11 +21,11 @@ from functools import cached_property
 from typing import Iterable, Mapping, Sequence
 
 from . import naming
-from .formulation import (PROTECTION, WORKING, ExclusionSets, Lightpath,
-                          ProblemInstance, ProtectionContext, WorkingState,
+from .formulation import (PROTECTION, WORKING, Lightpath, ProblemInstance,
+                          ProtectionContext, WorkingState, backup_exclusions,
                           build_integrated, build_lightpath_routing,
                           build_logical_design, compute_exclusion_sets,
-                          exclusion_blocks_route, expand_lightpaths)
+                          expand_lightpaths)
 from .milp import SOLVER_FAILURES, MilpModel, MilpSolution, solve_milp
 from .modes import Approach, SurvivabilityMode
 from .netmodel import (Link, Node, PhysicalTopology, UnitCosts, normalize_link,
@@ -187,14 +187,14 @@ def _exact_dot(coefs: Mapping[int, float], values: Mapping[int, float]) -> float
 
 
 def _solve_stages(model: MilpModel, stages: Sequence[Mapping[int, float]],
-                  options: PlanOptions, label: str,
-                  tie_break: bool) -> tuple[dict[int, float], PhaseRecord]:
+                  options: PlanOptions, label: str) -> tuple[dict[int, float], PhaseRecord]:
     """Minimize the stage objectives lexicographically (each pinned before
-    the next), then the two tie-break scores; returns the last incumbent."""
+    the next), then, at gap 0, the two tie-break scores; returns the last
+    incumbent."""
     deadline = time.perf_counter() + options.time_limit
     staged: list[tuple[Mapping[int, float], float, float]] = [
         (vec, _PIN_EPS, options.gap) for vec in stages]
-    if tie_break:
+    if options.exact():
         for level in (1, 2):
             vec = {v.id: float(naming.tie_weight(v.name, level))
                    for v in model.variables if v.kind == "binary"}
@@ -341,36 +341,6 @@ def _wavelength_usage(routes: Iterable[Sequence[Node]]) -> dict[Link, int]:
     return usage
 
 
-def _brs_colocated_forbidden(lightpath_routes: Mapping[int, tuple[Node, ...]],
-                             lsp_logical: Mapping[int, tuple[Node, ...]],
-                             lsp_plps: Mapping[int, tuple[int, ...]],
-                             to_protect: Sequence[Lightpath]) -> dict[int, frozenset[Link]]:
-    """Interlayer-BRS rule: a lightpath transiting an OXC and the LSPs
-    transiting the co-located router must be protected on different physical
-    links, so their restorations never compete for one shared wavelength."""
-    plsp_links: dict[int, frozenset[Link]] = {}
-    for k, plp_ids in lsp_plps.items():
-        links: set[Link] = set()
-        for lp_id in plp_ids:
-            links |= route_links(lightpath_routes[lp_id])
-        plsp_links[k] = frozenset(links)
-    transit_lsps: dict[Node, list[int]] = {}
-    for k, seq in lsp_logical.items():
-        if k not in lsp_plps:
-            continue
-        for x in seq[1:-1]:
-            transit_lsps.setdefault(x, []).append(k)
-    out: dict[int, frozenset[Link]] = {}
-    for lp in to_protect:
-        banned: set[Link] = set()
-        for x in lightpath_routes[lp.id][1:-1]:
-            for k in transit_lsps.get(x, ()):
-                banned |= plsp_links[k]
-        if banned:
-            out[lp.id] = frozenset(banned)
-    return out
-
-
 class _MilpPhases:
     """Phase solver of ``plan``: each phase is built as a MILP, solved
     hierarchically and decoded."""
@@ -382,20 +352,19 @@ class _MilpPhases:
 
     def _solve(self, model: MilpModel, stages: Sequence[Mapping[int, float]],
                label: str) -> dict[int, float]:
-        values, record = _solve_stages(model, stages, self.options, label,
-                                       self.options.exact())
+        values, record = _solve_stages(model, stages, self.options, label)
         earlier = self.records.get(label)
         # a phase solved again after regrouping keeps its place and counts it
         self.records[label] = (record if earlier is None
                                else replace(record, retries=earlier.retries + 1))
         return values
 
-    def logical(self, label: str, plane: str, lsps: Sequence,
-                context: ProtectionContext | None = None, **physical):
+    def logical(self, label: str, plane: str, context: ProtectionContext | None = None):
         instance = self.instance
         integrated = instance.approach is Approach.INTEGRATED
+        lsps = instance.traffic if context is None else context.protected
         if integrated:
-            model, varmap = build_integrated(instance, plane, context, **physical)
+            model, varmap = build_integrated(instance, plane, context)
             stages = [varmap.mpls_objective, varmap.optical_objective]
         else:
             model, varmap = build_logical_design(instance, plane, context)
@@ -448,25 +417,26 @@ def _run_pipeline(instance: ProblemInstance, solver) -> NetworkConfiguration:
 
     The solver has ``records``, the phase records by name, and two methods:
 
-    * ``logical(label, plane, lsps, context=None, **physical)`` designs one
-      logical plane and returns the active (i, j, q) pairs, each LSP's hops
-      and node sequence, and (integrated approach) each pair's physical
-      route; ``physical`` are the physical-exclusion keywords of
-      ``build_integrated``;
+    * ``logical(label, plane, context=None)`` designs one logical plane:
+      every LSP on the working plane, or the context's protected LSPs with
+      everything they must avoid.  It returns the active (i, j, q) pairs,
+      each LSP's hops and node sequence, and (integrated approach) each
+      pair's physical route;
     * ``route(label, lightpaths, **routing)`` routes lightpaths physically,
       taking the keywords of ``build_lightpath_routing``, and returns each
       lightpath's route by id.
 
     Everything between the phases is decided here, once for every solver:
-    the protected set, the exclusion sets, the regrouping retries, the step
-    IV targets and the interlayer-BRS co-location rule.
+    the protected set, the regrouping retries and the step IV targets.  What
+    each protection route must avoid comes from ``compute_exclusion_sets``
+    and ``backup_exclusions``.
     """
     mode = instance.mode
     integrated = instance.approach is Approach.INTEGRATED
 
     # ---- step I (+ III when integrated): working-side design
     w_pairs, w_hops, w_nodes, w_pair_routes = solver.logical(
-        "I-working-logical", WORKING, instance.traffic)
+        "I-working-logical", WORKING)
     w_lightpaths = expand_lightpaths(w_pairs)
     w_key_to_id = {lp.key: lp.id for lp in w_lightpaths}
     routes_w = {w_key_to_id[(i, j, q, WORKING)]: r
@@ -507,25 +477,23 @@ def _run_pipeline(instance: ProblemInstance, solver) -> NetworkConfiguration:
             if lsp.source in nex or lsp.destination in nex:
                 raise PlanError("II-protection-logical",
                                 f"exclusion set of LSP {lsp.id} covers an endpoint")
-        physical = {}
-        if integrated:
-            disjoint = mode.plsp_physically_disjoint
-            physical = dict(lsp_excluded_phys_nodes=pre.lsp_phys_nodes if disjoint else {},
-                            lsp_excluded_links=pre.lsp_links if disjoint else {},
-                            wavelengths_used=_wavelength_usage(routes_w.values()))
+        wavelengths_w = _wavelength_usage(routes_w.values())
+        base_ctx = ProtectionContext(
+            protected=tuple(protected),
+            interface_usage=_interface_usage(w_pairs),
+            excluded_nodes=pre.lsp_nodes,
+            excluded_phys_nodes=pre.lsp_phys_nodes,
+            excluded_links=pre.lsp_links,
+            wavelengths_used=wavelengths_w,
+        )
 
         forbidden: list[tuple[tuple[int, Node, Node, int], ...]] = []
         retries = 0
         try:
             while True:
-                ctx = ProtectionContext(
-                    protected=tuple(protected),
-                    interface_usage=_interface_usage(w_pairs),
-                    excluded_nodes=pre.lsp_nodes,
-                    forbidden_groupings=tuple(forbidden),
-                )
+                ctx = replace(base_ctx, forbidden_groupings=tuple(forbidden))
                 p_pairs, p_hops, _p_nodes, p_pair_routes = solver.logical(
-                    "II-protection-logical", PROTECTION, protected, ctx, **physical)
+                    "II-protection-logical", PROTECTION, ctx)
                 all_lightpaths = expand_lightpaths(w_pairs, p_pairs)
                 key_to_id = {lp.key: lp.id for lp in all_lightpaths}
                 lsp_plps = {
@@ -540,32 +508,26 @@ def _run_pipeline(instance: ProblemInstance, solver) -> NetworkConfiguration:
                 for k, lp_ids in sorted(lsp_plps.items()):
                     for lp_id in lp_ids:
                         carriers.setdefault(lp_id, []).append(k)
-                plsp_carrier_map = {lp: tuple(ks) for lp, ks in carriers.items()}
                 # spare carriers inherit their passengers' exclusions
                 state = replace(base_state,
                                 lightpaths={lp.id: lp for lp in all_lightpaths},
-                                plsp_carriers=plsp_carrier_map)
-                excl = (compute_exclusion_sets(state, mode)
-                        if mode.plsp_physically_disjoint else ExclusionSets())
-                if not excl.infeasible:
+                                plsp_carriers=carriers)
+                excl = compute_exclusion_sets(state, mode)
+                if not excl.blocked:
                     p_lightpaths = tuple(lp for lp in all_lightpaths
                                          if lp.status == PROTECTION)
                     if p_lightpaths:
                         routes_p = solver.route(
                             "III-spare-carrier-lightpaths", p_lightpaths,
-                            exclusions=excl,
-                            wavelengths_used=_wavelength_usage(routes_w.values()))
+                            exclusions=excl, wavelengths_used=wavelengths_w)
                     break
+                blocked = [(all_lightpaths[lp_id], ks) for lp_id, ks in excl.blocked.items()]
                 if retries >= MAX_GROUPING_RETRIES:
-                    raise PlanError("II-protection-logical", "; ".join(excl.infeasible))
-                for lp_id, passengers in sorted(plsp_carrier_map.items()):
-                    lp = all_lightpaths[lp_id]
-                    nodes_u = excl.lightpath_nodes.get(lp_id, frozenset())
-                    links_u = excl.lightpath_links.get(lp_id, frozenset())
-                    if lp.i in nodes_u or lp.j in nodes_u or exclusion_blocks_route(
-                            instance.topology, lp.i, lp.j, nodes_u, links_u):
-                        forbidden.append(tuple(sorted(
-                            (k, lp.i, lp.j, lp.q) for k in passengers)))
+                    raise PlanError("II-protection-logical", "; ".join(
+                        f"lightpath {lp.id} ({lp.i},{lp.j},q={lp.q}) cannot avoid "
+                        f"the working routes of pLSPs {list(ks)}" for lp, ks in blocked))
+                forbidden += [tuple((k, lp.i, lp.j, lp.q) for k in ks)
+                              for lp, ks in sorted(blocked, key=lambda b: b[0].id)]
                 retries += 1
         except PlanError as exc:
             raise PlanError(exc.phase, exc.detail, retries, exc.binding) from exc
@@ -580,19 +542,12 @@ def _run_pipeline(instance: ProblemInstance, solver) -> NetworkConfiguration:
         else:
             to_protect = [lp for lp in all_lightpaths if lp.status == WORKING]
         if to_protect:
-            excl4 = ExclusionSets(
-                lightpath_nodes={lp.id: frozenset(lightpath_routes[lp.id][1:-1])
-                                 for lp in to_protect})
-            working_links = {lp.id: route_links(lightpath_routes[lp.id])
-                             for lp in to_protect}
-            forb: dict[int, frozenset[Link]] = {}
-            if mode is SurvivabilityMode.ML_INTERLAYER_BRS:
-                forb = _brs_colocated_forbidden(lightpath_routes, w_nodes,
-                                                lsp_plps, to_protect)
             protection_routes = solver.route(
-                "IV-protection-lightpaths", to_protect,
-                protection=True, exclusions=excl4, working_links=working_links,
-                forbidden_links=forb,
+                "IV-protection-lightpaths", to_protect, protection=True,
+                exclusions=backup_exclusions(mode, to_protect, lightpath_routes,
+                                             w_nodes, lsp_plps),
+                working_links={lp.id: route_links(lightpath_routes[lp.id])
+                               for lp in to_protect},
                 wavelengths_used=_wavelength_usage(lightpath_routes.values()))
 
     lsp_routes = {

@@ -252,11 +252,10 @@ def _internal(seq: Sequence[Node]) -> frozenset[Node]:
     return frozenset(seq[1:-1])
 
 
-def check_disjointness(config: NetworkConfiguration,
-                       mode: SurvivabilityMode | None = None) -> tuple[str, ...]:
+def check_disjointness(config: NetworkConfiguration) -> tuple[str, ...]:
     """Literal set-intersection verification of the mode's protection-routing
     rules over working/protection LSP pairs and lightpath/backup pairs."""
-    mode = mode or config.mode
+    mode = config.mode
     violations: list[str] = []
 
     for lsp in config.instance.traffic:

@@ -25,7 +25,7 @@ SUITE_SIZE = 20
 
 def make_instance(topology, demands, mode=SurvivabilityMode.NONE,
                   approach=Approach.SEQUENTIAL, q=1, C=10, ratios=CR1):
-    params = SystemParams(C=C, W=topology.W, Q=q, n_nodes=topology.n)
+    params = SystemParams(C=C, Q=q, n_nodes=topology.n)
     return ProblemInstance(topology, split_demands(demands, C), params,
                            derive_unit_costs(ratios, C), mode, approach)
 

@@ -1,4 +1,5 @@
 import json
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -110,16 +111,24 @@ class TestVerifyCommand:
         assert main(["verify", "--config", str(config), "-o", str(out)]) == 0
         assert "restorability: 100.0%" in out.read_text()
 
-    def test_tampered_cost_detected(self, ring_instance_file, tmp_path):
+    def test_tampered_cost_detected(self, ring_instance_file, tmp_path, capsys):
         rc = main(["plan", "--instance", str(ring_instance_file),
                    "--mode", "single-layer", "--gap", "0",
                    "--output-dir", str(tmp_path)])
         assert rc == 0
         path = next(tmp_path.glob("*.config.json"))
         data = json.loads(path.read_text())
+        total = Fraction(str(data["cost"]["total"]))
+        # the stored total is compared as a number, not as text
+        data["cost"]["total"] = f"{2 * total}/2"
+        path.write_text(json.dumps(data))
+        capsys.readouterr()
+        assert main(["verify", "--config", str(path)]) == 0
+        assert "consistency" not in capsys.readouterr().out
         data["cost"]["total"] = 1
         path.write_text(json.dumps(data))
         assert main(["verify", "--config", str(path)]) == 1
+        assert f"stored total cost 1 != recomputed {total}" in capsys.readouterr().out
 
     def test_unprotected_configuration_fails(self, ring_instance_file, tmp_path):
         rc = main(["plan", "--instance", str(ring_instance_file),

@@ -2,12 +2,12 @@ from fractions import Fraction
 
 import pytest
 
-from otnplan.formulation import (PROTECTION, WORKING, ProblemInstance,
+from otnplan.formulation import (PROTECTION, WORKING, Lightpath, ProblemInstance,
                                  ProtectionContext, WorkingState, audit_model,
-                                 build_integrated, build_lightpath_routing,
-                                 build_logical_design, compute_exclusion_sets,
-                                 estimate_problem_size, estimate_problem_size_raw,
-                                 expand_lightpaths)
+                                 backup_exclusions, build_integrated,
+                                 build_lightpath_routing, build_logical_design,
+                                 compute_exclusion_sets, estimate_problem_size,
+                                 estimate_problem_size_raw, expand_lightpaths)
 from otnplan.milp import check_solution, solve_milp
 from otnplan.modes import Approach, SurvivabilityMode
 from otnplan.netmodel import PhysicalTopology, SystemParams, split_demands
@@ -55,7 +55,7 @@ class TestLogicalDesign:
 
     def test_interface_budget_binds(self):
         topo = PhysicalTopology(range(3), [(0, 1), (1, 2), (0, 2)])
-        params = SystemParams(C=10, W=32, Q=1, T=1)
+        params = SystemParams(C=10, Q=1, T=1)
         traffic = split_demands([(0, 1, 10), (0, 2, 10)], 10)
         inst = ProblemInstance(topo, traffic, params, UNIT_CR1)
         model, _ = build_logical_design(inst, WORKING)
@@ -64,7 +64,7 @@ class TestLogicalDesign:
 
     def test_oversized_demand_rejected(self, ring4):
         from otnplan.netmodel import LspDemand
-        params = SystemParams(C=10, W=32, Q=1, n_nodes=4)
+        params = SystemParams(C=10, Q=1, n_nodes=4)
         with pytest.raises(ValueError, match="pre-split"):
             ProblemInstance(ring4, (LspDemand(0, 0, 2, Fraction(12)),), params,
                             UNIT_CR1)
@@ -189,20 +189,12 @@ class TestExclusionSets:
         excl = compute_exclusion_sets(state, SurvivabilityMode.SINGLE_LAYER)
         assert {1} <= set(excl.lsp_nodes[0])
 
-    def test_protection_lightpath_excludes_transit(self, ring4):
+    def test_protection_lightpath_excludes_transit(self):
         # working lightpath 0->2 physically routed 0-1-2: its optical backup
         # must avoid node 1
-        inst = make_instance(ring4, [(0, 2, 10)],
-                             SurvivabilityMode.ML_SPARE_UNPROTECTED, q=1)
         lps = expand_lightpaths([(0, 2, 1)])
-        state = WorkingState(
-            instance=inst,
-            lsp_logical_nodes={0: (0, 2)},
-            lsp_lightpaths={0: (0,)},
-            lightpaths={lp.id: lp for lp in lps},
-            lightpath_routes={0: (0, 1, 2)},
-        )
-        excl = compute_exclusion_sets(state, SurvivabilityMode.ML_SPARE_UNPROTECTED)
+        excl = backup_exclusions(SurvivabilityMode.ML_SPARE_UNPROTECTED, lps,
+                                 {0: (0, 1, 2)}, {0: (0, 2)}, {})
         assert excl.lightpath_nodes[0] == frozenset({1})
 
     def test_single_hop_lsps_not_protected_in_ml(self, ring4):
@@ -220,7 +212,24 @@ class TestExclusionSets:
         excl = compute_exclusion_sets(state, SurvivabilityMode.SINGLE_LAYER)
         assert excl.lightpath_nodes[2] == frozenset({1})
         assert excl.lightpath_links[2] == frozenset({(0, 1), (1, 2)})
-        assert not excl.infeasible  # ring offers the 0-3-2 side
+        assert not excl.blocked  # ring offers the 0-3-2 side
+
+    def test_spare_carrier_without_route_is_blocked(self):
+        # on the path 0-1-2 the carrier 0->2 has no way around node 1
+        path3 = PhysicalTopology(range(3), [(0, 1), (1, 2)])
+        inst = make_instance(path3, [(0, 2, 10)], SurvivabilityMode.SINGLE_LAYER, q=1)
+        lps = expand_lightpaths([(0, 1, 1), (1, 2, 1)], [(0, 2, 1)])
+        state = WorkingState(
+            instance=inst,
+            lsp_logical_nodes={0: (0, 1, 2)},
+            lsp_lightpaths={0: (0, 1)},
+            lightpaths={lp.id: lp for lp in lps},
+            lightpath_routes={0: (0, 1), 1: (1, 2)},
+            plsp_carriers={2: (0,)},
+        )
+        assert compute_exclusion_sets(state, SurvivabilityMode.SINGLE_LAYER).blocked == {2: (0,)}
+        # optically protected carriers keep no physical rule
+        assert compute_exclusion_sets(state, SurvivabilityMode.ML_DOUBLE).blocked == {}
 
     def test_extracted_protection_avoids_exclusions(self, suite_results):
         # decoded protection routes never touch their exclusion sets
@@ -234,3 +243,42 @@ class TestExclusionSets:
                 w_transit = set(config.lsp_logical_nodes(lsp.id, "working")[1:-1])
                 p_nodes = set(config.lsp_logical_nodes(lsp.id, "protection"))
                 assert not (w_transit & p_nodes)
+
+
+class TestBackupExclusions:
+    """Step IV: what each optical backup must avoid."""
+
+    # working lightpath 0 (0,2) transits OXC 1; LSP 5 transits router 1 and
+    # its protection rides lightpath 7; LSP 6 transits nothing; LSP 9
+    # transits router 1 but is not protected
+    TO_PROTECT = (Lightpath(0, 0, 2, 1, WORKING),)
+    ROUTES = {0: (0, 1, 2), 7: (3, 0, 4), 8: (3, 2, 4)}
+    LOGICAL = {5: (3, 1, 4), 6: (3, 4), 9: (3, 1, 4)}
+    PLPS = {5: (7,), 6: (8,)}
+
+    def test_brs_backup_avoids_links_of_colocated_transit_plsp(self):
+        excl = backup_exclusions(SurvivabilityMode.ML_INTERLAYER_BRS, self.TO_PROTECT,
+                                 self.ROUTES, self.LOGICAL, self.PLPS)
+        assert excl.lightpath_nodes == {0: frozenset({1})}
+        assert excl.lightpath_links == {0: frozenset({(0, 3), (0, 4)})}
+
+    def test_other_modes_ban_no_links(self):
+        for mode in SurvivabilityMode:
+            if mode is SurvivabilityMode.ML_INTERLAYER_BRS:
+                continue
+            excl = backup_exclusions(mode, self.TO_PROTECT, self.ROUTES,
+                                     self.LOGICAL, self.PLPS)
+            assert excl.lightpath_nodes == {0: frozenset({1})}, mode
+            assert excl.lightpath_links == {}, mode
+
+    def test_protection_lightpath_backup_avoids_its_own_transit(self):
+        # protection lightpath 2 (0,2) carries pLSP 0, whose working route
+        # has internals {1}; the lightpath is routed 0-3-2, so its backup
+        # avoids node 3 and nothing of its passenger's working route
+        lps = expand_lightpaths([(0, 1, 1), (1, 2, 1)], [(0, 2, 1)])
+        routes = {0: (0, 1), 1: (1, 2), 2: (0, 3, 2)}
+        excl = backup_exclusions(SurvivabilityMode.ML_DOUBLE, lps, routes,
+                                 {0: (0, 1, 2)}, {0: (2,)})
+        assert excl.lightpath_nodes == {0: frozenset(), 1: frozenset(),
+                                        2: frozenset({3})}
+        assert excl.lightpath_links == {}

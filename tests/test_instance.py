@@ -3,14 +3,16 @@ from fractions import Fraction
 
 import pytest
 
+from otnplan.formulation import ProblemInstance
 from otnplan.instance import (bundled_instance_path, config_from_dict,
-                              config_to_dict, instance_from_dict)
+                              config_to_dict, instance_from_dict, instance_to_dict)
 from otnplan.modes import SurvivabilityMode
 from otnplan.oracle import brute_force_optimum
 from otnplan.planner import PlanError, PlanOptions, plan
-from otnplan.netmodel import PhysicalTopology, validate_topology
+from otnplan.netmodel import (PhysicalTopology, SystemParams, split_demands,
+                              validate_topology)
 
-from conftest import make_instance
+from conftest import UNIT_CR1, make_instance
 
 EXACT = PlanOptions(gap=0.0, time_limit=120)
 
@@ -44,6 +46,12 @@ class TestInstanceFormat:
         }
         inst = instance_from_dict(data)
         assert inst.params.T == 2 * 2 * 2
+
+    def test_echo_keeps_topology_wavelengths(self):
+        topo = PhysicalTopology(range(3), [(0, 1), (1, 2)], W=1)
+        inst = ProblemInstance(topo, split_demands([(0, 2, 4)], 10),
+                               SystemParams(C=10, Q=1, n_nodes=3), UNIT_CR1)
+        assert instance_from_dict(instance_to_dict(inst)).topology.W == 1
 
 
 class TestConfigRoundTrip:

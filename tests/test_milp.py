@@ -43,6 +43,19 @@ class TestSolveLp:
         m.add_constraint("ge", [(x, 1.0)], ">=", 0.0)
         assert solve_lp(m).status == "unbounded"
 
+    def test_no_rows(self):
+        # bounds alone: each variable sits at the bound its cost prefers
+        m = MilpModel("bounds-only")
+        for name, lo, hi, cost in (("a", 0, 1, 1.0), ("b", 0, 2, -1.0),
+                                   ("c", -math.inf, 5, 0.0)):
+            m.add_variable(name, "continuous", lo, hi, objective=cost)
+        sol = solve_lp(m)
+        assert sol.status == "optimal"
+        assert [sol.value(v) for v in range(3)] == [0.0, 2.0, 5.0]
+        assert sol.objective == -2.0
+        m.add_variable("d", "continuous", 0, math.inf, objective=-1.0)
+        assert solve_lp(m).status == "unbounded"
+
     def test_undeclared_variable_rejected(self):
         m = MilpModel("broken")
         m.add_variable("x", "continuous", 0, 1, 1.0)

@@ -162,9 +162,13 @@ class TestSplitDemands:
 
 class TestSystemParams:
     def test_default_interface_budget(self):
-        params = SystemParams(C=10, W=32, Q=2, n_nodes=12)
+        params = SystemParams(C=10, Q=2, n_nodes=12)
         assert params.T == 44
 
     def test_q_domain(self):
         with pytest.raises(ValueError):
-            SystemParams(C=10, W=32, Q=3, n_nodes=4)
+            SystemParams(C=10, Q=3, n_nodes=4)
+
+    def test_wavelengths_must_be_positive(self):
+        with pytest.raises(ValueError, match="W must be positive"):
+            PhysicalTopology(range(2), [(0, 1)], W=0)
