@@ -12,7 +12,7 @@ from .formulation import (ExclusionSets, Lightpath, ProblemInstance,
                           estimate_problem_size)
 from .instance import (bundled_instance_path, config_from_dict, config_to_dict,
                        instance_from_dict, load_instance)
-from .milp import MilpModel, MilpSolution, emit_lp_file, solve_lp, solve_milp
+from .milp import MilpModel, MilpSolution, emit_lp_file, solve_milp
 from .modes import Approach, SurvivabilityMode
 from .netmodel import (COST_RATIO_PRESETS, CostRatios, LspDemand,
                        PhysicalTopology, SystemParams, UnitCosts,
@@ -69,7 +69,6 @@ __all__ = [
     "instance_from_dict",
     "load_instance",
     "plan",
-    "solve_lp",
     "solve_milp",
     "split_demands",
     "total_cost",

@@ -2,8 +2,9 @@
 estimate-size, oracle.
 
 Exit codes: 0 success, 1 no plan (infeasible, time limit or a failed LP
-solve) or failed verification, 2 usage or instance-schema errors.  The default output directory comes from the
-``OTNPLAN_OUT`` environment variable (falling back to the working
+solve) or failed verification, 2 usage errors, bad option values and
+malformed instances or configurations.  The default output directory comes
+from the ``OTNPLAN_OUT`` environment variable (falling back to the working
 directory).
 """
 
@@ -76,6 +77,11 @@ def _verification(config) -> tuple[str, bool]:
 def run_cli(request: RunRequest) -> int:
     """Execute a plan request; returns the process exit code."""
     try:
+        options = PlanOptions(gap=request.gap, time_limit=request.time_limit)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    try:
         inst = _load(request)
     except (OSError, ValueError, KeyError, TypeError) as exc:
         print(f"error: cannot load instance: {exc}", file=sys.stderr)
@@ -111,7 +117,6 @@ def run_cli(request: RunRequest) -> int:
             print(f"external solution valid; objective {obj}")
         return 0
 
-    options = PlanOptions(gap=request.gap, time_limit=request.time_limit)
     try:
         config = plan(inst, options)
     except PlanError as exc:

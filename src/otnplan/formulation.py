@@ -54,6 +54,9 @@ class ProblemInstance:
 
     def __post_init__(self):
         nodes = set(self.topology.nodes)
+        for a, b in self.topology.links:
+            if a == b or a not in nodes or b not in nodes:
+                raise ValueError(f"link ({a},{b}) must join two distinct declared nodes")
         for lsp in self.traffic:
             if lsp.source not in nodes or lsp.destination not in nodes:
                 raise ValueError(f"LSP {lsp.id} references unknown nodes")

@@ -29,7 +29,7 @@ from typing import Any, Mapping
 from .formulation import Lightpath, ProblemInstance
 from .modes import Approach, SurvivabilityMode
 from .netmodel import (COST_RATIO_PRESETS, CostRatios, PhysicalTopology,
-                       SystemParams, derive_unit_costs, split_demands)
+                       SystemParams, derive_unit_costs, route_links, split_demands)
 from .planner import (LspRoute, NetworkConfiguration, PhaseRecord,
                       assemble_configuration)
 
@@ -196,6 +196,43 @@ def config_from_dict(data: Mapping[str, Any]) -> NetworkConfiguration:
                            protection=(tuple(d["protection"])
                                        if d.get("protection") is not None else None))
         for d in data["lsp_routes"]}
+    _check_routes(inst, lightpaths, lightpath_routes, protection_routes, lsp_routes)
     phases = tuple(PhaseRecord(**p) for p in data.get("phases", ()))
     return assemble_configuration(inst, lightpaths, lightpath_routes,
                                   protection_routes, lsp_routes, phases)
+
+
+def _check_routes(inst: ProblemInstance, lightpaths: tuple[Lightpath, ...],
+                  lightpath_routes: Mapping[int, tuple], protection_routes: Mapping[int, tuple],
+                  lsp_routes: Mapping[int, LspRoute]) -> None:
+    """Reject routes the instance cannot carry: verification trusts every
+    route it reads, so a file that names a missing fiber or lightpath would
+    otherwise pass or crash it."""
+    if [lp.id for lp in lightpaths] != list(range(len(lightpaths))):
+        raise ValueError("lightpath ids must be 0, 1, ... in file order")
+    links = set(inst.topology.links)
+    for lp in lightpaths:
+        for kind, routes in (("route", lightpath_routes), ("protection route", protection_routes)):
+            route = routes.get(lp.id)
+            if route is not None and not (
+                    len(route) > 1 and {route[0], route[-1]} == {lp.i, lp.j}
+                    and route_links(route) <= links):
+                raise ValueError(f"lightpath {lp.id} {kind} {list(route)} is not a walk "
+                                 f"over topology links from {lp.i} to {lp.j}")
+    odd = sorted(set(lsp_routes) ^ {lsp.id for lsp in inst.traffic})
+    if odd:
+        raise ValueError(f"LSPs {odd} are routed but not in the instance, or the reverse")
+    for lsp in inst.traffic:
+        route = lsp_routes[lsp.id]
+        for kind, ids in (("working", route.working), ("protection", route.protection)):
+            if ids is None:
+                continue
+            node = lsp.source
+            for lp_id in ids:
+                if not 0 <= lp_id < len(lightpaths):
+                    raise ValueError(f"LSP {lsp.id} {kind} route uses unknown lightpath {lp_id}")
+                lp = lightpaths[lp_id]
+                node = lp.j if node == lp.i else lp.i if node == lp.j else None
+            if node != lsp.destination:
+                raise ValueError(f"LSP {lsp.id} {kind} lightpaths {list(ids)} do not chain "
+                                 f"from {lsp.source} to {lsp.destination}")

@@ -1,7 +1,7 @@
 """Embedded mixed binary linear programming: model, simplex, branch-and-bound,
 LP text export."""
 
-from .branch_bound import solve_lp, solve_milp
+from .branch_bound import solve_milp
 from .lpformat import emit_lp_file, parse_solution_listing, solution_values_by_id
 from .model import (SOLVER_FAILURES, Constraint, MilpModel, MilpSolution, MilpStats,
                     ModelError, Variable, check_solution)
@@ -18,6 +18,5 @@ __all__ = [
     "emit_lp_file",
     "parse_solution_listing",
     "solution_values_by_id",
-    "solve_lp",
     "solve_milp",
 ]

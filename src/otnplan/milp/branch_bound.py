@@ -3,7 +3,10 @@
 Best-bound node selection, branching on the most fractional binary (ties to
 the lowest variable id), optimality-gap and wall-clock termination.  Each
 child re-optimises from its parent's optimal basis with the dual simplex;
-only the root is solved cold.  The search is single threaded and fully
+only the root is solved cold.  A model with no binary variable is solved as
+one LP: its root is the whole search.  Each constraint is one row, an empty
+one included; an empty row that cannot hold is certified infeasible by the
+simplex's phase 1 like any other.  The search is single threaded and fully
 deterministic: identical models and parameters reproduce identical
 incumbents, node counts and iteration counts.
 """
@@ -20,70 +23,24 @@ from .model import (INTEGRALITY_TOL, SOLVER_FAILURES, MilpModel, MilpSolution,
                     MilpStats, check_solution, relative_gap)
 from .simplex import LpBasis, simplex_solve
 
-__all__ = ["solve_lp", "solve_milp"]
+__all__ = ["solve_milp"]
 
 
 class _Arrays:
-    """Dense snapshot of a model; per-node solves only swap bounds."""
+    """Dense snapshot of a model, one row per constraint (an empty constraint
+    is a zero row); per-node solves only swap bounds."""
 
     def __init__(self, model: MilpModel):
-        n = len(model.variables)
-        rows = []
-        relations = []
-        rhs = []
-        self.kept_rows: list[int] = []
-        for idx, con in enumerate(model.constraints):
-            if not con.terms:
-                # presolve: empty constraint is either vacuous or infeasible
-                ok = ((con.relation == "<=" and 0.0 <= con.rhs + 1e-9)
-                      or (con.relation == ">=" and 0.0 >= con.rhs - 1e-9)
-                      or (con.relation == "=" and abs(con.rhs) <= 1e-9))
-                if not ok:
-                    self.trivially_infeasible = con.name
-                continue
-            row = np.zeros(n)
+        self.A = np.zeros((len(model.constraints), len(model.variables)))
+        for row, con in enumerate(model.constraints):
             for vid, coef in con.terms:
-                row[vid] += coef
-            rows.append(row)
-            relations.append(con.relation)
-            rhs.append(con.rhs)
-            self.kept_rows.append(idx)
-        self.A = np.array(rows) if rows else np.zeros((0, n))
-        self.relations = relations
-        self.rhs = np.array(rhs) if rhs else np.zeros(0)
+                self.A[row, vid] += coef
+        self.relations = [con.relation for con in model.constraints]
+        self.rhs = np.array([con.rhs for con in model.constraints])
         self.c = np.array([v.objective for v in model.variables])
         self.lo = np.array([v.lower for v in model.variables])
         self.hi = np.array([v.upper for v in model.variables])
         self.binary = np.array([v.kind == "binary" for v in model.variables])
-
-    trivially_infeasible: str | None = None
-
-
-def _lp(arrays: _Arrays, lo: np.ndarray, hi: np.ndarray,
-        warm: LpBasis | None = None, deadline: float | None = None):
-    return simplex_solve(arrays.A, arrays.relations, arrays.rhs, arrays.c, lo, hi,
-                         warm, deadline)
-
-
-def solve_lp(model: MilpModel) -> MilpSolution:
-    """Solve the LP relaxation (integrality dropped)."""
-    arrays = _Arrays(model)
-    if arrays.trivially_infeasible:
-        return MilpSolution(status="infeasible", infeasible_rows=(arrays.trivially_infeasible,))
-    start = time.perf_counter()
-    res = _lp(arrays, arrays.lo, arrays.hi)
-    wall = time.perf_counter() - start
-    stats = MilpStats(nodes=1, lp_iterations=res.iterations, wall_time=wall)
-    if res.status == "infeasible":
-        names = tuple(model.constraints[arrays.kept_rows[i]].name for i in res.infeasible_rows)
-        return MilpSolution(status="infeasible", stats=stats, infeasible_rows=names)
-    if res.status == "unbounded":
-        return MilpSolution(status="unbounded", stats=stats, best_bound=-math.inf)
-    if res.status != "optimal":
-        return MilpSolution(status=res.status, stats=stats)
-    values = {i: float(res.x[i]) for i in range(len(res.x))}
-    return MilpSolution(status="optimal", values=values, objective=res.objective,
-                        best_bound=res.objective, gap=0.0, stats=stats)
 
 
 def solve_milp(model: MilpModel, gap: float = 0.0,
@@ -93,47 +50,40 @@ def solve_milp(model: MilpModel, gap: float = 0.0,
 
     The returned incumbent always satisfies every constraint and every
     integrality requirement within 1e-6 (values are rounded and re-verified
-    before acceptance).  The limit is checked between nodes and before every
+    before acceptance).  A model without binary variables is an LP, solved
+    at the root alone.  The limit is checked between nodes and before every
     simplex pivot.  A node LP that fails (see ``SOLVER_FAILURES``) ends the
     search with that status; any incumbent found so far is attached but not
-    counted as a result.
+    counted as a result.  An infeasible result names the rows of the root's
+    phase-1 certificate in ``infeasible_rows``; an empty constraint that
+    cannot hold is one of them.
     """
-    if gap < 0:
+    if not gap >= 0:
         raise ValueError("gap must be non-negative")
     start = time.perf_counter()
     deadline = None if time_limit is None else start + time_limit
-
-    def out_of_time() -> bool:
-        return deadline is not None and time.perf_counter() >= deadline
-
     arrays = _Arrays(model)
+    binary_ids = np.nonzero(arrays.binary)[0]
     nodes = 0
     lp_iters = 0
     incumbent: dict[int, float] | None = None
     incumbent_obj = math.inf
+    root_infeasible_rows: tuple[str, ...] = ()
 
     def build(status: str, best_bound: float) -> MilpSolution:
         wall = time.perf_counter() - start
         stats = MilpStats(nodes=nodes, lp_iterations=lp_iters, wall_time=wall)
         if incumbent is None:
-            return MilpSolution(status=status, stats=stats, best_bound=best_bound)
+            return MilpSolution(status=status, stats=stats, best_bound=best_bound,
+                                infeasible_rows=root_infeasible_rows)
         g = max(0.0, relative_gap(incumbent_obj, best_bound))
         return MilpSolution(status=status, values=dict(incumbent), objective=incumbent_obj,
                             best_bound=best_bound, gap=g, stats=stats)
-
-    if arrays.trivially_infeasible:
-        return MilpSolution(status="infeasible", infeasible_rows=(arrays.trivially_infeasible,))
-    if out_of_time():
-        return build("time-limit", -math.inf)
-
-    binary_ids = np.nonzero(arrays.binary)[0]
 
     # heap of (parent bound, tiebreak counter, lo array, hi array, parent basis)
     counter = 0
     heap: list[tuple[float, int, np.ndarray, np.ndarray, LpBasis | None]] = []
     heapq.heappush(heap, (-math.inf, counter, arrays.lo.copy(), arrays.hi.copy(), None))
-    root_infeasible_rows: tuple[str, ...] = ()
-    root_unbounded = False
 
     while heap:
         bound_est, _, lo, hi, warm = heapq.heappop(heap)
@@ -145,23 +95,23 @@ def solve_milp(model: MilpModel, gap: float = 0.0,
                              min(open_bound, incumbent_obj))
             if bound_est >= incumbent_obj - 1e-9:
                 continue
-        if out_of_time():
+        if deadline is not None and time.perf_counter() >= deadline:
             return build("time-limit", min(open_bound, incumbent_obj))
 
         nodes += 1
-        res = _lp(arrays, lo, hi, warm, deadline)
+        res = simplex_solve(arrays.A, arrays.relations, arrays.rhs, arrays.c, lo, hi,
+                            warm, deadline)
         lp_iters += res.iterations
         if res.status == "time-limit" or res.status in SOLVER_FAILURES:
             return build(res.status, min(open_bound, incumbent_obj))
         if res.status == "infeasible":
             if nodes == 1:
                 root_infeasible_rows = tuple(
-                    model.constraints[arrays.kept_rows[i]].name for i in res.infeasible_rows)
+                    model.constraints[i].name for i in res.infeasible_rows)
             continue
         if res.status == "unbounded":
             if nodes == 1:
-                root_unbounded = True
-                break
+                return build("unbounded", -math.inf)
             continue
         if incumbent is not None and res.objective >= incumbent_obj - 1e-9:
             continue
@@ -191,13 +141,6 @@ def solve_milp(model: MilpModel, gap: float = 0.0,
             counter += 1
             heapq.heappush(heap, (res.objective, counter, lo2, hi2, res.basis))
 
-    if root_unbounded:
-        return MilpSolution(status="unbounded", best_bound=-math.inf,
-                            stats=MilpStats(nodes=nodes, lp_iterations=lp_iters,
-                                            wall_time=time.perf_counter() - start))
     if incumbent is None:
-        wall = time.perf_counter() - start
-        return MilpSolution(status="infeasible",
-                            stats=MilpStats(nodes=nodes, lp_iterations=lp_iters, wall_time=wall),
-                            infeasible_rows=root_infeasible_rows)
+        return build("infeasible", math.nan)
     return build("optimal", incumbent_obj)

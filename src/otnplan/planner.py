@@ -72,6 +72,13 @@ class PlanOptions:
     gap: float = 0.03
     time_limit: float = 300.0  # seconds per phase
 
+    def __post_init__(self):
+        if not self.gap >= 0:
+            raise ValueError(f"gap must be a non-negative number, not {self.gap}")
+        if not self.time_limit >= 0:
+            raise ValueError(f"time limit must be a non-negative number of seconds, "
+                             f"not {self.time_limit}")
+
     def exact(self) -> bool:
         return self.gap <= 0.0
 

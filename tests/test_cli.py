@@ -63,6 +63,26 @@ class TestPlanCommand:
         assert "Traceback" not in err
         assert not list(tmp_path.glob("*.config.json"))
 
+    @pytest.mark.parametrize("option", [("--gap", "-0.5"), ("--gap", "nan"),
+                                        ("--time-limit", "nan"), ("--time-limit", "-1")],
+                             ids=["gap-negative", "gap-nan", "time-nan", "time-negative"])
+    def test_bad_option_value_exits_2(self, option, ring_instance_file, tmp_path, capsys):
+        rc = main(["plan", "--instance", str(ring_instance_file), *option,
+                   "--output-dir", str(tmp_path)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+
+    @pytest.mark.parametrize("link", [[1, 1], [1, 9]], ids=["self-loop", "undeclared-node"])
+    def test_malformed_link_exits_2(self, link, ring_instance_file, tmp_path, capsys):
+        data = json.loads(ring_instance_file.read_text())
+        data["links"].append(link)
+        ring_instance_file.write_text(json.dumps(data))
+        rc = main(["plan", "--instance", str(ring_instance_file), "--mode", "single-layer",
+                   "--output-dir", str(tmp_path)])
+        assert rc == 2
+        assert f"link ({link[0]},{link[1]})" in capsys.readouterr().err
+
     def test_schema_error_exits_2(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text("{\"nodes\": [0, 1]}", encoding="utf-8")
@@ -129,6 +149,33 @@ class TestVerifyCommand:
         path.write_text(json.dumps(data))
         assert main(["verify", "--config", str(path)]) == 1
         assert f"stored total cost 1 != recomputed {total}" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("field, value, offender", [
+        ("route", [0, 2], "lightpath 0 route [0, 2]"),   # no fiber joins 0 and 2
+        ("route", [1, 2], "lightpath 0 route [1, 2]"),   # does not start at an end
+        ("working", [5], "unknown lightpath 5"),
+        ("lsp_routes", [], "LSPs [0]"),
+    ], ids=["missing-fiber", "wrong-end", "unknown-lightpath", "unrouted-lsp"])
+    def test_malformed_routes_exit_2(self, field, value, offender, ring_instance_file,
+                                     tmp_path, capsys):
+        assert main(["plan", "--instance", str(ring_instance_file),
+                     "--mode", "single-layer", "--gap", "0",
+                     "--output-dir", str(tmp_path)]) == 0
+        path = next(tmp_path.glob("*.config.json"))
+        data = json.loads(path.read_text())
+        if field == "route":
+            data["lightpaths"][0]["route"] = value
+            data["cost"]["total"] = 43  # what the edited route would cost
+        elif field == "working":
+            data["lsp_routes"][0]["working"] = value
+        else:
+            data[field] = value
+        path.write_text(json.dumps(data))
+        capsys.readouterr()
+        for command in (["verify", "--config", str(path)], ["report", str(path)]):
+            assert main(command) == 2
+            err = capsys.readouterr().err
+            assert "cannot load configuration" in err and offender in err
 
     def test_unprotected_configuration_fails(self, ring_instance_file, tmp_path):
         rc = main(["plan", "--instance", str(ring_instance_file),

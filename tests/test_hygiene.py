@@ -73,3 +73,34 @@ def test_no_unused_imports():
                 if name not in used:
                     unused.append(f"{path.relative_to(ROOT)}:{node.lineno} {name}")
     assert not unused, "imported but never used:\n" + "\n".join(unused)
+
+
+def _exported(tree: ast.Module) -> set[int]:
+    """The nodes of ``__all__`` assignments."""
+    return {id(node) for stmt in ast.walk(tree) if isinstance(stmt, ast.Assign)
+            and any(isinstance(t, ast.Name) and t.id == "__all__" for t in stmt.targets)
+            for node in ast.walk(stmt.value)}
+
+
+def test_no_definition_only_tests_use():
+    """Every function or class in the package is used by the package or the
+    bench: an ``__all__`` entry or a test alone does not keep code alive."""
+    modules = _modules(PACKAGE, ROOT / "bench")
+    used: set[str] = set()
+    for tree in modules.values():
+        exported = _exported(tree)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
+                  and node.value.isidentifier() and id(node) not in exported):
+                used.add(node.value)
+    test_only = [f"{path.relative_to(ROOT)}:{node.lineno} {node.name}"
+                 for path, tree in modules.items() if path.is_relative_to(PACKAGE)
+                 for node in ast.walk(tree)
+                 if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+                 and not (node.name.startswith("__") and node.name.endswith("__"))
+                 and node.name not in used]
+    assert not test_only, "used only by tests or __all__:\n" + "\n".join(test_only)

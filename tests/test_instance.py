@@ -6,7 +6,7 @@ import pytest
 from otnplan.formulation import ProblemInstance
 from otnplan.instance import (bundled_instance_path, config_from_dict,
                               config_to_dict, instance_from_dict, instance_to_dict)
-from otnplan.modes import SurvivabilityMode
+from otnplan.modes import Approach, SurvivabilityMode
 from otnplan.oracle import brute_force_optimum
 from otnplan.planner import PlanError, PlanOptions, plan
 from otnplan.netmodel import (PhysicalTopology, SystemParams, split_demands,
@@ -68,6 +68,15 @@ class TestConfigRoundTrip:
         assert rebuilt.transit == config.transit
         assert rebuilt.extra_wavelengths == config.extra_wavelengths
         assert [p.name for p in rebuilt.phases] == [p.name for p in config.phases]
+
+    def test_every_plan_reloads(self, suite_results, ring4_factory):
+        configs = [c for config, _cost, oracle_config in suite_results.values()
+                   for c in (config, oracle_config)]
+        configs += [plan(ring4_factory(mode, Approach.INTEGRATED), EXACT)
+                    for mode in SurvivabilityMode]
+        for config in configs:
+            rebuilt = config_from_dict(json.loads(json.dumps(config_to_dict(config))))
+            assert rebuilt.cost.total == config.cost.total
 
 
 class TestPlannerDiagnostics:

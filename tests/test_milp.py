@@ -9,8 +9,7 @@ from scipy.optimize import linprog
 
 from conftest import make_instance
 from otnplan import planner
-from otnplan.milp import (MilpModel, ModelError, check_solution, simplex,
-                          solve_lp, solve_milp)
+from otnplan.milp import MilpModel, ModelError, check_solution, simplex, solve_milp
 from otnplan.milp.simplex import simplex_solve
 from otnplan.modes import SurvivabilityMode
 
@@ -22,9 +21,17 @@ def lp_min_x_ge_3():
     return m
 
 
+def relaxed(model):
+    """A copy of ``model`` with integrality dropped: its LP relaxation."""
+    lp = copy.deepcopy(model)
+    for var in lp.variables:
+        var.kind = "continuous"
+    return lp
+
+
 class TestSolveLp:
     def test_simple_bound(self):
-        sol = solve_lp(lp_min_x_ge_3())
+        sol = solve_milp(lp_min_x_ge_3())
         assert sol.status == "optimal"
         assert sol.objective == pytest.approx(3.0)
 
@@ -33,7 +40,7 @@ class TestSolveLp:
         x = m.add_variable("x", "continuous", 0, math.inf, 1.0)
         m.add_constraint("ge", [(x, 1.0)], ">=", 1.0)
         m.add_constraint("le", [(x, 1.0)], "<=", 0.0)
-        sol = solve_lp(m)
+        sol = solve_milp(m)
         assert sol.status == "infeasible"
         assert sol.infeasible_rows  # names the offending rows
 
@@ -41,7 +48,7 @@ class TestSolveLp:
         m = MilpModel("unbounded")
         x = m.add_variable("x", "continuous", 0, math.inf, -1.0)
         m.add_constraint("ge", [(x, 1.0)], ">=", 0.0)
-        assert solve_lp(m).status == "unbounded"
+        assert solve_milp(m).status == "unbounded"
 
     def test_no_rows(self):
         # bounds alone: each variable sits at the bound its cost prefers
@@ -49,12 +56,12 @@ class TestSolveLp:
         for name, lo, hi, cost in (("a", 0, 1, 1.0), ("b", 0, 2, -1.0),
                                    ("c", -math.inf, 5, 0.0)):
             m.add_variable(name, "continuous", lo, hi, objective=cost)
-        sol = solve_lp(m)
+        sol = solve_milp(m)
         assert sol.status == "optimal"
         assert [sol.value(v) for v in range(3)] == [0.0, 2.0, 5.0]
         assert sol.objective == -2.0
         m.add_variable("d", "continuous", 0, math.inf, objective=-1.0)
-        assert solve_lp(m).status == "unbounded"
+        assert solve_milp(m).status == "unbounded"
 
     def test_undeclared_variable_rejected(self):
         m = MilpModel("broken")
@@ -85,7 +92,7 @@ class TestSolveLp:
                     A_ub.append(-A[i]); b_ub.append(-b[i])
                 else:
                     A_eq.append(A[i]); b_eq.append(b[i])
-            ours = solve_lp(m)
+            ours = solve_milp(m)
             ref = linprog(c, A_ub=np.array(A_ub) if A_ub else None,
                           b_ub=np.array(b_ub) if b_ub else None,
                           A_eq=np.array(A_eq) if A_eq else None,
@@ -145,7 +152,9 @@ class TestSolveMilp:
         m2 = MilpModel("contradiction")
         m2.add_variable("x", "binary", objective=1.0)
         m2.add_constraint("impossible", [], ">=", 1.0)
-        assert solve_milp(m2).status == "infeasible"
+        sol = solve_milp(m2)
+        assert sol.status == "infeasible"
+        assert sol.infeasible_rows == ("impossible",)
 
     def test_gap_stop_reports_achieved_gap(self):
         rng = np.random.default_rng(8)
@@ -282,7 +291,7 @@ class TestLimitsAndFailures:
         planner.plan(make_instance(topo, demands, SurvivabilityMode.SINGLE_LAYER),
                      planner.PlanOptions(gap=0.03))
         model = models[0]
-        root = solve_lp(copy.deepcopy(model))
+        root = solve_milp(relaxed(model))
         start = time.perf_counter()
         sol = solve_milp(model, gap=0.0, time_limit=0.01)
         elapsed = time.perf_counter() - start
@@ -303,4 +312,4 @@ class TestLimitsAndFailures:
         monkeypatch.setattr(np.linalg, "inv", singular)
         sol = solve_milp(knapsack_model(), gap=0.0)
         assert sol.status == "singular-basis"
-        assert solve_lp(knapsack_model()).status == "singular-basis"
+        assert solve_milp(relaxed(knapsack_model())).status == "singular-basis"
