@@ -54,6 +54,9 @@ class ProblemInstance:
 
     def __post_init__(self):
         nodes = set(self.topology.nodes)
+        for k, v in enumerate(self.topology.nodes):
+            if v in self.topology.nodes[:k]:
+                raise ValueError(f"node {v} is declared more than once")
         for a, b in self.topology.links:
             if a == b or a not in nodes or b not in nodes:
                 raise ValueError(f"link ({a},{b}) must join two distinct declared nodes")

@@ -26,7 +26,7 @@ from importlib import resources
 from pathlib import Path
 from typing import Any, Mapping
 
-from .formulation import Lightpath, ProblemInstance
+from .formulation import PROTECTION, WORKING, Lightpath, ProblemInstance
 from .modes import Approach, SurvivabilityMode
 from .netmodel import (COST_RATIO_PRESETS, CostRatios, PhysicalTopology,
                        SystemParams, derive_unit_costs, route_links, split_demands)
@@ -212,6 +212,9 @@ def _check_routes(inst: ProblemInstance, lightpaths: tuple[Lightpath, ...],
         raise ValueError("lightpath ids must be 0, 1, ... in file order")
     links = set(inst.topology.links)
     for lp in lightpaths:
+        if lp.status not in (WORKING, PROTECTION):
+            raise ValueError(f"lightpath {lp.id} status {lp.status!r} is neither "
+                             f"{WORKING!r} nor {PROTECTION!r}")
         for kind, routes in (("route", lightpath_routes), ("protection route", protection_routes)):
             route = routes.get(lp.id)
             if route is not None and not (

@@ -2,11 +2,16 @@
 
 Best-bound node selection, branching on the most fractional binary (ties to
 the lowest variable id), optimality-gap and wall-clock termination.  Each
-child re-optimises from its parent's optimal basis with the dual simplex;
-only the root is solved cold.  A model with no binary variable is solved as
-one LP: its root is the whole search.  Each constraint is one row, an empty
-one included; an empty row that cannot hold is certified infeasible by the
-simplex's phase 1 like any other.  The search is single threaded and fully
+child re-optimises from its parent's optimal basis with the dual simplex.
+The root is solved cold, unless the search continues from an earlier
+solution of the same model that has had rows appended since, as a
+lexicographic stage continues from the one before it: then the root starts
+from that solution's root basis, each appended row with a basic slack, and
+that solution's values, if they satisfy the current model, are the first
+incumbent.  A model with no binary variable is solved as one LP: its root is
+the whole search.  Each constraint is one row, an empty one included; an
+empty row that cannot hold is certified infeasible by the simplex's phase 1
+like any other.  The search is single threaded and fully
 deterministic: identical models and parameters reproduce identical
 incumbents, node counts and iteration counts.
 """
@@ -43,8 +48,8 @@ class _Arrays:
         self.binary = np.array([v.kind == "binary" for v in model.variables])
 
 
-def solve_milp(model: MilpModel, gap: float = 0.0,
-               time_limit: float | None = None) -> MilpSolution:
+def solve_milp(model: MilpModel, gap: float = 0.0, time_limit: float | None = None,
+               start: MilpSolution | None = None) -> MilpSolution:
     """Branch-and-bound search honouring a relative optimality gap and a
     wall-clock limit.
 
@@ -57,11 +62,18 @@ def solve_milp(model: MilpModel, gap: float = 0.0,
     counted as a result.  An infeasible result names the rows of the root's
     phase-1 certificate in ``infeasible_rows``; an empty constraint that
     cannot hold is one of them.
+
+    ``start`` is an earlier solution of this model, solved before rows were
+    appended (and the objective changed, say).  Its values become the first
+    incumbent if ``check_solution`` accepts them.  Its root basis warm-starts
+    the root LP if its rows are the first rows of the model, over the same
+    variables; otherwise the root is solved cold.  The result carries its own
+    root basis for a later ``start``.
     """
     if not gap >= 0:
         raise ValueError("gap must be non-negative")
-    start = time.perf_counter()
-    deadline = None if time_limit is None else start + time_limit
+    began = time.perf_counter()
+    deadline = None if time_limit is None else began + time_limit
     arrays = _Arrays(model)
     binary_ids = np.nonzero(arrays.binary)[0]
     nodes = 0
@@ -69,21 +81,29 @@ def solve_milp(model: MilpModel, gap: float = 0.0,
     incumbent: dict[int, float] | None = None
     incumbent_obj = math.inf
     root_infeasible_rows: tuple[str, ...] = ()
+    root_basis: LpBasis | None = None
+    warm_root: LpBasis | None = None
+    if start is not None:
+        if start.root_basis is not None:
+            warm_root = start.root_basis.with_rows(arrays.A, arrays.relations)
+        if start.has_incumbent and not check_solution(model, start.values):
+            incumbent = dict(start.values)
+            incumbent_obj = model.evaluate_objective(incumbent)
 
     def build(status: str, best_bound: float) -> MilpSolution:
-        wall = time.perf_counter() - start
+        wall = time.perf_counter() - began
         stats = MilpStats(nodes=nodes, lp_iterations=lp_iters, wall_time=wall)
         if incumbent is None:
             return MilpSolution(status=status, stats=stats, best_bound=best_bound,
-                                infeasible_rows=root_infeasible_rows)
+                                infeasible_rows=root_infeasible_rows, root_basis=root_basis)
         g = max(0.0, relative_gap(incumbent_obj, best_bound))
         return MilpSolution(status=status, values=dict(incumbent), objective=incumbent_obj,
-                            best_bound=best_bound, gap=g, stats=stats)
+                            best_bound=best_bound, gap=g, stats=stats, root_basis=root_basis)
 
     # heap of (parent bound, tiebreak counter, lo array, hi array, parent basis)
     counter = 0
     heap: list[tuple[float, int, np.ndarray, np.ndarray, LpBasis | None]] = []
-    heapq.heappush(heap, (-math.inf, counter, arrays.lo.copy(), arrays.hi.copy(), None))
+    heapq.heappush(heap, (-math.inf, counter, arrays.lo.copy(), arrays.hi.copy(), warm_root))
 
     while heap:
         bound_est, _, lo, hi, warm = heapq.heappop(heap)
@@ -113,6 +133,8 @@ def solve_milp(model: MilpModel, gap: float = 0.0,
             if nodes == 1:
                 return build("unbounded", -math.inf)
             continue
+        if nodes == 1:
+            root_basis = res.basis
         if incumbent is not None and res.objective >= incumbent_obj - 1e-9:
             continue
 

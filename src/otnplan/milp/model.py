@@ -6,6 +6,8 @@ import math
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping
 
+from .simplex import LpBasis
+
 __all__ = [
     "ModelError",
     "Variable",
@@ -135,6 +137,8 @@ class MilpSolution:
     gap: float = math.nan
     stats: MilpStats = field(default_factory=MilpStats)
     infeasible_rows: tuple[str, ...] = ()
+    # the root LP's optimal basis, for a later solve that continues this one
+    root_basis: LpBasis | None = field(default=None, compare=False, repr=False)
 
     @property
     def has_incumbent(self) -> bool:

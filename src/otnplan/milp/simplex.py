@@ -1,4 +1,4 @@
-"""Bounded-variable simplex on a dense tableau, with a dual-simplex warm start.
+"""Bounded-variable simplex on a dense tableau, with warm starts.
 
 Cold solves use the two-phase primal method: artificial variables absorb
 initial infeasibility, then the original objective is optimized.  Pricing is
@@ -11,14 +11,18 @@ each pivot applies a rank-1 product-form update, and the basic values move
 along the pivot's direction instead of being re-solved.  They are recomputed
 from the inverse at each refactorization and at optimality.
 
-A warm solve starts from the optimal basis of a related LP (same rows and
-columns, tightened variable bounds, as at a branch-and-bound child) and
-restores primal feasibility with the bounded dual simplex: the leaving row is
-the one with the largest bound violation, the entering column comes from a
-Harris two-pass ratio test.  A primal pass then confirms optimality.  If the
-basis is not dual feasible, or the dual loop stalls, the solve falls back to
-the cold path.  Every tie is broken by a fixed index order, so solves are
-deterministic.
+A warm solve starts from the optimal basis of a related LP: the same columns
+and relations, with tightened variable bounds, a new objective, or rows
+appended below the old ones (``LpBasis.with_rows`` gives each appended row a
+basic slack).  If the basics of the installed basis are within their bounds,
+as when a new objective follows a row that the old optimum satisfies, primal
+phase 2 runs from it directly.  Otherwise, if the basis is dual feasible, as
+at a branch-and-bound child, the bounded dual simplex restores primal
+feasibility: the leaving row is the one with the largest bound violation, the
+entering column comes from a Harris two-pass ratio test, and a primal pass
+then confirms optimality.  A basis that is neither, or a dual loop that
+stalls, falls back to the cold path.  Every tie is broken by a fixed index
+order, so solves are deterministic.
 """
 
 from __future__ import annotations
@@ -46,17 +50,45 @@ _AT_LOWER, _AT_UPPER, _BASIC, _FREE = 0, 1, 2, 3
 
 @dataclass(frozen=True)
 class LpBasis:
-    """An optimal basis, reusable by a solve that only tightens bounds.
+    """An optimal basis, reusable by a solve of the same rows and columns
+    with other variable bounds or another objective.
 
-    ``columns`` is the full column matrix (structurals, slacks, and any
-    artificials of the cold solve); ``lo_tail``/``hi_tail`` are the bounds of
-    the slack and artificial columns, the artificials frozen at zero.
+    ``columns`` is the full column matrix: the structurals, one slack per row
+    in row order, then any artificials of the cold solve.  ``lo_tail`` and
+    ``hi_tail`` are the bounds of the slack and artificial columns, the
+    artificials frozen at zero.
     """
     columns: np.ndarray
     lo_tail: np.ndarray
     hi_tail: np.ndarray
     basis: np.ndarray
     status: np.ndarray
+
+    def with_rows(self, A: np.ndarray, relations: list[str]) -> LpBasis | None:
+        """This basis for the rows ``A`` (rel), which append rows below this
+        basis's own: each appended row's slack is basic.  None unless this
+        basis's rows are the first rows of ``A``, with the same coefficients
+        and relations, over the same columns."""
+        m, width = self.columns.shape
+        n = width - self.lo_tail.size
+        slack_lo, slack_hi = _slack_bounds(relations)
+        if (A.shape[1] != n or A.shape[0] < m
+                or not np.array_equal(self.columns[:, :n], A[:m])
+                or not np.array_equal(self.lo_tail[:m], slack_lo[:m])
+                or not np.array_equal(self.hi_tail[:m], slack_hi[:m])):
+            return None
+        extra = A.shape[0] - m
+        split = n + m  # the new slacks go after the old ones, before the artificials
+        new_rows = np.zeros((extra, width + extra))
+        new_rows[:, :n] = A[m:]
+        new_rows[:, split:split + extra] = np.eye(extra)
+        columns = np.vstack([np.insert(self.columns, [split] * extra, 0.0, axis=1), new_rows])
+        basis = np.concatenate([np.where(self.basis >= split, self.basis + extra, self.basis),
+                                split + np.arange(extra)])
+        return LpBasis(columns,
+                       np.concatenate([self.lo_tail[:m], slack_lo[m:], self.lo_tail[m:]]),
+                       np.concatenate([self.hi_tail[:m], slack_hi[m:], self.hi_tail[m:]]),
+                       basis, np.insert(self.status, [split] * extra, _BASIC))
 
 
 @dataclass
@@ -68,6 +100,13 @@ class LpResult:
     iterations: int
     infeasible_rows: tuple[int, ...] = ()
     basis: LpBasis | None = None
+
+
+def _slack_bounds(relations: list[str]) -> tuple[np.ndarray, np.ndarray]:
+    """Bounds of each row's slack s in A x + s = rhs."""
+    lo = np.array([-math.inf if rel == ">=" else 0.0 for rel in relations])
+    hi = np.array([math.inf if rel == "<=" else 0.0 for rel in relations])
+    return lo, hi
 
 
 def _start_values(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -198,6 +237,11 @@ class _Tableau:
             self.value[leaving] = self.hi[leaving] if to_upper else self.lo[leaving]
             self.pivot(block_pos, entering, w)
 
+    def primal_feasible(self) -> bool:
+        vb = self.value[self.basis]
+        violation = np.maximum(self.lo[self.basis] - vb, vb - self.hi[self.basis])
+        return bool(np.all(violation <= _PRIMAL_TOL))
+
     def dual_feasible(self, c: np.ndarray) -> bool:
         d = self.reduced_costs(c)
         movable = (self.status != _BASIC) & ((self.hi - self.lo) > _PIV_TOL)
@@ -284,8 +328,10 @@ def simplex_solve(A: np.ndarray, relations: list[str], rhs: np.ndarray,
     0-based indices of constraints whose artificial variables stay positive at
     the phase-1 optimum (an infeasibility certificate for diagnostics).  An
     optimal result carries its basis, which a later call may pass as ``warm``
-    when it changes nothing but the bounds ``lo``/``hi``.  ``deadline`` is a
-    ``time.perf_counter()`` value checked before every pivot.
+    when it changes only the bounds ``lo``/``hi``, the objective ``c`` or the
+    ``rhs``; after rows are appended, pass ``basis.with_rows(A, relations)``.
+    ``deadline`` is a ``time.perf_counter()`` value checked before every
+    pivot.
     """
     used = 0
     try:
@@ -318,7 +364,9 @@ def _finish(tab: _Tableau, c: np.ndarray, n: int, iters: int) -> LpResult:
 
 
 def _warm_solve(warm: LpBasis, rhs, c, lo, hi, deadline) -> LpResult:
-    """Dual simplex from ``warm``; status "stalled" asks for a cold solve."""
+    """Primal phase 2 from ``warm`` if its basics are within their bounds,
+    else the dual simplex from it if it is dual feasible; status "stalled"
+    asks for a cold solve."""
     n = lo.size
     tab = _Tableau(warm.columns, rhs, np.concatenate([lo, warm.lo_tail]),
                    np.concatenate([hi, warm.hi_tail]), deadline)
@@ -330,13 +378,15 @@ def _warm_solve(warm: LpBasis, rhs, c, lo, hi, deadline) -> LpResult:
     tab.status = status
     tab.value = np.where(at_lower, tab.lo, np.where(at_upper, tab.hi, 0.0))
     tab.set_basis(warm.basis.copy())
-    c_full = _cost(c, tab.ncols)
-    if not tab.dual_feasible(c_full):
-        return LpResult("stalled", None, math.nan, 0)
-    state, iters = tab.dual_iterate(c_full, _MAX_ITERATIONS)
-    if state != "feasible":
-        return LpResult(state, None, math.nan, iters)
-    tab.refresh_basics()
+    iters = 0
+    if not tab.primal_feasible():
+        c_full = _cost(c, tab.ncols)
+        if not tab.dual_feasible(c_full):
+            return LpResult("stalled", None, math.nan, 0)
+        state, iters = tab.dual_iterate(c_full, _MAX_ITERATIONS)
+        if state != "feasible":
+            return LpResult(state, None, math.nan, iters)
+        tab.refresh_basics()
     return _finish(tab, c, n, iters)
 
 
@@ -344,15 +394,7 @@ def _cold_solve(A, relations, rhs, c, lo, hi, deadline, used: int) -> LpResult:
     """Two-phase primal simplex from a slack/artificial basis; ``used``
     pivots are already spent."""
     m, n = A.shape
-    slack_lo = np.zeros(m)
-    slack_hi = np.zeros(m)
-    for i, rel in enumerate(relations):
-        if rel == "<=":
-            slack_lo[i], slack_hi[i] = 0.0, math.inf
-        elif rel == ">=":
-            slack_lo[i], slack_hi[i] = -math.inf, 0.0
-        else:
-            slack_lo[i], slack_hi[i] = 0.0, 0.0
+    slack_lo, slack_hi = _slack_bounds(relations)
 
     columns = np.hstack([A, np.eye(m)])
     full_lo = np.concatenate([lo, slack_lo])

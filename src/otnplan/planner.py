@@ -197,7 +197,9 @@ def _solve_stages(model: MilpModel, stages: Sequence[Mapping[int, float]],
                   options: PlanOptions, label: str) -> tuple[dict[int, float], PhaseRecord]:
     """Minimize the stage objectives lexicographically (each pinned before
     the next), then, at gap 0, the two tie-break scores; returns the last
-    incumbent."""
+    incumbent.  Each stage continues from the last: its root LP starts from
+    the previous stage's root basis, and the previous incumbent, which meets
+    the new pin row, is its first incumbent."""
     deadline = time.perf_counter() + options.time_limit
     staged: list[tuple[Mapping[int, float], float, float]] = [
         (vec, _PIN_EPS, options.gap) for vec in stages]
@@ -209,12 +211,13 @@ def _solve_stages(model: MilpModel, stages: Sequence[Mapping[int, float]],
 
     values: dict[int, float] = {}
     first: MilpSolution | None = None
+    sol: MilpSolution | None = None
     nodes = iters = 0
     wall = 0.0
     for idx, (vec, eps, stage_gap) in enumerate(staged):
         budget = max(0.0, deadline - time.perf_counter())
         model.set_objective(vec)
-        sol = solve_milp(model, gap=stage_gap, time_limit=budget)
+        sol = solve_milp(model, gap=stage_gap, time_limit=budget, start=sol)
         nodes += sol.stats.nodes
         iters += sol.stats.lp_iterations
         wall += sol.stats.wall_time

@@ -83,6 +83,17 @@ class TestPlanCommand:
         assert rc == 2
         assert f"link ({link[0]},{link[1]})" in capsys.readouterr().err
 
+    def test_repeated_node_exits_2(self, ring_instance_file, tmp_path, capsys):
+        data = json.loads(ring_instance_file.read_text())
+        data["nodes"].insert(0, data["nodes"][0])
+        ring_instance_file.write_text(json.dumps(data))
+        rc = main(["plan", "--instance", str(ring_instance_file), "--mode", "single-layer",
+                   "--output-dir", str(tmp_path)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert f"node {data['nodes'][0]} is declared more than once" in err
+        assert "Traceback" not in err
+
     def test_schema_error_exits_2(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text("{\"nodes\": [0, 1]}", encoding="utf-8")
@@ -155,7 +166,8 @@ class TestVerifyCommand:
         ("route", [1, 2], "lightpath 0 route [1, 2]"),   # does not start at an end
         ("working", [5], "unknown lightpath 5"),
         ("lsp_routes", [], "LSPs [0]"),
-    ], ids=["missing-fiber", "wrong-end", "unknown-lightpath", "unrouted-lsp"])
+        ("status", "bogus", "lightpath 0 status 'bogus'"),
+    ], ids=["missing-fiber", "wrong-end", "unknown-lightpath", "unrouted-lsp", "unknown-status"])
     def test_malformed_routes_exit_2(self, field, value, offender, ring_instance_file,
                                      tmp_path, capsys):
         assert main(["plan", "--instance", str(ring_instance_file),
@@ -168,6 +180,8 @@ class TestVerifyCommand:
             data["cost"]["total"] = 43  # what the edited route would cost
         elif field == "working":
             data["lsp_routes"][0]["working"] = value
+        elif field == "status":
+            data["lightpaths"][0]["status"] = value
         else:
             data[field] = value
         path.write_text(json.dumps(data))

@@ -257,9 +257,12 @@ class TestWarmStart:
         lo, hi = np.zeros(2), np.full(2, 3.0)
         base = simplex_solve(A, rels, b, np.array([-1.0, -2.0]), lo, hi)
         assert base.status == "optimal"
+        assert base.x.tolist() == [1.0, 3.0]
         del cold_calls[:]
-        # the basis optimal for maximizing is not dual feasible for minimizing
-        res = simplex_solve(A, rels, b, np.array([1.0, 2.0]), lo, hi, base.basis)
+        # the basis optimal for maximizing is not dual feasible for minimizing,
+        # and x, basic at 1, is out of its new bounds: neither warm path applies
+        hi2 = np.array([0.5, 3.0])
+        res = simplex_solve(A, rels, b, np.array([1.0, 2.0]), lo, hi2, base.basis)
         assert len(cold_calls) == 1
         assert res.status == "optimal"
         assert res.objective == pytest.approx(0.0)
@@ -268,6 +271,100 @@ class TestWarmStart:
         sol = solve_milp(knapsack_model(), gap=0.0)
         assert sol.stats.nodes > 1
         assert len(cold_calls) == 1
+
+    def test_appended_row_and_new_objective_stay_warm(self, cold_calls):
+        rng = np.random.default_rng(29)
+        outcomes = {"optimal": 0, "unbounded": 0}
+        for _ in range(300):
+            A, rels, b, c, lo, hi = random_bounded_lp(rng)
+            base = simplex_solve(A, rels, b, c, lo, hi)
+            if base.status != "optimal":
+                continue
+            # a pin row that the optimum meets, then another objective
+            row = np.round(rng.uniform(-4, 4, lo.size), 1)
+            A2 = np.vstack([A, row])
+            rels2 = rels + ["<="]
+            b2 = np.append(b, float(row @ base.x) + float(rng.choice([0.0, 1e-6, 1.0])))
+            c2 = np.round(rng.uniform(-3, 3, lo.size), 1)
+            del cold_calls[:]
+            warm = simplex_solve(A2, rels2, b2, c2, lo, hi, base.basis.with_rows(A2, rels2))
+            assert not cold_calls  # primal phase 2 from the extended basis
+            cold = simplex_solve(A2, rels2, b2, c2, lo, hi)
+            assert warm.status == cold.status
+            if cold.status == "optimal":
+                assert warm.objective == pytest.approx(cold.objective, abs=1e-7)
+            outcomes[cold.status] += 1
+        assert outcomes["optimal"] > 100 and outcomes["unbounded"] > 3
+
+    def test_start_gives_the_same_optimum(self, cold_calls):
+        rng = np.random.default_rng(31)
+        compared = 0
+        for _ in range(40):
+            n = int(rng.integers(3, 10))
+            rows = int(rng.integers(1, 5))
+            m = MilpModel("stages")
+            ids = [m.add_variable(f"v{i}", "binary") for i in range(n)]
+            for i in range(rows):
+                m.add_constraint(f"c{i}", [(v, float(a)) for v, a in
+                                           zip(ids, np.round(rng.uniform(-3, 3, n), 1))],
+                                 str(rng.choice(["<=", ">="])),
+                                 float(np.round(rng.uniform(-1, 5), 1)))
+            c1 = np.round(rng.uniform(-4, 4, n), 1)
+            m.set_objective(dict(zip(ids, c1)))
+            first = solve_milp(m, gap=0.0)
+            if first.status != "optimal":
+                continue
+            m.add_constraint("pin", list(zip(ids, c1)), "<=", first.objective + 1e-6)
+            m.set_objective(dict(zip(ids, np.round(rng.uniform(-4, 4, n), 1))))
+            del cold_calls[:]
+            warm = solve_milp(m, gap=0.0, start=first)
+            cold_roots = len(cold_calls)
+            cold = solve_milp(m, gap=0.0)
+            assert warm.status == cold.status == "optimal"
+            assert warm.objective == pytest.approx(cold.objective, abs=1e-9)
+            assert not check_solution(m, warm.values)
+            assert cold_roots < len(cold_calls) - cold_roots  # the root was warm
+            compared += 1
+        assert compared > 15
+
+    def test_start_values_that_violate_the_model_are_not_an_incumbent(self):
+        m = knapsack_model()
+        first = solve_milp(m, gap=0.0)
+        assert first.values == {0: 1.0, 1: 1.0, 2: 0.0}
+        assert solve_milp(m, time_limit=0, start=first).has_incumbent
+        m.add_constraint("drop-x1", [(1, 1.0)], "<=", 0.0)
+        assert not solve_milp(m, time_limit=0, start=first).has_incumbent
+        sol = solve_milp(m, gap=0.0, start=first)
+        assert sol.status == "optimal"
+        assert sol.objective == pytest.approx(-8.0)
+
+    @pytest.mark.parametrize("change", ["coefficient", "relation", "variable"])
+    def test_start_from_other_rows_is_solved_cold(self, change, cold_calls):
+        def lp():
+            m = MilpModel("lp")
+            x = m.add_variable("x", "continuous", 0, 3, objective=-1.0)
+            y = m.add_variable("y", "continuous", 0, 3, objective=-1.0)
+            m.add_constraint("a", [(x, 1.0), (y, 2.0)], "<=", 4.0)
+            m.add_constraint("b", [(x, 3.0), (y, 1.0)], "<=", 6.0)
+            return m
+        first = solve_milp(lp())
+        m = lp()
+        m.add_constraint("pin", [(0, -1.0), (1, -1.0)], "<=", first.objective + 1e-6)
+        m.set_objective({1: -1.0})
+        del cold_calls[:]
+        assert solve_milp(m, start=first).objective == pytest.approx(-1.2, abs=1e-5)
+        assert not cold_calls  # the rows of ``first`` are a prefix of m's
+        if change == "coefficient":
+            m.constraints[0].terms = ((0, 1.0), (1, 1.5))
+        elif change == "relation":
+            m.constraints[1].relation = "="
+        else:
+            m.add_variable("z", "continuous", 0, 1)
+        warm = solve_milp(m, start=first)
+        assert len(cold_calls) == 1
+        cold = solve_milp(m)
+        assert warm.status == cold.status == "optimal"
+        assert warm.objective == pytest.approx(cold.objective)
 
 
 class TestLimitsAndFailures:
@@ -282,10 +379,10 @@ class TestLimitsAndFailures:
                                                                monkeypatch):
         models = []
 
-        def capture(model, gap=0.0, time_limit=None):
+        def capture(model, gap=0.0, time_limit=None, start=None):
             if model.name == "logical-protection" and not models:
                 models.append(copy.deepcopy(model))
-            return solve_milp(model, gap=gap, time_limit=time_limit)
+            return solve_milp(model, gap=gap, time_limit=time_limit, start=start)
         monkeypatch.setattr(planner, "solve_milp", capture)
         topo, demands = six_node_fixture
         planner.plan(make_instance(topo, demands, SurvivabilityMode.SINGLE_LAYER),
