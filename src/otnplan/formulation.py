@@ -68,10 +68,6 @@ class ProblemInstance:
                     f"LSP {lsp.id} bandwidth {lsp.bandwidth} exceeds lightpath "
                     f"capacity {self.params.C}; demands must be pre-split")
 
-    def with_mode(self, mode: SurvivabilityMode, approach: Approach | None = None) -> "ProblemInstance":
-        return ProblemInstance(self.topology, self.traffic, self.params, self.unit_costs,
-                               mode, approach or self.approach)
-
 
 @dataclass(frozen=True)
 class Lightpath:

@@ -71,14 +71,14 @@ def instance_from_dict(data: Mapping[str, Any],
     return ProblemInstance(topo, traffic, params, unit, mode, approach)
 
 
-def instance_to_dict(instance: ProblemInstance, cost_ratio_label: str | None = None) -> dict:
+def instance_to_dict(instance: ProblemInstance) -> dict:
     """Instance echo; the demands are the (already split) LSP list."""
     return {
         "nodes": list(instance.topology.nodes),
         "links": [list(l) for l in instance.topology.links],
         "params": {"C": _num(instance.params.C), "W": instance.topology.W,
                    "Q": instance.params.Q, "T": instance.params.T},
-        "cost_ratio": cost_ratio_label or {
+        "cost_ratio": {
             # unit costs are derived; echo back a ratio triple that regenerates them
             "c_TR": _num(instance.unit_costs.c_wl / 2 - _oxc(instance)),
             "c_P_IP": _num(instance.unit_costs.c_tt * instance.params.C),
@@ -125,13 +125,12 @@ def bundled_instance_path() -> Path:
 # ---------------------------------------------------------------------------
 # configuration files
 
-def config_to_dict(config: NetworkConfiguration,
-                   cost_ratio_label: str | None = None) -> dict:
+def config_to_dict(config: NetworkConfiguration) -> dict:
     inst = config.instance
     return {
         "mode": inst.mode.value,
         "approach": inst.approach.value,
-        "instance": instance_to_dict(inst, cost_ratio_label),
+        "instance": instance_to_dict(inst),
         "lightpaths": [
             {
                 "id": lp.id, "i": lp.i, "j": lp.j, "q": lp.q, "status": lp.status,

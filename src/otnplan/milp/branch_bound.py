@@ -3,15 +3,16 @@
 Best-bound node selection, branching on the most fractional binary (ties to
 the lowest variable id), optimality-gap and wall-clock termination.  Each
 child re-optimises from its parent's optimal basis with the dual simplex.
-The root is solved cold, unless the search continues from an earlier
-solution of the same model that has had rows appended since, as a
+The root starts from the slack basis, unless the search continues from an
+earlier solution of the same model that has had rows appended since, as a
 lexicographic stage continues from the one before it: then the root starts
 from that solution's root basis, each appended row with a basic slack, and
 that solution's values, if they satisfy the current model, are the first
-incumbent.  A model with no binary variable is solved as one LP: its root is
-the whole search.  Each constraint is one row, an empty one included; an
-empty row that cannot hold is certified infeasible by the simplex's phase 1
-like any other.  The search is single threaded and fully
+incumbent.  Every LP, root or child, takes the one simplex path from its
+starting basis.  A model with no binary variable is solved as one LP: its
+root is the whole search.  Each constraint is one row, an empty one
+included; an empty row that cannot hold is proved infeasible by the dual
+simplex like any other.  The search is single threaded and fully
 deterministic: identical models and parameters reproduce identical
 incumbents, node counts and iteration counts.
 """
@@ -59,16 +60,17 @@ def solve_milp(model: MilpModel, gap: float = 0.0, time_limit: float | None = No
     at the root alone.  The limit is checked between nodes and before every
     simplex pivot.  A node LP that fails (see ``SOLVER_FAILURES``) ends the
     search with that status; any incumbent found so far is attached but not
-    counted as a result.  An infeasible result names the rows of the root's
-    phase-1 certificate in ``infeasible_rows``; an empty constraint that
-    cannot hold is one of them.
+    counted as a result.  An infeasible result names in ``infeasible_rows``
+    the constraints of the root LP's infeasibility certificate: with the
+    variable bounds, they cannot all hold.  An empty constraint that cannot
+    hold is one of them.
 
     ``start`` is an earlier solution of this model, solved before rows were
     appended (and the objective changed, say).  Its values become the first
     incumbent if ``check_solution`` accepts them.  Its root basis warm-starts
     the root LP if its rows are the first rows of the model, over the same
-    variables; otherwise the root is solved cold.  The result carries its own
-    root basis for a later ``start``.
+    variables; otherwise the root starts from the slack basis.  The result
+    carries its own root basis for a later ``start``.
     """
     if not gap >= 0:
         raise ValueError("gap must be non-negative")

@@ -113,18 +113,16 @@ def parse_solution_listing(text: str) -> dict[str, float]:
     return out
 
 
-def solution_values_by_id(model: MilpModel, named: Mapping[str, float],
-                          strict: bool = False) -> dict[int, float]:
+def solution_values_by_id(model: MilpModel, named: Mapping[str, float]) -> dict[int, float]:
     """Map a name->value listing onto variable ids.
 
     Unknown names (e.g. ``x_dummy`` or an external solver's extras) are
-    ignored unless ``strict``; missing model variables default to 0.
+    ignored; missing model variables default to 0.
     """
     values = {v.id: 0.0 for v in model.variables}
     for name, val in named.items():
         try:
             values[model.var_id(name)] = val
         except ModelError:
-            if strict:
-                raise
+            pass
     return values

@@ -154,8 +154,7 @@ def relative_gap(objective: float, bound: float) -> float:
     return (objective - bound) / max(abs(objective), GAP_FLOOR)
 
 
-def check_solution(model: MilpModel, values: Mapping[int, float],
-                   tol: float = FEASIBILITY_TOL) -> tuple[str, ...]:
+def check_solution(model: MilpModel, values: Mapping[int, float]) -> tuple[str, ...]:
     """Independent feasibility re-check: re-reads the model, returns violations.
 
     Used by the acceptance harness and by external-solution validation; keeps
@@ -164,16 +163,16 @@ def check_solution(model: MilpModel, values: Mapping[int, float],
     problems: list[str] = []
     for var in model.variables:
         x = values.get(var.id, 0.0)
-        if x < var.lower - tol or x > var.upper + tol:
+        if x < var.lower - FEASIBILITY_TOL or x > var.upper + FEASIBILITY_TOL:
             problems.append(f"variable {var.name} = {x} outside [{var.lower}, {var.upper}]")
         if var.kind == "binary" and abs(x - round(x)) > INTEGRALITY_TOL:
             problems.append(f"variable {var.name} = {x} violates integrality")
     for con in model.constraints:
         lhs = sum(coef * values.get(vid, 0.0) for vid, coef in con.terms)
-        if con.relation == "<=" and lhs > con.rhs + tol:
+        if con.relation == "<=" and lhs > con.rhs + FEASIBILITY_TOL:
             problems.append(f"constraint {con.name}: {lhs} > {con.rhs}")
-        elif con.relation == ">=" and lhs < con.rhs - tol:
+        elif con.relation == ">=" and lhs < con.rhs - FEASIBILITY_TOL:
             problems.append(f"constraint {con.name}: {lhs} < {con.rhs}")
-        elif con.relation == "=" and abs(lhs - con.rhs) > tol:
+        elif con.relation == "=" and abs(lhs - con.rhs) > FEASIBILITY_TOL:
             problems.append(f"constraint {con.name}: {lhs} != {con.rhs}")
     return tuple(problems)

@@ -26,7 +26,7 @@ from typing import Callable, Mapping, Sequence
 from . import naming
 from .formulation import (PROTECTION, WORKING, ExclusionSets, Lightpath,
                           ProblemInstance, ProtectionContext)
-from .modes import Approach, SurvivabilityMode
+from .modes import Approach
 from .netmodel import Link, Node, PhysicalTopology, normalize_link
 from .planner import NetworkConfiguration, PlanError, _run_pipeline
 
@@ -308,14 +308,11 @@ class _EnumerationPhases:
         return routed[0]
 
 
-def brute_force_optimum(instance: ProblemInstance,
-                        mode: SurvivabilityMode | None = None
-                        ) -> tuple[Fraction, NetworkConfiguration]:
+def brute_force_optimum(instance: ProblemInstance) -> tuple[Fraction, NetworkConfiguration]:
     """Exhaustively enumerate the mode's pipeline and return (optimal cost,
     one optimal configuration).  Bounds: N <= 5, K <= 3, Q = 1."""
-    inst = instance if mode is None or mode is instance.mode else instance.with_mode(mode)
-    _check_bounds(inst)
-    config = _run_pipeline(inst, _EnumerationPhases(inst))
+    _check_bounds(instance)
+    config = _run_pipeline(instance, _EnumerationPhases(instance))
     return config.cost.total, config
 
 

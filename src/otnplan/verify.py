@@ -38,6 +38,18 @@ class FailureScenario:
             return f"node({self.target[0]})"
         return f"interface(lp={self.target[0]}@{self.target[1]})"
 
+    def hits(self, walk: Sequence[Node], lightpath_ids: Iterable[int]) -> bool:
+        """Whether this failure cuts a path over the physical ``walk`` that
+        rides the lightpaths ``lightpath_ids``.  A failed node kills every
+        walk through it, end or transit.  An interface failure kills only
+        the lightpaths it belongs to: a protection lightpath reaches to the
+        optical line cards, so ``hits(backup, ())`` is false for it."""
+        if self.kind == "physical-link":
+            return self.target in route_links(walk)
+        if self.kind == "node":
+            return self.target[0] in walk
+        return self.target[0] in lightpath_ids
+
 
 @dataclass(frozen=True)
 class ScenarioOutcome:
@@ -88,38 +100,14 @@ def enumerate_failures(config: NetworkConfiguration) -> tuple[FailureScenario, .
     return tuple(scenarios)
 
 
-def _lightpath_dead(config: NetworkConfiguration, lp_id: int,
-                    scenario: FailureScenario) -> bool:
-    route = config.lightpath_routes[lp_id]
-    if scenario.kind == "physical-link":
-        return scenario.target in route_links(route)
-    if scenario.kind == "node":
-        return scenario.target[0] in route
-    return scenario.target[0] == lp_id
-
-
-def _plp_survives(config: NetworkConfiguration, lp_id: int,
-                  scenario: FailureScenario) -> bool:
-    backup = config.protection_routes.get(lp_id)
-    if backup is None:
-        return False
-    if scenario.kind == "physical-link":
-        return scenario.target not in route_links(backup)
-    if scenario.kind == "node":
-        # a failed endpoint kills the backup too; transit nodes must be avoided
-        return scenario.target[0] not in backup
-    # protection lightpaths reach to the optical line cards, so an
-    # IP/optical interface failure is covered by the optical layer
-    return True
-
-
 def _effective_alive(config: NetworkConfiguration, lp_id: int,
                      scenario: FailureScenario, optical_recovery: bool
                      ) -> tuple[bool, bool]:
     """(alive after any optical recovery, recovery actually used)."""
-    if not _lightpath_dead(config, lp_id, scenario):
+    if not scenario.hits(config.lightpath_routes[lp_id], (lp_id,)):
         return True, False
-    if optical_recovery and _plp_survives(config, lp_id, scenario):
+    backup = config.protection_routes.get(lp_id)
+    if optical_recovery and backup is not None and not scenario.hits(backup, ()):
         return True, True
     return False, False
 
@@ -154,14 +142,8 @@ def check_restorability(config: NetworkConfiguration,
 
         for lsp in config.instance.traffic:
             route = config.lsp_routes[lsp.id]
-            w_walk = config.lsp_physical_walk(lsp.id, "working")
-            if scenario.kind == "physical-link":
-                hit = scenario.target in route_links(w_walk)
-            elif scenario.kind == "node":
-                hit = scenario.target[0] in w_walk
-            else:
-                hit = scenario.target[0] in route.working
-            if not hit:
+            if not scenario.hits(config.lsp_physical_walk(lsp.id, "working"),
+                                 route.working):
                 continue
             affected.append(lsp.id)
             if scenario.kind == "node" and scenario.target[0] in (lsp.source,

@@ -67,10 +67,9 @@ def _random_small_instances():
         k = rng.randint(1, 3)
         demands = [(s, d, rng.choice([2, 3.5, 4, 5, 6, 8, 10]))
                    for s, d in [rng.sample(range(n), 2) for _ in range(k)]]
-        inst0 = make_instance(topo, demands)
         try:
             for mode in ALL_MODES:
-                brute_force_optimum(inst0.with_mode(mode))
+                brute_force_optimum(make_instance(topo, demands, mode))
         except PlanError:
             continue
         out.append((topo, tuple(demands)))

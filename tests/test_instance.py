@@ -59,7 +59,7 @@ class TestConfigRoundTrip:
                                       SurvivabilityMode.ML_INTERLAYER_BRS])
     def test_serialisation_reproduces_everything(self, ring4_factory, mode):
         config = plan(ring4_factory(mode), EXACT)
-        data = config_to_dict(config, cost_ratio_label="CR1")
+        data = config_to_dict(config)
         rebuilt = config_from_dict(json.loads(json.dumps(data)))
         assert rebuilt.cost.total == config.cost.total
         assert rebuilt.lightpath_routes == config.lightpath_routes

@@ -95,10 +95,7 @@ class TestSolutionListing:
         with pytest.raises(ValueError):
             parse_solution_listing("x 1 2\n")
 
-    def test_unknown_names_ignored_unless_strict(self):
+    def test_unknown_names_ignored(self):
         m = simple_model()
-        values = solution_values_by_id(m, {"x": 1.0, "x_dummy": 0.0})
+        values = solution_values_by_id(m, {"x": 1.0, "x_dummy": 0.0, "zzz": 1.0})
         assert values == {0: 1.0}
-        from otnplan.milp import ModelError
-        with pytest.raises(ModelError):
-            solution_values_by_id(m, {"zzz": 1.0}, strict=True)

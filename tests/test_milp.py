@@ -29,6 +29,18 @@ def relaxed(model):
     return lp
 
 
+def highs(A, rels, b, c, lo, hi):
+    """The same LP solved by scipy's HiGHS, the reference."""
+    rels = np.asarray(rels, dtype=object)
+    sign = np.where(rels == ">=", -1.0, 1.0)
+    ub, eq = rels != "=", rels == "="
+    return linprog(c, A_ub=(sign[:, None] * A)[ub] if ub.any() else None,
+                   b_ub=(sign * b)[ub] if ub.any() else None,
+                   A_eq=A[eq] if eq.any() else None, b_eq=b[eq] if eq.any() else None,
+                   bounds=[(None if math.isinf(l) else l, None if math.isinf(h) else h)
+                           for l, h in zip(lo, hi)], method="highs")
+
+
 class TestSolveLp:
     def test_simple_bound(self):
         sol = solve_milp(lp_min_x_ge_3())
@@ -82,23 +94,11 @@ class TestSolveLp:
             m = MilpModel("rand")
             ids = [m.add_variable(f"v{i}", "continuous", 0.0, hi[i], c[i])
                    for i in range(n)]
-            A_ub, b_ub, A_eq, b_eq = [], [], [], []
             for i in range(rows):
                 m.add_constraint(f"c{i}", [(ids[j], A[i, j]) for j in range(n)],
                                  rels[i], b[i])
-                if rels[i] == "<=":
-                    A_ub.append(A[i]); b_ub.append(b[i])
-                elif rels[i] == ">=":
-                    A_ub.append(-A[i]); b_ub.append(-b[i])
-                else:
-                    A_eq.append(A[i]); b_eq.append(b[i])
             ours = solve_milp(m)
-            ref = linprog(c, A_ub=np.array(A_ub) if A_ub else None,
-                          b_ub=np.array(b_ub) if b_ub else None,
-                          A_eq=np.array(A_eq) if A_eq else None,
-                          b_eq=np.array(b_eq) if b_eq else None,
-                          bounds=[(0, None if math.isinf(h) else h) for h in hi],
-                          method="highs")
+            ref = highs(A, rels, b, c, np.zeros(n), hi)
             if ref.status == 0:
                 assert ours.status == "optimal"
                 assert ours.objective == pytest.approx(ref.fun, abs=1e-6, rel=1e-6)
@@ -212,16 +212,33 @@ def random_bounded_lp(rng):
     return A, rels, b, c, np.zeros(n), hi
 
 
+def random_integer_lp(rng):
+    """A small LP with integer data, so degenerate vertices are common, over
+    free, boxed (possibly fixed), lower-bounded and upper-bounded variables."""
+    n = int(rng.integers(2, 8))
+    rows = int(rng.integers(1, 6))
+    A = rng.integers(-3, 4, (rows, n)).astype(float)
+    b = rng.integers(-3, 6, rows).astype(float)
+    c = rng.integers(-3, 4, n).astype(float)
+    rels = list(rng.choice(["<=", ">=", "="], rows, p=[0.5, 0.3, 0.2]))
+    kind = rng.integers(0, 4, n)  # free, boxed, lower only, upper only
+    base = rng.integers(-2, 2, n).astype(float)
+    lo = np.where((kind == 1) | (kind == 2), base, -np.inf)
+    hi = np.where(kind == 1, base + rng.integers(0, 4, n),
+                  np.where(kind == 3, base, np.inf))
+    return A, rels, b, c, lo, hi
+
+
 @pytest.fixture()
 def cold_calls(monkeypatch):
-    """Counts the solves that take the cold two-phase path."""
+    """Counts the solves that start from the slack basis."""
     calls = []
-    cold = simplex._cold_solve
+    slack_basis = simplex._slack_basis
 
     def spy(*args):
         calls.append(args)
-        return cold(*args)
-    monkeypatch.setattr(simplex, "_cold_solve", spy)
+        return slack_basis(*args)
+    monkeypatch.setattr(simplex, "_slack_basis", spy)
     return calls
 
 
@@ -250,7 +267,8 @@ class TestWarmStart:
             outcomes[cold.status] += 1
         assert outcomes["optimal"] > 50 and outcomes["infeasible"] > 10
 
-    def test_dual_infeasible_basis_takes_cold_path(self, cold_calls):
+    def test_basis_neither_primal_nor_dual_feasible_is_solved_from_itself(
+            self, cold_calls, monkeypatch):
         A = np.array([[1.0, 1.0], [1.0, -1.0]])
         rels = ["<=", "<="]
         b = np.array([4.0, 2.0])
@@ -258,12 +276,21 @@ class TestWarmStart:
         base = simplex_solve(A, rels, b, np.array([-1.0, -2.0]), lo, hi)
         assert base.status == "optimal"
         assert base.x.tolist() == [1.0, 3.0]
+        shifted = []
+        costs = simplex._Tableau.dual_feasible_costs
+
+        def spy(tab, c):
+            out = costs(tab, c)
+            shifted.append(not np.array_equal(out, c))
+            return out
+        monkeypatch.setattr(simplex._Tableau, "dual_feasible_costs", spy)
         del cold_calls[:]
         # the basis optimal for maximizing is not dual feasible for minimizing,
-        # and x, basic at 1, is out of its new bounds: neither warm path applies
+        # and x, basic at 1, is out of its new bounds
         hi2 = np.array([0.5, 3.0])
         res = simplex_solve(A, rels, b, np.array([1.0, 2.0]), lo, hi2, base.basis)
-        assert len(cold_calls) == 1
+        assert not cold_calls
+        assert shifted == [True]  # the dual simplex ran on shifted costs
         assert res.status == "optimal"
         assert res.objective == pytest.approx(0.0)
 
@@ -365,6 +392,55 @@ class TestWarmStart:
         cold = solve_milp(m)
         assert warm.status == cold.status == "optimal"
         assert warm.objective == pytest.approx(cold.objective)
+
+
+class TestProofsAndTermination:
+    def test_infeasible_rows_alone_are_infeasible(self):
+        # the named rows with the variable bounds are a proof, not a guess
+        rng = np.random.default_rng(41)
+        proved = 0
+        for _ in range(300):
+            A, rels, b, c, lo, hi = random_bounded_lp(rng)
+            res = simplex_solve(A, rels, b, c, lo, hi)
+            if res.status != "infeasible":
+                continue
+            rows = list(res.infeasible_rows)
+            assert rows
+            ref = highs(A[rows], [rels[i] for i in rows], b[rows], np.zeros(lo.size), lo, hi)
+            assert ref.status == 2, rows
+            proved += 1
+        assert proved > 80
+
+    def test_bland_rules_match_highs(self, monkeypatch):
+        # every degenerate pivot switches the primal and the dual to Bland
+        monkeypatch.setattr(simplex, "_DEGENERATE_LIMIT", 1)
+        rng = np.random.default_rng(43)
+        outcomes = {"optimal": 0, "infeasible": 0, "unbounded": 0}
+        warm_compared = 0
+        for _ in range(400):
+            A, rels, b, c, lo, hi = random_integer_lp(rng)
+            res = simplex_solve(A, rels, b, c, lo, hi)
+            ref = highs(A, rels, b, c, lo, hi)
+            status = {0: "optimal", 2: "infeasible", 3: "unbounded"}[ref.status]
+            assert res.status == status
+            outcomes[status] += 1
+            if status != "optimal":
+                continue
+            assert res.objective == pytest.approx(ref.fun, abs=1e-7)
+            basic = [int(j) for j in res.basis.basis if j < lo.size]
+            if not basic:
+                continue
+            j = basic[int(rng.integers(len(basic)))]
+            lo2, hi2 = lo.copy(), hi.copy()
+            lo2[j] = hi2[j] = float(np.clip(math.floor(res.x[j]) + rng.integers(0, 2),
+                                            lo[j], hi[j]))
+            warm = simplex_solve(A, rels, b, c, lo2, hi2, res.basis)
+            cold = simplex_solve(A, rels, b, c, lo2, hi2)
+            assert warm.status == cold.status
+            if cold.status == "optimal":
+                assert warm.objective == pytest.approx(cold.objective, abs=1e-7)
+            warm_compared += 1
+        assert min(outcomes.values()) > 20 and warm_compared > 50
 
 
 class TestLimitsAndFailures:

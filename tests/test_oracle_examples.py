@@ -39,9 +39,8 @@ class TestOracleExamples:
             brute_force_optimum(inst_q2)
 
     def test_mode_override(self, ring4_factory):
-        inst = ring4_factory(SurvivabilityMode.NONE)
-        cost_none, _ = brute_force_optimum(inst)
-        cost_sl, _ = brute_force_optimum(inst, SurvivabilityMode.SINGLE_LAYER)
+        cost_none, _ = brute_force_optimum(ring4_factory(SurvivabilityMode.NONE))
+        cost_sl, _ = brute_force_optimum(ring4_factory(SurvivabilityMode.SINGLE_LAYER))
         assert cost_sl > cost_none
 
     def test_integrated_supported(self, ring4_factory):
