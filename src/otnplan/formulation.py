@@ -18,7 +18,7 @@ from .milp import MilpModel
 from .modes import Approach, SurvivabilityMode
 from .naming import PROTECTION, WORKING
 from .netmodel import (LspDemand, Link, Node, PhysicalTopology, SystemParams,
-                       UnitCosts, normalize_link, route_links)
+                       UnitCosts, normalize_link, reachable, route_links)
 
 __all__ = [
     "ProblemInstance",
@@ -32,7 +32,6 @@ __all__ = [
     "build_integrated",
     "compute_exclusion_sets",
     "backup_exclusions",
-    "exclusion_blocks_route",
     "estimate_problem_size",
     "estimate_problem_size_raw",
     "audit_model",
@@ -54,12 +53,6 @@ class ProblemInstance:
 
     def __post_init__(self):
         nodes = set(self.topology.nodes)
-        for k, v in enumerate(self.topology.nodes):
-            if v in self.topology.nodes[:k]:
-                raise ValueError(f"node {v} is declared more than once")
-        for a, b in self.topology.links:
-            if a == b or a not in nodes or b not in nodes:
-                raise ValueError(f"link ({a},{b}) must join two distinct declared nodes")
         for lsp in self.traffic:
             if lsp.source not in nodes or lsp.destination not in nodes:
                 raise ValueError(f"LSP {lsp.id} references unknown nodes")
@@ -292,16 +285,13 @@ def build_lightpath_routing(lightpaths: Sequence[Lightpath],
                             *,
                             protection: bool = False,
                             exclusions: ExclusionSets | None = None,
-                            working_links: Mapping[int, frozenset[Link]] | None = None,
                             wavelengths_used: Mapping[Link, int] | None = None,
                             ) -> tuple[MilpModel, DecisionVarMap]:
     """Route each lightpath (or, with ``protection=True``, its protection
     lightpath) over physical links, minimizing wavelength cost.
 
     Exclusion nodes/links are fixed out of the flow system per entity;
-    ``working_links`` bans a protection lightpath from the route it protects
-    (link disjointness, eq 16); ``wavelengths_used`` reserves
-    already-committed capacity on each link.
+    ``wavelengths_used`` reserves already-committed capacity on each link.
     """
     plane = PROTECTION if protection else WORKING
     model = MilpModel(f"lightpath-{plane}")
@@ -309,7 +299,7 @@ def build_lightpath_routing(lightpaths: Sequence[Lightpath],
     lam = varmap.lam
     eq_flow = "eq15" if protection else "eq14"
     arcs = topology.arcs()
-    links = sorted(set(topology.links))
+    links = sorted(topology.links)
     used = wavelengths_used or {}
     exclusions = exclusions or ExclusionSets()
     nodemap = exclusions.lightpath_nodes
@@ -337,13 +327,6 @@ def build_lightpath_routing(lightpaths: Sequence[Lightpath],
             if not terms and rhs == 0.0:
                 continue
             model.add_constraint(f"{eq_flow}[lp={lp.id},n={n}]", terms, "=", rhs)
-
-        if protection and working_links:
-            for (m, n) in sorted(working_links.get(lp.id, frozenset())):
-                model.add_constraint(
-                    f"eq16[lp={lp.id},m={m},n={n}]",
-                    [(lam[(lp.id, m, n)], 1.0), (lam[(lp.id, n, m)], 1.0)],
-                    "<=", 0.0)
 
     eq_cap = "eq17"
     for (m, n) in links:
@@ -413,7 +396,7 @@ def build_integrated(instance: ProblemInstance, plane: str,
                 model.add_constraint(f"eq18[i={i},j={j},q={q},n={n}]", terms, "=", 0.0)
 
     # eq (20): per-link wavelength budget
-    for (m, n) in sorted(set(topo.links)):
+    for (m, n) in sorted(topo.links):
         terms = []
         for (i, j) in pairs:
             for q in qs:
@@ -444,34 +427,6 @@ def build_integrated(instance: ProblemInstance, plane: str,
 
 # ---------------------------------------------------------------------------
 # exclusion sets
-
-def exclusion_blocks_route(topology: PhysicalTopology, a: Node, b: Node,
-                           excluded_nodes: frozenset[Node],
-                           excluded_links: frozenset[Link]) -> bool:
-    """True when no a-b path survives the exclusions (or an endpoint itself
-    is excluded)."""
-    if a in excluded_nodes or b in excluded_nodes:
-        return True
-    adj: dict[Node, set[Node]] = {v: set() for v in topology.nodes}
-    for (m, n) in set(topology.links):
-        if m == n or normalize_link(m, n) in excluded_links:
-            continue
-        if m in excluded_nodes or n in excluded_nodes:
-            continue
-        adj[m].add(n)
-        adj[n].add(m)
-    seen = {a}
-    stack = [a]
-    while stack:
-        v = stack.pop()
-        if v == b:
-            return False
-        for w in adj[v]:
-            if w not in seen:
-                seen.add(w)
-                stack.append(w)
-    return True
-
 
 @dataclass
 class WorkingState:
@@ -548,9 +503,9 @@ def compute_exclusion_sets(state: WorkingState, mode: SurvivabilityMode) -> Excl
                 links |= l_k
             result.lightpath_nodes[lp_id] = frozenset(nodes)
             result.lightpath_links[lp_id] = frozenset(links)
-            if exclusion_blocks_route(state.instance.topology, lp.i, lp.j,
-                                      result.lightpath_nodes[lp_id],
-                                      result.lightpath_links[lp_id]):
+            if lp.j not in reachable(state.instance.topology, lp.i,
+                                     result.lightpath_nodes[lp_id],
+                                     result.lightpath_links[lp_id]):
                 result.blocked[lp_id] = tuple(sorted(passengers))
     return result
 
@@ -561,15 +516,18 @@ def backup_exclusions(mode: SurvivabilityMode, to_protect: Sequence[Lightpath],
                       lsp_plps: Mapping[int, tuple[int, ...]]) -> ExclusionSets:
     """Exclusions of the step IV optical backups of ``to_protect``.
 
-    Each backup avoids the transit nodes of the route it protects (its
-    links are banned separately, by the eq 16 rows).  Under interlayer BRS
-    a lightpath transiting an OXC and the LSPs transiting the co-located
-    router must be protected on different physical links, so their
-    restorations never compete for one shared wavelength: the backup avoids
-    every link of those LSPs' protection lightpaths.
+    Each backup avoids the transit nodes and the links of the route it
+    protects (link disjointness, eq 16).  Under interlayer BRS a lightpath
+    transiting an OXC and the LSPs transiting the co-located router must be
+    protected on different physical links, so their restorations never
+    compete for one shared wavelength: the backup also avoids every link of
+    those LSPs' protection lightpaths.
     """
-    result = ExclusionSets(lightpath_nodes={
-        lp.id: frozenset(lightpath_routes[lp.id][1:-1]) for lp in to_protect})
+    result = ExclusionSets(
+        lightpath_nodes={lp.id: frozenset(lightpath_routes[lp.id][1:-1])
+                         for lp in to_protect},
+        lightpath_links={lp.id: route_links(lightpath_routes[lp.id])
+                         for lp in to_protect})
     if mode is not SurvivabilityMode.ML_INTERLAYER_BRS:
         return result
     transit_lsps: dict[Node, list[int]] = {}
@@ -583,8 +541,7 @@ def backup_exclusions(mode: SurvivabilityMode, to_protect: Sequence[Lightpath],
             for k in transit_lsps.get(x, ()):
                 for plp in lsp_plps[k]:
                     banned |= route_links(lightpath_routes[plp])
-        if banned:
-            result.lightpath_links[lp.id] = frozenset(banned)
+        result.lightpath_links[lp.id] |= banned
     return result
 
 
@@ -605,7 +562,7 @@ def estimate_problem_size(instance: ProblemInstance,
     ap = approach or instance.approach
     return estimate_problem_size_raw(instance.topology.n, len(instance.traffic),
                                      instance.params.Q, ap,
-                                     len(set(instance.topology.links)))
+                                     len(instance.topology.links))
 
 
 def audit_model(model: MilpModel) -> str:

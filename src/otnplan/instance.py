@@ -61,8 +61,8 @@ def instance_from_dict(data: Mapping[str, Any],
                        cost_ratio=None) -> ProblemInstance:
     p = data.get("params", {})
     nodes = data["nodes"]
-    topo = PhysicalTopology(nodes=nodes, links=data["links"], W=int(p.get("W", 32)))
-    params = SystemParams(C=p.get("C", 10), Q=int(p.get("Q", 2)), T=p.get("T"),
+    topo = PhysicalTopology(nodes=nodes, links=data["links"], W=p.get("W", 32))
+    params = SystemParams(C=p.get("C", 10), Q=p.get("Q", 2), T=p.get("T"),
                           n_nodes=len(nodes))
     ratios = cost_ratio_from_spec(cost_ratio if cost_ratio is not None
                                   else data.get("cost_ratio", "CR1"))

@@ -32,6 +32,7 @@ __all__ = [
     "COST_RATIO_PRESETS",
     "as_gbps",
     "validate_topology",
+    "reachable",
     "articulation_points",
     "average_connectivity",
     "generate_topology",
@@ -64,23 +65,54 @@ def route_links(route: Sequence[Node]) -> frozenset[Link]:
     return frozenset(normalize_link(a, b) for a, b in zip(route, route[1:]))
 
 
+def _whole_number(name: str, value) -> int:
+    """``value`` as an int; a fractional or non-numeric value is an error,
+    not truncated."""
+    try:
+        if int(value) == value:
+            return int(value)
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise ValueError(f"{name} must be a whole number, got {value!r}")
+
+
 @dataclass(frozen=True)
 class PhysicalTopology:
     """Nodes and bidirectional fiber links; W wavelengths available per link.
 
-    Each node is a combined router + OXC site.  Links are stored as ordered
-    (low, high) pairs in input order; duplicates and self loops are kept so
-    that `validate_topology` can report them.
+    Each node is a combined router + OXC site.  The graph is simple: node ids
+    are distinct, and each link joins two distinct declared nodes and is
+    declared once.  Links are stored as ordered (low, high) pairs in input
+    order.
     """
 
     nodes: tuple[Node, ...]
     links: tuple[Link, ...]
     W: int = 32
+    _adjacency: dict[Node, tuple[Node, ...]] = field(
+        init=False, repr=False, compare=False)
 
     def __init__(self, nodes: Iterable[Node], links: Iterable[Sequence[Node]], W: int = 32):
-        object.__setattr__(self, "nodes", tuple(nodes))
-        object.__setattr__(self, "links", tuple(normalize_link(a, b) for a, b in links))
-        object.__setattr__(self, "W", int(W))
+        adjacency: dict[Node, list[Node]] = {}
+        for v in nodes:
+            if v in adjacency:
+                raise ValueError(f"node {v} is declared more than once")
+            adjacency[v] = []
+        declared: list[Link] = []
+        for a, b in links:
+            if a == b or a not in adjacency or b not in adjacency:
+                raise ValueError(f"link ({a},{b}) must join two distinct declared nodes")
+            link = normalize_link(a, b)
+            if b in adjacency[a]:
+                raise ValueError(f"link ({link[0]},{link[1]}) is declared more than once")
+            adjacency[a].append(b)
+            adjacency[b].append(a)
+            declared.append(link)
+        object.__setattr__(self, "nodes", tuple(adjacency))
+        object.__setattr__(self, "links", tuple(declared))
+        object.__setattr__(self, "W", _whole_number("W", W))
+        object.__setattr__(self, "_adjacency",
+                           {v: tuple(sorted(ws)) for v, ws in adjacency.items()})
         if self.W <= 0:
             raise ValueError("W must be positive")
 
@@ -89,22 +121,11 @@ class PhysicalTopology:
         return len(self.nodes)
 
     def neighbors(self, node: Node) -> tuple[Node, ...]:
-        out = []
-        for a, b in self.links:
-            if a == node and b != node:
-                out.append(b)
-            elif b == node and a != node:
-                out.append(a)
-        return tuple(sorted(set(out)))
+        return self._adjacency[node]
 
     def arcs(self) -> tuple[tuple[Node, Node], ...]:
-        """Both orientations of every distinct link."""
-        seen = []
-        for a, b in sorted(set(self.links)):
-            if a != b:
-                seen.append((a, b))
-                seen.append((b, a))
-        return tuple(seen)
+        """Both orientations of every link, in sorted link order."""
+        return tuple(arc for a, b in sorted(self.links) for arc in ((a, b), (b, a)))
 
 
 @dataclass(frozen=True)
@@ -144,12 +165,12 @@ class SystemParams:
 
     def __init__(self, C=10, Q: int = 2, T: int | None = None, n_nodes: int | None = None):
         object.__setattr__(self, "C", as_gbps(C))
-        object.__setattr__(self, "Q", int(Q))
+        object.__setattr__(self, "Q", _whole_number("Q", Q))
         if T is None:
             if n_nodes is None:
                 raise ValueError("either T or n_nodes is required")
-            T = default_interface_limit(n_nodes, int(Q))
-        object.__setattr__(self, "T", int(T))
+            T = default_interface_limit(n_nodes, self.Q)
+        object.__setattr__(self, "T", _whole_number("T", T))
         if self.Q not in (1, 2):
             raise ValueError(f"Q must be 1 or 2, got {self.Q}")
         if self.C <= 0 or self.T <= 0:
@@ -214,100 +235,49 @@ class TopologyReport:
     violations: tuple[str, ...] = field(default_factory=tuple)
 
 
+def reachable(topology: PhysicalTopology, source: Node,
+              avoid_nodes: frozenset[Node] = frozenset(),
+              avoid_links: frozenset[Link] = frozenset()) -> set[Node]:
+    """The nodes that ``source`` reaches over links that neither touch a node
+    of ``avoid_nodes`` nor belong to ``avoid_links``; empty when ``source``
+    itself is avoided."""
+    if source in avoid_nodes:
+        return set()
+    seen = {source}
+    stack = [source]
+    while stack:
+        v = stack.pop()
+        for w in topology.neighbors(v):
+            if (w not in seen and w not in avoid_nodes
+                    and normalize_link(v, w) not in avoid_links):
+                seen.add(w)
+                stack.append(w)
+    return seen
+
+
 def articulation_points(topology: PhysicalTopology) -> tuple[Node, ...]:
-    """Articulation nodes via iterative DFS low-point computation."""
-    adj: dict[Node, set[Node]] = {v: set() for v in topology.nodes}
-    for a, b in topology.links:
-        if a != b and a in adj and b in adj:
-            adj[a].add(b)
-            adj[b].add(a)
-
-    index: dict[Node, int] = {}
-    low: dict[Node, int] = {}
-    parent: dict[Node, Node | None] = {}
-    arts: set[Node] = set()
-    counter = 0
-
-    for root in topology.nodes:
-        if root in index:
-            continue
-        parent[root] = None
-        stack: list[tuple[Node, Iterable[Node]]] = [(root, iter(sorted(adj[root])))]
-        index[root] = low[root] = counter
-        counter += 1
-        root_children = 0
-        while stack:
-            node, it = stack[-1]
-            advanced = False
-            for nxt in it:
-                if nxt not in index:
-                    parent[nxt] = node
-                    index[nxt] = low[nxt] = counter
-                    counter += 1
-                    if node == root:
-                        root_children += 1
-                    stack.append((nxt, iter(sorted(adj[nxt]))))
-                    advanced = True
-                    break
-                elif nxt != parent[node]:
-                    low[node] = min(low[node], index[nxt])
-            if not advanced:
-                stack.pop()
-                p = parent[node]
-                if p is not None:
-                    low[p] = min(low[p], low[node])
-                    if p != root and low[node] >= index[p]:
-                        arts.add(p)
-        if root_children > 1:
-            arts.add(root)
+    """Articulation nodes: x is one when its neighbours are not all in one
+    component of G − x."""
+    arts = []
+    for x in topology.nodes:
+        ws = topology.neighbors(x)
+        if len(ws) > 1 and not set(ws) <= reachable(topology, ws[0], frozenset({x})):
+            arts.append(x)
     return tuple(sorted(arts))
 
 
-def _is_connected(topology: PhysicalTopology) -> bool:
-    if not topology.nodes:
-        return True
-    adj: dict[Node, set[Node]] = {v: set() for v in topology.nodes}
-    for a, b in topology.links:
-        if a != b and a in adj and b in adj:
-            adj[a].add(b)
-            adj[b].add(a)
-    seen = {topology.nodes[0]}
-    frontier = [topology.nodes[0]]
-    while frontier:
-        v = frontier.pop()
-        for w in adj[v]:
-            if w not in seen:
-                seen.add(w)
-                frontier.append(w)
-    return len(seen) == len(topology.nodes)
-
-
 def validate_topology(topology: PhysicalTopology) -> TopologyReport:
-    """Report self-loops, duplicate links, unknown endpoints and loss of
-    bi-connectivity.  Violations are data, not failures."""
+    """Report loss of bi-connectivity: a disconnected graph, else its
+    articulation nodes.  Violations are data, not failures; the constructor
+    has already rejected anything that is not a simple graph."""
     violations: list[str] = []
-    node_set = set(topology.nodes)
-    if len(node_set) != len(topology.nodes):
-        violations.append("duplicate node identifiers")
-    seen: set[Link] = set()
-    for a, b in topology.links:
-        if a == b:
-            violations.append(f"self-loop at node {a}")
-            continue
-        if a not in node_set or b not in node_set:
-            violations.append(f"link ({a},{b}) references an unknown node")
-            continue
-        if (a, b) in seen:
-            violations.append(f"multiple links between nodes {a} and {b}")
-        seen.add((a, b))
-    if not violations:
-        if not _is_connected(topology):
-            violations.append("not bi-connected: graph is disconnected")
-        else:
-            arts = articulation_points(topology)
-            if arts:
-                names = ", ".join(str(a) for a in arts)
-                violations.append(f"not bi-connected: articulation node(s) {names}")
+    if topology.nodes and len(reachable(topology, topology.nodes[0])) < topology.n:
+        violations.append("not bi-connected: graph is disconnected")
+    else:
+        arts = articulation_points(topology)
+        if arts:
+            names = ", ".join(str(a) for a in arts)
+            violations.append(f"not bi-connected: articulation node(s) {names}")
     return TopologyReport(ok=not violations, violations=tuple(violations))
 
 

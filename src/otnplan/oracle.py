@@ -48,7 +48,7 @@ def _check_bounds(instance: ProblemInstance) -> None:
             f"N={instance.topology.n}, K={len(instance.traffic)}, Q={instance.params.Q}")
 
 
-def _simple_paths(neighbors: Mapping[Node, Sequence[Node]], s: Node, d: Node,
+def _simple_paths(graph: PhysicalTopology, s: Node, d: Node,
                   banned_nodes: frozenset[Node] = frozenset(),
                   banned_links: frozenset[Link] = frozenset()
                   ) -> list[tuple[Node, ...]]:
@@ -58,7 +58,7 @@ def _simple_paths(neighbors: Mapping[Node, Sequence[Node]], s: Node, d: Node,
     stack: list[tuple[Node, tuple[Node, ...]]] = [(s, (s,))]
     while stack:
         cur, path = stack.pop()
-        for nxt in neighbors.get(cur, ()):
+        for nxt in graph.neighbors(cur):
             if nxt in banned_nodes or nxt in path:
                 continue
             if normalize_link(cur, nxt) in banned_links:
@@ -68,15 +68,6 @@ def _simple_paths(neighbors: Mapping[Node, Sequence[Node]], s: Node, d: Node,
             else:
                 stack.append((nxt, path + (nxt,)))
     return out
-
-
-def _complete_neighbors(nodes: Sequence[Node]) -> dict[Node, tuple[Node, ...]]:
-    s = sorted(nodes)
-    return {v: tuple(w for w in s if w != v) for v in s}
-
-
-def _topo_neighbors(topology: PhysicalTopology) -> dict[Node, tuple[Node, ...]]:
-    return {v: topology.neighbors(v) for v in topology.nodes}
 
 
 def _hop_pairs(path: Sequence[Node]) -> list[Link]:
@@ -108,7 +99,7 @@ def _best_logical(instance: ProblemInstance, lsps: Sequence, plane: str,
     topo = instance.topology
     params = instance.params
     uc = instance.unit_costs
-    neighbors = _complete_neighbors(topo.nodes)
+    mesh = PhysicalTopology(topo.nodes, itertools.combinations(sorted(topo.nodes), 2))
 
     load_den = math.lcm(params.C.denominator,
                         *(lsp.bandwidth.denominator for lsp in lsps))
@@ -120,7 +111,7 @@ def _best_logical(instance: ProblemInstance, lsps: Sequence, plane: str,
     # per LSP: (path, hop pairs, hop-pair set, transit cost, tie1, tie2)
     per_lsp: list[list[tuple]] = []
     for lsp, unit_transit in zip(lsps, transit):
-        paths = _simple_paths(neighbors, lsp.source, lsp.destination,
+        paths = _simple_paths(mesh, lsp.source, lsp.destination,
                               excluded_nodes.get(lsp.id, frozenset()))
         if not paths:
             return []
@@ -200,10 +191,9 @@ def _route_entities(topology: PhysicalTopology,
     Returns None when some entity has no admissible path or budgets bind."""
     excl_nodes = excl_nodes or {}
     excl_links = excl_links or {}
-    neighbors = _topo_neighbors(topology)
     cands: list[list[tuple[int, int, int, tuple[Node, ...]]]] = []
     for (eid, i, j) in entities:
-        paths = _simple_paths(neighbors, i, j,
+        paths = _simple_paths(topology, i, j,
                               excl_nodes.get(eid, frozenset()),
                               excl_links.get(eid, frozenset()))
         scored = []
@@ -292,17 +282,13 @@ class _EnumerationPhases:
 
     def route(self, label: str, lightpaths: Sequence[Lightpath], *,
               protection: bool = False, exclusions: ExclusionSets | None = None,
-              working_links=None, wavelengths_used=None
-              ) -> dict[int, tuple[Node, ...]]:
+              wavelengths_used=None) -> dict[int, tuple[Node, ...]]:
         excl = exclusions or ExclusionSets()
-        banned = {lp.id: excl.lightpath_links.get(lp.id, frozenset())
-                  | (working_links or {}).get(lp.id, frozenset())
-                  for lp in lightpaths}
         plane = PROTECTION if protection else WORKING
         routed = _route_entities(
             self.instance.topology, [(lp.id, lp.i, lp.j) for lp in lightpaths],
             lambda lp_id, m, n: naming.lam(plane, lp_id, m, n), wavelengths_used or {},
-            excl_nodes=excl.lightpath_nodes, excl_links=banned)
+            excl_nodes=excl.lightpath_nodes, excl_links=excl.lightpath_links)
         if routed is None:
             raise PlanError(label, "no feasible physical routing")
         return routed[0]

@@ -21,15 +21,15 @@ from functools import cached_property
 from typing import Iterable, Mapping, Sequence
 
 from . import naming
-from .formulation import (PROTECTION, WORKING, Lightpath, ProblemInstance,
-                          ProtectionContext, WorkingState, backup_exclusions,
-                          build_integrated, build_lightpath_routing,
-                          build_logical_design, compute_exclusion_sets,
-                          expand_lightpaths)
+from .formulation import (PROTECTION, WORKING, ExclusionSets, Lightpath,
+                          ProblemInstance, ProtectionContext, WorkingState,
+                          backup_exclusions, build_integrated,
+                          build_lightpath_routing, build_logical_design,
+                          compute_exclusion_sets, expand_lightpaths)
 from .milp import SOLVER_FAILURES, MilpModel, MilpSolution, solve_milp
 from .modes import Approach, SurvivabilityMode
 from .netmodel import (Link, Node, PhysicalTopology, UnitCosts, normalize_link,
-                       route_links)
+                       reachable, route_links)
 
 __all__ = [
     "PlanOptions",
@@ -295,25 +295,25 @@ def diagnose_lightpath_infeasibility(lightpaths: Sequence[Lightpath],
     """Explain an infeasible lightpath-routing phase within ``time_limit``
     seconds.
 
-    The phase is re-solved with the wavelength budgets lifted: if that
-    succeeds, the binding links are those whose lifted usage exceeds the real
-    budget; if it is infeasible, some entity has no admissible route at all
-    and it is named instead.  Nothing is named when the time runs out first.
+    A lightpath whose exclusions cut its far end off has no admissible
+    route, and each such lightpath is named.  When there is none, the phase
+    is re-solved with the wavelength budgets lifted, which then cannot be
+    infeasible, and the binding links are those whose lifted usage exceeds
+    the real budget.  Nothing is named when the time runs out first.
     """
-    deadline = time.perf_counter() + time_limit
+    excl = routing_kwargs.get("exclusions") or ExclusionSets()
+    blocked = tuple(
+        f"lightpath {lp.id} ({lp.i},{lp.j},q={lp.q}) has no admissible route"
+        for lp in lightpaths
+        if lp.j not in reachable(topology, lp.i,
+                                 excl.lightpath_nodes.get(lp.id, frozenset()),
+                                 excl.lightpath_links.get(lp.id, frozenset())))
+    if blocked:
+        return blocked
     relaxed = PhysicalTopology(topology.nodes, topology.links, W=10 ** 6)
-
-    def solve(lps: Sequence[Lightpath]):
-        model, varmap = build_lightpath_routing(list(lps), relaxed, unit_costs,
-                                                **routing_kwargs)
-        left = max(0.0, deadline - time.perf_counter())
-        return solve_milp(model, gap=0.0, time_limit=left), varmap
-
-    sol, varmap = solve(lightpaths)
-    if sol.status == "infeasible":
-        blocked = [f"lightpath {lp.id} ({lp.i},{lp.j},q={lp.q}) has no admissible route"
-                   for lp in lightpaths if solve([lp])[0].status == "infeasible"]
-        return tuple(blocked) or ("no joint routing exists",)
+    model, varmap = build_lightpath_routing(list(lightpaths), relaxed, unit_costs,
+                                            **routing_kwargs)
+    sol = solve_milp(model, gap=0.0, time_limit=time_limit)
     if sol.status != "optimal":
         return ()
     usage: dict[Link, int] = {}
@@ -556,8 +556,6 @@ def _run_pipeline(instance: ProblemInstance, solver) -> NetworkConfiguration:
                 "IV-protection-lightpaths", to_protect, protection=True,
                 exclusions=backup_exclusions(mode, to_protect, lightpath_routes,
                                              w_nodes, lsp_plps),
-                working_links={lp.id: route_links(lightpath_routes[lp.id])
-                               for lp in to_protect},
                 wavelengths_used=_wavelength_usage(lightpath_routes.values()))
 
     lsp_routes = {
@@ -603,7 +601,7 @@ def apply_brs_sharing(config: NetworkConfiguration) -> NetworkConfiguration:
     total: dict[Link, int] = {}
     extra = 0
     w2_sum = 0
-    for link in sorted(set(config.instance.topology.links)):
+    for link in sorted(config.instance.topology.links):
         w1 = config.link_working_w.get(link, 0)
         w2 = config.link_working_p.get(link, 0)
         s = config.link_spare.get(link, 0)

@@ -90,7 +90,7 @@ def enumerate_failures(config: NetworkConfiguration) -> tuple[FailureScenario, .
     lightpath endpoint interface, in deterministic order.  The enumeration
     is mode independent."""
     scenarios: list[FailureScenario] = []
-    for link in sorted(set(config.instance.topology.links)):
+    for link in sorted(config.instance.topology.links):
         scenarios.append(FailureScenario("physical-link", link))
     for node in sorted(config.instance.topology.nodes):
         scenarios.append(FailureScenario("node", (node,)))

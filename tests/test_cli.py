@@ -94,6 +94,30 @@ class TestPlanCommand:
         assert f"node {data['nodes'][0]} is declared more than once" in err
         assert "Traceback" not in err
 
+    def test_duplicate_link_exits_2(self, ring_instance_file, tmp_path, capsys):
+        data = json.loads(ring_instance_file.read_text())
+        data["links"].append([1, 0])
+        ring_instance_file.write_text(json.dumps(data))
+        rc = main(["plan", "--instance", str(ring_instance_file), "--mode", "single-layer",
+                   "--output-dir", str(tmp_path)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "link (0,1) is declared more than once" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("field,value", [("W", 2.9), ("Q", 1.7), ("T", 3.5)])
+    def test_fractional_count_exits_2(self, field, value, ring_instance_file,
+                                      tmp_path, capsys):
+        data = json.loads(ring_instance_file.read_text())
+        data["params"][field] = value
+        ring_instance_file.write_text(json.dumps(data))
+        rc = main(["plan", "--instance", str(ring_instance_file), "--mode", "none",
+                   "--output-dir", str(tmp_path)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert f"{field} must be a whole number, got {value}" in err
+        assert "Traceback" not in err
+
     def test_schema_error_exits_2(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text("{\"nodes\": [0, 1]}", encoding="utf-8")

@@ -127,10 +127,10 @@ class TestLightpathRouting:
     def test_protection_takes_opposite_side(self, ring4):
         from otnplan.formulation import ExclusionSets
         lps = expand_lightpaths([(0, 2, 1)])
-        excl = ExclusionSets(lightpath_nodes={0: frozenset({1})})
+        excl = ExclusionSets(lightpath_nodes={0: frozenset({1})},
+                             lightpath_links={0: frozenset({(0, 1), (1, 2)})})
         model, varmap = build_lightpath_routing(
-            lps, ring4, UNIT_CR1, protection=True, exclusions=excl,
-            working_links={0: frozenset({(0, 1), (1, 2)})})
+            lps, ring4, UNIT_CR1, protection=True, exclusions=excl)
         sol = solve_milp(model, gap=0.0)
         active = {(m, n) for (lp, m, n), vid in varmap.lam.items()
                   if sol.value(vid) > 0.5}
@@ -260,25 +260,27 @@ class TestBackupExclusions:
         excl = backup_exclusions(SurvivabilityMode.ML_INTERLAYER_BRS, self.TO_PROTECT,
                                  self.ROUTES, self.LOGICAL, self.PLPS)
         assert excl.lightpath_nodes == {0: frozenset({1})}
-        assert excl.lightpath_links == {0: frozenset({(0, 3), (0, 4)})}
+        assert excl.lightpath_links == {0: frozenset({(0, 1), (1, 2), (0, 3), (0, 4)})}
 
-    def test_other_modes_ban_no_links(self):
+    def test_other_modes_ban_only_the_protected_route(self):
         for mode in SurvivabilityMode:
             if mode is SurvivabilityMode.ML_INTERLAYER_BRS:
                 continue
             excl = backup_exclusions(mode, self.TO_PROTECT, self.ROUTES,
                                      self.LOGICAL, self.PLPS)
             assert excl.lightpath_nodes == {0: frozenset({1})}, mode
-            assert excl.lightpath_links == {}, mode
+            assert excl.lightpath_links == {0: frozenset({(0, 1), (1, 2)})}, mode
 
     def test_protection_lightpath_backup_avoids_its_own_transit(self):
         # protection lightpath 2 (0,2) carries pLSP 0, whose working route
         # has internals {1}; the lightpath is routed 0-3-2, so its backup
-        # avoids node 3 and nothing of its passenger's working route
+        # avoids node 3 and its own links, and nothing of its passenger's
+        # working route
         lps = expand_lightpaths([(0, 1, 1), (1, 2, 1)], [(0, 2, 1)])
         routes = {0: (0, 1), 1: (1, 2), 2: (0, 3, 2)}
         excl = backup_exclusions(SurvivabilityMode.ML_DOUBLE, lps, routes,
                                  {0: (0, 1, 2)}, {0: (2,)})
         assert excl.lightpath_nodes == {0: frozenset(), 1: frozenset(),
                                         2: frozenset({3})}
-        assert excl.lightpath_links == {}
+        assert excl.lightpath_links == {0: frozenset({(0, 1)}), 1: frozenset({(1, 2)}),
+                                        2: frozenset({(0, 3), (2, 3)})}

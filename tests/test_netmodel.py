@@ -10,6 +10,38 @@ from otnplan.netmodel import (COST_RATIO_PRESETS, CostRatios, PhysicalTopology,
                               generate_topology, split_demands, validate_topology)
 
 
+def _component_count(nodes, links) -> int:
+    """Connected components by plain search, independent of netmodel."""
+    adj = {n: set() for n in nodes}
+    for a, b in links:
+        adj[a].add(b)
+        adj[b].add(a)
+    seen: set = set()
+    count = 0
+    for root in nodes:
+        if root in seen:
+            continue
+        count += 1
+        seen.add(root)
+        stack = [root]
+        while stack:
+            v = stack.pop()
+            for w in adj[v]:
+                if w not in seen:
+                    seen.add(w)
+                    stack.append(w)
+    return count
+
+
+def _cut_nodes_by_search(nodes, links) -> set:
+    """Articulation nodes by node removal: those whose removal leaves more
+    components than the graph has."""
+    whole = _component_count(nodes, links)
+    return {x for x in nodes
+            if _component_count([n for n in nodes if n != x],
+                                [l for l in links if x not in l]) > whole}
+
+
 class TestValidateTopology:
     def test_ring_is_biconnected(self):
         topo = PhysicalTopology(range(4), [(0, 1), (1, 2), (2, 3), (3, 0)])
@@ -24,15 +56,25 @@ class TestValidateTopology:
         assert articulation_points(topo) == (1,)
 
     def test_parallel_links_reported(self):
-        topo = PhysicalTopology(range(2), [(0, 1), (1, 0)])
-        report = validate_topology(topo)
-        assert any("multiple links" in v for v in report.violations)
+        with pytest.raises(ValueError, match=r"link \(0,1\) is declared more than once"):
+            PhysicalTopology(range(2), [(0, 1), (1, 0)])
 
     def test_self_loop_and_unknown_node(self):
-        topo = PhysicalTopology(range(3), [(0, 0), (1, 5)])
-        report = validate_topology(topo)
-        assert any("self-loop" in v for v in report.violations)
-        assert any("unknown node" in v for v in report.violations)
+        for link in ((0, 0), (1, 5)):
+            with pytest.raises(ValueError, match=rf"link \({link[0]},{link[1]}\) must join"):
+                PhysicalTopology(range(3), [link])
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(3, 8).flatmap(lambda n: st.tuples(
+        st.just(n), st.sets(st.sampled_from(
+            [(a, b) for a in range(n) for b in range(a + 1, n)])))))
+    def test_graph_answers_match_node_removal_search(self, case):
+        n, links = case
+        topo = PhysicalTopology(range(n), sorted(links))
+        cuts = _cut_nodes_by_search(topo.nodes, topo.links)
+        assert set(articulation_points(topo)) == cuts
+        connected = _component_count(topo.nodes, topo.links) == 1
+        assert validate_topology(topo).ok == (connected and not cuts)
 
 
 class TestAverageConnectivity:
@@ -65,23 +107,8 @@ class TestGenerateTopology:
     def test_seed7_instance_biconnected_by_search(self):
         topo = generate_topology(12, 4, seed=7)
         assert len(topo.links) == 24
-        # independent check: brute-force articulation search by node removal
-        for x in topo.nodes:
-            rest = [n for n in topo.nodes if n != x]
-            kept = [l for l in topo.links if x not in l]
-            adj = {n: set() for n in rest}
-            for a, b in kept:
-                adj[a].add(b)
-                adj[b].add(a)
-            seen = {rest[0]}
-            stack = [rest[0]]
-            while stack:
-                v = stack.pop()
-                for w in adj[v]:
-                    if w not in seen:
-                        seen.add(w)
-                        stack.append(w)
-            assert len(seen) == len(rest), f"node {x} is an articulation point"
+        assert _component_count(topo.nodes, topo.links) == 1
+        assert not _cut_nodes_by_search(topo.nodes, topo.links)
 
     def test_deterministic_for_seed(self):
         a = generate_topology(9, 3, seed=17)

@@ -4,10 +4,10 @@ import pytest
 
 from otnplan.formulation import PROTECTION
 from otnplan.modes import Approach, SurvivabilityMode
-from otnplan.netmodel import COST_RATIO_PRESETS
-from otnplan.planner import (PlanOptions, ResourceCounts, apply_brs_sharing,
-                             assemble_configuration, plan, total_cost,
-                             transit_traffic)
+from otnplan.netmodel import COST_RATIO_PRESETS, PhysicalTopology
+from otnplan.planner import (PlanError, PlanOptions, ResourceCounts,
+                             apply_brs_sharing, assemble_configuration, plan,
+                             total_cost, transit_traffic)
 
 from conftest import UNIT_CR1, make_instance
 
@@ -177,6 +177,17 @@ class TestPlannerInvariants:
             W = config.instance.topology.W
             for link, count in config.link_total.items():
                 assert count <= W
+
+
+class TestInfeasiblePhases:
+    def test_backup_without_route_is_named(self):
+        # on the path 0-1-2 the backup of lightpath (0,2) must avoid node 1
+        path3 = PhysicalTopology(range(3), [(0, 1), (1, 2)])
+        inst = make_instance(path3, [(0, 2, 10)], SurvivabilityMode.ML_DOUBLE)
+        with pytest.raises(PlanError) as err:
+            plan(inst, EXACT)
+        assert err.value.phase == "IV-protection-lightpaths"
+        assert err.value.binding == ("lightpath 0 (0,2,q=1) has no admissible route",)
 
 
 class TestBeyondOracleBounds:
