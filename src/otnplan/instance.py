@@ -59,7 +59,9 @@ def instance_from_dict(data: Mapping[str, Any],
                        mode: SurvivabilityMode = SurvivabilityMode.NONE,
                        approach: Approach = Approach.SEQUENTIAL,
                        cost_ratio=None) -> ProblemInstance:
+    _require_object(data, "instance file")
     p = data.get("params", {})
+    _require_object(p, "instance params")
     nodes = data["nodes"]
     topo = PhysicalTopology(nodes=nodes, links=data["links"], W=p.get("W", 32))
     params = SystemParams(C=p.get("C", 10), Q=p.get("Q", 2), T=p.get("T"),
@@ -69,6 +71,11 @@ def instance_from_dict(data: Mapping[str, Any],
     unit = derive_unit_costs(ratios, params.C)
     traffic = split_demands(data["demands"], params.C)
     return ProblemInstance(topo, traffic, params, unit, mode, approach)
+
+
+def _require_object(data: Any, what: str) -> None:
+    if not isinstance(data, Mapping):
+        raise ValueError(f"{what} must be a JSON object, not {type(data).__name__}")
 
 
 def instance_to_dict(instance: ProblemInstance) -> dict:
@@ -180,6 +187,7 @@ def config_to_dict(config: NetworkConfiguration) -> dict:
 def config_from_dict(data: Mapping[str, Any]) -> NetworkConfiguration:
     """Rebuild a configuration from its file; capacities, transit and cost are
     recomputed from the routes (and must match what was stored)."""
+    _require_object(data, "configuration file")
     mode = SurvivabilityMode(data["mode"])
     approach = Approach(data["approach"])
     inst = instance_from_dict(data["instance"], mode, approach)

@@ -12,9 +12,22 @@ incumbent.  Every LP, root or child, takes the one simplex path from its
 starting basis.  A model with no binary variable is solved as one LP: its
 root is the whole search.  Each constraint is one row, an empty one
 included; an empty row that cannot hold is proved infeasible by the dual
-simplex like any other.  The search is single threaded and fully
-deterministic: identical models and parameters reproduce identical
-incumbents, node counts and iteration counts.
+simplex like any other.
+
+The root is strengthened by implied-bound cuts (Achterberg, *Constraint
+Integer Programming*, 2007, ch. 8).  A ``<=`` row whose only negative
+coefficient is on a binary y implies x <= y for each binary x in it that
+cannot be 1 while y is 0 under the model's bounds; a capacity row
+sum(b * delta) <= C * beta gives delta <= beta for each of its deltas.  The
+root LP solution's violated implications are appended to the model as rows
+``imply[x<=y]`` and the root is re-solved from its basis, until none is
+violated; then the search branches.  Each such row holds at every integer
+feasible point, so the optimum does not move, and a later stage that
+continues this search finds them among the model's first rows.
+
+The search is single threaded and fully deterministic: identical models and
+parameters reproduce identical incumbents, cuts, node counts and iteration
+counts.
 """
 
 from __future__ import annotations
@@ -25,9 +38,9 @@ import time
 
 import numpy as np
 
-from .model import (INTEGRALITY_TOL, SOLVER_FAILURES, MilpModel, MilpSolution,
-                    MilpStats, check_solution, relative_gap)
-from .simplex import LpBasis, simplex_solve
+from .model import (FEASIBILITY_TOL, INTEGRALITY_TOL, SOLVER_FAILURES, MilpModel,
+                    MilpSolution, MilpStats, check_solution, relative_gap)
+from .simplex import LpBasis, LpResult, simplex_solve
 
 __all__ = ["solve_milp"]
 
@@ -48,6 +61,70 @@ class _Arrays:
         self.hi = np.array([v.upper for v in model.variables])
         self.binary = np.array([v.kind == "binary" for v in model.variables])
 
+    def implied_bounds(self) -> np.ndarray:
+        """Every pair (x, y) of binaries with bounds [0, 1] such that some
+        ``<=`` row has its only negative coefficient on y, a positive one on
+        x, and cannot hold with x = 1 and y = 0 at any point within the
+        bounds: then x <= y at every feasible point.  Returns the pairs as
+        the rows of a (k, 2) array, sorted, without repeats."""
+        negative = self.A < 0
+        rows = np.nonzero((negative.sum(axis=1) == 1)
+                          & np.array([rel == "<=" for rel in self.relations], bool))[0]
+        y = np.argmax(negative[rows], axis=1)
+        unit = self.binary & (self.lo == 0.0) & (self.hi == 1.0)
+        keep = unit[y]
+        rows, y = rows[keep], y[keep]
+        sub = self.A[rows]
+        with np.errstate(invalid="ignore"):
+            least = (np.where(sub > 0, sub * self.lo, 0.0)
+                     + np.where(sub < 0, sub * self.hi, 0.0)).sum(axis=1)
+        # least activity with y = 0, less the rhs; x = 1 adds its coefficient
+        excess = least - sub[np.arange(rows.size), y] - self.rhs[rows]
+        at, x = np.nonzero((sub > 0) & unit & (sub + excess[:, None] > FEASIBILITY_TOL))
+        # a set, not np.unique, which imports numpy.ma (about 1 MB of RSS)
+        pairs = sorted(set(zip(x.tolist(), y[at].tolist())))
+        return np.array(pairs, dtype=np.intp).reshape(-1, 2)
+
+    def append_implications(self, model: MilpModel, pairs: np.ndarray) -> None:
+        """Append the row x - y <= 0 of each pair (x, y) to the model and to
+        this snapshot."""
+        for x, y in pairs.tolist():
+            model.add_constraint(f"imply[{model.var_name(x)}<={model.var_name(y)}]",
+                                 [(x, 1.0), (y, -1.0)], "<=", 0.0)
+        rows = np.zeros((len(pairs), self.A.shape[1]))
+        rows[np.arange(len(pairs)), pairs[:, 0]] = 1.0
+        rows[np.arange(len(pairs)), pairs[:, 1]] = -1.0
+        self.A = np.vstack([self.A, rows])
+        self.relations = self.relations + ["<="] * len(pairs)
+        self.rhs = np.concatenate([self.rhs, np.zeros(len(pairs))])
+
+
+def _cut_root(model: MilpModel, arrays: _Arrays, binary_ids: np.ndarray, res: LpResult,
+              deadline: float | None) -> tuple[LpResult, int]:
+    """The root LP result once its violated implied-bound cuts are appended
+    and the root re-solved from its basis, round after round until none is
+    violated, and the pivots the re-solves took.  An integral root violates
+    no cut, as it meets the row each cut is derived from."""
+    iterations = 0
+    if res.status != "optimal" or not _fractional(res.x[binary_ids]):
+        return res, iterations
+    pairs = arrays.implied_bounds()
+    while res.status == "optimal" and pairs.size:
+        cut = res.x[pairs[:, 0]] - res.x[pairs[:, 1]] > INTEGRALITY_TOL
+        if not cut.any():
+            break
+        arrays.append_implications(model, pairs[cut])
+        pairs = pairs[~cut]
+        res = simplex_solve(arrays.A, arrays.relations, arrays.rhs, arrays.c, arrays.lo,
+                            arrays.hi, res.basis.with_rows(arrays.A, arrays.relations),
+                            deadline)
+        iterations += res.iterations
+    return res, iterations
+
+
+def _fractional(values: np.ndarray) -> bool:
+    return bool((np.abs(values - np.round(values)) > INTEGRALITY_TOL).any())
+
 
 def solve_milp(model: MilpModel, gap: float = 0.0, time_limit: float | None = None,
                start: MilpSolution | None = None) -> MilpSolution:
@@ -64,6 +141,11 @@ def solve_milp(model: MilpModel, gap: float = 0.0, time_limit: float | None = No
     the constraints of the root LP's infeasibility certificate: with the
     variable bounds, they cannot all hold.  An empty constraint that cannot
     hold is one of them.
+
+    The root's violated implied-bound cuts (see the module docstring) are
+    appended to ``model`` as rows named ``imply[<x name><=<y name>]``; they
+    hold at every integer feasible point, so ``check_solution`` accepts the
+    same points as before.
 
     ``start`` is an earlier solution of this model, solved before rows were
     appended (and the objective changed, say).  Its values become the first
@@ -124,6 +206,9 @@ def solve_milp(model: MilpModel, gap: float = 0.0, time_limit: float | None = No
         res = simplex_solve(arrays.A, arrays.relations, arrays.rhs, arrays.c, lo, hi,
                             warm, deadline)
         lp_iters += res.iterations
+        if nodes == 1:
+            res, iterations = _cut_root(model, arrays, binary_ids, res, deadline)
+            lp_iters += iterations
         if res.status == "time-limit" or res.status in SOLVER_FAILURES:
             return build(res.status, min(open_bound, incumbent_obj))
         if res.status == "infeasible":

@@ -199,7 +199,9 @@ def _solve_stages(model: MilpModel, stages: Sequence[Mapping[int, float]],
     the next), then, at gap 0, the two tie-break scores; returns the last
     incumbent.  Each stage continues from the last: its root LP starts from
     the previous stage's root basis, and the previous incumbent, which meets
-    the new pin row, is its first incumbent."""
+    the new pin row, is its first incumbent.  A stage stopped by the time
+    limit above its gap (``options.gap`` for a cost stage, 0 for a
+    tie-break) is not a result: it raises ``PlanError``."""
     deadline = time.perf_counter() + options.time_limit
     staged: list[tuple[Mapping[int, float], float, float]] = [
         (vec, _PIN_EPS, options.gap) for vec in stages]
@@ -229,6 +231,10 @@ def _solve_stages(model: MilpModel, stages: Sequence[Mapping[int, float]],
             if idx == 0:
                 raise PlanError(label, sol.status, binding=sol.infeasible_rows)
             break  # keep the previous stage's incumbent
+        if sol.status == "time-limit" and sol.gap > stage_gap:
+            raise PlanError(label, f"stage {idx} stopped at its time limit with incumbent "
+                                   f"{sol.objective:.6g}, bound {sol.best_bound:.6g}, "
+                                   f"gap {sol.gap:.4g} above {stage_gap:g}")
         values = {vid: float(round(val)) if model.variables[vid].kind == "binary" else val
                   for vid, val in sol.values.items()}
         if idx + 1 < len(staged):

@@ -1,11 +1,13 @@
+import dataclasses
 import json
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from otnplan.cli import main
-from otnplan.milp import simplex
+from otnplan import planner
+from otnplan.cli import RunRequest, main, run_cli
+from otnplan.milp import simplex, solve_milp
 from otnplan.instance import (bundled_instance_path, config_from_dict,
                               load_instance)
 from otnplan.modes import SurvivabilityMode
@@ -118,6 +120,39 @@ class TestPlanCommand:
         assert f"{field} must be a whole number, got {value}" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("stopped_gap, rc", [(0.5, 1), (0.01, 0)])
+    def test_stage_at_its_time_limit_above_its_gap_is_no_plan(
+            self, stopped_gap, rc, ring_instance_file, tmp_path, monkeypatch, capsys):
+        def stopped(model, gap=0.0, time_limit=None, start=None):
+            sol = solve_milp(model, gap=gap, time_limit=time_limit, start=start)
+            return dataclasses.replace(sol, status="time-limit", gap=stopped_gap,
+                                       best_bound=sol.objective * (1 - stopped_gap))
+        monkeypatch.setattr(planner, "solve_milp", stopped)
+        request = RunRequest(instance=str(ring_instance_file), gap=0.03,
+                             output_dir=str(tmp_path))
+        assert run_cli(request) == rc
+        if rc == 1:
+            assert ("phase I-working-logical: stage 0 stopped at its time limit with "
+                    "incumbent 25, bound 12.5, gap 0.5 above 0.03") in capsys.readouterr().err
+            with pytest.raises(planner.PlanError):
+                planner.plan(load_instance(ring_instance_file), planner.PlanOptions(gap=0.03))
+
+    @pytest.mark.parametrize("command", ["plan", "oracle", "estimate-size"])
+    def test_instance_that_is_not_an_object_exits_2(self, command, ring_instance_file,
+                                                    tmp_path, capsys):
+        path = tmp_path / "list.json"
+        path.write_text("[1, 2]", encoding="utf-8")
+        assert main([command, "--instance", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert "cannot load instance: instance file must be a JSON object, not list" in err
+        assert "Traceback" not in err
+        data = json.loads(ring_instance_file.read_text())
+        data["params"] = [10, 32]
+        path.write_text(json.dumps(data), encoding="utf-8")
+        assert main([command, "--instance", str(path)]) == 2
+        assert ("cannot load instance: instance params must be a JSON object, not list"
+                in capsys.readouterr().err)
+
     def test_schema_error_exits_2(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text("{\"nodes\": [0, 1]}", encoding="utf-8")
@@ -214,6 +249,14 @@ class TestVerifyCommand:
             assert main(command) == 2
             err = capsys.readouterr().err
             assert "cannot load configuration" in err and offender in err
+
+    def test_configuration_that_is_not_an_object_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "list.config.json"
+        path.write_text("[1, 2]", encoding="utf-8")
+        for command in (["verify", "--config", str(path)], ["report", str(path)]):
+            assert main(command) == 2
+            assert ("cannot load configuration: configuration file must be a JSON "
+                    "object, not list") in capsys.readouterr().err
 
     def test_unprotected_configuration_fails(self, ring_instance_file, tmp_path):
         rc = main(["plan", "--instance", str(ring_instance_file),

@@ -9,7 +9,9 @@ from scipy.optimize import linprog
 
 from conftest import make_instance
 from otnplan import planner
-from otnplan.milp import MilpModel, ModelError, check_solution, simplex, solve_milp
+from otnplan.formulation import PROTECTION, WORKING, ProtectionContext, build_logical_design
+from otnplan.milp import (MilpModel, ModelError, branch_bound, check_solution, simplex,
+                          solve_milp)
 from otnplan.milp.simplex import simplex_solve
 from otnplan.modes import SurvivabilityMode
 
@@ -486,3 +488,104 @@ class TestLimitsAndFailures:
         sol = solve_milp(knapsack_model(), gap=0.0)
         assert sol.status == "singular-basis"
         assert solve_milp(relaxed(knapsack_model())).status == "singular-basis"
+
+
+def implied_pairs(model):
+    return {tuple(pair) for pair in branch_bound._Arrays(model).implied_bounds().tolist()}
+
+
+def capacity_model(rng):
+    """A random binary model: one to three capacity rows sum(w x) <= C y + r
+    mixed with one or two dense random rows.  Returns the model and its rows
+    as (A, relations, rhs), the costs, for enumeration."""
+    n = int(rng.integers(4, 11))
+    A, rels, b = [], [], []
+    for _ in range(int(rng.integers(1, 4))):
+        y = int(rng.integers(n))
+        xs = rng.choice([j for j in range(n) if j != y], int(rng.integers(2, min(n, 5))),
+                        replace=False)
+        row = np.zeros(n)
+        row[xs] = rng.integers(1, 8, xs.size)
+        row[y] = -float(rng.integers(row.max(), row.sum() + 1))
+        A.append(row)
+        rels.append("<=")
+        b.append(float(rng.integers(0, 3)))
+    for _ in range(int(rng.integers(1, 3))):
+        A.append(np.round(rng.uniform(-3, 3, n), 1))
+        rels.append(str(rng.choice(["<=", ">=", "="], p=[0.6, 0.3, 0.1])))
+        b.append(round(float(rng.uniform(-1, 5)), 1))
+    A, b = np.array(A), np.array(b)
+    c = np.round(rng.uniform(-4, 2, n), 1)
+    model = MilpModel("capacity")
+    ids = [model.add_variable(f"v{j}", "binary", objective=c[j]) for j in range(n)]
+    for i in range(len(b)):
+        model.add_constraint(f"c{i}", [(ids[j], A[i, j]) for j in range(n)], rels[i], b[i])
+    return model, (A, rels, b), c
+
+
+def feasible_points(A, rels, b):
+    pts = np.array(list(itertools.product([0, 1], repeat=A.shape[1])), float)
+    lhs = pts @ A.T
+    feas = np.ones(len(pts), bool)
+    for i, rel in enumerate(rels):
+        if rel == "<=":
+            feas &= lhs[:, i] <= b[i] + 1e-9
+        elif rel == ">=":
+            feas &= lhs[:, i] >= b[i] - 1e-9
+        else:
+            feas &= np.abs(lhs[:, i] - b[i]) <= 1e-9
+    return pts[feas]
+
+
+class TestImpliedBoundCuts:
+    def test_capacity_rows_give_one_pair_per_unblocked_delta(self, ring4):
+        inst = make_instance(ring4, [(0, 2, 10), (1, 3, 6)], SurvivabilityMode.SINGLE_LAYER)
+        context = ProtectionContext(protected=inst.traffic, interface_usage={},
+                                    excluded_nodes={0: frozenset({1}), 1: frozenset()})
+        for model, varmap in (build_logical_design(inst, WORKING),
+                              build_logical_design(inst, PROTECTION, context)):
+            unblocked = {key: vid for key, vid in varmap.delta.items()
+                         if model.variables[vid].upper == 1.0}
+            expected = {(vid, varmap.beta[(min(i, j), max(i, j), q)])
+                        for (_k, i, j, q), vid in unblocked.items()}
+            assert implied_pairs(model) == expected
+        assert len(unblocked) < len(varmap.delta)  # the protection plane blocks some
+
+    def test_rows_that_imply_nothing(self):
+        m = MilpModel("nothing")
+        x, y, z, off = (m.add_variable(name, "binary") for name in ("x", "y", "z", "off"))
+        w = m.add_variable("w", "continuous", -math.inf, 0.0)
+        m.add_constraint("two-negative", [(x, 2.0), (y, -1.0), (z, -1.0)], "<=", 0.0)
+        m.add_constraint("absorbed", [(x, 2.0), (y, -3.0)], "<=", 2.0)
+        m.add_constraint("greater", [(y, 1.0), (x, -1.0)], ">=", 0.0)
+        m.add_constraint("fixed-y", [(x, 1.0), (off, -1.0)], "<=", 0.0)
+        m.add_constraint("unbounded", [(x, 1.0), (w, 1.0), (z, -1.0)], "<=", 0.0)
+        m.variables[off].upper = 0.0
+        assert implied_pairs(m) == set()
+        m.add_constraint("capacity", [(x, 2.0), (z, 1.0), (y, -3.0)], "<=", 1.0)
+        assert implied_pairs(m) == {(x, y)}  # z = 1 fits with y = 0
+
+    def test_random_capacity_models_match_enumeration(self):
+        rng = np.random.default_rng(17)
+        cut_models = 0
+        for trial in range(30):
+            seed = int(rng.integers(2 ** 32))
+            model, (A, rels, b), c = capacity_model(np.random.default_rng(seed))
+            pairs = implied_pairs(model)
+            points = feasible_points(A, rels, b)
+            for x, y in pairs:
+                assert (points[:, x] <= points[:, y]).all(), trial
+            sol = solve_milp(model, gap=0.0)
+            if points.size:
+                assert sol.status == "optimal", trial
+                assert sol.objective == pytest.approx(float((points @ c).min()), abs=1e-7)
+                assert not check_solution(model, sol.values), trial
+            else:
+                assert sol.status == "infeasible", trial
+            cuts = [con for con in model.constraints if con.name.startswith("imply[")]
+            assert {(con.terms[0][0], con.terms[1][0]) for con in cuts} <= pairs
+            cut_models += bool(cuts)
+            twin = solve_milp(capacity_model(np.random.default_rng(seed))[0], gap=0.0)
+            assert (twin.values, twin.stats.nodes, twin.stats.lp_iterations) == (
+                sol.values, sol.stats.nodes, sol.stats.lp_iterations), trial
+        assert cut_models >= 10
