@@ -53,9 +53,15 @@ class ProblemInstance:
 
     def __post_init__(self):
         nodes = set(self.topology.nodes)
+        reach: dict[Node, set[Node]] = {}
         for lsp in self.traffic:
             if lsp.source not in nodes or lsp.destination not in nodes:
                 raise ValueError(f"LSP {lsp.id} references unknown nodes")
+            if lsp.source not in reach:
+                reach[lsp.source] = reachable(self.topology, lsp.source)
+            if lsp.destination not in reach[lsp.source]:
+                raise ValueError(f"LSP {lsp.id} joins nodes {lsp.source} and "
+                                 f"{lsp.destination}, which no fiber path connects")
             if lsp.bandwidth > self.params.C:
                 raise ValueError(
                     f"LSP {lsp.id} bandwidth {lsp.bandwidth} exceeds lightpath "

@@ -188,6 +188,7 @@ def config_from_dict(data: Mapping[str, Any]) -> NetworkConfiguration:
     """Rebuild a configuration from its file; capacities, transit and cost are
     recomputed from the routes (and must match what was stored)."""
     _require_object(data, "configuration file")
+    _require_object(data.get("cost", {}), "configuration cost")
     mode = SurvivabilityMode(data["mode"])
     approach = Approach(data["approach"])
     inst = instance_from_dict(data["instance"], mode, approach)
@@ -222,6 +223,9 @@ def _check_routes(inst: ProblemInstance, lightpaths: tuple[Lightpath, ...],
         if lp.status not in (WORKING, PROTECTION):
             raise ValueError(f"lightpath {lp.id} status {lp.status!r} is neither "
                              f"{WORKING!r} nor {PROTECTION!r}")
+        if type(lp.q) is not int or not 1 <= lp.q <= inst.params.Q:
+            raise ValueError(f"lightpath {lp.id} q must be a whole number in "
+                             f"1..{inst.params.Q}, got {lp.q!r}")
         for kind, routes in (("route", lightpath_routes), ("protection route", protection_routes)):
             route = routes.get(lp.id)
             if route is not None and not (

@@ -3,27 +3,29 @@
 Best-bound node selection, branching on the most fractional binary (ties to
 the lowest variable id), optimality-gap and wall-clock termination.  Each
 child re-optimises from its parent's optimal basis with the dual simplex.
-The root starts from the slack basis, unless the search continues from an
-earlier solution of the same model that has had rows appended since, as a
-lexicographic stage continues from the one before it: then the root starts
-from that solution's root basis, each appended row with a basic slack, and
-that solution's values, if they satisfy the current model, are the first
-incumbent.  Every LP, root or child, takes the one simplex path from its
-starting basis.  A model with no binary variable is solved as one LP: its
-root is the whole search.  Each constraint is one row, an empty one
-included; an empty row that cannot hold is proved infeasible by the dual
-simplex like any other.
+Every LP, root or child, takes the one simplex path from its starting
+basis.  A model with no binary variable is solved as one LP: its root is
+the whole search.  Each constraint is one row, an empty one included; an
+empty row that cannot hold is proved infeasible by the dual simplex like
+any other.
+
+One search solves a model's lexicographic stages (a planning phase's cost,
+then its tie-breaks) over one dense snapshot, which grows in place.  After
+a stage, a row appended to the model pins its objective to its incumbent's
+value.  The next stage's root starts from the last root basis, with the
+pin row's slack basic, and from the last incumbent, which meets that row.
 
 The root is strengthened by implied-bound cuts (Achterberg, *Constraint
 Integer Programming*, 2007, ch. 8).  A ``<=`` row whose only negative
 coefficient is on a binary y implies x <= y for each binary x in it that
 cannot be 1 while y is 0 under the model's bounds; a capacity row
 sum(b * delta) <= C * beta gives delta <= beta for each of its deltas.  The
-root LP solution's violated implications are appended to the model as rows
+pairs are derived once, at the first fractional root.  That root LP
+solution's violated implications are appended to the model as rows
 ``imply[x<=y]`` and the root is re-solved from its basis, until none is
-violated; then the search branches.  Each such row holds at every integer
-feasible point, so the optimum does not move, and a later stage that
-continues this search finds them among the model's first rows.
+violated; then the search branches.  A later stage's root checks the pairs
+not yet appended.  Each such row holds at every integer feasible point, so
+the optimum does not move.
 
 The search is single threaded and fully deterministic: identical models and
 parameters reproduce identical incumbents, cuts, node counts and iteration
@@ -35,6 +37,8 @@ from __future__ import annotations
 import heapq
 import math
 import time
+from dataclasses import replace
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -47,7 +51,9 @@ __all__ = ["solve_milp"]
 
 class _Arrays:
     """Dense snapshot of a model, one row per constraint (an empty constraint
-    is a zero row); per-node solves only swap bounds."""
+    is a zero row); per-node solves only swap bounds.  Rows appended to the
+    model through ``append`` are appended here too, so one snapshot serves
+    every stage of a search."""
 
     def __init__(self, model: MilpModel):
         self.A = np.zeros((len(model.constraints), len(model.variables)))
@@ -85,51 +91,163 @@ class _Arrays:
         pairs = sorted(set(zip(x.tolist(), y[at].tolist())))
         return np.array(pairs, dtype=np.intp).reshape(-1, 2)
 
-    def append_implications(self, model: MilpModel, pairs: np.ndarray) -> None:
-        """Append the row x - y <= 0 of each pair (x, y) to the model and to
-        this snapshot."""
-        for x, y in pairs.tolist():
-            model.add_constraint(f"imply[{model.var_name(x)}<={model.var_name(y)}]",
-                                 [(x, 1.0), (y, -1.0)], "<=", 0.0)
-        rows = np.zeros((len(pairs), self.A.shape[1]))
-        rows[np.arange(len(pairs)), pairs[:, 0]] = 1.0
-        rows[np.arange(len(pairs)), pairs[:, 1]] = -1.0
-        self.A = np.vstack([self.A, rows])
-        self.relations = self.relations + ["<="] * len(pairs)
-        self.rhs = np.concatenate([self.rhs, np.zeros(len(pairs))])
+    def append(self, model: MilpModel,
+               rows: list[tuple[str, list[tuple[int, float]], float]]) -> None:
+        """Append each (name, terms, rhs) as the row terms <= rhs to the
+        model and to this snapshot."""
+        dense = np.zeros((len(rows), self.A.shape[1]))
+        for k, (name, terms, rhs) in enumerate(rows):
+            model.add_constraint(name, terms, "<=", rhs)
+            for vid, coef in model.constraints[-1].terms:
+                dense[k, vid] += coef
+        self.A = np.vstack([self.A, dense])
+        self.relations = self.relations + ["<="] * len(rows)
+        self.rhs = np.concatenate([self.rhs, [float(rhs) for _, _, rhs in rows]])
 
 
-def _cut_root(model: MilpModel, arrays: _Arrays, binary_ids: np.ndarray, res: LpResult,
-              deadline: float | None) -> tuple[LpResult, int]:
-    """The root LP result once its violated implied-bound cuts are appended
-    and the root re-solved from its basis, round after round until none is
-    violated, and the pivots the re-solves took.  An integral root violates
-    no cut, as it meets the row each cut is derived from."""
-    iterations = 0
-    if res.status != "optimal" or not _fractional(res.x[binary_ids]):
+class _Search:
+    """The stages of one model, searched over one snapshot of it.  A stage
+    leaves the next its root basis, its incumbent and the implied pairs not
+    yet appended."""
+
+    def __init__(self, model: MilpModel, deadline: float | None):
+        self.model = model
+        self.arrays = _Arrays(model)
+        self.binary_ids = np.nonzero(self.arrays.binary)[0]
+        self.deadline = deadline
+        self.pairs: np.ndarray | None = None  # derived at the first fractional root
+        self.root: LpBasis | None = None
+        self.incumbent: dict[int, float] | None = None
+        self.incumbent_obj = math.inf
+
+    def cut_root(self, res: LpResult) -> tuple[LpResult, int]:
+        """The root LP result once its violated implied-bound cuts are
+        appended and the root re-solved from its basis, round after round
+        until none is violated, and the pivots the re-solves took.  An
+        integral root violates no cut, as it meets the row each cut is
+        derived from."""
+        iterations = 0
+        point = res.x[self.binary_ids] if res.status == "optimal" else None
+        if point is None or (np.abs(point - np.round(point)) <= INTEGRALITY_TOL).all():
+            return res, iterations
+        if self.pairs is None:
+            self.pairs = self.arrays.implied_bounds()
+        model, arrays = self.model, self.arrays
+        while res.status == "optimal" and self.pairs.size:
+            cut = res.x[self.pairs[:, 0]] - res.x[self.pairs[:, 1]] > INTEGRALITY_TOL
+            if not cut.any():
+                break
+            arrays.append(model, [(f"imply[{model.var_name(x)}<={model.var_name(y)}]",
+                                   [(x, 1.0), (y, -1.0)], 0.0)
+                                  for x, y in self.pairs[cut].tolist()])
+            self.pairs = self.pairs[~cut]
+            res = simplex_solve(arrays.A, arrays.relations, arrays.rhs, arrays.c, arrays.lo,
+                                arrays.hi, res.basis.with_rows(arrays.A, arrays.relations),
+                                self.deadline)
+            iterations += res.iterations
         return res, iterations
-    pairs = arrays.implied_bounds()
-    while res.status == "optimal" and pairs.size:
-        cut = res.x[pairs[:, 0]] - res.x[pairs[:, 1]] > INTEGRALITY_TOL
-        if not cut.any():
-            break
-        arrays.append_implications(model, pairs[cut])
-        pairs = pairs[~cut]
-        res = simplex_solve(arrays.A, arrays.relations, arrays.rhs, arrays.c, arrays.lo,
-                            arrays.hi, res.basis.with_rows(arrays.A, arrays.relations),
-                            deadline)
-        iterations += res.iterations
-    return res, iterations
 
+    def stage(self, gap: float) -> MilpSolution:
+        """One branch-and-bound search for the model's current objective,
+        from the last stage's root basis and incumbent."""
+        began = time.perf_counter()
+        model, arrays, binary_ids, deadline = self.model, self.arrays, self.binary_ids, self.deadline
+        arrays.c = np.array([v.objective for v in model.variables])
+        self.incumbent_obj = (math.inf if self.incumbent is None
+                              else model.evaluate_objective(self.incumbent))
+        nodes = lp_iters = 0
+        root_infeasible_rows: tuple[str, ...] = ()
 
-def _fractional(values: np.ndarray) -> bool:
-    return bool((np.abs(values - np.round(values)) > INTEGRALITY_TOL).any())
+        def build(status: str, best_bound: float) -> MilpSolution:
+            stats = MilpStats(nodes, lp_iters, time.perf_counter() - began)
+            if self.incumbent is None:
+                return MilpSolution(status, stats=stats, best_bound=best_bound,
+                                    infeasible_rows=root_infeasible_rows)
+            return MilpSolution(status, dict(self.incumbent), self.incumbent_obj, best_bound,
+                                max(0.0, relative_gap(self.incumbent_obj, best_bound)), stats)
+
+        # a heap of (parent bound, tiebreak counter, lo array, hi array, parent basis)
+        warm_root = self.root and self.root.with_rows(arrays.A, arrays.relations)
+        heap = [(-math.inf, 0, arrays.lo.copy(), arrays.hi.copy(), warm_root)]
+        counter = 0
+        self.root = None
+        while heap:
+            # the heap is bound-ordered, so this is the global lower bound
+            open_bound, _, lo, hi, warm = heapq.heappop(heap)
+            incumbent_obj = self.incumbent_obj
+            if self.incumbent is not None:
+                gap_now = relative_gap(incumbent_obj, min(open_bound, incumbent_obj))
+                if gap_now <= gap + 1e-12:
+                    return build("optimal" if gap_now <= 1e-12 else "feasible-with-gap",
+                                 min(open_bound, incumbent_obj))
+                if open_bound >= incumbent_obj - 1e-9:
+                    continue
+            if deadline is not None and time.perf_counter() >= deadline:
+                return build("time-limit", min(open_bound, incumbent_obj))
+
+            nodes += 1
+            res = simplex_solve(arrays.A, arrays.relations, arrays.rhs, arrays.c, lo, hi,
+                                warm, deadline)
+            lp_iters += res.iterations
+            if nodes == 1:
+                res, iterations = self.cut_root(res)
+                lp_iters += iterations
+            if res.status == "time-limit" or res.status in SOLVER_FAILURES:
+                return build(res.status, min(open_bound, incumbent_obj))
+            if res.status == "infeasible":
+                if nodes == 1:
+                    root_infeasible_rows = tuple(
+                        model.constraints[i].name for i in res.infeasible_rows)
+                continue
+            if res.status == "unbounded":
+                if nodes == 1:
+                    return build("unbounded", -math.inf)
+                continue
+            if nodes == 1:
+                self.root = res.basis
+            if self.incumbent is not None and res.objective >= incumbent_obj - 1e-9:
+                continue
+
+            frac = np.abs(res.x[binary_ids] - np.round(res.x[binary_ids]))
+            if binary_ids.size == 0 or frac.max() <= INTEGRALITY_TOL:
+                values = res.x.copy()
+                values[binary_ids] = np.round(values[binary_ids])
+                cand = {i: float(values[i]) for i in range(len(values))}
+                if not check_solution(model, cand):
+                    obj = float(arrays.c @ values)
+                    if obj < incumbent_obj - 1e-12:
+                        self.incumbent, self.incumbent_obj = cand, obj
+                    continue
+                # rounding broke feasibility: branch on the most fractional binary anyway
+                if binary_ids.size == 0 or frac.max() <= 0:
+                    continue
+
+            scores = np.minimum(frac, 1.0 - frac)
+            pick = int(binary_ids[int(np.argmax(scores))])
+            for fix in (0.0, 1.0):
+                lo2, hi2 = lo.copy(), hi.copy()
+                lo2[pick] = hi2[pick] = fix
+                counter += 1
+                heapq.heappush(heap, (res.objective, counter, lo2, hi2, res.basis))
+
+        if self.incumbent is None:
+            return build("infeasible", math.nan)
+        return build("optimal", self.incumbent_obj)
 
 
 def solve_milp(model: MilpModel, gap: float = 0.0, time_limit: float | None = None,
-               start: MilpSolution | None = None) -> MilpSolution:
+               stages: Sequence[tuple[Mapping[int, float], float, float]] | None = None
+               ) -> MilpSolution:
     """Branch-and-bound search honouring a relative optimality gap and a
-    wall-clock limit.
+    wall-clock limit, over lexicographic stages (see the module docstring).
+
+    ``stages`` lists (objective, gap, pin tolerance) triples; by default
+    there is one, the model's own objective at ``gap``.  After stage i, if
+    it has an incumbent, the row ``pin[stage=i]`` (its objective <= the
+    incumbent's value + pin tolerance) is appended to ``model`` and the next
+    stage runs.  The result is the last stage's solution, with the nodes and
+    pivots of all stages and the wall time of the whole call, which
+    ``time_limit`` bounds, and each stage's own solution in ``stages``.
 
     The returned incumbent always satisfies every constraint and every
     integrality requirement within 1e-6 (values are rounded and re-verified
@@ -142,114 +260,27 @@ def solve_milp(model: MilpModel, gap: float = 0.0, time_limit: float | None = No
     variable bounds, they cannot all hold.  An empty constraint that cannot
     hold is one of them.
 
-    The root's violated implied-bound cuts (see the module docstring) are
-    appended to ``model`` as rows named ``imply[<x name><=<y name>]``; they
-    hold at every integer feasible point, so ``check_solution`` accepts the
-    same points as before.
-
-    ``start`` is an earlier solution of this model, solved before rows were
-    appended (and the objective changed, say).  Its values become the first
-    incumbent if ``check_solution`` accepts them.  Its root basis warm-starts
-    the root LP if its rows are the first rows of the model, over the same
-    variables; otherwise the root starts from the slack basis.  The result
-    carries its own root basis for a later ``start``.
+    The root's violated implied-bound cuts are appended to ``model`` as rows
+    named ``imply[<x name><=<y name>]``; they hold at every integer feasible
+    point, so ``check_solution`` accepts the same points as before.
     """
-    if not gap >= 0:
-        raise ValueError("gap must be non-negative")
     began = time.perf_counter()
-    deadline = None if time_limit is None else began + time_limit
-    arrays = _Arrays(model)
-    binary_ids = np.nonzero(arrays.binary)[0]
-    nodes = 0
-    lp_iters = 0
-    incumbent: dict[int, float] | None = None
-    incumbent_obj = math.inf
-    root_infeasible_rows: tuple[str, ...] = ()
-    root_basis: LpBasis | None = None
-    warm_root: LpBasis | None = None
-    if start is not None:
-        if start.root_basis is not None:
-            warm_root = start.root_basis.with_rows(arrays.A, arrays.relations)
-        if start.has_incumbent and not check_solution(model, start.values):
-            incumbent = dict(start.values)
-            incumbent_obj = model.evaluate_objective(incumbent)
-
-    def build(status: str, best_bound: float) -> MilpSolution:
-        wall = time.perf_counter() - began
-        stats = MilpStats(nodes=nodes, lp_iterations=lp_iters, wall_time=wall)
-        if incumbent is None:
-            return MilpSolution(status=status, stats=stats, best_bound=best_bound,
-                                infeasible_rows=root_infeasible_rows, root_basis=root_basis)
-        g = max(0.0, relative_gap(incumbent_obj, best_bound))
-        return MilpSolution(status=status, values=dict(incumbent), objective=incumbent_obj,
-                            best_bound=best_bound, gap=g, stats=stats, root_basis=root_basis)
-
-    # heap of (parent bound, tiebreak counter, lo array, hi array, parent basis)
-    counter = 0
-    heap: list[tuple[float, int, np.ndarray, np.ndarray, LpBasis | None]] = []
-    heapq.heappush(heap, (-math.inf, counter, arrays.lo.copy(), arrays.hi.copy(), warm_root))
-
-    while heap:
-        bound_est, _, lo, hi, warm = heapq.heappop(heap)
-        open_bound = bound_est  # heap is bound-ordered, so this is the global lower bound
-        if incumbent is not None:
-            gap_now = relative_gap(incumbent_obj, min(open_bound, incumbent_obj))
-            if gap_now <= gap + 1e-12:
-                return build("optimal" if gap_now <= 1e-12 else "feasible-with-gap",
-                             min(open_bound, incumbent_obj))
-            if bound_est >= incumbent_obj - 1e-9:
-                continue
-        if deadline is not None and time.perf_counter() >= deadline:
-            return build("time-limit", min(open_bound, incumbent_obj))
-
-        nodes += 1
-        res = simplex_solve(arrays.A, arrays.relations, arrays.rhs, arrays.c, lo, hi,
-                            warm, deadline)
-        lp_iters += res.iterations
-        if nodes == 1:
-            res, iterations = _cut_root(model, arrays, binary_ids, res, deadline)
-            lp_iters += iterations
-        if res.status == "time-limit" or res.status in SOLVER_FAILURES:
-            return build(res.status, min(open_bound, incumbent_obj))
-        if res.status == "infeasible":
-            if nodes == 1:
-                root_infeasible_rows = tuple(
-                    model.constraints[i].name for i in res.infeasible_rows)
-            continue
-        if res.status == "unbounded":
-            if nodes == 1:
-                return build("unbounded", -math.inf)
-            continue
-        if nodes == 1:
-            root_basis = res.basis
-        if incumbent is not None and res.objective >= incumbent_obj - 1e-9:
-            continue
-
-        frac = np.abs(res.x[binary_ids] - np.round(res.x[binary_ids])) if binary_ids.size else np.zeros(0)
-        if binary_ids.size == 0 or frac.max() <= INTEGRALITY_TOL:
-            values = res.x.copy()
-            values[binary_ids] = np.round(values[binary_ids])
-            cand = {i: float(values[i]) for i in range(len(values))}
-            if not check_solution(model, cand):
-                obj = float(arrays.c @ values)
-                if obj < incumbent_obj - 1e-12:
-                    incumbent = cand
-                    incumbent_obj = obj
-                continue
-            # rounding broke feasibility: branch on the most fractional binary anyway
-            if binary_ids.size == 0 or frac.max() <= 0:
-                continue
-
-        scores = np.minimum(frac, 1.0 - frac)
-        pick = int(binary_ids[int(np.argmax(scores))])
-        for fix in (0.0, 1.0):
-            lo2 = lo.copy()
-            hi2 = hi.copy()
-            lo2[pick] = fix
-            hi2[pick] = fix
-            counter += 1
-            heapq.heappush(heap, (res.objective, counter, lo2, hi2, res.basis))
-
-    if incumbent is None:
-        return build("infeasible", math.nan)
-    return build("optimal", incumbent_obj)
+    if stages is None:
+        stages = [({v.id: v.objective for v in model.variables}, gap, 0.0)]
+    if not all(stage_gap >= 0 for _, stage_gap, _ in stages):
+        raise ValueError("gap must be non-negative")
+    search = _Search(model, None if time_limit is None else began + time_limit)
+    solutions: list[MilpSolution] = []
+    for idx, (objective, stage_gap, tolerance) in enumerate(stages):
+        if idx:
+            # the incumbent meets its own pin row, so it stays the first incumbent
+            rhs = model.evaluate_objective(search.incumbent) + stages[idx - 1][2]
+            search.arrays.append(model, [(f"pin[stage={idx - 1}]",
+                                          list(stages[idx - 1][0].items()), rhs)])
+        model.set_objective(objective)
+        solutions.append(search.stage(stage_gap))
+        if not solutions[-1].has_incumbent:
+            break
+    return replace(solutions[-1], stages=tuple(solutions), stats=MilpStats(
+        sum(s.stats.nodes for s in solutions), sum(s.stats.lp_iterations for s in solutions),
+        time.perf_counter() - began))

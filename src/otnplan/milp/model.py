@@ -6,8 +6,6 @@ import math
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping
 
-from .simplex import LpBasis
-
 __all__ = [
     "ModelError",
     "Variable",
@@ -137,8 +135,8 @@ class MilpSolution:
     gap: float = math.nan
     stats: MilpStats = field(default_factory=MilpStats)
     infeasible_rows: tuple[str, ...] = ()
-    # the root LP's optimal basis, for a later solve that continues this one
-    root_basis: LpBasis | None = field(default=None, compare=False, repr=False)
+    # each lexicographic stage's own solution, in order (see ``solve_milp``)
+    stages: tuple[MilpSolution, ...] = field(default=(), repr=False)
 
     @property
     def has_incumbent(self) -> bool:

@@ -13,9 +13,12 @@ Warm starts come in two kinds.  A branch-and-bound child starts from its
 parent's optimal basis with tightened bounds: that basis is dual feasible,
 so no cost is shifted and the dual simplex restores the bounds.  A
 lexicographic stage starts from the previous stage's root basis with a new
-objective and rows appended below the old ones (``LpBasis.with_rows`` gives
-each appended row a basic slack): the new rows hold at the old optimum, so
-phase 2 runs from it directly.
+objective and a pin row appended below the old rows, and a root with its
+implied-bound cuts appended re-solves from its own basis.
+``LpBasis.with_rows`` gives each appended row a basic slack; the caller
+appends rows only below the unchanged old ones, so it compares nothing.  A
+pin row holds at the old optimum, so phase 2 runs from it directly; a cut
+is violated there, so the dual simplex repairs it first.
 
 Pricing is Dantzig's rule in the primal.  In the dual, the row with the
 largest bound violation leaves and the entering column comes from a Harris
@@ -74,20 +77,13 @@ class LpBasis:
     basis: np.ndarray
     status: np.ndarray
 
-    def with_rows(self, A: np.ndarray, relations: list[str]) -> LpBasis | None:
-        """This basis for the rows ``A`` (rel), which append rows below this
-        basis's own: each appended row's slack is basic.  None unless this
-        basis's rows are the first rows of ``A``, with the same coefficients
-        and relations, over the same columns."""
-        m, width = self.columns.shape
-        n = width - m
-        rows = A.shape[0]
+    def with_rows(self, A: np.ndarray, relations: list[str]) -> LpBasis:
+        """This basis for the rows ``A`` (rel), whose first rows are this
+        basis's own and whose other rows are appended below them: each
+        appended row's slack is basic."""
+        m = self.basis.size
+        rows, n = A.shape
         slack_lo, slack_hi = _slack_bounds(relations)
-        if (A.shape[1] != n or rows < m
-                or not np.array_equal(self.columns[:, :n], A[:m])
-                or not np.array_equal(self.slack_lo, slack_lo[:m])
-                or not np.array_equal(self.slack_hi, slack_hi[:m])):
-            return None
         return LpBasis(np.hstack([A, np.eye(rows)]), slack_lo, slack_hi,
                        np.concatenate([self.basis, n + np.arange(m, rows)]),
                        np.concatenate([self.status, np.full(rows - m, _BASIC, np.int8)]))

@@ -13,7 +13,6 @@ sequential result while the optical layer can only improve.
 
 from __future__ import annotations
 
-import math
 import time
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
@@ -26,7 +25,7 @@ from .formulation import (PROTECTION, WORKING, ExclusionSets, Lightpath,
                           backup_exclusions, build_integrated,
                           build_lightpath_routing, build_logical_design,
                           compute_exclusion_sets, expand_lightpaths)
-from .milp import SOLVER_FAILURES, MilpModel, MilpSolution, solve_milp
+from .milp import SOLVER_FAILURES, MilpModel, solve_milp
 from .modes import Approach, SurvivabilityMode
 from .netmodel import (Link, Node, PhysicalTopology, UnitCosts, normalize_link,
                        reachable, route_links)
@@ -186,71 +185,6 @@ class NetworkConfiguration:
         return tuple(walk)
 
 
-# ---------------------------------------------------------------------------
-# staged solving
-
-def _exact_dot(coefs: Mapping[int, float], values: Mapping[int, float]) -> float:
-    return sum(c * values.get(vid, 0.0) for vid, c in sorted(coefs.items()))
-
-
-def _solve_stages(model: MilpModel, stages: Sequence[Mapping[int, float]],
-                  options: PlanOptions, label: str) -> tuple[dict[int, float], PhaseRecord]:
-    """Minimize the stage objectives lexicographically (each pinned before
-    the next), then, at gap 0, the two tie-break scores; returns the last
-    incumbent.  Each stage continues from the last: its root LP starts from
-    the previous stage's root basis, and the previous incumbent, which meets
-    the new pin row, is its first incumbent.  A stage stopped by the time
-    limit above its gap (``options.gap`` for a cost stage, 0 for a
-    tie-break) is not a result: it raises ``PlanError``."""
-    deadline = time.perf_counter() + options.time_limit
-    staged: list[tuple[Mapping[int, float], float, float]] = [
-        (vec, _PIN_EPS, options.gap) for vec in stages]
-    if options.exact():
-        for level in (1, 2):
-            vec = {v.id: float(naming.tie_weight(v.name, level))
-                   for v in model.variables if v.kind == "binary"}
-            staged.append((vec, 0.5, 0.0))
-
-    values: dict[int, float] = {}
-    first: MilpSolution | None = None
-    sol: MilpSolution | None = None
-    nodes = iters = 0
-    wall = 0.0
-    for idx, (vec, eps, stage_gap) in enumerate(staged):
-        budget = max(0.0, deadline - time.perf_counter())
-        model.set_objective(vec)
-        sol = solve_milp(model, gap=stage_gap, time_limit=budget, start=sol)
-        nodes += sol.stats.nodes
-        iters += sol.stats.lp_iterations
-        wall += sol.stats.wall_time
-        if idx == 0:
-            first = sol
-        if sol.status in SOLVER_FAILURES:
-            raise PlanError(label, f"LP solver failed: {sol.status}")
-        if not sol.has_incumbent:
-            if idx == 0:
-                raise PlanError(label, sol.status, binding=sol.infeasible_rows)
-            break  # keep the previous stage's incumbent
-        if sol.status == "time-limit" and sol.gap > stage_gap:
-            raise PlanError(label, f"stage {idx} stopped at its time limit with incumbent "
-                                   f"{sol.objective:.6g}, bound {sol.best_bound:.6g}, "
-                                   f"gap {sol.gap:.4g} above {stage_gap:g}")
-        values = {vid: float(round(val)) if model.variables[vid].kind == "binary" else val
-                  for vid, val in sol.values.items()}
-        if idx + 1 < len(staged):
-            pinned = _exact_dot(vec, values)
-            model.add_constraint(f"pin[stage={idx}]",
-                                 [(vid, c) for vid, c in vec.items()],
-                                 "<=", pinned + eps)
-    record = PhaseRecord(
-        name=label, status=first.status,
-        objective=first.objective if first.has_incumbent else math.nan,
-        best_bound=first.best_bound,
-        gap=first.gap if first.has_incumbent else math.nan,
-        nodes=nodes, lp_iterations=iters, wall_time=wall)
-    return values, record
-
-
 def _decode_walks(family: Mapping[tuple, int], values: Mapping[int, float],
                   ends: Mapping[object, tuple[Node, Node]], limit: int,
                   label: str) -> dict[object, tuple[tuple[Node, ...], tuple]]:
@@ -368,12 +302,35 @@ class _MilpPhases:
 
     def _solve(self, model: MilpModel, stages: Sequence[Mapping[int, float]],
                label: str) -> dict[int, float]:
-        values, record = _solve_stages(model, stages, self.options, label)
-        earlier = self.records.get(label)
+        """Minimize the stage objectives lexicographically in one search
+        (each pinned before the next), then, at gap 0, the two tie-break
+        scores; returns the last incumbent.  A stage stopped by the time
+        limit above its gap (``options.gap`` for a cost stage, 0 for a
+        tie-break) is not a result: it raises ``PlanError``."""
+        staged = [(vec, self.options.gap, _PIN_EPS) for vec in stages]
+        if self.options.exact():
+            for level in (1, 2):
+                vec = {v.id: float(naming.tie_weight(v.name, level))
+                       for v in model.variables if v.kind == "binary"}
+                staged.append((vec, 0.0, 0.5))
+        sol = solve_milp(model, time_limit=self.options.time_limit, stages=staged)
+        for idx, (stage, (_vec, stage_gap, _eps)) in enumerate(zip(sol.stages, staged)):
+            if stage.status in SOLVER_FAILURES:
+                raise PlanError(label, f"LP solver failed: {stage.status}")
+            if not stage.has_incumbent:
+                raise PlanError(label, stage.status, binding=stage.infeasible_rows)
+            if stage.status == "time-limit" and stage.gap > stage_gap:
+                raise PlanError(label, f"stage {idx} stopped at its time limit with "
+                                       f"incumbent {stage.objective:.6g}, bound "
+                                       f"{stage.best_bound:.6g}, gap {stage.gap:.4g} "
+                                       f"above {stage_gap:g}")
+        first, earlier = sol.stages[0], self.records.get(label)
         # a phase solved again after regrouping keeps its place and counts it
-        self.records[label] = (record if earlier is None
-                               else replace(record, retries=earlier.retries + 1))
-        return values
+        self.records[label] = PhaseRecord(
+            label, first.status, first.objective, first.best_bound, first.gap,
+            sol.stats.nodes, sol.stats.lp_iterations, sol.stats.wall_time,
+            retries=0 if earlier is None else earlier.retries + 1)
+        return dict(sol.values)
 
     def logical(self, label: str, plane: str, context: ProtectionContext | None = None):
         instance = self.instance

@@ -120,13 +120,27 @@ class TestPlanCommand:
         assert f"{field} must be a whole number, got {value}" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("extra", [[], ["--approach", "integrated"], ["--emit-lp"]],
+                             ids=["sequential", "integrated", "emit-lp"])
+    def test_lsp_without_fiber_path_exits_2(self, extra, ring_instance_file, tmp_path,
+                                            capsys):
+        data = json.loads(ring_instance_file.read_text())
+        data["links"] = [[0, 1], [2, 3]]
+        ring_instance_file.write_text(json.dumps(data))
+        assert main(["plan", "--instance", str(ring_instance_file),
+                     "--output-dir", str(tmp_path)] + extra) == 2
+        assert ("cannot load instance: LSP 0 joins nodes 0 and 2, which no fiber path "
+                "connects") in capsys.readouterr().err
+        assert not list(tmp_path.glob("*.lp")) and not list(tmp_path.glob("*.config.json"))
+
     @pytest.mark.parametrize("stopped_gap, rc", [(0.5, 1), (0.01, 0)])
     def test_stage_at_its_time_limit_above_its_gap_is_no_plan(
             self, stopped_gap, rc, ring_instance_file, tmp_path, monkeypatch, capsys):
-        def stopped(model, gap=0.0, time_limit=None, start=None):
-            sol = solve_milp(model, gap=gap, time_limit=time_limit, start=start)
-            return dataclasses.replace(sol, status="time-limit", gap=stopped_gap,
-                                       best_bound=sol.objective * (1 - stopped_gap))
+        def stopped(model, gap=0.0, time_limit=None, stages=None):
+            sol = solve_milp(model, gap=gap, time_limit=time_limit, stages=stages)
+            first = dataclasses.replace(sol.stages[0], status="time-limit", gap=stopped_gap,
+                                        best_bound=sol.stages[0].objective * (1 - stopped_gap))
+            return dataclasses.replace(sol, stages=(first,) + sol.stages[1:])
         monkeypatch.setattr(planner, "solve_milp", stopped)
         request = RunRequest(instance=str(ring_instance_file), gap=0.03,
                              output_dir=str(tmp_path))
@@ -226,7 +240,11 @@ class TestVerifyCommand:
         ("working", [5], "unknown lightpath 5"),
         ("lsp_routes", [], "LSPs [0]"),
         ("status", "bogus", "lightpath 0 status 'bogus'"),
-    ], ids=["missing-fiber", "wrong-end", "unknown-lightpath", "unrouted-lsp", "unknown-status"])
+        ("q", "x", "lightpath 0 q must be a whole number in 1..1, got 'x'"),
+        ("q", 2, "lightpath 0 q must be a whole number in 1..1, got 2"),
+        ("cost", [1], "configuration cost must be a JSON object, not list"),
+    ], ids=["missing-fiber", "wrong-end", "unknown-lightpath", "unrouted-lsp", "unknown-status",
+            "non-numeric-q", "q-above-Q", "cost-not-object"])
     def test_malformed_routes_exit_2(self, field, value, offender, ring_instance_file,
                                      tmp_path, capsys):
         assert main(["plan", "--instance", str(ring_instance_file),
@@ -239,8 +257,8 @@ class TestVerifyCommand:
             data["cost"]["total"] = 43  # what the edited route would cost
         elif field == "working":
             data["lsp_routes"][0]["working"] = value
-        elif field == "status":
-            data["lightpaths"][0]["status"] = value
+        elif field in ("status", "q"):
+            data["lightpaths"][0][field] = value
         else:
             data[field] = value
         path.write_text(json.dumps(data))

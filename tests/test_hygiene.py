@@ -1,8 +1,10 @@
 """Static hygiene checks over the source tree, in place of a linter: no
-function or class in the package that nothing refers to, and no unused
-import in the package or the tests."""
+function or class in the package that nothing refers to, no unused import
+in the package or the tests, and no import of a third-party module other
+than numpy when the package loads."""
 
 import ast
+import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -104,3 +106,30 @@ def test_no_definition_only_tests_use():
                  and not (node.name.startswith("__") and node.name.endswith("__"))
                  and node.name not in used]
     assert not test_only, "used only by tests or __all__:\n" + "\n".join(test_only)
+
+
+def _load_time_imports(node: ast.AST):
+    """The imports that run when the module is loaded: those outside any
+    function body."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.Import, ast.ImportFrom)):
+            yield child
+        elif not isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            yield from _load_time_imports(child)
+
+
+def test_package_loads_only_the_standard_library_and_numpy():
+    """Every module a load-time import brings in stays in memory: importing
+    ``scipy.optimize`` adds about 43 MB of peak RSS.  An optional dependency
+    is imported inside the function that needs it."""
+    allowed = set(sys.stdlib_module_names) | {"numpy", "otnplan"}
+    foreign = []
+    for path, tree in _modules(PACKAGE).items():
+        for node in _load_time_imports(tree):
+            if isinstance(node, ast.ImportFrom):
+                roots = ["otnplan" if node.level else node.module.split(".")[0]]
+            else:
+                roots = [alias.name.split(".")[0] for alias in node.names]
+            foreign += [f"{path.relative_to(ROOT)}:{node.lineno} {root}"
+                        for root in roots if root not in allowed]
+    assert not foreign, "imported when the package loads:\n" + "\n".join(foreign)

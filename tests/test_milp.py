@@ -326,74 +326,69 @@ class TestWarmStart:
         assert outcomes["optimal"] > 100 and outcomes["unbounded"] > 3
 
     def test_start_gives_the_same_optimum(self, cold_calls):
+        # one call with stages equals separate pinned solves, and every
+        # stage root after the first starts from the stage before it
         rng = np.random.default_rng(31)
         compared = 0
         for _ in range(40):
             n = int(rng.integers(3, 10))
-            rows = int(rng.integers(1, 5))
-            m = MilpModel("stages")
-            ids = [m.add_variable(f"v{i}", "binary") for i in range(n)]
-            for i in range(rows):
-                m.add_constraint(f"c{i}", [(v, float(a)) for v, a in
-                                           zip(ids, np.round(rng.uniform(-3, 3, n), 1))],
-                                 str(rng.choice(["<=", ">="])),
-                                 float(np.round(rng.uniform(-1, 5), 1)))
-            c1 = np.round(rng.uniform(-4, 4, n), 1)
-            m.set_objective(dict(zip(ids, c1)))
-            first = solve_milp(m, gap=0.0)
-            if first.status != "optimal":
-                continue
-            m.add_constraint("pin", list(zip(ids, c1)), "<=", first.objective + 1e-6)
-            m.set_objective(dict(zip(ids, np.round(rng.uniform(-4, 4, n), 1))))
+            rows = [(np.round(rng.uniform(-3, 3, n), 1), str(rng.choice(["<=", ">="])),
+                     float(np.round(rng.uniform(-1, 5), 1))) for _ in range(rng.integers(1, 5))]
+            objectives = [dict(enumerate(np.round(rng.uniform(-4, 4, n), 1))) for _ in range(3)]
+
+            def model():
+                m = MilpModel("stages")
+                for i in range(n):
+                    m.add_variable(f"v{i}", "binary")
+                for i, (coefs, rel, rhs) in enumerate(rows):
+                    m.add_constraint(f"c{i}", list(enumerate(coefs)), rel, rhs)
+                return m
             del cold_calls[:]
-            warm = solve_milp(m, gap=0.0, start=first)
-            cold_roots = len(cold_calls)
-            cold = solve_milp(m, gap=0.0)
-            assert warm.status == cold.status == "optimal"
-            assert warm.objective == pytest.approx(cold.objective, abs=1e-9)
-            assert not check_solution(m, warm.values)
-            assert cold_roots < len(cold_calls) - cold_roots  # the root was warm
+            staged = solve_milp(model(), stages=[(c, 0.0, 1e-6) for c in objectives])
+            if staged.stages[0].status != "optimal":
+                continue
+            assert len(cold_calls) == 1  # the first root; every later one was warm
+            separate = model()
+            for idx, (c, stage) in enumerate(zip(objectives, staged.stages)):
+                separate.set_objective(c)
+                sol = solve_milp(separate, gap=0.0)
+                assert stage.status == sol.status == "optimal"
+                assert stage.objective == pytest.approx(sol.objective, abs=1e-9)
+                separate.add_constraint(f"pin{idx}", list(c.items()), "<=", sol.objective + 1e-6)
+            assert staged.values == staged.stages[-1].values
+            assert not check_solution(separate, staged.values)
+            assert staged.stats.nodes == sum(stage.stats.nodes for stage in staged.stages)
             compared += 1
         assert compared > 15
 
-    def test_start_values_that_violate_the_model_are_not_an_incumbent(self):
-        m = knapsack_model()
-        first = solve_milp(m, gap=0.0)
-        assert first.values == {0: 1.0, 1: 1.0, 2: 0.0}
-        assert solve_milp(m, time_limit=0, start=first).has_incumbent
-        m.add_constraint("drop-x1", [(1, 1.0)], "<=", 0.0)
-        assert not solve_milp(m, time_limit=0, start=first).has_incumbent
-        sol = solve_milp(m, gap=0.0, start=first)
-        assert sol.status == "optimal"
-        assert sol.objective == pytest.approx(-8.0)
+    def test_one_snapshot_and_one_derivation_per_call(self, ring4, monkeypatch):
+        calls = {"arrays": 0, "implied": 0}
+        per_solve = []
+        build, implied = branch_bound._Arrays.__init__, branch_bound._Arrays.implied_bounds
 
-    @pytest.mark.parametrize("change", ["coefficient", "relation", "variable"])
-    def test_start_from_other_rows_is_solved_cold(self, change, cold_calls):
-        def lp():
-            m = MilpModel("lp")
-            x = m.add_variable("x", "continuous", 0, 3, objective=-1.0)
-            y = m.add_variable("y", "continuous", 0, 3, objective=-1.0)
-            m.add_constraint("a", [(x, 1.0), (y, 2.0)], "<=", 4.0)
-            m.add_constraint("b", [(x, 3.0), (y, 1.0)], "<=", 6.0)
-            return m
-        first = solve_milp(lp())
-        m = lp()
-        m.add_constraint("pin", [(0, -1.0), (1, -1.0)], "<=", first.objective + 1e-6)
-        m.set_objective({1: -1.0})
-        del cold_calls[:]
-        assert solve_milp(m, start=first).objective == pytest.approx(-1.2, abs=1e-5)
-        assert not cold_calls  # the rows of ``first`` are a prefix of m's
-        if change == "coefficient":
-            m.constraints[0].terms = ((0, 1.0), (1, 1.5))
-        elif change == "relation":
-            m.constraints[1].relation = "="
-        else:
-            m.add_variable("z", "continuous", 0, 1)
-        warm = solve_milp(m, start=first)
-        assert len(cold_calls) == 1
-        cold = solve_milp(m)
-        assert warm.status == cold.status == "optimal"
-        assert warm.objective == pytest.approx(cold.objective)
+        def counting_build(arrays, model):
+            calls["arrays"] += 1
+            build(arrays, model)
+
+        def counting_implied(arrays):
+            calls["implied"] += 1
+            return implied(arrays)
+
+        def counting_solve(*args, **kwargs):
+            before = dict(calls)
+            sol = solve_milp(*args, **kwargs)
+            per_solve.append((calls["arrays"] - before["arrays"],
+                              calls["implied"] - before["implied"], len(sol.stages)))
+            return sol
+        monkeypatch.setattr(branch_bound._Arrays, "__init__", counting_build)
+        monkeypatch.setattr(branch_bound._Arrays, "implied_bounds", counting_implied)
+        monkeypatch.setattr(planner, "solve_milp", counting_solve)
+        inst = make_instance(ring4, [(0, 2, 10), (1, 3, 6)], SurvivabilityMode.SINGLE_LAYER)
+        planner.plan(inst, planner.PlanOptions(gap=0.0))
+        assert len(per_solve) == 4  # one call per phase
+        assert all(arrays == 1 and implied <= 1 and stages == 3
+                   for arrays, implied, stages in per_solve)
+        assert calls["implied"] >= 1
 
 
 class TestProofsAndTermination:
@@ -457,10 +452,10 @@ class TestLimitsAndFailures:
                                                                monkeypatch):
         models = []
 
-        def capture(model, gap=0.0, time_limit=None, start=None):
+        def capture(model, gap=0.0, time_limit=None, stages=None):
             if model.name == "logical-protection" and not models:
                 models.append(copy.deepcopy(model))
-            return solve_milp(model, gap=gap, time_limit=time_limit, start=start)
+            return solve_milp(model, gap=gap, time_limit=time_limit, stages=stages)
         monkeypatch.setattr(planner, "solve_milp", capture)
         topo, demands = six_node_fixture
         planner.plan(make_instance(topo, demands, SurvivabilityMode.SINGLE_LAYER),
