@@ -69,7 +69,10 @@ def instance_from_dict(data: Mapping[str, Any],
     ratios = cost_ratio_from_spec(cost_ratio if cost_ratio is not None
                                   else data.get("cost_ratio", "CR1"))
     unit = derive_unit_costs(ratios, params.C)
-    traffic = split_demands(data["demands"], params.C)
+    demands = data["demands"]
+    if not isinstance(demands, list):
+        raise ValueError(f"instance demands must be a JSON list, not {type(demands).__name__}")
+    traffic = split_demands(demands, params.C)
     return ProblemInstance(topo, traffic, params, unit, mode, approach)
 
 

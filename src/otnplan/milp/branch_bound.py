@@ -15,6 +15,18 @@ a stage, a row appended to the model pins its objective to its incumbent's
 value.  The next stage's root starts from the last root basis, with the
 pin row's slack basic, and from the last incumbent, which meets that row.
 
+Between stages the search fixes binaries by their reduced costs (Nemhauser
+& Wolsey, *Integer and Combinatorial Optimization*, 1988; Achterberg 2007).
+Every point of a later stage meets stage s's pin row c·x <= z_s + tol and
+the rows of stage s's root LP, cuts included.  A binary that this root
+holds nonbasic at a bound, with reduced cost d and root value z, cannot
+leave that bound at such a point if z + |d| > z_s + tol + 1e-6, so its
+bounds in the snapshot close on the one it sits at for every later stage.
+One solve of Bᵀy = c_B per stage boundary gives the reduced costs.  The
+points fixed away are exactly those no later stage can reach, so each
+stage's optimum stays the same; the later stages take fewer nodes and
+pivots.  The model's own bounds do not change.
+
 The root is strengthened by implied-bound cuts (Achterberg, *Constraint
 Integer Programming*, 2007, ch. 8).  A ``<=`` row whose only negative
 coefficient is on a binary y implies x <= y for each binary x in it that
@@ -44,9 +56,13 @@ import numpy as np
 
 from .model import (FEASIBILITY_TOL, INTEGRALITY_TOL, SOLVER_FAILURES, MilpModel,
                     MilpSolution, MilpStats, check_solution, relative_gap)
-from .simplex import LpBasis, LpResult, simplex_solve
+from .simplex import LpResult, simplex_solve
 
 __all__ = ["solve_milp"]
+
+# how far past a pin row's rhs a root bound must reach to fix a binary: more
+# than any LP tolerance by which a later stage may overstep the pin row
+_FIX_MARGIN = 1e-6
 
 
 class _Arrays:
@@ -107,8 +123,8 @@ class _Arrays:
 
 class _Search:
     """The stages of one model, searched over one snapshot of it.  A stage
-    leaves the next its root basis, its incumbent and the implied pairs not
-    yet appended."""
+    leaves the next its root LP, its incumbent, the binaries that root fixes
+    and the implied pairs not yet appended."""
 
     def __init__(self, model: MilpModel, deadline: float | None):
         self.model = model
@@ -116,7 +132,7 @@ class _Search:
         self.binary_ids = np.nonzero(self.arrays.binary)[0]
         self.deadline = deadline
         self.pairs: np.ndarray | None = None  # derived at the first fractional root
-        self.root: LpBasis | None = None
+        self.root: LpResult | None = None  # the last root LP, cuts included
         self.incumbent: dict[int, float] | None = None
         self.incumbent_obj = math.inf
 
@@ -147,6 +163,19 @@ class _Search:
             iterations += res.iterations
         return res, iterations
 
+    def fix(self, bound: float) -> None:
+        """Fix, for every later stage, each binary that the last root LP
+        holds nonbasic at a bound it cannot leave while the objective stays
+        at most ``bound``: moving it costs at least its reduced cost |d| over
+        the root value z, and z + |d| exceeds ``bound`` by ``_FIX_MARGIN``."""
+        root, arrays = self.root, self.arrays
+        if root is None:
+            return
+        d = root.basis.reduced_costs(arrays.c)  # 0 at the basics, which stay free
+        fix = (arrays.binary & (arrays.lo < arrays.hi) & (d != 0)
+               & (root.objective + np.abs(d) > bound + _FIX_MARGIN))
+        arrays.lo[fix] = arrays.hi[fix] = root.x[fix]
+
     def stage(self, gap: float) -> MilpSolution:
         """One branch-and-bound search for the model's current objective,
         from the last stage's root basis and incumbent."""
@@ -167,7 +196,7 @@ class _Search:
                                 max(0.0, relative_gap(self.incumbent_obj, best_bound)), stats)
 
         # a heap of (parent bound, tiebreak counter, lo array, hi array, parent basis)
-        warm_root = self.root and self.root.with_rows(arrays.A, arrays.relations)
+        warm_root = self.root and self.root.basis.with_rows(arrays.A, arrays.relations)
         heap = [(-math.inf, 0, arrays.lo.copy(), arrays.hi.copy(), warm_root)]
         counter = 0
         self.root = None
@@ -204,7 +233,7 @@ class _Search:
                     return build("unbounded", -math.inf)
                 continue
             if nodes == 1:
-                self.root = res.basis
+                self.root = res
             if self.incumbent is not None and res.objective >= incumbent_obj - 1e-9:
                 continue
 
@@ -245,9 +274,13 @@ def solve_milp(model: MilpModel, gap: float = 0.0, time_limit: float | None = No
     there is one, the model's own objective at ``gap``.  After stage i, if
     it has an incumbent, the row ``pin[stage=i]`` (its objective <= the
     incumbent's value + pin tolerance) is appended to ``model`` and the next
-    stage runs.  The result is the last stage's solution, with the nodes and
-    pivots of all stages and the wall time of the whole call, which
-    ``time_limit`` bounds, and each stage's own solution in ``stages``.
+    stage runs, with the binaries fixed that stage i's root LP proves cannot
+    move without breaking that row (see the module docstring).  The result
+    is the last stage's solution, with the nodes and pivots of all stages
+    and the wall time of the whole call, which ``time_limit`` bounds, and
+    each stage's own solution in ``stages``.  An empty ``stages``, a
+    negative or NaN gap, or a pin tolerance that is negative or not finite
+    raises ValueError.
 
     The returned incumbent always satisfies every constraint and every
     integrality requirement within 1e-6 (values are rounded and re-verified
@@ -267,8 +300,12 @@ def solve_milp(model: MilpModel, gap: float = 0.0, time_limit: float | None = No
     began = time.perf_counter()
     if stages is None:
         stages = [({v.id: v.objective for v in model.variables}, gap, 0.0)]
+    if not stages:
+        raise ValueError("stages must list at least one stage")
     if not all(stage_gap >= 0 for _, stage_gap, _ in stages):
         raise ValueError("gap must be non-negative")
+    if not all(0 <= tolerance < math.inf for _, _, tolerance in stages):
+        raise ValueError("pin tolerance must be finite and non-negative")
     search = _Search(model, None if time_limit is None else began + time_limit)
     solutions: list[MilpSolution] = []
     for idx, (objective, stage_gap, tolerance) in enumerate(stages):
@@ -277,6 +314,7 @@ def solve_milp(model: MilpModel, gap: float = 0.0, time_limit: float | None = No
             rhs = model.evaluate_objective(search.incumbent) + stages[idx - 1][2]
             search.arrays.append(model, [(f"pin[stage={idx - 1}]",
                                           list(stages[idx - 1][0].items()), rhs)])
+            search.fix(rhs)
         model.set_objective(objective)
         solutions.append(search.stage(stage_gap))
         if not solutions[-1].has_incumbent:

@@ -28,7 +28,8 @@ which guarantees termination.  Every tie is broken by a fixed index order, so
 solves are deterministic.
 
 The tableau keeps an explicit basis inverse.  It is computed once when a
-basis is installed and again every ``_REFACTOR_EVERY`` pivots; in between,
+basis is installed (the slack basis is the identity, which needs no
+inversion) and again every ``_REFACTOR_EVERY`` pivots; in between,
 each pivot applies a rank-1 product-form update, and the basic values move
 along the pivot's direction instead of being re-solved.  They are recomputed
 from the inverse at each refactorization and at optimality.
@@ -88,6 +89,15 @@ class LpBasis:
                        np.concatenate([self.basis, n + np.arange(m, rows)]),
                        np.concatenate([self.status, np.full(rows - m, _BASIC, np.int8)]))
 
+    def reduced_costs(self, c: np.ndarray) -> np.ndarray:
+        """Each structural's reduced cost for the objective ``c``, from one
+        solve of Bᵀy = c_B; a basic structural's is exactly 0."""
+        cost = np.concatenate([c, np.zeros(self.basis.size)])
+        y = np.linalg.solve(self.columns[:, self.basis].T, cost[self.basis])
+        d = cost - y @ self.columns
+        d[self.basis] = 0.0
+        return d[:c.size]
+
 
 @dataclass
 class LpResult:
@@ -145,7 +155,9 @@ class _Tableau:
         self.certificate: tuple[int, ...] = ()
 
     def refactor(self) -> None:
-        self.Binv = np.linalg.inv(self.A[:, self.basis])
+        slack = np.array_equal(self.basis, np.arange(self.ncols - self.m, self.ncols))
+        # the slack basis is the identity: nothing to invert
+        self.Binv = np.eye(self.m) if slack else np.linalg.inv(self.A[:, self.basis])
         self.since_refactor = 0
         self.refresh_basics()
 

@@ -330,21 +330,29 @@ def generate_topology(n: int, connectivity, seed: int, W: int = 32) -> PhysicalT
 def split_demands(demands: Iterable, C) -> tuple[LspDemand, ...]:
     """Split each demand into ceil(b/C) equal-bandwidth LSPs.
 
-    Accepts (s, d, b) tuples, {"s":, "d":, "b":} mappings, or LspDemand-like
-    objects.  Bandwidth is conserved exactly.
+    Accepts (s, d, b) tuples or lists, {"s":, "d":, "b":} mappings, or
+    LspDemand objects; anything else raises ValueError naming the demand's
+    index.  Bandwidth is conserved exactly.
     """
     cap = as_gbps(C)
     if cap <= 0:
         raise ValueError("C must be positive")
     out: list[LspDemand] = []
     next_id = 0
-    for item in demands:
-        if isinstance(item, Mapping):
-            s, d, b = item["s"], item["d"], as_gbps(item["b"])
+    for index, item in enumerate(demands):
+        if isinstance(item, Mapping) and {"s", "d", "b"} <= item.keys():
+            s, d, b = item["s"], item["d"], item["b"]
         elif isinstance(item, LspDemand):
             s, d, b = item.source, item.destination, item.bandwidth
+        elif isinstance(item, (list, tuple)) and len(item) == 3:
+            s, d, b = item
         else:
-            s, d, b = item[0], item[1], as_gbps(item[2])
+            raise ValueError(f"demand {index} must be an object with s, d and b, "
+                             f"or a list [s, d, b], not {item!r}")
+        try:
+            b = as_gbps(b)
+        except ValueError:
+            raise ValueError(f"demand {index} bandwidth must be a number, not {b!r}") from None
         if b <= 0:
             raise ValueError(f"demand ({s},{d}) has non-positive bandwidth")
         parts = -(-b // cap)  # ceil for Fractions

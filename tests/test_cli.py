@@ -54,9 +54,10 @@ class TestPlanCommand:
         if failure == "iteration-limit":
             monkeypatch.setattr(simplex, "_MAX_ITERATIONS", 0)
         else:
-            def singular(matrix):
+            def singular(tab):
                 raise np.linalg.LinAlgError("Singular matrix")
-            monkeypatch.setattr(np.linalg, "inv", singular)
+            # every factorization of a basis, the slack basis's identity included
+            monkeypatch.setattr(simplex._Tableau, "refactor", singular)
         rc = main(["plan", "--instance", str(ring_instance_file), "--mode", "none",
                    "--output-dir", str(tmp_path)])
         assert rc == 1
@@ -118,6 +119,26 @@ class TestPlanCommand:
         assert rc == 2
         err = capsys.readouterr().err
         assert f"{field} must be a whole number, got {value}" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("demands, message", [
+        ("abc", "instance demands must be a JSON list, not str"),
+        ([{"s": 0, "d": 2, "b": 10}, [0, 2]],
+         "demand 1 must be an object with s, d and b, or a list [s, d, b], not [0, 2]"),
+        ([{"s": 0, "d": 2}],
+         "demand 0 must be an object with s, d and b, or a list [s, d, b], "
+         "not {'s': 0, 'd': 2}"),
+        ([[0, 2, "x"]], "demand 0 bandwidth must be a number, not 'x'"),
+    ], ids=["string", "two-item-list", "missing-b", "bandwidth-not-a-number"])
+    def test_malformed_demand_exits_2(self, demands, message, ring_instance_file, tmp_path,
+                                      capsys):
+        data = json.loads(ring_instance_file.read_text())
+        data["demands"] = demands
+        ring_instance_file.write_text(json.dumps(data))
+        assert main(["plan", "--instance", str(ring_instance_file),
+                     "--output-dir", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert f"cannot load instance: {message}" in err
         assert "Traceback" not in err
 
     @pytest.mark.parametrize("extra", [[], ["--approach", "integrated"], ["--emit-lp"]],

@@ -232,6 +232,22 @@ def random_integer_lp(rng):
 
 
 @pytest.fixture()
+def fixings(monkeypatch):
+    """Records each stage boundary's reduced-cost fixing as (pin row rhs,
+    ids of the binaries it fixed, their fixed values)."""
+    calls = []
+    fix = branch_bound._Search.fix
+
+    def spy(search, bound):
+        free = search.arrays.lo < search.arrays.hi
+        fix(search, bound)
+        fixed = np.nonzero(free & (search.arrays.lo == search.arrays.hi))[0]
+        calls.append((bound, fixed, search.arrays.lo[fixed].copy()))
+    monkeypatch.setattr(branch_bound._Search, "fix", spy)
+    return calls
+
+
+@pytest.fixture()
 def cold_calls(monkeypatch):
     """Counts the solves that start from the slack basis."""
     calls = []
@@ -325,9 +341,10 @@ class TestWarmStart:
             outcomes[cold.status] += 1
         assert outcomes["optimal"] > 100 and outcomes["unbounded"] > 3
 
-    def test_start_gives_the_same_optimum(self, cold_calls):
-        # one call with stages equals separate pinned solves, and every
-        # stage root after the first starts from the stage before it
+    def test_start_gives_the_same_optimum(self, cold_calls, fixings):
+        # one call with stages equals separate pinned solves, every stage
+        # root after the first starts from the stage before it, and the
+        # stage boundaries fix binaries
         rng = np.random.default_rng(31)
         compared = 0
         for _ in range(40):
@@ -360,6 +377,7 @@ class TestWarmStart:
             assert staged.stats.nodes == sum(stage.stats.nodes for stage in staged.stages)
             compared += 1
         assert compared > 15
+        assert sum(ids.size for _, ids, _ in fixings) > 0
 
     def test_one_snapshot_and_one_derivation_per_call(self, ring4, monkeypatch):
         calls = {"arrays": 0, "implied": 0}
@@ -476,10 +494,20 @@ class TestLimitsAndFailures:
         assert sol.status == "iteration-limit"
         assert not sol.has_incumbent
 
+    @pytest.mark.parametrize("stages", [[], [({0: 1.0}, 0.0, -1e-6)], [({0: 1.0}, 0.0, math.inf)],
+                                        [({0: 1.0}, 0.0, math.nan)]],
+                             ids=["none", "negative-pin", "infinite-pin", "nan-pin"])
+    def test_malformed_stages_are_rejected(self, stages):
+        model = knapsack_model()
+        with pytest.raises(ValueError):
+            solve_milp(model, stages=stages)
+        assert len(model.constraints) == 1
+
     def test_singular_basis_is_a_status(self, monkeypatch):
-        def singular(matrix):
+        def singular(tab):
             raise np.linalg.LinAlgError("Singular matrix")
-        monkeypatch.setattr(np.linalg, "inv", singular)
+        # every factorization of a basis, the slack basis's identity included
+        monkeypatch.setattr(simplex._Tableau, "refactor", singular)
         sol = solve_milp(knapsack_model(), gap=0.0)
         assert sol.status == "singular-basis"
         assert solve_milp(relaxed(knapsack_model())).status == "singular-basis"
@@ -530,6 +558,85 @@ def feasible_points(A, rels, b):
         else:
             feas &= np.abs(lhs[:, i] - b[i]) <= 1e-9
     return pts[feas]
+
+
+def staged_binary_model(rng):
+    """A random binary model, its rows as (A, relations, rhs) for
+    enumeration, and three stages whose costs step by 0.1, so that stages
+    tie often, each with a pin tolerance of 0 (half of them), 1e-6 or 0.5.
+    Returns a builder of fresh copies of the model, the rows and the
+    stages."""
+    n = int(rng.integers(6, 11))
+    rows = int(rng.integers(2, 6))
+    A = np.round(rng.uniform(-3, 3, (rows, n)), 1)
+    rels = [str(rel) for rel in rng.choice(["<=", ">="], rows)]
+    b = np.round(rng.uniform(-1, 5, rows), 1)
+    stages = [(dict(enumerate(rng.integers(-4, 5, n) / 10)), 0.0,
+               float(rng.choice([0.0, 0.0, 1e-6, 0.5]))) for _ in range(3)]
+
+    def build():
+        model = MilpModel("staged")
+        for j in range(n):
+            model.add_variable(f"v{j}", "binary")
+        for i in range(rows):
+            model.add_constraint(f"c{i}", list(enumerate(A[i])), rels[i], b[i])
+        return model
+    return build, (A, rels, b), stages
+
+
+class TestReducedCostFixing:
+    def test_fixed_binaries_keep_their_value_at_every_point_of_later_stages(self, fixings):
+        rng = np.random.default_rng(43)
+        fixed = solved = 0
+        for trial in range(120):
+            build, (A, rels, b), stages = staged_binary_model(rng)
+            del fixings[:]
+            staged = solve_milp(build(), stages=stages)
+            reachable = feasible_points(A, rels, b)
+            if not reachable.size:
+                assert staged.status == "infeasible", trial
+                continue
+            separate = build()
+            for idx, ((objective, _, tolerance), stage) in enumerate(zip(stages, staged.stages)):
+                costs = np.array([objective[j] for j in range(A.shape[1])])
+                # the stage's optimum over the points that every earlier pin row admits
+                best = float((reachable @ costs).min())
+                separate.set_objective(objective)
+                alone = solve_milp(separate, gap=0.0)
+                assert stage.status == alone.status == "optimal", trial
+                assert stage.objective == pytest.approx(best, abs=1e-9), trial
+                assert alone.objective == pytest.approx(best, abs=1e-9), trial
+                separate.add_constraint(f"pin{idx}", list(objective.items()), "<=",
+                                        alone.objective + tolerance)
+                if idx == len(stages) - 1:
+                    break
+                bound, ids, values = fixings[idx]
+                assert bound == pytest.approx(best + tolerance, abs=1e-9), trial
+                reachable = reachable[reachable @ costs <= bound + 1e-9]
+                assert (reachable[:, ids] == values).all(), trial
+                fixed += ids.size
+            assert not check_solution(separate, staged.values), trial
+            solved += 1
+        assert solved > 60 and fixed > 0
+
+    def test_a_binary_that_moves_onto_the_pin_row_stays_free(self, fixings):
+        # at stage 0's root, x0 is nonbasic at 0, and z + |d| is the pin
+        # row's rhs, -0.2, in exact arithmetic but lands just above it in
+        # floating point; stage 0's only optimum has x0 = 1
+        row, tie = [0.8, 0.6, -1.3, -2.4], [0.2, -0.3, -0.4, -0.1]
+        cost = [0.3, -0.1, -0.4, -0.4]
+        m = MilpModel("on-the-pin")
+        for j in range(4):
+            m.add_variable(f"x{j}", "binary")
+        m.add_constraint("row", list(enumerate(row)), ">=", 0.1)
+        sol = solve_milp(m, stages=[(dict(enumerate(cost)), 0.0, 0.0),
+                                    (dict(enumerate(tie)), 0.0, 1e-6)])
+        points = feasible_points(np.array([row]), [">="], np.array([0.1]))
+        bound, ids, values = fixings[0]
+        pinned = points[points @ cost <= bound + 1e-9]
+        assert pinned.tolist() == [[1.0, 1.0, 1.0, 0.0]]
+        assert (pinned[:, ids] == values).all()
+        assert sol.objective == pytest.approx(float((pinned @ tie).min()), abs=1e-9)
 
 
 class TestImpliedBoundCuts:
