@@ -1,6 +1,11 @@
 """Node-arc integer programs for logical design, LSP routing and lightpath
 routing, plus protection exclusion sets.
 
+What a protection route avoids is decided here alone: each LSP's sets by
+``compute_exclusion_sets`` once per plan, a spare carrier's by
+``spare_carrier_exclusions`` from them, an optical backup's by
+``backup_exclusions``.
+
 Flow conservation systems are built on directed arcs (both orientations of
 every undirected link or node pair); a single undirected route is extracted
 afterwards and every capacity counts the undirected entity once.  Constraint
@@ -25,12 +30,12 @@ __all__ = [
     "Lightpath",
     "ExclusionSets",
     "ProtectionContext",
-    "WorkingState",
     "DecisionVarMap",
     "build_logical_design",
     "build_lightpath_routing",
     "build_integrated",
     "compute_exclusion_sets",
+    "spare_carrier_exclusions",
     "backup_exclusions",
     "estimate_problem_size",
     "estimate_problem_size_raw",
@@ -79,10 +84,6 @@ class Lightpath:
     status: str  # WORKING (carries wLSPs) | PROTECTION (carries pLSPs)
 
     @property
-    def pair(self) -> Link:
-        return (self.i, self.j)
-
-    @property
     def key(self) -> tuple:
         return (self.i, self.j, self.q, self.status)
 
@@ -104,12 +105,13 @@ def expand_lightpaths(working_pairs: Iterable[tuple[Node, Node, int]],
 class ExclusionSets:
     """Nodes and links that protection routes must avoid.
 
-    ``lsp_nodes`` drives the protection-LSP logical routing, and
-    ``lsp_phys_nodes``/``lsp_links`` the physical placement of the integrated
-    protection phase.  The lightpath maps drive physical routing of one
-    phase's lightpaths: spare carriers (``compute_exclusion_sets``) or
-    optical backups (``backup_exclusions``).  ``blocked`` names each spare
-    carrier that no route can take, with its passengers' ids.
+    The per-LSP maps come from ``compute_exclusion_sets``: ``lsp_nodes``
+    drives the protection-LSP logical routing, and ``lsp_phys_nodes`` and
+    ``lsp_links`` (each LSP's working physical internals) the physical
+    placement of its spare carriers.  The lightpath maps drive the physical
+    routing of one phase's lightpaths, keyed by lightpath id:
+    ``spare_carrier_exclusions`` fills them for spare carriers and
+    ``backup_exclusions`` for optical backups.
     """
 
     lsp_nodes: dict[int, frozenset[Node]] = field(default_factory=dict)
@@ -117,24 +119,21 @@ class ExclusionSets:
     lsp_links: dict[int, frozenset[Link]] = field(default_factory=dict)
     lightpath_nodes: dict[int, frozenset[Node]] = field(default_factory=dict)
     lightpath_links: dict[int, frozenset[Link]] = field(default_factory=dict)
-    blocked: dict[int, tuple[int, ...]] = field(default_factory=dict)
 
 
 @dataclass
 class ProtectionContext:
     """Fixed working-side facts feeding the protection logical phase.
 
-    The last three maps are read by the integrated model only: the physical
-    internals each protected LSP's spare carriers must avoid, and the
-    wavelengths the working lightpaths already hold.
+    ``exclusions`` holds each LSP's sets.  The integrated model alone reads
+    its physical internals and ``wavelengths_used``, the wavelengths the
+    working lightpaths already hold.
     """
 
     protected: tuple[LspDemand, ...]
     interface_usage: Mapping[Node, int]
-    excluded_nodes: Mapping[int, frozenset[Node]]
+    exclusions: ExclusionSets
     forbidden_groupings: tuple[tuple[tuple[int, Node, Node, int], ...], ...] = ()
-    excluded_phys_nodes: Mapping[int, frozenset[Node]] = field(default_factory=dict)
-    excluded_links: Mapping[int, frozenset[Link]] = field(default_factory=dict)
     wavelengths_used: Mapping[Link, int] = field(default_factory=dict)
 
 
@@ -197,7 +196,7 @@ def build_logical_design(instance: ProblemInstance, plane: str,
 
     lsps = instance.traffic if plane == WORKING else context.protected
     excluded: Mapping[int, frozenset[Node]] = (
-        context.excluded_nodes if plane == PROTECTION else {})
+        context.exclusions.lsp_nodes if plane == PROTECTION else {})
 
     for (i, j) in pairs:
         for q in qs:
@@ -414,8 +413,8 @@ def build_integrated(instance: ProblemInstance, plane: str,
     # conditional physical exclusions for spare-carrying lightpaths
     if plane == PROTECTION:
         for lsp in context.protected:
-            nex = context.excluded_phys_nodes.get(lsp.id, frozenset())
-            lex = context.excluded_links.get(lsp.id, frozenset())
+            nex = context.exclusions.lsp_phys_nodes.get(lsp.id, frozenset())
+            lex = context.exclusions.lsp_links.get(lsp.id, frozenset())
             if not nex and not lex:
                 continue
             for (i, j) in pairs:
@@ -434,85 +433,63 @@ def build_integrated(instance: ProblemInstance, plane: str,
 # ---------------------------------------------------------------------------
 # exclusion sets
 
-@dataclass
-class WorkingState:
-    """Decoded working-side facts used to derive exclusion sets."""
-
-    instance: ProblemInstance
-    lsp_logical_nodes: Mapping[int, tuple[Node, ...]]
-    lsp_lightpaths: Mapping[int, tuple[int, ...]]
-    lightpaths: Mapping[int, Lightpath]
-    lightpath_routes: Mapping[int, tuple[Node, ...]] | None = None
-    plsp_carriers: Mapping[int, Sequence[int]] | None = None  # pβ lp id -> pLSP ids
-
-
-def compute_exclusion_sets(state: WorkingState, mode: SurvivabilityMode) -> ExclusionSets:
-    """Exclusion sets of the protection-LSP phases per the mode's rules.
+def compute_exclusion_sets(instance: ProblemInstance, mode: SurvivabilityMode,
+                           lsp_logical_nodes: Mapping[int, tuple[Node, ...]],
+                           lsp_lightpaths: Mapping[int, tuple[int, ...]],
+                           lightpath_routes: Mapping[int, tuple[Node, ...]]
+                           ) -> ExclusionSets:
+    """Each LSP's exclusion sets under the mode's rules, from its working
+    logical route and the physical routes of its working lightpaths.
 
     * protection-LSP logical routing avoids the working LSP's logical transit
       nodes; the two multilayer variants without optical protection of spare
       carriers additionally avoid the physical transit nodes of the working
       LSP's lightpaths (an OXC failure must not take out both paths);
     * in the modes whose LSP pairs are physically disjoint, each LSP's
-      working physical internals are ``lsp_phys_nodes``/``lsp_links``, and a
-      spare-carrying lightpath avoids the union of its passengers' internals;
-      a carrier that no route can take is listed in ``blocked`` with its
-      passengers' ids.
+      working physical internals, the nodes (bar its endpoints) and links of
+      those routes, are ``lsp_phys_nodes``/``lsp_links``.
 
-    Whatever is not derivable from the supplied state (for example physical
-    routes before step III has run) is simply left out of the result.  The
-    step IV rules are ``backup_exclusions``.
+    The step IV rules are ``backup_exclusions``.
     """
     result = ExclusionSets()
-    routes = state.lightpath_routes or {}
-    physical = bool(routes) and mode.plsp_physically_disjoint
-
-    # each LSP's physical internals: the nodes (bar its endpoints) and links
-    # of its working lightpaths' routes
-    internals: dict[int, tuple[frozenset[Node], frozenset[Link]]] = {}
-    if physical:
-        for lsp in state.instance.traffic:
-            nodes = set()
-            links: set[Link] = set()
-            for lp in state.lsp_lightpaths.get(lsp.id, ()):
-                if lp in routes:
-                    nodes.update(routes[lp])
-                    links.update(route_links(routes[lp]))
-            # logical hop points are on the physical path too
-            nodes.update(state.lsp_logical_nodes.get(lsp.id, ()))
-            nodes.discard(lsp.source)
-            nodes.discard(lsp.destination)
-            internals[lsp.id] = (frozenset(nodes), frozenset(links))
-
-    # --- protection-LSP logical exclusions
+    physical = bool(lightpath_routes) and mode.plsp_physically_disjoint
     physical_transit = mode in (SurvivabilityMode.ML_SPARE_UNPROTECTED,
                                 SurvivabilityMode.ML_INTERLAYER_BRS)
-    for k, logical in state.lsp_logical_nodes.items():
+    ends = {lsp.id: (lsp.source, lsp.destination) for lsp in instance.traffic}
+    for k, logical in lsp_logical_nodes.items():
         transit = frozenset(logical[1:-1])
         result.lsp_nodes[k] = transit
-        if physical:
-            phys_nodes, phys_links = internals[k]
-            if physical_transit:
-                result.lsp_nodes[k] = transit | phys_nodes
-            result.lsp_phys_nodes[k] = phys_nodes
-            result.lsp_links[k] = phys_links
+        if not physical:
+            continue
+        # logical hop points are on the physical path too
+        nodes = set(logical)
+        links: set[Link] = set()
+        for lp in lsp_lightpaths.get(k, ()):
+            if lp in lightpath_routes:
+                nodes.update(lightpath_routes[lp])
+                links.update(route_links(lightpath_routes[lp]))
+        phys_nodes = frozenset(nodes.difference(ends[k]))
+        if physical_transit:
+            result.lsp_nodes[k] = transit | phys_nodes
+        result.lsp_phys_nodes[k] = phys_nodes
+        result.lsp_links[k] = frozenset(links)
+    return result
 
-    # --- spare-carrying lightpath physical exclusions
-    if physical and state.plsp_carriers is not None:
-        for lp_id, passengers in state.plsp_carriers.items():
-            lp = state.lightpaths[lp_id]
-            nodes: set[Node] = set()
-            links: set[Link] = set()
-            for k in passengers:
-                n_k, l_k = internals[k]
-                nodes |= n_k
-                links |= l_k
-            result.lightpath_nodes[lp_id] = frozenset(nodes)
-            result.lightpath_links[lp_id] = frozenset(links)
-            if lp.j not in reachable(state.instance.topology, lp.i,
-                                     result.lightpath_nodes[lp_id],
-                                     result.lightpath_links[lp_id]):
-                result.blocked[lp_id] = tuple(sorted(passengers))
+
+def spare_carrier_exclusions(exclusions: ExclusionSets,
+                             carriers: Mapping[object, Sequence[int]]) -> ExclusionSets:
+    """Exclusions of spare carriers: each lightpath that carries protection
+    LSPs avoids the union of its passengers' working physical internals.
+
+    ``carriers`` maps a carrier (a lightpath id, or any key that names one)
+    to its passengers' LSP ids; the result's lightpath maps use its keys.
+    """
+    result = ExclusionSets()
+    for key, passengers in carriers.items():
+        result.lightpath_nodes[key] = frozenset().union(
+            *(exclusions.lsp_phys_nodes.get(k, frozenset()) for k in passengers))
+        result.lightpath_links[key] = frozenset().union(
+            *(exclusions.lsp_links.get(k, frozenset()) for k in passengers))
     return result
 
 

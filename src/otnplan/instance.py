@@ -52,7 +52,11 @@ def cost_ratio_from_spec(spec) -> CostRatios:
         if key not in COST_RATIO_PRESETS:
             raise ValueError(f"unknown cost ratio {spec!r}; use CR1/CR2/CR3 or a mapping")
         return COST_RATIO_PRESETS[key]
-    return CostRatios(spec["c_TR"], spec["c_P_IP"], spec["c_P_OXC"])
+    keys = ("c_TR", "c_P_IP", "c_P_OXC")
+    if not (isinstance(spec, Mapping) and set(keys) <= spec.keys()):
+        raise ValueError(f"cost ratio must be CR1, CR2, CR3 or an object with "
+                         f"{', '.join(keys)}, not {spec!r}")
+    return CostRatios(*(spec[key] for key in keys))
 
 
 def instance_from_dict(data: Mapping[str, Any],
@@ -62,23 +66,30 @@ def instance_from_dict(data: Mapping[str, Any],
     _require_object(data, "instance file")
     p = data.get("params", {})
     _require_object(p, "instance params")
-    nodes = data["nodes"]
-    topo = PhysicalTopology(nodes=nodes, links=data["links"], W=p.get("W", 32))
+    topo = PhysicalTopology(nodes=_list_field(data, "nodes"),
+                            links=_list_field(data, "links"), W=p.get("W", 32))
     params = SystemParams(C=p.get("C", 10), Q=p.get("Q", 2), T=p.get("T"),
-                          n_nodes=len(nodes))
+                          n_nodes=topo.n)
     ratios = cost_ratio_from_spec(cost_ratio if cost_ratio is not None
                                   else data.get("cost_ratio", "CR1"))
     unit = derive_unit_costs(ratios, params.C)
-    demands = data["demands"]
-    if not isinstance(demands, list):
-        raise ValueError(f"instance demands must be a JSON list, not {type(demands).__name__}")
-    traffic = split_demands(demands, params.C)
+    # at most min(T, Q·(N−1)) lightpaths end at a node
+    traffic = split_demands(_list_field(data, "demands"), params.C,
+                            max_lightpaths=min(params.T, params.Q * (topo.n - 1)))
     return ProblemInstance(topo, traffic, params, unit, mode, approach)
 
 
 def _require_object(data: Any, what: str) -> None:
     if not isinstance(data, Mapping):
         raise ValueError(f"{what} must be a JSON object, not {type(data).__name__}")
+
+
+def _list_field(data: Mapping[str, Any], key: str) -> list:
+    value = data.get(key)
+    if not isinstance(value, list):
+        found = "missing" if key not in data else type(value).__name__
+        raise ValueError(f"instance {key} must be a JSON list, not {found}")
+    return value
 
 
 def instance_to_dict(instance: ProblemInstance) -> dict:

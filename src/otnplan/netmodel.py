@@ -43,17 +43,21 @@ __all__ = [
 ]
 
 
-def as_gbps(value) -> Fraction:
+def as_gbps(value, what: str = "bandwidth") -> Fraction:
     """Convert a bandwidth given as int/float/str/Fraction to an exact Fraction.
 
     Floats are routed through ``str`` so `0.5` means the decimal 0.5, not its
-    binary approximation.
+    binary approximation.  Anything else, a boolean included, is a
+    ValueError naming ``what``.
     """
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, int):
-        return Fraction(value)
-    return Fraction(str(value))
+    if not isinstance(value, bool):
+        try:
+            return Fraction(str(value))
+        except (ValueError, ZeroDivisionError):
+            pass
+    raise ValueError(f"{what} must be a number, not {value!r}")
 
 
 def normalize_link(a: Node, b: Node) -> Link:
@@ -69,7 +73,7 @@ def _whole_number(name: str, value) -> int:
     """``value`` as an int; a fractional or non-numeric value is an error,
     not truncated."""
     try:
-        if int(value) == value:
+        if int(value) == value and not isinstance(value, bool):
             return int(value)
     except (TypeError, ValueError, OverflowError):
         pass
@@ -99,7 +103,11 @@ class PhysicalTopology:
                 raise ValueError(f"node {v} is declared more than once")
             adjacency[v] = []
         declared: list[Link] = []
-        for a, b in links:
+        for link in links:
+            try:
+                a, b = link
+            except (TypeError, ValueError):
+                raise ValueError(f"link {link!r} must be a pair of nodes [a, b]") from None
             if a == b or a not in adjacency or b not in adjacency:
                 raise ValueError(f"link ({a},{b}) must join two distinct declared nodes")
             link = normalize_link(a, b)
@@ -143,10 +151,6 @@ class LspDemand:
         if self.bandwidth <= 0:
             raise ValueError(f"LSP {self.id}: bandwidth must be positive")
 
-    @property
-    def pair(self) -> Link:
-        return normalize_link(self.source, self.destination)
-
 
 def default_interface_limit(n_nodes: int, q_max: int) -> int:
     """Default router interface budget: 2·Q·(N−1)."""
@@ -164,7 +168,7 @@ class SystemParams:
     T: int
 
     def __init__(self, C=10, Q: int = 2, T: int | None = None, n_nodes: int | None = None):
-        object.__setattr__(self, "C", as_gbps(C))
+        object.__setattr__(self, "C", as_gbps(C, "C"))
         object.__setattr__(self, "Q", _whole_number("Q", Q))
         if T is None:
             if n_nodes is None:
@@ -187,16 +191,12 @@ class CostRatios:
     label: str = "custom"
 
     def __init__(self, c_tr, c_p_ip, c_p_oxc, label: str = "custom"):
-        object.__setattr__(self, "c_tr", as_gbps(c_tr))
-        object.__setattr__(self, "c_p_ip", as_gbps(c_p_ip))
-        object.__setattr__(self, "c_p_oxc", as_gbps(c_p_oxc))
+        object.__setattr__(self, "c_tr", as_gbps(c_tr, "cost ratio c_TR"))
+        object.__setattr__(self, "c_p_ip", as_gbps(c_p_ip, "cost ratio c_P_IP"))
+        object.__setattr__(self, "c_p_oxc", as_gbps(c_p_oxc, "cost ratio c_P_OXC"))
         object.__setattr__(self, "label", label)
         if min(self.c_tr, self.c_p_ip, self.c_p_oxc) < 0:
             raise ValueError("element costs must be non-negative")
-
-    def scaled(self, factor) -> "CostRatios":
-        f = as_gbps(factor)
-        return CostRatios(self.c_tr * f, self.c_p_ip * f, self.c_p_oxc * f, label="custom")
 
 
 COST_RATIO_PRESETS: Mapping[str, CostRatios] = {
@@ -219,7 +219,7 @@ def derive_unit_costs(ratios: CostRatios, C) -> UnitCosts:
     """A lightpath needs 2 interface cards + 2 OXC ports; a wavelength link
     needs 2 OXC ports + 2 transponders; transit is charged at the interface
     cost per capacity unit."""
-    cap = as_gbps(C)
+    cap = as_gbps(C, "C")
     if cap <= 0:
         raise ValueError("C must be positive")
     return UnitCosts(
@@ -296,7 +296,7 @@ def generate_topology(n: int, connectivity, seed: int, W: int = 32) -> PhysicalT
     count.  For a fixed seed the chord stream is a prefix of the stream drawn
     for any larger target, so topologies at increasing d̄ nest.
     """
-    dbar = as_gbps(connectivity)
+    dbar = as_gbps(connectivity, "connectivity")
     if n < 3:
         raise ValueError("need at least 3 nodes")
     if dbar < 2 or dbar > n - 1:
@@ -327,14 +327,17 @@ def generate_topology(n: int, connectivity, seed: int, W: int = 32) -> PhysicalT
     return PhysicalTopology(nodes=range(n), links=links, W=W)
 
 
-def split_demands(demands: Iterable, C) -> tuple[LspDemand, ...]:
+def split_demands(demands: Iterable, C,
+                  max_lightpaths: int | None = None) -> tuple[LspDemand, ...]:
     """Split each demand into ceil(b/C) equal-bandwidth LSPs.
 
     Accepts (s, d, b) tuples or lists, {"s":, "d":, "b":} mappings, or
     LspDemand objects; anything else raises ValueError naming the demand's
-    index.  Bandwidth is conserved exactly.
+    index.  Bandwidth is conserved exactly.  When at most ``max_lightpaths``
+    lightpaths can end at a node, a demand above ``max_lightpaths``·C can
+    never be carried, and it is rejected before it is split.
     """
-    cap = as_gbps(C)
+    cap = as_gbps(C, "C")
     if cap <= 0:
         raise ValueError("C must be positive")
     out: list[LspDemand] = []
@@ -349,15 +352,15 @@ def split_demands(demands: Iterable, C) -> tuple[LspDemand, ...]:
         else:
             raise ValueError(f"demand {index} must be an object with s, d and b, "
                              f"or a list [s, d, b], not {item!r}")
-        try:
-            b = as_gbps(b)
-        except ValueError:
-            raise ValueError(f"demand {index} bandwidth must be a number, not {b!r}") from None
-        if b <= 0:
+        bw = as_gbps(b, f"demand {index} bandwidth")
+        if bw <= 0:
             raise ValueError(f"demand ({s},{d}) has non-positive bandwidth")
-        parts = -(-b // cap)  # ceil for Fractions
-        parts = int(parts)
-        share = b / parts
+        if max_lightpaths is not None and bw > max_lightpaths * cap:
+            raise ValueError(f"demand {index} ({s},{d}) of {b} Gbps exceeds "
+                             f"{max_lightpaths * cap} Gbps: at most {max_lightpaths} "
+                             f"lightpaths of capacity {cap} can end at a node")
+        parts = int(-(-bw // cap))  # ceil for Fractions
+        share = bw / parts
         for _ in range(parts):
             out.append(LspDemand(id=next_id, source=s, destination=d, bandwidth=share))
             next_id += 1

@@ -25,7 +25,8 @@ from typing import Callable, Mapping, Sequence
 
 from . import naming
 from .formulation import (PROTECTION, WORKING, ExclusionSets, Lightpath,
-                          ProblemInstance, ProtectionContext)
+                          ProblemInstance, ProtectionContext,
+                          spare_carrier_exclusions)
 from .modes import Approach
 from .netmodel import Link, Node, PhysicalTopology, normalize_link
 from .planner import NetworkConfiguration, PlanError, _run_pipeline
@@ -183,19 +184,18 @@ def _route_entities(topology: PhysicalTopology,
                     entities: Sequence[tuple[int, Node, Node]],
                     name_fn: Callable[[int, Node, Node], str],
                     used: Mapping[Link, int],
-                    excl_nodes: Mapping[int, frozenset[Node]] | None = None,
-                    excl_links: Mapping[int, frozenset[Link]] | None = None,
+                    exclusions: ExclusionSets | None = None,
                     ) -> tuple[dict[int, tuple[Node, ...]], tuple[int, int, int]] | None:
     """Jointly route entities over physical links minimizing
-    (total hops, tie1, tie2) under the per-link wavelength budget.
+    (total hops, tie1, tie2) under the per-link wavelength budget, each
+    avoiding its ``exclusions`` lightpath sets (keyed by entity id).
     Returns None when some entity has no admissible path or budgets bind."""
-    excl_nodes = excl_nodes or {}
-    excl_links = excl_links or {}
+    exclusions = exclusions or ExclusionSets()
     cands: list[list[tuple[int, int, int, tuple[Node, ...]]]] = []
     for (eid, i, j) in entities:
         paths = _simple_paths(topology, i, j,
-                              excl_nodes.get(eid, frozenset()),
-                              excl_links.get(eid, frozenset()))
+                              exclusions.lightpath_nodes.get(eid, frozenset()),
+                              exclusions.lightpath_links.get(eid, frozenset()))
         scored = []
         for p in paths:
             names = [name_fn(eid, a, b) for a, b in zip(p, p[1:])]
@@ -262,8 +262,8 @@ class _EnumerationPhases:
     def logical(self, label: str, plane: str, context: ProtectionContext | None = None):
         inst = self.instance
         what = "logical" if plane == WORKING else "protection"
-        ctx = context or ProtectionContext(inst.traffic, {}, {})
-        logical = _best_logical(inst, ctx.protected, plane, ctx.excluded_nodes,
+        ctx = context or ProtectionContext(inst.traffic, {}, ExclusionSets())
+        logical = _best_logical(inst, ctx.protected, plane, ctx.exclusions.lsp_nodes,
                                 ctx.interface_usage, ctx.forbidden_groupings)
         if not logical:
             raise PlanError(label, f"no feasible {what} routing")
@@ -283,12 +283,11 @@ class _EnumerationPhases:
     def route(self, label: str, lightpaths: Sequence[Lightpath], *,
               protection: bool = False, exclusions: ExclusionSets | None = None,
               wavelengths_used=None) -> dict[int, tuple[Node, ...]]:
-        excl = exclusions or ExclusionSets()
         plane = PROTECTION if protection else WORKING
         routed = _route_entities(
             self.instance.topology, [(lp.id, lp.i, lp.j) for lp in lightpaths],
             lambda lp_id, m, n: naming.lam(plane, lp_id, m, n), wavelengths_used or {},
-            excl_nodes=excl.lightpath_nodes, excl_links=excl.lightpath_links)
+            exclusions)
         if routed is None:
             raise PlanError(label, "no feasible physical routing")
         return routed[0]
@@ -311,8 +310,9 @@ def _pick_integrated(instance: ProblemInstance,
     """Among MPLS-cost-optimal logical routings, pick the one whose joint
     physical placement minimizes (wavelengths, tie1, tie2) — the enumeration
     twin of solving the two-layer model MPLS terms first.  On the protection
-    plane the context gives each carrier's passengers' physical exclusions
-    and the wavelengths already held."""
+    plane each carrier avoids what ``spare_carrier_exclusions`` derives from
+    the context's exclusions for its passengers, the rule the planner's
+    model states as ``exc`` rows, and the context's wavelengths are held."""
     topo = instance.topology
     best_key = None
     best_pick = None
@@ -323,28 +323,20 @@ def _pick_integrated(instance: ProblemInstance,
         pairs = sorted({(i, j, 1) for path in routes_logical.values()
                         for (i, j) in _hop_pairs(path)})
         used: Mapping[Link, int] = {}
-        excl_nodes: dict[tuple, frozenset] = {}
-        excl_links: dict[tuple, frozenset] = {}
+        excl = None
         if context is not None:
             used = context.wavelengths_used
             carriers: dict[tuple[Node, Node, int], list[int]] = {}
             for k, path in sorted(routes_logical.items()):
                 for (a, b) in _hop_pairs(path):
                     carriers.setdefault((a, b, 1), []).append(k)
-            for pair, ks in carriers.items():
-                nodes_u: frozenset[Node] = frozenset()
-                links_u: frozenset[Link] = frozenset()
-                for k in ks:
-                    nodes_u |= context.excluded_phys_nodes.get(k, frozenset())
-                    links_u |= context.excluded_links.get(k, frozenset())
-                excl_nodes[pair] = nodes_u
-                excl_links[pair] = links_u
+            excl = spare_carrier_exclusions(context.exclusions, carriers)
 
         entities = [(pair, pair[0], pair[1]) for pair in pairs]
         routed = _route_entities(
             topo, entities,
             lambda pair, m, n: naming.lam_integrated(plane, *pair, m, n),
-            used, excl_nodes=excl_nodes, excl_links=excl_links)
+            used, excl)
         if routed is None:
             continue
         routes_by_pair, (hops, f1_r, f2_r) = routed

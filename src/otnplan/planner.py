@@ -21,10 +21,10 @@ from typing import Iterable, Mapping, Sequence
 
 from . import naming
 from .formulation import (PROTECTION, WORKING, ExclusionSets, Lightpath,
-                          ProblemInstance, ProtectionContext, WorkingState,
-                          backup_exclusions, build_integrated,
-                          build_lightpath_routing, build_logical_design,
-                          compute_exclusion_sets, expand_lightpaths)
+                          ProblemInstance, ProtectionContext, backup_exclusions,
+                          build_integrated, build_lightpath_routing,
+                          build_logical_design, compute_exclusion_sets,
+                          expand_lightpaths, spare_carrier_exclusions)
 from .milp import SOLVER_FAILURES, MilpModel, solve_milp
 from .modes import Approach, SurvivabilityMode
 from .netmodel import (Link, Node, PhysicalTopology, UnitCosts, normalize_link,
@@ -227,6 +227,16 @@ def _decode_walks(family: Mapping[tuple, int], values: Mapping[int, float],
     return walks
 
 
+def _cut_off(lightpaths: Iterable[Lightpath], topology: PhysicalTopology,
+             exclusions: ExclusionSets) -> list[Lightpath]:
+    """The lightpaths whose exclusions cut their far end off, so that no
+    route can take them."""
+    return [lp for lp in lightpaths
+            if lp.j not in reachable(topology, lp.i,
+                                     exclusions.lightpath_nodes.get(lp.id, frozenset()),
+                                     exclusions.lightpath_links.get(lp.id, frozenset()))]
+
+
 def diagnose_lightpath_infeasibility(lightpaths: Sequence[Lightpath],
                                      topology: PhysicalTopology,
                                      unit_costs: UnitCosts,
@@ -241,13 +251,10 @@ def diagnose_lightpath_infeasibility(lightpaths: Sequence[Lightpath],
     infeasible, and the binding links are those whose lifted usage exceeds
     the real budget.  Nothing is named when the time runs out first.
     """
-    excl = routing_kwargs.get("exclusions") or ExclusionSets()
     blocked = tuple(
         f"lightpath {lp.id} ({lp.i},{lp.j},q={lp.q}) has no admissible route"
-        for lp in lightpaths
-        if lp.j not in reachable(topology, lp.i,
-                                 excl.lightpath_nodes.get(lp.id, frozenset()),
-                                 excl.lightpath_links.get(lp.id, frozenset())))
+        for lp in _cut_off(lightpaths, topology,
+                           routing_kwargs.get("exclusions") or ExclusionSets()))
     if blocked:
         return blocked
     relaxed = PhysicalTopology(topology.nodes, topology.links, W=10 ** 6)
@@ -401,8 +408,9 @@ def _run_pipeline(instance: ProblemInstance, solver) -> NetworkConfiguration:
 
     Everything between the phases is decided here, once for every solver:
     the protected set, the regrouping retries and the step IV targets.  What
-    each protection route must avoid comes from ``compute_exclusion_sets``
-    and ``backup_exclusions``.
+    each protection route must avoid comes from ``formulation``:
+    ``compute_exclusion_sets`` (once per plan), ``spare_carrier_exclusions``
+    (also the oracle's integrated placement) and ``backup_exclusions``.
     """
     mode = instance.mode
     integrated = instance.approach is Approach.INTEGRATED
@@ -437,16 +445,10 @@ def _run_pipeline(instance: ProblemInstance, solver) -> NetworkConfiguration:
     lsp_plps: dict[int, tuple[int, ...]] = {}
 
     if protected:
-        base_state = WorkingState(
-            instance=instance,
-            lsp_logical_nodes=w_nodes,
-            lsp_lightpaths=lsp_working_lps,
-            lightpaths={lp.id: lp for lp in w_lightpaths},
-            lightpath_routes=routes_w,
-        )
-        pre = compute_exclusion_sets(base_state, mode)
+        exclusions = compute_exclusion_sets(instance, mode, w_nodes, lsp_working_lps,
+                                            routes_w)
         for lsp in protected:
-            nex = pre.lsp_nodes.get(lsp.id, frozenset())
+            nex = exclusions.lsp_nodes.get(lsp.id, frozenset())
             if lsp.source in nex or lsp.destination in nex:
                 raise PlanError("II-protection-logical",
                                 f"exclusion set of LSP {lsp.id} covers an endpoint")
@@ -454,9 +456,7 @@ def _run_pipeline(instance: ProblemInstance, solver) -> NetworkConfiguration:
         base_ctx = ProtectionContext(
             protected=tuple(protected),
             interface_usage=_interface_usage(w_pairs),
-            excluded_nodes=pre.lsp_nodes,
-            excluded_phys_nodes=pre.lsp_phys_nodes,
-            excluded_links=pre.lsp_links,
+            exclusions=exclusions,
             wavelengths_used=wavelengths_w,
         )
 
@@ -481,26 +481,22 @@ def _run_pipeline(instance: ProblemInstance, solver) -> NetworkConfiguration:
                 for k, lp_ids in sorted(lsp_plps.items()):
                     for lp_id in lp_ids:
                         carriers.setdefault(lp_id, []).append(k)
-                # spare carriers inherit their passengers' exclusions
-                state = replace(base_state,
-                                lightpaths={lp.id: lp for lp in all_lightpaths},
-                                plsp_carriers=carriers)
-                excl = compute_exclusion_sets(state, mode)
-                if not excl.blocked:
-                    p_lightpaths = tuple(lp for lp in all_lightpaths
-                                         if lp.status == PROTECTION)
+                excl = spare_carrier_exclusions(exclusions, carriers)
+                p_lightpaths = [lp for lp in all_lightpaths if lp.status == PROTECTION]
+                blocked = (_cut_off(p_lightpaths, instance.topology, excl)
+                           if mode.plsp_physically_disjoint else [])
+                if not blocked:
                     if p_lightpaths:
                         routes_p = solver.route(
                             "III-spare-carrier-lightpaths", p_lightpaths,
                             exclusions=excl, wavelengths_used=wavelengths_w)
                     break
-                blocked = [(all_lightpaths[lp_id], ks) for lp_id, ks in excl.blocked.items()]
                 if retries >= MAX_GROUPING_RETRIES:
                     raise PlanError("II-protection-logical", "; ".join(
                         f"lightpath {lp.id} ({lp.i},{lp.j},q={lp.q}) cannot avoid "
-                        f"the working routes of pLSPs {list(ks)}" for lp, ks in blocked))
-                forbidden += [tuple((k, lp.i, lp.j, lp.q) for k in ks)
-                              for lp, ks in sorted(blocked, key=lambda b: b[0].id)]
+                        f"the working routes of pLSPs {carriers[lp.id]}" for lp in blocked))
+                forbidden += [tuple((k, lp.i, lp.j, lp.q) for k in carriers[lp.id])
+                              for lp in blocked]
                 retries += 1
         except PlanError as exc:
             raise PlanError(exc.phase, exc.detail, retries, exc.binding) from exc

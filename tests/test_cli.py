@@ -141,6 +141,54 @@ class TestPlanCommand:
         assert f"cannot load instance: {message}" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("edit, message", [
+        (lambda d: d.pop("nodes"), "instance nodes must be a JSON list, not missing"),
+        (lambda d: d.update(nodes=5), "instance nodes must be a JSON list, not int"),
+        (lambda d: d["links"].append([0, 1, 2]),
+         "link [0, 1, 2] must be a pair of nodes [a, b]"),
+        (lambda d: d.update(cost_ratio=5),
+         "cost ratio must be CR1, CR2, CR3 or an object with c_TR, c_P_IP, c_P_OXC, "
+         "not 5"),
+        (lambda d: d.update(cost_ratio={"c_TR": 1}),
+         "cost ratio must be CR1, CR2, CR3 or an object with c_TR, c_P_IP, c_P_OXC, "
+         "not {'c_TR': 1}"),
+        (lambda d: d["params"].update(C=True), "C must be a number, not True"),
+        (lambda d: d["params"].update(W=True), "W must be a whole number, got True"),
+        (lambda d: d["params"].update(Q=True), "Q must be a whole number, got True"),
+        (lambda d: d["params"].update(T=True), "T must be a whole number, got True"),
+        (lambda d: d["demands"][0].update(b=True),
+         "demand 0 bandwidth must be a number, not True"),
+        (lambda d: d.update(cost_ratio={"c_TR": 1, "c_P_IP": True, "c_P_OXC": 1}),
+         "cost ratio c_P_IP must be a number, not True"),
+    ], ids=["no-nodes", "nodes-not-a-list", "link-of-three", "cost-ratio-number",
+            "cost-ratio-partial", "C-boolean", "W-boolean", "Q-boolean", "T-boolean",
+            "b-boolean", "cost-ratio-boolean"])
+    def test_malformed_instance_field_exits_2(self, edit, message, ring_instance_file,
+                                              tmp_path, capsys):
+        data = json.loads(ring_instance_file.read_text())
+        edit(data)
+        ring_instance_file.write_text(json.dumps(data))
+        assert main(["plan", "--instance", str(ring_instance_file),
+                     "--output-dir", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert f"cannot load instance: {message}\n" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("command", [["plan"], ["plan", "--emit-lp"], ["oracle"]],
+                             ids=["plan", "emit-lp", "oracle"])
+    def test_demand_no_node_can_take_exits_2(self, command, ring_instance_file,
+                                             tmp_path, capsys):
+        # Q=1 on four nodes: at most 3 lightpaths of 10 Gbps end at node 0
+        data = json.loads(ring_instance_file.read_text())
+        data["demands"] = [{"s": 0, "d": 2, "b": 31}]
+        ring_instance_file.write_text(json.dumps(data))
+        out = [] if command == ["oracle"] else ["--output-dir", str(tmp_path)]
+        assert main([*command, "--instance", str(ring_instance_file), *out]) == 2
+        assert ("cannot load instance: demand 0 (0,2) of 31 Gbps exceeds 30 Gbps: at "
+                "most 3 lightpaths of capacity 10 can end at a node"
+                in capsys.readouterr().err)
+        assert not list(tmp_path.glob("*.lp")) and not list(tmp_path.glob("*.config.json"))
+
     @pytest.mark.parametrize("extra", [[], ["--approach", "integrated"], ["--emit-lp"]],
                              ids=["sequential", "integrated", "emit-lp"])
     def test_lsp_without_fiber_path_exits_2(self, extra, ring_instance_file, tmp_path,

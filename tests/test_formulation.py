@@ -2,16 +2,18 @@ from fractions import Fraction
 
 import pytest
 
-from otnplan.formulation import (PROTECTION, WORKING, Lightpath, ProblemInstance,
-                                 ProtectionContext, WorkingState, audit_model,
+from otnplan import planner
+from otnplan.formulation import (PROTECTION, WORKING, ExclusionSets, Lightpath,
+                                 ProblemInstance, ProtectionContext, audit_model,
                                  backup_exclusions, build_integrated,
                                  build_lightpath_routing, build_logical_design,
                                  compute_exclusion_sets, estimate_problem_size,
-                                 estimate_problem_size_raw, expand_lightpaths)
+                                 estimate_problem_size_raw, expand_lightpaths,
+                                 spare_carrier_exclusions)
 from otnplan.milp import check_solution, solve_milp
 from otnplan.modes import Approach, SurvivabilityMode
 from otnplan.netmodel import PhysicalTopology, SystemParams, split_demands
-from otnplan.planner import PlanOptions, plan
+from otnplan.planner import PlanError, PlanOptions, plan
 
 from conftest import UNIT_CR1, make_instance
 
@@ -79,7 +81,7 @@ class TestLogicalDesign:
     def test_protection_families_nonempty(self, ring4):
         inst = make_instance(ring4, [(0, 2, 10)], SurvivabilityMode.SINGLE_LAYER, q=1)
         ctx = ProtectionContext(protected=inst.traffic, interface_usage={},
-                                excluded_nodes={0: frozenset()})
+                                exclusions=ExclusionSets(lsp_nodes={0: frozenset()}))
         model, _ = build_logical_design(inst, PROTECTION, ctx)
         text = audit_model(model)
         for family in ("eq7", "eq10", "eq11", "eq13"):
@@ -171,23 +173,26 @@ class TestIntegrated:
             assert joint.counts().wavelengths <= seq.counts().wavelengths
 
 
+PATH3 = PhysicalTopology(range(3), [(0, 1), (1, 2)])
+RING4 = PhysicalTopology(range(4), [(0, 1), (1, 2), (2, 3), (3, 0)])
+
+
 class TestExclusionSets:
-    def _sl_state(self, ring4):
+    def _sl_exclusions(self, ring4, mode=SurvivabilityMode.SINGLE_LAYER):
         # wLSP 0 routed logically 0 -> 1 -> 2 over single-hop lightpaths
-        inst = make_instance(ring4, [(0, 2, 10)], SurvivabilityMode.SINGLE_LAYER, q=1)
-        lps = expand_lightpaths([(0, 1, 1), (1, 2, 1)])
-        return inst, WorkingState(
-            instance=inst,
-            lsp_logical_nodes={0: (0, 1, 2)},
-            lsp_lightpaths={0: (0, 1)},
-            lightpaths={lp.id: lp for lp in lps},
-            lightpath_routes={0: (0, 1), 1: (1, 2)},
-        )
+        inst = make_instance(ring4, [(0, 2, 10)], mode, q=1)
+        return compute_exclusion_sets(inst, mode, {0: (0, 1, 2)}, {0: (0, 1)},
+                                      {0: (0, 1), 1: (1, 2)})
 
     def test_single_layer_logical_transit_excluded(self, ring4):
-        inst, state = self._sl_state(ring4)
-        excl = compute_exclusion_sets(state, SurvivabilityMode.SINGLE_LAYER)
-        assert {1} <= set(excl.lsp_nodes[0])
+        excl = self._sl_exclusions(ring4)
+        assert excl.lsp_nodes == {0: frozenset({1})}
+        assert excl.lsp_phys_nodes == {0: frozenset({1})}
+        assert excl.lsp_links == {0: frozenset({(0, 1), (1, 2)})}
+        # optically protected carriers keep no physical rule
+        excl = self._sl_exclusions(ring4, SurvivabilityMode.ML_DOUBLE)
+        assert excl.lsp_nodes == {0: frozenset({1})}
+        assert excl.lsp_phys_nodes == {} and excl.lsp_links == {}
 
     def test_protection_lightpath_excludes_transit(self):
         # working lightpath 0->2 physically routed 0-1-2: its optical backup
@@ -204,32 +209,49 @@ class TestExclusionSets:
         assert config.lsp_routes[0].protection is None
 
     def test_spare_carrier_union_and_conflict_detection(self, ring4):
-        inst, state = self._sl_state(ring4)
-        # pLSP rides one spare carrier 0->2; working internals are {1}
-        lps = expand_lightpaths([(0, 1, 1), (1, 2, 1)], [(0, 2, 1)])
-        state.lightpaths = {lp.id: lp for lp in lps}
-        state.plsp_carriers = {2: (0,)}
-        excl = compute_exclusion_sets(state, SurvivabilityMode.SINGLE_LAYER)
-        assert excl.lightpath_nodes[2] == frozenset({1})
-        assert excl.lightpath_links[2] == frozenset({(0, 1), (1, 2)})
-        assert not excl.blocked  # ring offers the 0-3-2 side
+        # a carrier avoids the union of its passengers' working internals,
+        # whatever key names it
+        excl = ExclusionSets(lsp_phys_nodes={0: frozenset({1}), 1: frozenset({3})},
+                             lsp_links={0: frozenset({(0, 1), (1, 2)}),
+                                        1: frozenset({(0, 3)})})
+        carriers = spare_carrier_exclusions(excl, {2: [0], 3: [0, 1], 4: [5],
+                                                   (0, 2, 1): [1]})
+        assert carriers.lightpath_nodes == {2: frozenset({1}), 3: frozenset({1, 3}),
+                                            4: frozenset(), (0, 2, 1): frozenset({3})}
+        assert carriers.lightpath_links == {
+            2: frozenset({(0, 1), (1, 2)}), 3: frozenset({(0, 1), (1, 2), (0, 3)}),
+            4: frozenset(), (0, 2, 1): frozenset({(0, 3)})}
+        # carrier 2 (0,2) keeps the ring's 0-3-2 side and carrier 3 has none
+        # left; on the path 0-1-2 neither has a way around node 1
+        lps = [Lightpath(2, 0, 2, 1, PROTECTION), Lightpath(3, 0, 2, 2, PROTECTION)]
+        assert planner._cut_off(lps, ring4, carriers) == [lps[1]]
+        assert planner._cut_off(lps, PATH3, carriers) == lps
 
     def test_spare_carrier_without_route_is_blocked(self):
-        # on the path 0-1-2 the carrier 0->2 has no way around node 1
-        path3 = PhysicalTopology(range(3), [(0, 1), (1, 2)])
-        inst = make_instance(path3, [(0, 2, 10)], SurvivabilityMode.SINGLE_LAYER, q=1)
-        lps = expand_lightpaths([(0, 1, 1), (1, 2, 1)], [(0, 2, 1)])
-        state = WorkingState(
-            instance=inst,
-            lsp_logical_nodes={0: (0, 1, 2)},
-            lsp_lightpaths={0: (0, 1)},
-            lightpaths={lp.id: lp for lp in lps},
-            lightpath_routes={0: (0, 1), 1: (1, 2)},
-            plsp_carriers={2: (0,)},
-        )
-        assert compute_exclusion_sets(state, SurvivabilityMode.SINGLE_LAYER).blocked == {2: (0,)}
-        # optically protected carriers keep no physical rule
-        assert compute_exclusion_sets(state, SurvivabilityMode.ML_DOUBLE).blocked == {}
+        # on the path 0-1-2 no protection route can avoid node 1: single-layer
+        # regroups until no grouping is left, and the optical backup of the
+        # direct lightpath has no admissible route
+        for mode, phase, retries in (
+                (SurvivabilityMode.SINGLE_LAYER, "II-protection-logical", 2),
+                (SurvivabilityMode.ML_DOUBLE, "IV-protection-lightpaths", 0)):
+            with pytest.raises(PlanError) as err:
+                plan(make_instance(PATH3, [(0, 2, 10)], mode, q=1), PlanOptions(gap=0.0))
+            assert (err.value.phase, err.value.retries) == (phase, retries), mode
+
+    @pytest.mark.parametrize("topology", [PATH3, RING4], ids=["path3-regrouped", "ring4"])
+    def test_exclusions_computed_once_per_plan(self, topology, monkeypatch):
+        calls = []
+
+        def spy(*args):
+            calls.append(args)
+            return compute_exclusion_sets(*args)
+        monkeypatch.setattr(planner, "compute_exclusion_sets", spy)
+        inst = make_instance(topology, [(0, 2, 10)], SurvivabilityMode.SINGLE_LAYER, q=1)
+        try:
+            plan(inst, PlanOptions(gap=0.0))
+        except PlanError:
+            pass
+        assert len(calls) == 1
 
     def test_extracted_protection_avoids_exclusions(self, suite_results):
         # decoded protection routes never touch their exclusion sets

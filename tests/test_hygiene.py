@@ -24,28 +24,55 @@ def _identifier_strings(tree: ast.AST) -> set[str]:
             and node.value.isidentifier()}
 
 
-def test_every_definition_is_referenced():
-    modules = _modules(PACKAGE, ROOT / "tests", ROOT / "bench")
-    used: set[str] = set()
+def _exported(tree: ast.Module) -> set[int]:
+    """The nodes of ``__all__`` assignments."""
+    return {id(node) for stmt in ast.walk(tree) if isinstance(stmt, ast.Assign)
+            and any(isinstance(t, ast.Name) and t.id == "__all__" for t in stmt.targets)
+            for node in ast.walk(stmt.value)}
+
+
+def _unreferenced(modules: dict[Path, ast.Module], count_exported: bool) -> list[str]:
+    """The functions and classes of the package that nothing in ``modules``
+    refers to.  A plain name or an identifier string (an ``__all__`` entry
+    only if ``count_exported``) refers to any definition; a method or
+    property is referred to only as an attribute, ``obj.name`` or
+    ``getattr(obj, "name")``, so that a local variable of the same name does
+    not keep it alive."""
+    names: set[str] = set()
+    attrs: set[str] = set()
     for tree in modules.values():
-        used |= _identifier_strings(tree)
+        exported = set() if count_exported else _exported(tree)
         for node in ast.walk(tree):
             if isinstance(node, ast.Name):
-                used.add(node.id)
+                names.add(node.id)
             elif isinstance(node, ast.Attribute):
-                used.add(node.attr)
+                attrs.add(node.attr)
+            elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
+                  and node.value.isidentifier() and id(node) not in exported):
+                names.add(node.value)
+            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                    and node.func.id == "getattr" and len(node.args) > 1
+                    and isinstance(node.args[1], ast.Constant)):
+                attrs.add(node.args[1].value)
     unreferenced = []
     for path, tree in modules.items():
         if not path.is_relative_to(PACKAGE):
             continue
+        methods = {id(node) for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
+                   for node in cls.body}
         for node in ast.walk(tree):
             if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 continue
             name = node.name
             if name == "main" or (name.startswith("__") and name.endswith("__")):
                 continue
-            if name not in used:
+            if name not in (attrs if id(node) in methods else names | attrs):
                 unreferenced.append(f"{path.relative_to(ROOT)}:{node.lineno} {name}")
+    return unreferenced
+
+
+def test_every_definition_is_referenced():
+    unreferenced = _unreferenced(_modules(PACKAGE, ROOT / "tests", ROOT / "bench"), True)
     assert not unreferenced, "defined but never referenced:\n" + "\n".join(unreferenced)
 
 
@@ -77,34 +104,10 @@ def test_no_unused_imports():
     assert not unused, "imported but never used:\n" + "\n".join(unused)
 
 
-def _exported(tree: ast.Module) -> set[int]:
-    """The nodes of ``__all__`` assignments."""
-    return {id(node) for stmt in ast.walk(tree) if isinstance(stmt, ast.Assign)
-            and any(isinstance(t, ast.Name) and t.id == "__all__" for t in stmt.targets)
-            for node in ast.walk(stmt.value)}
-
-
 def test_no_definition_only_tests_use():
     """Every function or class in the package is used by the package or the
     bench: an ``__all__`` entry or a test alone does not keep code alive."""
-    modules = _modules(PACKAGE, ROOT / "bench")
-    used: set[str] = set()
-    for tree in modules.values():
-        exported = _exported(tree)
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Name):
-                used.add(node.id)
-            elif isinstance(node, ast.Attribute):
-                used.add(node.attr)
-            elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
-                  and node.value.isidentifier() and id(node) not in exported):
-                used.add(node.value)
-    test_only = [f"{path.relative_to(ROOT)}:{node.lineno} {node.name}"
-                 for path, tree in modules.items() if path.is_relative_to(PACKAGE)
-                 for node in ast.walk(tree)
-                 if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
-                 and not (node.name.startswith("__") and node.name.endswith("__"))
-                 and node.name not in used]
+    test_only = _unreferenced(_modules(PACKAGE, ROOT / "bench"), False)
     assert not test_only, "used only by tests or __all__:\n" + "\n".join(test_only)
 
 

@@ -9,7 +9,8 @@ from scipy.optimize import linprog
 
 from conftest import make_instance
 from otnplan import planner
-from otnplan.formulation import PROTECTION, WORKING, ProtectionContext, build_logical_design
+from otnplan.formulation import (PROTECTION, WORKING, ExclusionSets, ProtectionContext,
+                                 build_logical_design)
 from otnplan.milp import (MilpModel, ModelError, branch_bound, check_solution, simplex,
                           solve_milp)
 from otnplan.milp.simplex import simplex_solve
@@ -643,7 +644,8 @@ class TestImpliedBoundCuts:
     def test_capacity_rows_give_one_pair_per_unblocked_delta(self, ring4):
         inst = make_instance(ring4, [(0, 2, 10), (1, 3, 6)], SurvivabilityMode.SINGLE_LAYER)
         context = ProtectionContext(protected=inst.traffic, interface_usage={},
-                                    excluded_nodes={0: frozenset({1}), 1: frozenset()})
+                                    exclusions=ExclusionSets(
+                                        lsp_nodes={0: frozenset({1}), 1: frozenset()}))
         for model, varmap in (build_logical_design(inst, WORKING),
                               build_logical_design(inst, PROTECTION, context)):
             unblocked = {key: vid for key, vid in varmap.delta.items()

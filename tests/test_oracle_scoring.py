@@ -6,7 +6,7 @@ import random
 from fractions import Fraction
 
 from otnplan import naming
-from otnplan.formulation import PROTECTION, WORKING, ProtectionContext
+from otnplan.formulation import PROTECTION, WORKING, ExclusionSets, ProtectionContext
 from otnplan.modes import Approach, SurvivabilityMode
 from otnplan.netmodel import COST_RATIO_PRESETS, PhysicalTopology, normalize_link
 from otnplan.oracle import _best_logical, _pick_integrated
@@ -128,8 +128,8 @@ def test_pick_integrated_moves_past_unplaceable_optimum():
     logical = _best_logical(inst, inst.traffic, PROTECTION, {}, {}, ())
     assert logical[0][3] == {a: (0, 2), b: (0, 2)}
     phys_links = {a: frozenset({(0, 1)}), b: frozenset({(0, 3)})}
-    picked = _pick_integrated(inst, logical, PROTECTION,
-                              ProtectionContext(inst.traffic, {}, {}, excluded_links=phys_links))
+    context = ProtectionContext(inst.traffic, {}, ExclusionSets(lsp_links=phys_links))
+    picked = _pick_integrated(inst, logical, PROTECTION, context)
     assert picked is not None
     routes_logical, pair_routes = picked
 
@@ -149,7 +149,7 @@ def test_pick_integrated_moves_past_unplaceable_optimum():
                 assert not links & phys_links[k]
     # without the exclusions the cost optimum itself is placed
     unblocked, _ = _pick_integrated(inst, logical, PROTECTION,
-                                    ProtectionContext(inst.traffic, {}, {}))
+                                    ProtectionContext(inst.traffic, {}, ExclusionSets()))
     assert unblocked == logical[0][3]
 
 
@@ -162,4 +162,4 @@ def test_pick_integrated_nothing_placeable():
     logical = _best_logical(inst, inst.traffic, PROTECTION, {}, {}, ())
     full = {(0, 1): 1, (0, 3): 1}
     assert _pick_integrated(inst, logical, PROTECTION, ProtectionContext(
-        inst.traffic, {}, {}, wavelengths_used=full)) is None
+        inst.traffic, {}, ExclusionSets(), wavelengths_used=full)) is None

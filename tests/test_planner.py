@@ -4,7 +4,7 @@ import pytest
 
 from otnplan.formulation import PROTECTION
 from otnplan.modes import Approach, SurvivabilityMode
-from otnplan.netmodel import COST_RATIO_PRESETS, PhysicalTopology
+from otnplan.netmodel import COST_RATIO_PRESETS, CostRatios, PhysicalTopology
 from otnplan.planner import (PlanError, PlanOptions, ResourceCounts,
                              apply_brs_sharing, assemble_configuration, plan,
                              total_cost, transit_traffic)
@@ -151,7 +151,8 @@ class TestPlannerInvariants:
             assert rebuilt.transit == config.transit
 
     def test_scaling_unit_costs_scales_cost(self, ring4):
-        scaled = COST_RATIO_PRESETS["CR1"].scaled(3)
+        cr1 = COST_RATIO_PRESETS["CR1"]
+        scaled = CostRatios(3 * cr1.c_tr, 3 * cr1.c_p_ip, 3 * cr1.c_p_oxc)
         inst1 = make_instance(ring4, [(0, 2, 10), (1, 3, 6)],
                               SurvivabilityMode.SINGLE_LAYER)
         inst3 = make_instance(ring4, [(0, 2, 10), (1, 3, 6)],
