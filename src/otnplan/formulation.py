@@ -189,6 +189,8 @@ def build_logical_design(instance: ProblemInstance, plane: str,
     pairs = _node_pairs(nodes)
     qs = range(1, params.Q + 1)
     c_cap = float(params.C)
+    c_lp = float(costs.c_lp)
+    c_tt = float(costs.c_tt)
 
     model = MilpModel(f"logical-{plane}")
     varmap = DecisionVarMap(model)
@@ -201,36 +203,44 @@ def build_logical_design(instance: ProblemInstance, plane: str,
     for (i, j) in pairs:
         for q in qs:
             vid = model.add_variable(naming.beta(plane, i, j, q), "binary",
-                                     objective=float(costs.c_lp))
+                                     objective=c_lp)
             beta[(i, j, q)] = vid
-            varmap.mpls_objective[vid] = float(costs.c_lp)
+            varmap.mpls_objective[vid] = c_lp
 
+    # δ[k, i, j, q] is own[position[i, j, q]] in LSP k's list of δ ids, so
+    # the rows below index lists instead of hashing a key per term
+    position = {key: n for n, key in enumerate(
+        (i, j, q) for (i, j) in _ordered_pairs(nodes) for q in qs)}
+    lsp_deltas: list[tuple[LspDemand, float, list[int]]] = []
     for lsp in lsps:
         nex = excluded.get(lsp.id, frozenset())
         b = float(lsp.bandwidth)
-        for (i, j) in _ordered_pairs(nodes):
-            for q in qs:
-                blocked = i in nex or j in nex
-                vid = model.add_variable(naming.delta(plane, lsp.id, i, j, q), "binary",
-                                         upper=0.0 if blocked else 1.0,
-                                         objective=float(costs.c_tt) * b)
-                delta[(lsp.id, i, j, q)] = vid
-                varmap.mpls_objective[vid] = float(costs.c_tt) * b
+        transit = c_tt * b
+        own: list[int] = []
+        for (i, j, q) in position:
+            blocked = i in nex or j in nex
+            vid = model.add_variable(naming.delta(plane, lsp.id, i, j, q), "binary",
+                                     upper=0.0 if blocked else 1.0,
+                                     objective=transit)
+            delta[(lsp.id, i, j, q)] = vid
+            varmap.mpls_objective[vid] = transit
+            own.append(vid)
+        lsp_deltas.append((lsp, b, own))
 
     # flow conservation, eq (9) working / eq (10) protection
     eq_flow = "eq9" if plane == WORKING else "eq10"
-    for lsp in lsps:
+    # node i's row terms as (out, back) positions, the same for every LSP
+    flow = {i: [(position[(i, j, q)], position[(j, i, q)])
+                for j in nodes if j != i for q in qs] for i in nodes}
+    for lsp, _, own in lsp_deltas:
         nex = excluded.get(lsp.id, frozenset())
         for i in nodes:
             if i in nex:
                 continue
             terms = []
-            for j in nodes:
-                if j == i:
-                    continue
-                for q in qs:
-                    terms.append((delta[(lsp.id, i, j, q)], 1.0))
-                    terms.append((delta[(lsp.id, j, i, q)], -1.0))
+            for out, back in flow[i]:
+                terms.append((own[out], 1.0))
+                terms.append((own[back], -1.0))
             rhs = 1.0 if i == lsp.source else (-1.0 if i == lsp.destination else 0.0)
             model.add_constraint(f"{eq_flow}[k={lsp.id},i={i}]", terms, "=", rhs)
 
@@ -250,11 +260,11 @@ def build_logical_design(instance: ProblemInstance, plane: str,
     eq_cap = "eq12" if plane == WORKING else "eq13"
     for (i, j) in pairs:
         for q in qs:
+            out, back = position[(i, j, q)], position[(j, i, q)]
             terms: list[tuple[int, float]] = [(beta[(i, j, q)], -c_cap)]
-            for lsp in lsps:
-                b = float(lsp.bandwidth)
-                terms.append((delta[(lsp.id, i, j, q)], b))
-                terms.append((delta[(lsp.id, j, i, q)], b))
+            for _, b, own in lsp_deltas:
+                terms.append((own[out], b))
+                terms.append((own[back], b))
             model.add_constraint(f"{eq_cap}[i={i},j={j},q={q}]", terms, "<=", 0.0)
 
     # router interface budget, eqs (7)+(8) (one row per node: every modelled
@@ -299,6 +309,7 @@ def build_lightpath_routing(lightpaths: Sequence[Lightpath],
     ``wavelengths_used`` reserves already-committed capacity on each link.
     """
     plane = PROTECTION if protection else WORKING
+    c_wl = float(unit_costs.c_wl)
     model = MilpModel(f"lightpath-{plane}")
     varmap = DecisionVarMap(model)
     lam = varmap.lam
@@ -317,9 +328,9 @@ def build_lightpath_routing(lightpaths: Sequence[Lightpath],
             blocked = m in ex_nodes or n in ex_nodes or normalize_link(m, n) in ex_links
             vid = model.add_variable(naming.lam(plane, lp.id, m, n), "binary",
                                      upper=0.0 if blocked else 1.0,
-                                     objective=float(unit_costs.c_wl))
+                                     objective=c_wl)
             lam[(lp.id, m, n)] = vid
-            varmap.optical_objective[vid] = float(unit_costs.c_wl)
+            varmap.optical_objective[vid] = c_wl
 
         for n in sorted(topology.nodes):
             if n in ex_nodes:
@@ -372,6 +383,7 @@ def build_integrated(instance: ProblemInstance, plane: str,
     qs = range(1, params.Q + 1)
     arcs = topo.arcs()
     used = context.wavelengths_used if context is not None else {}
+    c_wl = float(costs.c_wl)
 
     beta, delta, lam = varmap.beta, varmap.delta, varmap.lam
 
@@ -380,9 +392,9 @@ def build_integrated(instance: ProblemInstance, plane: str,
             for (m, n) in arcs:
                 vid = model.add_variable(naming.lam_integrated(plane, i, j, q, m, n),
                                          "binary",
-                                         objective=float(costs.c_wl))
+                                         objective=c_wl)
                 lam[(i, j, q, m, n)] = vid
-                varmap.optical_objective[vid] = float(costs.c_wl)
+                varmap.optical_objective[vid] = c_wl
 
     # eq (18): lightpath-level flow conservation tied to the existence binary
     for (i, j) in pairs:

@@ -7,8 +7,9 @@ coefficient is written as ``obj: 0 x_dummy`` (with ``x_dummy`` declared fixed
 at 0 in ``Bounds``), which external solvers parse back without complaint.
 
 Solutions come back as a plain listing, one ``name value`` pair per line;
-``parse_solution_listing`` maps it onto model variables for validation-only
-runs.
+``parse_solution_listing`` reads it, rejecting a value that is not a finite
+number and a name listed twice, and ``solution_values_by_id`` maps it onto
+model variables for validation-only runs.
 """
 
 from __future__ import annotations
@@ -30,33 +31,49 @@ def _fmt(x: float) -> str:
 _WRAP_COLUMN = 200
 
 
-def _terms_text(terms) -> str:
-    parts: list[str] = []
-    for name, coef in terms:
-        if coef == 0:
-            continue
-        sign = "-" if coef < 0 else "+"
+class _Prefixes(dict):
+    """Coefficient -> the text that leads a term with it: the sign, then the
+    magnitude unless it is 1 (``"+ "``, ``"- 2.5 "``), built once per
+    distinct coefficient."""
+
+    def __missing__(self, coef: float) -> str:
         mag = abs(coef)
-        piece = name if mag == 1 else f"{_fmt(mag)} {name}"
-        if not parts:
-            parts.append(piece if sign == "+" else f"- {piece}")
-        else:
-            parts.append(f"{sign} {piece}")
-    # wrap long expressions; continuation lines stay indented for LP readers
+        text = ("- " if coef < 0 else "+ ") + ("" if mag == 1 else f"{_fmt(mag)} ")
+        self[coef] = text
+        return text
+
+
+def _terms_text(terms) -> str:
+    """The expression of ``(name, coef)`` terms, zero terms left out."""
+    prefixes = _Prefixes()
+    return _expression([prefixes[coef] + name for name, coef in terms if coef != 0])
+
+
+def _expression(parts: list[str]) -> str:
+    """Signed terms (``"+ x"``, ``"- 2.5 y"``) joined into one expression
+    without a leading ``+``.  A line wraps before a term that would take it
+    past _WRAP_COLUMN; continuation lines stay indented for LP readers."""
+    if parts and parts[0].startswith("+ "):
+        parts[0] = parts[0][2:]
+        if not parts[0]:  # an unnamed leading term with coefficient 1
+            del parts[0]
+    if not parts:
+        return ""
     lines: list[str] = []
-    cur = ""
-    for part in parts:
-        if cur and len(cur) + len(part) + 1 > _WRAP_COLUMN:
-            lines.append(cur)
-            cur = part
-        else:
-            cur = f"{cur} {part}" if cur else part
-    if cur:
-        lines.append(cur)
+    start, width = 0, -1
+    for k, size in enumerate(map(len, parts)):
+        width += size + 1
+        if width > _WRAP_COLUMN and k > start:
+            lines.append(" ".join(parts[start:k]))
+            start, width = k, size
+    lines.append(" ".join(parts[start:]))
     return "\n   ".join(lines)
 
 
 def emit_lp_file(model: MilpModel) -> str:
+    """The model as LP text.  The rows share one _Prefixes table, so each
+    distinct coefficient's text is built once per call; nothing is kept
+    between calls."""
     lines = [f"\\ {model.name}", "Minimize"]
     obj_terms = [(v.name, v.objective) for v in model.variables if v.objective != 0.0]
     dummy_needed = not obj_terms
@@ -67,10 +84,13 @@ def emit_lp_file(model: MilpModel) -> str:
 
     lines.append("Subject To")
     rel_text = {"<=": "<=", ">=": ">=", "=": "="}
+    names = [v.name for v in model.variables]
+    prefixes = _Prefixes()
     for idx, con in enumerate(model.constraints):
-        terms = [(model.var_name(vid), coef) for vid, coef in con.terms]
-        body = _terms_text(terms) if terms else "0 x_dummy"
-        if not terms:
+        if con.terms:  # add_constraint keeps no zero term
+            body = _expression([prefixes[coef] + names[vid] for vid, coef in con.terms])
+        else:
+            body = "0 x_dummy"
             dummy_needed = True
         label = con.name.replace(" ", "_") or f"c{idx}"
         lines.append(f" c{idx}_{label}: {body} {rel_text[con.relation]} {_fmt(con.rhs)}")
@@ -100,16 +120,29 @@ def emit_lp_file(model: MilpModel) -> str:
 
 
 def parse_solution_listing(text: str) -> dict[str, float]:
-    """Parse a ``name value`` per-line listing; '#' starts a comment."""
+    """Parse a ``name value`` per-line listing; '#' starts a comment.
+
+    A line that is not a name and a finite number, or that repeats an
+    earlier name, is a ValueError naming the line."""
     out: dict[str, float] = {}
-    for raw in text.splitlines():
+    for number, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         parts = line.split()
         if len(parts) != 2:
-            raise ValueError(f"malformed solution line: {raw!r}")
-        out[parts[0]] = float(parts[1])
+            raise ValueError(f"malformed solution line {number}: {raw!r}")
+        name, value = parts
+        try:
+            x = float(value)
+        except ValueError:
+            x = math.nan
+        if not math.isfinite(x):
+            raise ValueError(f"solution line {number}: {raw!r}: the value of "
+                             f"{name} must be a finite number")
+        if name in out:
+            raise ValueError(f"solution line {number}: {raw!r}: {name} is listed twice")
+        out[name] = x
     return out
 
 

@@ -33,7 +33,7 @@ class ModelError(ValueError):
     """Structural problem in a model: undeclared variable, bad relation, ..."""
 
 
-@dataclass
+@dataclass(slots=True)
 class Variable:
     id: int
     name: str
@@ -43,7 +43,7 @@ class Variable:
     objective: float
 
 
-@dataclass
+@dataclass(slots=True)
 class Constraint:
     name: str
     terms: tuple[tuple[int, float], ...]
@@ -87,9 +87,10 @@ class MilpModel:
                        relation: str, rhs: float) -> None:
         if relation not in RELATIONS:
             raise ModelError(f"unknown relation {relation!r}")
+        declared = len(self.variables)
         packed = []
         for vid, coef in terms:
-            if not (0 <= vid < len(self.variables)):
+            if not (0 <= vid < declared):
                 raise ModelError(f"constraint {name!r} references undeclared variable id {vid}")
             if coef != 0.0:
                 packed.append((vid, float(coef)))
@@ -161,13 +162,18 @@ def check_solution(model: MilpModel, values: Mapping[int, float]) -> tuple[str, 
     problems: list[str] = []
     for var in model.variables:
         x = values.get(var.id, 0.0)
+        if not math.isfinite(x):
+            problems.append(f"variable {var.name} = {x} is not finite")
+            continue
         if x < var.lower - FEASIBILITY_TOL or x > var.upper + FEASIBILITY_TOL:
             problems.append(f"variable {var.name} = {x} outside [{var.lower}, {var.upper}]")
         if var.kind == "binary" and abs(x - round(x)) > INTEGRALITY_TOL:
             problems.append(f"variable {var.name} = {x} violates integrality")
     for con in model.constraints:
         lhs = sum(coef * values.get(vid, 0.0) for vid, coef in con.terms)
-        if con.relation == "<=" and lhs > con.rhs + FEASIBILITY_TOL:
+        if not math.isfinite(lhs):
+            problems.append(f"constraint {con.name}: {lhs} is not finite")
+        elif con.relation == "<=" and lhs > con.rhs + FEASIBILITY_TOL:
             problems.append(f"constraint {con.name}: {lhs} > {con.rhs}")
         elif con.relation == ">=" and lhs < con.rhs - FEASIBILITY_TOL:
             problems.append(f"constraint {con.name}: {lhs} < {con.rhs}")

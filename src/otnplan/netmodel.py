@@ -80,14 +80,21 @@ def _whole_number(name: str, value) -> int:
     raise ValueError(f"{name} must be a whole number, got {value!r}")
 
 
+def _require_node_id(what: str, value) -> None:
+    """A node id is an int and not a boolean; anything else is a ValueError
+    naming ``what``."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ValueError(f"{what} must be an integer node id, not {value!r}")
+
+
 @dataclass(frozen=True)
 class PhysicalTopology:
     """Nodes and bidirectional fiber links; W wavelengths available per link.
 
     Each node is a combined router + OXC site.  The graph is simple: node ids
-    are distinct, and each link joins two distinct declared nodes and is
-    declared once.  Links are stored as ordered (low, high) pairs in input
-    order.
+    are distinct integers (not booleans), and each link joins two distinct
+    declared nodes and is declared once.  Links are stored as ordered (low,
+    high) pairs in input order.
     """
 
     nodes: tuple[Node, ...]
@@ -98,7 +105,8 @@ class PhysicalTopology:
 
     def __init__(self, nodes: Iterable[Node], links: Iterable[Sequence[Node]], W: int = 32):
         adjacency: dict[Node, list[Node]] = {}
-        for v in nodes:
+        for index, v in enumerate(nodes):
+            _require_node_id(f"nodes entry {index}", v)
             if v in adjacency:
                 raise ValueError(f"node {v} is declared more than once")
             adjacency[v] = []
@@ -108,6 +116,8 @@ class PhysicalTopology:
                 a, b = link
             except (TypeError, ValueError):
                 raise ValueError(f"link {link!r} must be a pair of nodes [a, b]") from None
+            for v in (a, b):
+                _require_node_id(f"an end of link {link!r}", v)
             if a == b or a not in adjacency or b not in adjacency:
                 raise ValueError(f"link ({a},{b}) must join two distinct declared nodes")
             link = normalize_link(a, b)
@@ -352,6 +362,8 @@ def split_demands(demands: Iterable, C,
         else:
             raise ValueError(f"demand {index} must be an object with s, d and b, "
                              f"or a list [s, d, b], not {item!r}")
+        _require_node_id(f"demand {index} s", s)
+        _require_node_id(f"demand {index} d", d)
         bw = as_gbps(b, f"demand {index} bandwidth")
         if bw <= 0:
             raise ValueError(f"demand ({s},{d}) has non-positive bandwidth")

@@ -174,6 +174,32 @@ class TestPlanCommand:
         assert f"cannot load instance: {message}\n" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("edit, message", [
+        (lambda d: d["nodes"].__setitem__(0, [0]),
+         "nodes entry 0 must be an integer node id, not [0]"),
+        (lambda d: d["nodes"].__setitem__(1, True),
+         "nodes entry 1 must be an integer node id, not True"),
+        (lambda d: d["links"].__setitem__(0, [0, True]),
+         "an end of link [0, True] must be an integer node id, not True"),
+        (lambda d: d["links"].__setitem__(0, [{"a": 1}, 2]),
+         "an end of link [{'a': 1}, 2] must be an integer node id, not {'a': 1}"),
+        (lambda d: d["demands"][0].update(s=[0]),
+         "demand 0 s must be an integer node id, not [0]"),
+        (lambda d: d["demands"][0].update(d=True),
+         "demand 0 d must be an integer node id, not True"),
+    ], ids=["nodes-list", "nodes-boolean", "link-boolean", "link-object",
+            "demand-s-list", "demand-d-boolean"])
+    def test_node_id_not_an_integer_exits_2(self, edit, message, ring_instance_file,
+                                            tmp_path, capsys):
+        data = json.loads(ring_instance_file.read_text())
+        edit(data)
+        ring_instance_file.write_text(json.dumps(data))
+        assert main(["plan", "--instance", str(ring_instance_file), "--mode", "none",
+                     "--output-dir", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert f"cannot load instance: {message}\n" in err
+        assert "Traceback" not in err
+
     @pytest.mark.parametrize("command", [["plan"], ["plan", "--emit-lp"], ["oracle"]],
                              ids=["plan", "emit-lp", "oracle"])
     def test_demand_no_node_can_take_exits_2(self, command, ring_instance_file,
@@ -266,6 +292,24 @@ class TestPlanCommand:
                    "--mode", "none", "--output-dir", str(tmp_path),
                    "--solution-in", str(bad)])
         assert rc == 1
+
+    @pytest.mark.parametrize("listing, line", [
+        ("wbeta_0_1_1 nan\n", 1),
+        ("wbeta_0_1_1 inf\n", 1),
+        ("wbeta_0_2_1 1\nwbeta_0_1_1 -inf\n", 2),
+        ("wbeta_0_2_1 1\nwdelta_0_0_2_1 1\nwbeta_0_2_1 0\n", 3),
+    ], ids=["nan", "inf", "-inf", "repeated-name"])
+    def test_bad_solution_listing_exits_2(self, listing, line, ring_instance_file,
+                                          tmp_path, capsys):
+        sol = tmp_path / "sol.txt"
+        sol.write_text(listing, encoding="utf-8")
+        rc = main(["plan", "--instance", str(ring_instance_file), "--emit-lp",
+                   "--mode", "none", "--output-dir", str(tmp_path),
+                   "--solution-in", str(sol)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert f"error: cannot read solution listing: solution line {line}: " in err
+        assert "Traceback" not in err
 
     def test_solution_in_requires_emit_lp(self, ring_instance_file):
         rc = main(["plan", "--instance", str(ring_instance_file),

@@ -1,7 +1,7 @@
 """Static hygiene checks over the source tree, in place of a linter: no
 function or class in the package that nothing refers to, no unused import
-in the package or the tests, and no import of a third-party module other
-than numpy when the package loads."""
+in the package or the tests, no import of a third-party module other
+than numpy when the package loads, and no process-wide tricks."""
 
 import ast
 import sys
@@ -136,3 +136,21 @@ def test_package_loads_only_the_standard_library_and_numpy():
             foreign += [f"{path.relative_to(ROOT)}:{node.lineno} {root}"
                         for root in roots if root not in allowed]
     assert not foreign, "imported when the package loads:\n" + "\n".join(foreign)
+
+
+def test_no_process_wide_tricks():
+    """Speed in the package comes from doing less work: it neither imports
+    ``gc`` to tune the garbage collector nor rebinds module state with a
+    ``global`` statement."""
+    found = []
+    for path, tree in _modules(PACKAGE).items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Global):
+                found.append(f"{path.relative_to(ROOT)}:{node.lineno} global")
+            elif isinstance(node, ast.Import):
+                found += [f"{path.relative_to(ROOT)}:{node.lineno} import gc"
+                          for alias in node.names if alias.name.split(".")[0] == "gc"]
+            elif (isinstance(node, ast.ImportFrom) and not node.level
+                  and node.module.split(".")[0] == "gc"):
+                found.append(f"{path.relative_to(ROOT)}:{node.lineno} from gc import")
+    assert not found, "process-wide tricks:\n" + "\n".join(found)

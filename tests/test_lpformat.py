@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -5,10 +6,13 @@ import pytest
 from scipy.optimize import milp as scipy_milp
 from scipy.optimize import Bounds, LinearConstraint
 
+from otnplan.cli import main
 from otnplan.formulation import build_logical_design, WORKING
+from otnplan.instance import bundled_instance_path
 from otnplan.milp import (MilpModel, check_solution, emit_lp_file,
                           parse_solution_listing, solution_values_by_id,
                           solve_milp)
+from otnplan.milp.lpformat import _terms_text
 from otnplan.modes import SurvivabilityMode
 
 from conftest import make_instance
@@ -86,6 +90,42 @@ class TestEmitLpFile:
         assert a == b
 
 
+class TestTermsText:
+    def test_expression_of_200_columns_stays_on_one_line(self):
+        text = _terms_text([("a" * 100, 1.0), ("b" * 97, 1.0)])
+        assert text == "a" * 100 + " + " + "b" * 97
+        assert len(text) == 200
+
+    def test_expression_of_201_columns_wraps(self):
+        text = _terms_text([("a" * 100, 1.0), ("b" * 98, 1.0)])
+        assert text == "a" * 100 + "\n   + " + "b" * 98
+
+    def test_negative_first_term_starts_with_minus(self):
+        assert _terms_text([("x", -2.0), ("y", 1.0)]) == "- 2 x + y"
+        assert _terms_text([("x", -1.0)]) == "- x"
+
+    def test_coefficient_text(self):
+        terms = [("a", 1.0), ("b", -1.0), ("c", 2.5), ("d", 1e20), ("e", 0.0)]
+        assert _terms_text(terms) == "a - b + 2.5 c + 1e+20 d"
+
+
+@pytest.mark.parametrize("approach, size, digest", [
+    ("sequential", "logical-working: 33396 variables, 1656 constraints",
+     "827a47483a062f4849f6c9be499268305018aca6d7e072cebc906e733fbc5258"),
+    ("integrated", "integrated-working: 39732 variables, 3264 constraints",
+     "521803652461353f00d4d9b956c4ef056f3d2cd846ac2e8b7b092c3190d428ed"),
+], ids=["sequential", "integrated"])
+def test_bundled_12_node_lp_text_is_pinned(approach, size, digest, tmp_path, capsys):
+    """``plan --emit-lp`` writes the bundled 12-node instance's working-side
+    model byte for byte as before.  These digests are re-pinned when ROADMAP
+    item 5 replaces the bundled instance."""
+    assert main(["plan", "--instance", str(bundled_instance_path()), "--emit-lp",
+                 "--approach", approach, "--output-dir", str(tmp_path)]) == 0
+    assert capsys.readouterr().out.startswith(size + "\n")
+    (path,) = tmp_path.glob("*.lp")
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+
+
 class TestSolutionListing:
     def test_parse_basic(self):
         parsed = parse_solution_listing("x 1\ny 0.5  # comment\n\n# full comment\n")
@@ -94,6 +134,16 @@ class TestSolutionListing:
     def test_parse_rejects_garbage(self):
         with pytest.raises(ValueError):
             parse_solution_listing("x 1 2\n")
+
+    @pytest.mark.parametrize("text, message", [
+        ("x 1\ny nan\n", "solution line 2: 'y nan': the value of y must be a finite number"),
+        ("x abc\n", "solution line 1: 'x abc': the value of x must be a finite number"),
+        ("x 1\n\nx 0  # again\n", "solution line 3: 'x 0  # again': x is listed twice"),
+    ], ids=["nan", "not-a-number", "repeated-name"])
+    def test_parse_names_the_bad_line(self, text, message):
+        with pytest.raises(ValueError) as err:
+            parse_solution_listing(text)
+        assert str(err.value) == message
 
     def test_unknown_names_ignored(self):
         m = simple_model()

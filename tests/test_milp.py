@@ -84,6 +84,31 @@ class TestSolveLp:
         with pytest.raises(ModelError):
             m.add_constraint("bad", [(7, 1.0)], "<=", 1.0)
 
+    def test_negative_variable_id_rejected(self):
+        m = MilpModel("broken")
+        m.add_variable("x", "continuous", 0, 1, 1.0)
+        with pytest.raises(ModelError, match="undeclared variable id -1"):
+            m.add_constraint("bad", [(0, 1.0), (-1, 1.0)], "<=", 1.0)
+
+    def test_undeclared_variable_with_zero_coefficient_rejected(self):
+        m = MilpModel("broken")
+        m.add_variable("x", "continuous", 0, 1, 1.0)
+        with pytest.raises(ModelError, match="undeclared variable id 1"):
+            m.add_constraint("bad", [(0, 1.0), (1, 0.0)], "<=", 1.0)
+
+    def test_one_pass_generator_keeps_every_term(self):
+        m = MilpModel("generator")
+        ids = [m.add_variable(f"x{i}", "continuous", 0, 1, 1.0) for i in range(3)]
+        m.add_constraint("sum", ((vid, vid + 1) for vid in ids), "<=", 4)
+        assert m.constraints[0].terms == ((0, 1.0), (1, 2.0), (2, 3.0))
+
+    def test_check_solution_reports_non_finite_value(self):
+        m = MilpModel("nan")
+        x = m.add_variable("x", "continuous", 0, 1, 1.0)
+        m.add_constraint("cap", [(x, 1.0)], "<=", 1.0)
+        assert check_solution(m, {x: math.nan}) == (
+            "variable x = nan is not finite", "constraint cap: nan is not finite")
+
     def test_random_lps_match_scipy(self):
         rng = np.random.default_rng(3)
         for _ in range(60):
