@@ -48,10 +48,24 @@ class RunRequest:
     report_format: str = "table"
 
 
+class _WriteError(Exception):
+    """An output file or directory that cannot be written; exit code 2."""
+
+
 def _out_dir(explicit: str | None) -> Path:
     path = Path(explicit or os.environ.get("OTNPLAN_OUT", "."))
-    path.mkdir(parents=True, exist_ok=True)
+    try:
+        path.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise _WriteError(f"cannot write {path}: {exc.strerror or exc}") from None
     return path
+
+
+def _write(path: Path, text: str) -> None:
+    try:
+        path.write_text(text, encoding="utf-8")
+    except OSError as exc:
+        raise _WriteError(f"cannot write {path}: {exc.strerror or exc}") from None
 
 
 def _load(request: RunRequest):
@@ -77,6 +91,14 @@ def _verification(config) -> tuple[str, bool]:
 def run_cli(request: RunRequest) -> int:
     """Execute a plan request; returns the process exit code."""
     try:
+        return _run(request)
+    except _WriteError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+
+
+def _run(request: RunRequest) -> int:
+    try:
         options = PlanOptions(gap=request.gap, time_limit=request.time_limit)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -93,7 +115,7 @@ def run_cli(request: RunRequest) -> int:
         written = []
         for name, model in models.items():
             path = out / f"{Path(request.instance).stem}.{request.mode}.{name}.lp"
-            path.write_text(emit_lp_file(model), encoding="utf-8")
+            _write(path, emit_lp_file(model))
             written.append(path)
             print(audit_model(model), end="")
         for path in written:
@@ -125,12 +147,11 @@ def run_cli(request: RunRequest) -> int:
 
     stem = f"{Path(request.instance).stem}.{request.mode}.{request.approach}"
     config_path = out / f"{stem}.config.json"
-    config_path.write_text(
-        json.dumps(config_to_dict(config), indent=1) + "\n", encoding="utf-8")
+    _write(config_path, json.dumps(config_to_dict(config), indent=1) + "\n")
     report_text = emit_report([(request.mode, config)], fmt=request.report_format)
     ext = {"table": "txt", "csv": "csv", "json": "json"}[request.report_format]
     report_path = out / f"{stem}.report.{ext}"
-    report_path.write_text(report_text, encoding="utf-8")
+    _write(report_path, report_text)
     print(report_text, end="")
     print(f"wrote {config_path}")
     print(f"wrote {report_path}")
@@ -138,7 +159,7 @@ def run_cli(request: RunRequest) -> int:
     if request.verify:
         text, passed = _verification(config)
         verify_path = out / f"{stem}.verify.txt"
-        verify_path.write_text(text, encoding="utf-8")
+        _write(verify_path, text)
         print(f"wrote {verify_path}")
         if not passed:
             print("verification FAILED", file=sys.stderr)
@@ -172,7 +193,7 @@ def _cmd_verify(args) -> int:
         passed = False
     print(text, end="")
     if args.output:
-        Path(args.output).write_text(text, encoding="utf-8")
+        _write(Path(args.output), text)
         print(f"wrote {args.output}")
     return 0 if passed else 1
 
@@ -212,7 +233,7 @@ def _cmd_gen_topology(args) -> int:
     }
     text = json.dumps(skeleton, indent=1) + "\n"
     if args.output:
-        Path(args.output).write_text(text, encoding="utf-8")
+        _write(Path(args.output), text)
         print(f"wrote {args.output} (bi-connected: {report.ok}, "
               f"average connectivity {float(average_connectivity(topo))})")
     else:
@@ -323,7 +344,11 @@ def main(argv=None) -> int:
     if args.command == "plan" and args.solution_in and not args.emit_lp:
         print("error: --solution-in requires --emit-lp", file=sys.stderr)
         return 2
-    return args.func(args)
+    try:
+        return args.func(args)
+    except _WriteError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

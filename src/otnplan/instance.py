@@ -203,21 +203,24 @@ def config_from_dict(data: Mapping[str, Any]) -> NetworkConfiguration:
     recomputed from the routes (and must match what was stored)."""
     _require_object(data, "configuration file")
     _require_object(data.get("cost", {}), "configuration cost")
-    mode = SurvivabilityMode(data["mode"])
-    approach = Approach(data["approach"])
-    inst = instance_from_dict(data["instance"], mode, approach)
-    lightpaths = tuple(
-        Lightpath(d["id"], d["i"], d["j"], d["q"], d["status"])
-        for d in data["lightpaths"])
-    lightpath_routes = {d["id"]: tuple(d["route"]) for d in data["lightpaths"]}
-    protection_routes = {d["id"]: tuple(d["protection_route"])
-                         for d in data["lightpaths"]
-                         if d.get("protection_route")}
-    lsp_routes = {
-        d["lsp"]: LspRoute(lsp_id=d["lsp"], working=tuple(d["working"]),
-                           protection=(tuple(d["protection"])
-                                       if d.get("protection") is not None else None))
-        for d in data["lsp_routes"]}
+    try:
+        mode = SurvivabilityMode(data["mode"])
+        approach = Approach(data["approach"])
+        inst = instance_from_dict(data["instance"], mode, approach)
+        lightpaths = tuple(
+            Lightpath(d["id"], d["i"], d["j"], d["q"], d["status"])
+            for d in data["lightpaths"])
+        lightpath_routes = {d["id"]: tuple(d["route"]) for d in data["lightpaths"]}
+        protection_routes = {d["id"]: tuple(d["protection_route"])
+                             for d in data["lightpaths"]
+                             if d.get("protection_route")}
+        lsp_routes = {
+            d["lsp"]: LspRoute(lsp_id=d["lsp"], working=tuple(d["working"]),
+                               protection=(tuple(d["protection"])
+                                           if d.get("protection") is not None else None))
+            for d in data["lsp_routes"]}
+    except KeyError as exc:
+        raise ValueError(f"missing field {exc.args[0]!r}") from None
     _check_routes(inst, lightpaths, lightpath_routes, protection_routes, lsp_routes)
     phases = tuple(PhaseRecord(**p) for p in data.get("phases", ()))
     return assemble_configuration(inst, lightpaths, lightpath_routes,

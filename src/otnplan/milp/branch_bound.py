@@ -1,8 +1,12 @@
 """Branch-and-bound over the bounded-variable simplex relaxation.
 
-Best-bound node selection, branching on the most fractional binary (ties to
-the lowest variable id), optimality-gap and wall-clock termination.  Each
-child re-optimises from its parent's optimal basis with the dual simplex.
+Best-bound node selection, branching on the most fractional binary,
+optimality-gap and wall-clock termination.  The branching binary is the one
+with the lowest variable id among those whose fractionality is within
+``_TIE_TOL`` of the largest, so that round-off in the last bits of an LP
+value cannot break an exact tie such as two binaries at 0.5.  Each child
+re-optimises from its parent's optimal basis, and from that basis's
+inverse, with the dual simplex.
 Every LP, root or child, takes the one simplex path from its starting
 basis.  A model with no binary variable is solved as one LP: its root is
 the whole search.  Each constraint is one row, an empty one included; an
@@ -22,10 +26,11 @@ the rows of stage s's root LP, cuts included.  A binary that this root
 holds nonbasic at a bound, with reduced cost d and root value z, cannot
 leave that bound at such a point if z + |d| > z_s + tol + 1e-6, so its
 bounds in the snapshot close on the one it sits at for every later stage.
-One solve of Bᵀy = c_B per stage boundary gives the reduced costs.  The
-points fixed away are exactly those no later stage can reach, so each
-stage's optimum stays the same; the later stages take fewer nodes and
-pivots.  The model's own bounds do not change.
+The duals y = c_B·B⁻¹ from the inverse that the root basis carries give the
+reduced costs; nothing is factorized for them.  The points fixed away are
+exactly those no later stage can reach, so each stage's optimum stays the
+same; the later stages take fewer nodes and pivots.  The model's own bounds
+do not change.
 
 The root is strengthened by implied-bound cuts (Achterberg, *Constraint
 Integer Programming*, 2007, ch. 8).  A ``<=`` row whose only negative
@@ -63,6 +68,8 @@ __all__ = ["solve_milp"]
 # how far past a pin row's rhs a root bound must reach to fix a binary: more
 # than any LP tolerance by which a later stage may overstep the pin row
 _FIX_MARGIN = 1e-6
+# fractionalities this close to the largest tie for branching
+_TIE_TOL = 1e-9
 
 
 class _Arrays:
@@ -252,7 +259,7 @@ class _Search:
                     continue
 
             scores = np.minimum(frac, 1.0 - frac)
-            pick = int(binary_ids[int(np.argmax(scores))])
+            pick = int(binary_ids[int(np.argmax(scores >= scores.max() - _TIE_TOL))])
             for fix in (0.0, 1.0):
                 lo2, hi2 = lo.copy(), hi.copy()
                 lo2[pick] = hi2[pick] = fix

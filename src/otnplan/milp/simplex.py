@@ -27,12 +27,20 @@ either method switches for good to a Bland-type rule, lowest index first,
 which guarantees termination.  Every tie is broken by a fixed index order, so
 solves are deterministic.
 
-The tableau keeps an explicit basis inverse.  It is computed once when a
-basis is installed (the slack basis is the identity, which needs no
-inversion) and again every ``_REFACTOR_EVERY`` pivots; in between,
-each pivot applies a rank-1 product-form update, and the basic values move
-along the pivot's direction instead of being re-solved.  They are recomputed
-from the inverse at each refactorization and at optimality.
+The basis inverse travels with the basis.  The slack basis's is the
+identity; an optimal result hands on the inverse its tableau ended with, and
+``with_rows`` extends it to the appended rows by the block formula
+[[B⁻¹, 0], [−R_B·B⁻¹, I]], where R_B holds the appended rows' entries in the
+basic columns.  So no solve inverts its start basis.  Each pivot applies a
+rank-1 product-form update, and the inverse is recomputed from the basis
+columns only every ``_REFACTOR_EVERY`` pivots along a lineage: a
+branch-and-bound child or a later stage's root counts on from the pivots its
+start basis has had since its last refactorization.  The basic values move
+along each pivot's direction instead of being re-solved; they are computed
+from the inverse when a basis is installed, at each refactorization and at
+optimality.  The dual simplex computes its reduced costs once and updates
+them from the pivot row it computes for the ratio test, recomputing them at
+each refactorization.
 
 An infeasible result carries a proof: when no nonbasic can move a violated
 basic toward its bound, that row of the basis inverse combines the
@@ -61,6 +69,13 @@ _MAX_ITERATIONS = 50_000
 _REFACTOR_EVERY = 50
 
 _AT_LOWER, _AT_UPPER, _BASIC, _FREE = 0, 1, 2, 3
+# the direction a nonbasic of each status may move from its bound: up from
+# its lower one, down from its upper one; a free column is handled apart
+_SIGN = np.array([1.0, -1.0, 0.0, 0.0])
+
+
+class _Singular(Exception):
+    """The basic columns have no inverse."""
 
 
 @dataclass(frozen=True)
@@ -70,31 +85,40 @@ class LpBasis:
 
     ``slack_lo`` and ``slack_hi`` are the bounds of the slack columns, which
     follow the structurals in row order.  ``basis`` lists the basic column of
-    each row position; ``status`` holds every column's status.
+    each row position; ``status`` holds every column's status.  ``inverse``
+    is the inverse of the basic columns, and ``since_refactor`` counts the
+    pivots that have updated it since it was last computed from them.
     """
     columns: np.ndarray
     slack_lo: np.ndarray
     slack_hi: np.ndarray
     basis: np.ndarray
     status: np.ndarray
+    inverse: np.ndarray
+    since_refactor: int
 
     def with_rows(self, A: np.ndarray, relations: list[str]) -> LpBasis:
         """This basis for the rows ``A`` (rel), whose first rows are this
         basis's own and whose other rows are appended below them: each
-        appended row's slack is basic."""
+        appended row's slack is basic, and the inverse grows by the block
+        formula [[B⁻¹, 0], [−R_B·B⁻¹, I]]."""
         m = self.basis.size
         rows, n = A.shape
         slack_lo, slack_hi = _slack_bounds(relations)
-        return LpBasis(np.hstack([A, np.eye(rows)]), slack_lo, slack_hi,
+        columns = np.hstack([A, np.eye(rows)])
+        inverse = np.eye(rows)
+        inverse[:m, :m] = self.inverse
+        inverse[m:, :m] = -columns[m:, self.basis] @ self.inverse
+        return LpBasis(columns, slack_lo, slack_hi,
                        np.concatenate([self.basis, n + np.arange(m, rows)]),
-                       np.concatenate([self.status, np.full(rows - m, _BASIC, np.int8)]))
+                       np.concatenate([self.status, np.full(rows - m, _BASIC, np.int8)]),
+                       inverse, self.since_refactor)
 
     def reduced_costs(self, c: np.ndarray) -> np.ndarray:
-        """Each structural's reduced cost for the objective ``c``, from one
-        solve of Bᵀy = c_B; a basic structural's is exactly 0."""
+        """Each structural's reduced cost for the objective ``c``, from the
+        duals y = c_B·B⁻¹; a basic structural's is exactly 0."""
         cost = np.concatenate([c, np.zeros(self.basis.size)])
-        y = np.linalg.solve(self.columns[:, self.basis].T, cost[self.basis])
-        d = cost - y @ self.columns
+        d = cost - (cost[self.basis] @ self.inverse) @ self.columns
         d[self.basis] = 0.0
         return d[:c.size]
 
@@ -126,7 +150,8 @@ def _slack_basis(A: np.ndarray, relations: list[str], c: np.ndarray,
     upper = np.isfinite(hi) & ((c < 0) | ~np.isfinite(lo))
     status = np.where(upper, _AT_UPPER, np.where(np.isfinite(lo), _AT_LOWER, _FREE))
     return LpBasis(np.hstack([A, np.eye(m)]), slack_lo, slack_hi, n + np.arange(m),
-                   np.concatenate([status, np.full(m, _BASIC)]).astype(np.int8))
+                   np.concatenate([status, np.full(m, _BASIC)]).astype(np.int8),
+                   np.eye(m), 0)
 
 
 def _fits(start: LpBasis, lo: np.ndarray, hi: np.ndarray) -> bool:
@@ -147,17 +172,24 @@ class _Tableau:
         self.m, self.ncols = self.A.shape
         self.basis = start.basis.copy()
         self.status = start.status.copy()
+        self.movable = (self.hi - self.lo) > _PIV_TOL
+        # +1 at the lower bound, -1 at the upper one, 0 basic or fixed
+        self.sign = np.where(self.movable, _SIGN[self.status], 0.0)
+        self.free = self.movable & (self.status == _FREE)
+        self.any_free = bool(self.free.any())
         self.value = np.where(self.status == _AT_LOWER, self.lo,
                               np.where(self.status == _AT_UPPER, self.hi, 0.0))
-        self.Binv = np.empty((0, 0))
-        self.since_refactor = 0
+        self.Binv = start.inverse.copy()
+        self.since_refactor = start.since_refactor
+        self.d = np.empty(0)  # the dual simplex's reduced costs
         self.pivots = 0
         self.certificate: tuple[int, ...] = ()
 
     def refactor(self) -> None:
-        slack = np.array_equal(self.basis, np.arange(self.ncols - self.m, self.ncols))
-        # the slack basis is the identity: nothing to invert
-        self.Binv = np.eye(self.m) if slack else np.linalg.inv(self.A[:, self.basis])
+        try:
+            self.Binv = np.linalg.inv(self.A[:, self.basis])
+        except np.linalg.LinAlgError:
+            raise _Singular from None
         self.since_refactor = 0
         self.refresh_basics()
 
@@ -171,11 +203,19 @@ class _Tableau:
     def out_of_time(self) -> bool:
         return self.deadline is not None and time.perf_counter() >= self.deadline
 
+    def rest(self, j: int, upper: bool) -> None:
+        """Make ``j`` nonbasic at its upper or lower bound."""
+        self.status[j] = _AT_UPPER if upper else _AT_LOWER
+        self.value[j] = self.hi[j] if upper else self.lo[j]
+        self.sign[j] = (-1.0 if upper else 1.0) if self.movable[j] else 0.0
+
     def pivot(self, row: int, entering: int, w: np.ndarray) -> None:
         """Make ``entering`` basic in ``row``; ``w`` is Binv times its column.
-        The caller moves the values and sets the leaving variable's status."""
+        The caller moves the values and rests the leaving variable."""
         self.basis[row] = entering
         self.status[entering] = _BASIC
+        self.sign[entering] = 0.0
+        self.free[entering] = False
         self.pivots += 1
         self.since_refactor += 1
         if self.since_refactor >= _REFACTOR_EVERY:
@@ -186,33 +226,32 @@ class _Tableau:
         self.Binv[row] = pivot_row
 
     def solve(self, c: np.ndarray) -> str:
-        """Factorize the installed basis; make it primal feasible with the
-        dual simplex if it is not, then run primal phase 2 for c.  Returns
-        the status of the solve."""
-        self.refactor()
-        cost = np.concatenate([c, np.zeros(self.m)])
-        if not self.primal_feasible():
-            state = self.dual_iterate(self.dual_feasible_costs(cost))
-            if state != "feasible":
-                return state
+        """Compute the installed basis's values from its inverse; make it
+        primal feasible with the dual simplex if it is not, then run primal
+        phase 2 for c.  Returns the status of the solve."""
+        # the ratio tests divide by entries that their masks then discard
+        with np.errstate(invalid="ignore", divide="ignore"):
             self.refresh_basics()
-        return self.iterate(cost)
+            cost = np.concatenate([c, np.zeros(self.m)])
+            if not self.primal_feasible():
+                state = self.dual_iterate(self.dual_feasible_costs(cost))
+                if state != "feasible":
+                    return state
+                self.refresh_basics()
+            return self.iterate(cost)
 
     def iterate(self, c: np.ndarray) -> str:
         """Primal simplex for objective c from a primal feasible basis.
         Returns optimal | unbounded | time-limit | iteration-limit."""
         degenerate_run = 0
         bland = False
-        fixed = (self.hi - self.lo) <= _PIV_TOL
-        col_index = np.arange(self.ncols)
         while True:
             reduced = self.reduced_costs(c)
-            open_col = (self.status != _BASIC) & ~fixed
-            want_up = open_col & (reduced < -_RC_TOL) & (
-                (self.status == _AT_LOWER) | (self.status == _FREE))
-            want_dn = open_col & (reduced > _RC_TOL) & (
-                (self.status == _AT_UPPER) | (self.status == _FREE))
-            eligible = want_up | want_dn
+            # the objective's rate along each nonbasic's allowed direction
+            rate = self.sign * reduced
+            if self.any_free:
+                rate = np.where(self.free, -np.abs(reduced), rate)
+            eligible = rate < -_RC_TOL
             if not eligible.any():
                 self.refresh_basics()
                 return "optimal"
@@ -220,24 +259,17 @@ class _Tableau:
                 return "iteration-limit"
             if self.out_of_time():
                 return "time-limit"
-            if bland:
-                entering = int(col_index[eligible][0])
-            else:
-                scores = np.where(eligible, np.abs(reduced), -1.0)
-                entering = int(np.argmax(scores))  # first max = lowest index
-            direction = 1 if want_up[entering] else -1
+            # Bland: the lowest eligible index; Dantzig: the steepest rate,
+            # lowest index first
+            entering = int(np.argmax(eligible) if bland else np.argmin(rate))
+            direction = int(self.sign[entering]) or (1 if reduced[entering] < 0 else -1)
 
             w = self.Binv @ self.A[:, entering]
             delta = -direction * w  # basics move by +t*delta
             vb = self.value[self.basis]
-            with np.errstate(invalid="ignore", divide="ignore"):
-                t_up = np.where(delta > _PIV_TOL,
-                                (self.hi[self.basis] - vb) / np.where(delta > _PIV_TOL, delta, 1.0),
-                                math.inf)
-                t_dn = np.where(delta < -_PIV_TOL,
-                                (vb - self.lo[self.basis]) / np.where(delta < -_PIV_TOL, -delta, 1.0),
-                                math.inf)
-            ratios = np.minimum(np.maximum(t_up, 0.0), np.maximum(t_dn, 0.0))
+            ratios = np.maximum(np.where(
+                delta > _PIV_TOL, (self.hi[self.basis] - vb) / delta,
+                np.where(delta < -_PIV_TOL, (self.lo[self.basis] - vb) / delta, math.inf)), 0.0)
             ratios = np.where(np.isnan(ratios), math.inf, ratios)
             span = self.hi[entering] - self.lo[entering]
             t_basic = float(ratios.min()) if self.m else math.inf
@@ -256,19 +288,16 @@ class _Tableau:
                 # bound flip: entering runs to its opposite bound, basis unchanged
                 self.pivots += 1
                 self.value[self.basis] = vb + span * delta
-                self.value[entering] = self.hi[entering] if direction > 0 else self.lo[entering]
-                self.status[entering] = _AT_UPPER if direction > 0 else _AT_LOWER
+                self.rest(entering, upper=direction > 0)
                 continue
 
             candidates = np.nonzero(ratios <= t_best + _PIV_TOL)[0]
             # deterministic: among blocking rows pick the lowest variable index
             block_pos = int(candidates[np.argmin(self.basis[candidates])])
             leaving = int(self.basis[block_pos])
-            to_upper = delta[block_pos] > 0
             self.value[self.basis] = vb + t_best * delta
             self.value[entering] += direction * t_best
-            self.status[leaving] = _AT_UPPER if to_upper else _AT_LOWER
-            self.value[leaving] = self.hi[leaving] if to_upper else self.lo[leaving]
+            self.rest(leaving, upper=delta[block_pos] > 0)
             self.pivot(block_pos, entering, w)
 
     def primal_feasible(self) -> bool:
@@ -283,11 +312,7 @@ class _Tableau:
         nonbasic cost leaves the duals, and every other reduced cost, as
         they were."""
         d = self.reduced_costs(c)
-        movable = (self.status != _BASIC) & ((self.hi - self.lo) > _PIV_TOL)
-        wrong = movable & (
-            ((self.status == _AT_LOWER) & (d < -_DUAL_TOL))
-            | ((self.status == _AT_UPPER) & (d > _DUAL_TOL))
-            | ((self.status == _FREE) & (np.abs(d) > _DUAL_TOL)))
+        wrong = (self.sign * d < -_DUAL_TOL) | (self.free & (np.abs(d) > _DUAL_TOL))
         return np.where(wrong, c - d, c)
 
     def dual_iterate(self, c: np.ndarray) -> str:
@@ -303,10 +328,13 @@ class _Tableau:
         repair proves infeasibility; its nonzero entries in the basis
         inverse become ``certificate``.  A vanishing pivot element
         refactorizes once; if it vanishes again straight after, the result
-        is singular-basis."""
+        is singular-basis.
+
+        The reduced costs ``d`` are computed on entry and at each
+        refactorization; each pivot updates them from its pivot row."""
         degenerate_run = 0
         bland = False
-        movable = (self.hi - self.lo) > _PIV_TOL
+        self.d = self.reduced_costs(c)
         while True:
             vb = self.value[self.basis]
             below = self.lo[self.basis] - vb
@@ -328,41 +356,40 @@ class _Tableau:
             alpha = self.Binv[row] @ self.A
             # a > 0: raising x_j moves the leaving basic toward its bound
             a = -alpha if rise else alpha
-            nonbasic = (self.status != _BASIC) & movable
-            at_lower = nonbasic & (self.status == _AT_LOWER)
-            at_upper = nonbasic & (self.status == _AT_UPPER)
-            free = nonbasic & (self.status == _FREE)
             # how far a unit move of each nonbasic, in its allowed direction,
-            # brings the leaving basic toward its bound
-            reach = np.where(at_lower, a, np.where(at_upper, -a,
-                                                   np.where(free, np.abs(a), 0.0)))
+            # brings the leaving basic toward its bound, and how far its
+            # reduced cost is from changing sign
+            reach = self.sign * a
+            slack = self.sign * self.d
+            if self.any_free:
+                reach = np.where(self.free, np.abs(a), reach)
+                slack = np.where(self.free, np.abs(self.d), slack)
             if not (reach > _PIV_TOL).any():
                 self.certificate = tuple(
                     int(i) for i in np.nonzero(np.abs(self.Binv[row]) > _PIV_TOL)[0])
                 return "infeasible"
             eligible = reach > _DUAL_PIV_TOL
-            if eligible.any():
-                d = self.reduced_costs(c)
-                slack = np.where(at_upper, -d, np.where(free, np.abs(d), d))
-                with np.errstate(invalid="ignore", divide="ignore"):
-                    if bland:
-                        # lowest index among the minimal ratios
-                        ratio = np.where(eligible, np.maximum(slack, 0.0) / reach, math.inf)
-                        entering = int(np.argmax(ratio <= ratio.min() + _PIV_TOL))
-                    else:
-                        # Harris: among near-minimal ratios take the largest
-                        # pivot, lowest index
-                        theta_max = float(np.min(np.where(eligible, (slack + _DUAL_TOL) / reach,
-                                                          math.inf)))
-                        within = eligible & (slack / reach <= theta_max)
-                        entering = int(np.argmax(np.where(within, reach, -1.0)))
+            usable = bool(eligible.any())
+            if usable:
+                if bland:
+                    # lowest index among the minimal ratios
+                    ratio = np.where(eligible, np.maximum(slack, 0.0) / reach, math.inf)
+                    entering = int(np.argmax(ratio <= ratio.min() + _PIV_TOL))
+                else:
+                    # Harris: among near-minimal ratios take the largest
+                    # pivot, lowest index
+                    theta_max = float(np.min(np.where(eligible, (slack + _DUAL_TOL) / reach,
+                                                      math.inf)))
+                    within = eligible & (slack / reach <= theta_max)
+                    entering = int(np.argmax(np.where(within, reach, -1.0)))
                 theta = max(float(slack[entering]), 0.0) / reach[entering]
                 w = self.Binv @ self.A[:, entering]
-            if not eligible.any() or abs(w[row]) <= _PIV_TOL:
+            if not usable or abs(w[row]) <= _PIV_TOL:
                 # only pivots too small to trust: refactorize once, then give up
                 if self.since_refactor == 0:
                     return "singular-basis"
                 self.refactor()
+                self.d = self.reduced_costs(c)
                 continue
 
             if theta <= _DEGENERATE_STEP:
@@ -377,14 +404,20 @@ class _Tableau:
             step = (vb[row] - bound) / w[row]
             self.value[self.basis] = vb - step * w
             self.value[entering] += step
-            self.value[leaving] = bound
-            self.status[leaving] = _AT_LOWER if rise else _AT_UPPER
+            self.rest(leaving, upper=not rise)
+            # the pivot row prices the basis change
+            dual_step = self.d[entering] / alpha[entering]
+            self.d -= dual_step * alpha
+            self.d[entering] = 0.0
+            self.d[leaving] = -dual_step
             self.pivot(row, entering, w)
+            if self.since_refactor == 0:
+                self.d = self.reduced_costs(c)
 
     def snapshot(self) -> LpBasis:
         n = self.ncols - self.m
         return LpBasis(self.A, self.lo[n:].copy(), self.hi[n:].copy(),
-                       self.basis.copy(), self.status.copy())
+                       self.basis.copy(), self.status.copy(), self.Binv, self.since_refactor)
 
 
 def simplex_solve(A: np.ndarray, relations: list[str], rhs: np.ndarray,
@@ -401,9 +434,10 @@ def simplex_solve(A: np.ndarray, relations: list[str], rhs: np.ndarray,
     ``basis.with_rows(A, relations)``.
 
     Returns structural variable values only.  An optimal result carries its
-    basis.  An infeasible result lists in ``infeasible_rows`` the 0-based
-    indices of the constraints that the dual simplex's Farkas row combines:
-    those rows alone, with the variable bounds, have no solution.
+    basis, with that basis's inverse.  An infeasible result lists in
+    ``infeasible_rows`` the 0-based indices of the constraints that the dual
+    simplex's Farkas row combines: those rows alone, with the variable
+    bounds, have no solution.
     ``deadline`` is a ``time.perf_counter()`` value checked before every
     pivot.
     """
@@ -412,7 +446,7 @@ def simplex_solve(A: np.ndarray, relations: list[str], rhs: np.ndarray,
     tab = _Tableau(warm, rhs, lo, hi, deadline)
     try:
         status = tab.solve(c)
-    except np.linalg.LinAlgError:
+    except _Singular:
         status = "singular-basis"
     if status != "optimal":
         objective = -math.inf if status == "unbounded" else math.nan

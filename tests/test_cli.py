@@ -54,10 +54,11 @@ class TestPlanCommand:
         if failure == "iteration-limit":
             monkeypatch.setattr(simplex, "_MAX_ITERATIONS", 0)
         else:
-            def singular(tab):
+            def singular(B):
                 raise np.linalg.LinAlgError("Singular matrix")
-            # every factorization of a basis, the slack basis's identity included
-            monkeypatch.setattr(simplex._Tableau, "refactor", singular)
+            # every pivot refactorizes, and every factorization fails
+            monkeypatch.setattr(simplex, "_REFACTOR_EVERY", 1)
+            monkeypatch.setattr(np.linalg, "inv", singular)
         rc = main(["plan", "--instance", str(ring_instance_file), "--mode", "none",
                    "--output-dir", str(tmp_path)])
         assert rc == 1
@@ -381,6 +382,20 @@ class TestVerifyCommand:
             err = capsys.readouterr().err
             assert "cannot load configuration" in err and offender in err
 
+    @pytest.mark.parametrize("field", ["approach", "mode", "lightpaths"])
+    def test_missing_field_is_named(self, field, ring_instance_file, tmp_path, capsys):
+        assert main(["plan", "--instance", str(ring_instance_file), "--mode", "single-layer",
+                     "--gap", "0", "--output-dir", str(tmp_path)]) == 0
+        path = next(tmp_path.glob("*.config.json"))
+        data = json.loads(path.read_text())
+        del data[field]
+        path.write_text(json.dumps(data))
+        capsys.readouterr()
+        for command in (["verify", "--config", str(path)], ["report", str(path)]):
+            assert main(command) == 2
+            err = capsys.readouterr().err
+            assert f"cannot load configuration: missing field '{field}'" in err
+
     def test_configuration_that_is_not_an_object_exits_2(self, tmp_path, capsys):
         path = tmp_path / "list.config.json"
         path.write_text("[1, 2]", encoding="utf-8")
@@ -395,6 +410,53 @@ class TestVerifyCommand:
         assert rc == 0
         config = next(tmp_path.glob("*.config.json"))
         assert main(["verify", "--config", str(config)]) == 1
+
+
+class TestUnwritableOutput:
+    """A write that fails ends in a diagnostic and exit code 2."""
+
+    @pytest.fixture()
+    def under_a_file(self, tmp_path):
+        (tmp_path / "afile").write_text("", encoding="utf-8")
+        return tmp_path / "afile" / "sub"
+
+    @pytest.mark.parametrize("extra", [[], ["--emit-lp"]], ids=["plan", "emit-lp"])
+    def test_plan_output_dir_under_a_file(self, extra, under_a_file, ring_instance_file,
+                                          capsys):
+        assert main(["plan", "--instance", str(ring_instance_file), "--mode", "none",
+                     "--output-dir", str(under_a_file), *extra]) == 2
+        err = capsys.readouterr().err
+        assert f"error: cannot write {under_a_file}: Not a directory" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("suffix", ["config.json", "report.txt", "verify.txt"])
+    def test_plan_output_file_that_is_a_directory(self, suffix, ring_instance_file,
+                                                  tmp_path, capsys):
+        blocked = tmp_path / f"ring4.single-layer.sequential.{suffix}"
+        blocked.mkdir()
+        assert main(["plan", "--instance", str(ring_instance_file), "--mode", "single-layer",
+                     "--gap", "0", "--verify", "--output-dir", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert f"error: cannot write {blocked}: Is a directory" in err
+        assert "Traceback" not in err
+
+    def test_gen_topology_output_under_a_file(self, under_a_file, capsys):
+        assert main(["gen-topology", "--nodes", "5", "--connectivity", "3",
+                     "-o", str(under_a_file)]) == 2
+        err = capsys.readouterr().err
+        assert f"error: cannot write {under_a_file}: Not a directory" in err
+        assert "Traceback" not in err
+
+    def test_verify_output_under_a_file(self, under_a_file, ring_instance_file, tmp_path,
+                                        capsys):
+        assert main(["plan", "--instance", str(ring_instance_file), "--mode", "single-layer",
+                     "--gap", "0", "--output-dir", str(tmp_path)]) == 0
+        config = next(tmp_path.glob("*.config.json"))
+        capsys.readouterr()
+        assert main(["verify", "--config", str(config), "-o", str(under_a_file)]) == 2
+        err = capsys.readouterr().err
+        assert f"error: cannot write {under_a_file}: Not a directory" in err
+        assert "Traceback" not in err
 
 
 class TestReportCommand:

@@ -19,9 +19,6 @@ from conftest import make_instance
 
 DRAWS = 24
 BANDWIDTHS = (2, 3.5, 4, 5, 6, 8, 10)
-# (draw, approach, mode) whose stage 0 of II-protection-logical does not
-# close its gap within a minute; it waits for a better branching rule
-KNOWN_BAD = {(22, Approach.INTEGRATED, SurvivabilityMode.SINGLE_LAYER)}
 
 REPRO_A = (PhysicalTopology(range(5), [(2, 4), (0, 2), (0, 3), (1, 3), (1, 4), (2, 3),
                                        (0, 1), (3, 4)], W=32),
@@ -72,10 +69,7 @@ def assert_planner_equals_oracle(topo, demands, mode, approach, time_limit):
 
 
 CASES = [
-    pytest.param(idx, approach, mode,
-                 marks=[pytest.mark.xfail(strict=True, reason="time limit in stage 0")]
-                 if (idx, approach, mode) in KNOWN_BAD else [],
-                 id=f"draw{idx:02d}-{approach.value}-{mode.value}")
+    pytest.param(idx, approach, mode, id=f"draw{idx:02d}-{approach.value}-{mode.value}")
     for idx in range(DRAWS) for approach in Approach for mode in SurvivabilityMode]
 
 
@@ -87,8 +81,7 @@ def draws():
 @pytest.mark.parametrize("idx, approach, mode", CASES)
 def test_seeded_draw_matches_oracle(draws, idx, approach, mode):
     topo, demands = draws[idx]
-    bad = (idx, approach, mode) in KNOWN_BAD
-    assert_planner_equals_oracle(topo, demands, mode, approach, 1.0 if bad else 60.0)
+    assert_planner_equals_oracle(topo, demands, mode, approach, 60.0)
 
 
 @pytest.mark.parametrize("repro, mode, cost, time_limit", [

@@ -1,7 +1,8 @@
 """Static hygiene checks over the source tree, in place of a linter: no
 function or class in the package that nothing refers to, no unused import
 in the package or the tests, no import of a third-party module other
-than numpy when the package loads, and no process-wide tricks."""
+than numpy when the package loads, no process-wide tricks, and no
+``np.linalg`` in the simplex outside its periodic refactorization."""
 
 import ast
 import sys
@@ -154,3 +155,29 @@ def test_no_process_wide_tricks():
                   and node.module.split(".")[0] == "gc"):
                 found.append(f"{path.relative_to(ROOT)}:{node.lineno} from gc import")
     assert not found, "process-wide tricks:\n" + "\n".join(found)
+
+
+def test_simplex_factorizes_only_when_it_refactorizes():
+    """``np.linalg`` (LAPACK) appears in ``milp/simplex.py`` only inside
+    ``_Tableau.refactor``: a start basis carries its inverse, and reduced
+    costs come from that inverse, so no node or stage inverts anything."""
+    path = PACKAGE / "milp" / "simplex.py"
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    allowed = {id(node) for cls in tree.body if isinstance(cls, ast.ClassDef)
+               and cls.name == "_Tableau" for fn in cls.body
+               if isinstance(fn, ast.FunctionDef) and fn.name == "refactor"
+               for node in ast.walk(fn)}
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and node.attr == "linalg":
+            uses = True
+        elif isinstance(node, ast.ImportFrom):
+            uses = (node.module or "").startswith("numpy.linalg") or any(
+                alias.name == "linalg" for alias in node.names)
+        elif isinstance(node, ast.Import):
+            uses = any(alias.name.startswith("numpy.linalg") for alias in node.names)
+        else:
+            uses = False
+        if uses and id(node) not in allowed:
+            found.append(f"{path.relative_to(ROOT)}:{node.lineno}")
+    assert not found, "np.linalg outside _Tableau.refactor:\n" + "\n".join(found)

@@ -435,6 +435,151 @@ class TestWarmStart:
         assert calls["implied"] >= 1
 
 
+@pytest.fixture()
+def inversions(monkeypatch):
+    """Records the shape of each basis that ``np.linalg.inv`` inverts."""
+    calls = []
+    inv = np.linalg.inv
+
+    def spy(B):
+        calls.append(B.shape)
+        return inv(B)
+    monkeypatch.setattr(np.linalg, "inv", spy)
+    return calls
+
+
+class TestCarriedInverse:
+    def test_with_rows_extends_the_inverse(self):
+        rng = np.random.default_rng(41)
+        checked = 0
+        for _ in range(200):
+            A, rels, b, c, lo, hi = random_bounded_lp(rng)
+            base = simplex_solve(A, rels, b, c, lo, hi)
+            if base.status != "optimal":
+                continue
+            k = int(rng.integers(1, 4))
+            A2 = np.vstack([A, np.round(rng.uniform(-4, 4, (k, lo.size)), 1)])
+            rels2 = rels + list(rng.choice(["<=", ">=", "="], k))
+            grown = base.basis.with_rows(A2, rels2)
+            B = grown.columns[:, grown.basis]
+            np.testing.assert_allclose(grown.inverse, np.linalg.inv(B), atol=1e-9)
+            assert grown.since_refactor == base.basis.since_refactor
+            checked += 1
+        assert checked > 100
+
+    def test_child_and_later_stage_starts_invert_nothing(self, inversions):
+        rng = np.random.default_rng(43)
+        children = stages = 0
+        for _ in range(300):
+            A, rels, b, c, lo, hi = random_bounded_lp(rng)
+            base = simplex_solve(A, rels, b, c, lo, hi)
+            basic = [int(j) for j in base.basis.basis if j < lo.size] if base.basis else []
+            if base.status != "optimal" or not basic:
+                continue
+            # a branch-and-bound child: a basic structural's bounds closed
+            j = basic[int(rng.integers(len(basic)))]
+            lo2, hi2 = lo.copy(), hi.copy()
+            lo2[j] = hi2[j] = float(rng.choice([math.floor(base.x[j]), math.ceil(base.x[j])]))
+            del inversions[:]
+            child = simplex_solve(A, rels, b, c, lo2, hi2, base.basis)
+            assert not inversions
+            cold = simplex_solve(A, rels, b, c, lo2, hi2)
+            assert child.status == cold.status
+            if cold.status == "optimal":
+                assert child.objective == pytest.approx(cold.objective, abs=1e-7)
+                children += 1
+            # a later stage's root: a pin row appended and a new objective
+            row = np.round(rng.uniform(-4, 4, lo.size), 1)
+            A2, rels2 = np.vstack([A, row]), rels + ["<="]
+            b2 = np.append(b, float(row @ base.x))
+            c2 = np.round(rng.uniform(-3, 3, lo.size), 1)
+            del inversions[:]
+            root = simplex_solve(A2, rels2, b2, c2, lo, hi, base.basis.with_rows(A2, rels2))
+            assert not inversions
+            cold = simplex_solve(A2, rels2, b2, c2, lo, hi)
+            assert root.status == cold.status
+            if cold.status == "optimal":
+                assert root.objective == pytest.approx(cold.objective, abs=1e-7)
+                stages += 1
+        assert children > 50 and stages > 50
+
+    def test_refactorization_counts_on_along_a_lineage(self, inversions, monkeypatch):
+        # a child refactorizes once its parent's pivots and its own reach the
+        # period, and hands on the pivots made since
+        monkeypatch.setattr(simplex, "_REFACTOR_EVERY", 2)
+        basis_changes = []
+        pivot = simplex._Tableau.pivot
+
+        def counting_pivot(tab, row, entering, w):
+            basis_changes.append(row)
+            pivot(tab, row, entering, w)
+        monkeypatch.setattr(simplex._Tableau, "pivot", counting_pivot)
+        rng = np.random.default_rng(47)
+        refactored = 0
+        for _ in range(200):
+            A, rels, b, c, lo, hi = random_bounded_lp(rng)
+            base = simplex_solve(A, rels, b, c, lo, hi)
+            if base.status != "optimal":
+                continue
+            hi2 = np.minimum(hi, np.floor(base.x))
+            del inversions[:], basis_changes[:]
+            child = simplex_solve(A, rels, b, c, lo, hi2, base.basis)
+            pivots, refactors = base.basis.since_refactor + len(basis_changes), len(inversions)
+            cold = simplex_solve(A, rels, b, c, lo, hi2)
+            assert child.status == cold.status
+            if cold.status == "optimal":
+                assert child.objective == pytest.approx(cold.objective, abs=1e-7)
+                assert refactors == pivots // 2
+                assert child.basis.since_refactor == pivots % 2
+                refactored += refactors > 0
+        assert refactored > 20
+
+    def test_updated_dual_reduced_costs_match_fresh_ones(self, monkeypatch):
+        compared = []
+        dual_iterate = simplex._Tableau.dual_iterate
+
+        def spy(tab, c):
+            before = tab.pivots
+            state = dual_iterate(tab, c)
+            fresh = c - (c[tab.basis] @ np.linalg.inv(tab.A[:, tab.basis])) @ tab.A
+            np.testing.assert_allclose(tab.d, fresh, atol=1e-8)
+            compared.append(tab.pivots - before)
+            return state
+        monkeypatch.setattr(simplex._Tableau, "dual_iterate", spy)
+        rng = np.random.default_rng(53)
+        for _ in range(300):
+            A, rels, b, c, lo, hi = random_bounded_lp(rng)
+            base = simplex_solve(A, rels, b, c, lo, hi)
+            if base.status != "optimal":
+                continue
+            # every structural's bounds shrunk around its optimal value
+            lo2 = np.maximum(lo, np.ceil(base.x) - 0.5)
+            hi2 = np.minimum(hi, np.floor(base.x) + 0.5)
+            simplex_solve(A, rels, b, c, lo2, np.maximum(lo2, hi2), base.basis)
+        assert sum(pivots >= 2 for pivots in compared) > 30
+
+    def test_exact_tie_branches_on_the_lower_id(self, monkeypatch):
+        model = MilpModel("tie")
+        for name in ("x0", "x1"):
+            model.add_variable(name, "binary", objective=-1.0)
+        model.add_constraint("half0", [(0, 2.0)], "<=", 1.0)
+        model.add_constraint("half1", [(1, 2.0)], "<=", 1.0)
+        fixed = []
+        solve = branch_bound.simplex_solve
+
+        def spy(A, relations, rhs, c, lo, hi, *args):
+            res = solve(A, relations, rhs, c, lo, hi, *args)
+            fixed.append(np.nonzero(lo == hi)[0].tolist())
+            if len(fixed) == 1:
+                assert res.x.tolist() == [0.5, 0.5]
+                res.x[0] -= 1e-15  # round-off just below the exact tie
+            return res
+        monkeypatch.setattr(branch_bound, "simplex_solve", spy)
+        sol = solve_milp(model, gap=0.0)
+        assert sol.status == "optimal" and sol.objective == 0.0
+        assert fixed[1] == [0]
+
+
 class TestProofsAndTermination:
     def test_infeasible_rows_alone_are_infeasible(self):
         # the named rows with the variable bounds are a proof, not a guess
@@ -530,10 +675,11 @@ class TestLimitsAndFailures:
         assert len(model.constraints) == 1
 
     def test_singular_basis_is_a_status(self, monkeypatch):
-        def singular(tab):
+        def singular(B):
             raise np.linalg.LinAlgError("Singular matrix")
-        # every factorization of a basis, the slack basis's identity included
-        monkeypatch.setattr(simplex._Tableau, "refactor", singular)
+        # every pivot refactorizes, and every factorization fails
+        monkeypatch.setattr(simplex, "_REFACTOR_EVERY", 1)
+        monkeypatch.setattr(np.linalg, "inv", singular)
         sol = solve_milp(knapsack_model(), gap=0.0)
         assert sol.status == "singular-basis"
         assert solve_milp(relaxed(knapsack_model())).status == "singular-basis"
