@@ -33,14 +33,15 @@ __all__ = ["RunRequest", "run_cli", "main"]
 
 @dataclass
 class RunRequest:
-    """A fully resolved ``plan`` invocation."""
+    """A fully resolved ``plan`` invocation; its defaults are the ``plan``
+    command's."""
 
     instance: str
     mode: str = "none"
     approach: str = "sequential"
     cost_ratio: str | None = None
-    gap: float = 0.03
-    time_limit: float = 300.0
+    gap: float = PlanOptions.gap
+    time_limit: float = PlanOptions.time_limit
     output_dir: str | None = None
     emit_lp: bool = False
     solution_in: str | None = None
@@ -285,12 +286,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("plan", help="run a survivability pipeline on an instance")
     p.add_argument("--instance", default=str(bundled_instance_path()),
                    help="instance JSON (default: bundled 12-node example)")
-    p.add_argument("--mode", choices=MODE_CHOICES, default="none")
-    p.add_argument("--approach", choices=APPROACH_CHOICES, default="sequential")
+    p.add_argument("--mode", choices=MODE_CHOICES, default=RunRequest.mode)
+    p.add_argument("--approach", choices=APPROACH_CHOICES, default=RunRequest.approach)
     p.add_argument("--cost-ratio", default=None,
                    help="cr1|cr2|cr3 or a JSON object with c_TR/c_P_IP/c_P_OXC")
-    p.add_argument("--gap", type=float, default=0.03)
-    p.add_argument("--time-limit", type=float, default=300.0,
+    p.add_argument("--gap", type=float, default=RunRequest.gap)
+    p.add_argument("--time-limit", type=float, default=RunRequest.time_limit,
                    help="seconds per optimization phase")
     p.add_argument("--output-dir", default=None)
     p.add_argument("--emit-lp", action="store_true",
@@ -301,7 +302,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--verify", action="store_true",
                    help="run failure simulation on the result")
     p.add_argument("--report-format", choices=("table", "csv", "json"),
-                   default="table")
+                   default=RunRequest.report_format)
     p.set_defaults(func=_cmd_plan)
 
     p = sub.add_parser("verify", help="re-verify a configuration file")

@@ -146,7 +146,6 @@ class DecisionVarMap:
     given lightpaths are routed or (i, j, q, m, n) in the integrated model.
     """
 
-    model: MilpModel
     beta: dict[tuple[Node, Node, int], int] = field(default_factory=dict)
     delta: dict[tuple[int, Node, Node, int], int] = field(default_factory=dict)
     lam: dict[tuple, int] = field(default_factory=dict)
@@ -193,7 +192,7 @@ def build_logical_design(instance: ProblemInstance, plane: str,
     c_tt = float(costs.c_tt)
 
     model = MilpModel(f"logical-{plane}")
-    varmap = DecisionVarMap(model)
+    varmap = DecisionVarMap()
     beta, delta = varmap.beta, varmap.delta
 
     lsps = instance.traffic if plane == WORKING else context.protected
@@ -202,8 +201,7 @@ def build_logical_design(instance: ProblemInstance, plane: str,
 
     for (i, j) in pairs:
         for q in qs:
-            vid = model.add_variable(naming.beta(plane, i, j, q), "binary",
-                                     objective=c_lp)
+            vid = model.add_variable(naming.beta(plane, i, j, q), objective=c_lp)
             beta[(i, j, q)] = vid
             varmap.mpls_objective[vid] = c_lp
 
@@ -219,7 +217,7 @@ def build_logical_design(instance: ProblemInstance, plane: str,
         own: list[int] = []
         for (i, j, q) in position:
             blocked = i in nex or j in nex
-            vid = model.add_variable(naming.delta(plane, lsp.id, i, j, q), "binary",
+            vid = model.add_variable(naming.delta(plane, lsp.id, i, j, q),
                                      upper=0.0 if blocked else 1.0,
                                      objective=transit)
             delta[(lsp.id, i, j, q)] = vid
@@ -311,7 +309,7 @@ def build_lightpath_routing(lightpaths: Sequence[Lightpath],
     plane = PROTECTION if protection else WORKING
     c_wl = float(unit_costs.c_wl)
     model = MilpModel(f"lightpath-{plane}")
-    varmap = DecisionVarMap(model)
+    varmap = DecisionVarMap()
     lam = varmap.lam
     eq_flow = "eq15" if protection else "eq14"
     arcs = topology.arcs()
@@ -326,7 +324,7 @@ def build_lightpath_routing(lightpaths: Sequence[Lightpath],
         ex_links = linkmap.get(lp.id, frozenset())
         for (m, n) in arcs:
             blocked = m in ex_nodes or n in ex_nodes or normalize_link(m, n) in ex_links
-            vid = model.add_variable(naming.lam(plane, lp.id, m, n), "binary",
+            vid = model.add_variable(naming.lam(plane, lp.id, m, n),
                                      upper=0.0 if blocked else 1.0,
                                      objective=c_wl)
             lam[(lp.id, m, n)] = vid
@@ -391,7 +389,6 @@ def build_integrated(instance: ProblemInstance, plane: str,
         for q in qs:
             for (m, n) in arcs:
                 vid = model.add_variable(naming.lam_integrated(plane, i, j, q, m, n),
-                                         "binary",
                                          objective=c_wl)
                 lam[(i, j, q, m, n)] = vid
                 varmap.optical_objective[vid] = c_wl
@@ -552,11 +549,9 @@ def estimate_problem_size_raw(n_nodes: int, k_lsps: int, q: int,
     return int(round(base))
 
 
-def estimate_problem_size(instance: ProblemInstance,
-                          approach: Approach | None = None) -> int:
-    ap = approach or instance.approach
+def estimate_problem_size(instance: ProblemInstance, approach: Approach) -> int:
     return estimate_problem_size_raw(instance.topology.n, len(instance.traffic),
-                                     instance.params.Q, ap,
+                                     instance.params.Q, approach,
                                      len(instance.topology.links))
 
 

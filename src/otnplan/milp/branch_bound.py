@@ -8,10 +8,10 @@ value cannot break an exact tie such as two binaries at 0.5.  Each child
 re-optimises from its parent's optimal basis, and from that basis's
 inverse, with the dual simplex.
 Every LP, root or child, takes the one simplex path from its starting
-basis.  A model with no binary variable is solved as one LP: its root is
-the whole search.  Each constraint is one row, an empty one included; an
-empty row that cannot hold is proved infeasible by the dual simplex like
-any other.
+basis.  Every variable is binary; a node's LP drops integrality and keeps
+the node's bounds, which lie inside [0, 1].  Each constraint is one row, an
+empty one included; an empty row that cannot hold is proved infeasible by
+the dual simplex like any other.
 
 One search solves a model's lexicographic stages (a planning phase's cost,
 then its tie-breaks) over one dense snapshot, which grows in place.  After
@@ -88,7 +88,6 @@ class _Arrays:
         self.c = np.array([v.objective for v in model.variables])
         self.lo = np.array([v.lower for v in model.variables])
         self.hi = np.array([v.upper for v in model.variables])
-        self.binary = np.array([v.kind == "binary" for v in model.variables])
 
     def implied_bounds(self) -> np.ndarray:
         """Every pair (x, y) of binaries with bounds [0, 1] such that some
@@ -100,13 +99,12 @@ class _Arrays:
         rows = np.nonzero((negative.sum(axis=1) == 1)
                           & np.array([rel == "<=" for rel in self.relations], bool))[0]
         y = np.argmax(negative[rows], axis=1)
-        unit = self.binary & (self.lo == 0.0) & (self.hi == 1.0)
+        unit = (self.lo == 0.0) & (self.hi == 1.0)
         keep = unit[y]
         rows, y = rows[keep], y[keep]
         sub = self.A[rows]
-        with np.errstate(invalid="ignore"):
-            least = (np.where(sub > 0, sub * self.lo, 0.0)
-                     + np.where(sub < 0, sub * self.hi, 0.0)).sum(axis=1)
+        least = (np.where(sub > 0, sub * self.lo, 0.0)
+                 + np.where(sub < 0, sub * self.hi, 0.0)).sum(axis=1)
         # least activity with y = 0, less the rhs; x = 1 adds its coefficient
         excess = least - sub[np.arange(rows.size), y] - self.rhs[rows]
         at, x = np.nonzero((sub > 0) & unit & (sub + excess[:, None] > FEASIBILITY_TOL))
@@ -136,7 +134,6 @@ class _Search:
     def __init__(self, model: MilpModel, deadline: float | None):
         self.model = model
         self.arrays = _Arrays(model)
-        self.binary_ids = np.nonzero(self.arrays.binary)[0]
         self.deadline = deadline
         self.pairs: np.ndarray | None = None  # derived at the first fractional root
         self.root: LpResult | None = None  # the last root LP, cuts included
@@ -150,8 +147,7 @@ class _Search:
         integral root violates no cut, as it meets the row each cut is
         derived from."""
         iterations = 0
-        point = res.x[self.binary_ids] if res.status == "optimal" else None
-        if point is None or (np.abs(point - np.round(point)) <= INTEGRALITY_TOL).all():
+        if res.status != "optimal" or (np.abs(res.x - np.round(res.x)) <= INTEGRALITY_TOL).all():
             return res, iterations
         if self.pairs is None:
             self.pairs = self.arrays.implied_bounds()
@@ -179,7 +175,7 @@ class _Search:
         if root is None:
             return
         d = root.basis.reduced_costs(arrays.c)  # 0 at the basics, which stay free
-        fix = (arrays.binary & (arrays.lo < arrays.hi) & (d != 0)
+        fix = ((arrays.lo < arrays.hi) & (d != 0)
                & (root.objective + np.abs(d) > bound + _FIX_MARGIN))
         arrays.lo[fix] = arrays.hi[fix] = root.x[fix]
 
@@ -187,7 +183,7 @@ class _Search:
         """One branch-and-bound search for the model's current objective,
         from the last stage's root basis and incumbent."""
         began = time.perf_counter()
-        model, arrays, binary_ids, deadline = self.model, self.arrays, self.binary_ids, self.deadline
+        model, arrays, deadline = self.model, self.arrays, self.deadline
         arrays.c = np.array([v.objective for v in model.variables])
         self.incumbent_obj = (math.inf if self.incumbent is None
                               else model.evaluate_objective(self.incumbent))
@@ -244,10 +240,9 @@ class _Search:
             if self.incumbent is not None and res.objective >= incumbent_obj - 1e-9:
                 continue
 
-            frac = np.abs(res.x[binary_ids] - np.round(res.x[binary_ids]))
-            if binary_ids.size == 0 or frac.max() <= INTEGRALITY_TOL:
-                values = res.x.copy()
-                values[binary_ids] = np.round(values[binary_ids])
+            values = np.round(res.x)
+            frac = np.abs(res.x - values)
+            if frac.max(initial=0.0) <= INTEGRALITY_TOL:
                 cand = {i: float(values[i]) for i in range(len(values))}
                 if not check_solution(model, cand):
                     obj = float(arrays.c @ values)
@@ -255,11 +250,11 @@ class _Search:
                         self.incumbent, self.incumbent_obj = cand, obj
                     continue
                 # rounding broke feasibility: branch on the most fractional binary anyway
-                if binary_ids.size == 0 or frac.max() <= 0:
+                if frac.max(initial=0.0) <= 0:
                     continue
 
             scores = np.minimum(frac, 1.0 - frac)
-            pick = int(binary_ids[int(np.argmax(scores >= scores.max() - _TIE_TOL))])
+            pick = int(np.argmax(scores >= scores.max() - _TIE_TOL))
             for fix in (0.0, 1.0):
                 lo2, hi2 = lo.copy(), hi.copy()
                 lo2[pick] = hi2[pick] = fix
@@ -291,8 +286,7 @@ def solve_milp(model: MilpModel, gap: float = 0.0, time_limit: float | None = No
 
     The returned incumbent always satisfies every constraint and every
     integrality requirement within 1e-6 (values are rounded and re-verified
-    before acceptance).  A model without binary variables is an LP, solved
-    at the root alone.  The limit is checked between nodes and before every
+    before acceptance).  The limit is checked between nodes and before every
     simplex pivot.  A node LP that fails (see ``SOLVER_FAILURES``) ends the
     search with that status; any incumbent found so far is attached but not
     counted as a result.  An infeasible result names in ``infeasible_rows``

@@ -83,7 +83,6 @@ def emit_lp_file(model: MilpModel) -> str:
         lines.append(f" obj: {_terms_text(obj_terms)}")
 
     lines.append("Subject To")
-    rel_text = {"<=": "<=", ">=": ">=", "=": "="}
     names = [v.name for v in model.variables]
     prefixes = _Prefixes()
     for idx, con in enumerate(model.constraints):
@@ -93,28 +92,18 @@ def emit_lp_file(model: MilpModel) -> str:
             body = "0 x_dummy"
             dummy_needed = True
         label = con.name.replace(" ", "_") or f"c{idx}"
-        lines.append(f" c{idx}_{label}: {body} {rel_text[con.relation]} {_fmt(con.rhs)}")
+        lines.append(f" c{idx}_{label}: {body} {con.relation} {_fmt(con.rhs)}")
 
     lines.append("Bounds")
     for v in model.variables:
-        if v.kind == "binary":
-            if (v.lower, v.upper) != (0.0, 1.0):
-                lines.append(f" {_fmt(v.lower)} <= {v.name} <= {_fmt(v.upper)}")
-            continue
-        lo = "-inf" if math.isinf(v.lower) and v.lower < 0 else _fmt(v.lower)
-        hi = "+inf" if math.isinf(v.upper) else _fmt(v.upper)
-        if lo == "-inf" and hi == "+inf":
-            lines.append(f" {v.name} free")
-        else:
-            lines.append(f" {lo} <= {v.name} <= {hi}")
+        if (v.lower, v.upper) != (0.0, 1.0):
+            lines.append(f" {_fmt(v.lower)} <= {v.name} <= {_fmt(v.upper)}")
     if dummy_needed:
         lines.append(" x_dummy = 0")
 
-    binaries = [v.name for v in model.variables if v.kind == "binary"]
-    if binaries:
+    if names:
         lines.append("Binary")
-        for name in binaries:
-            lines.append(f" {name}")
+        lines.extend(f" {name}" for name in names)
     lines.append("End")
     return "\n".join(lines) + "\n"
 

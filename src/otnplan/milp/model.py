@@ -1,4 +1,4 @@
-"""Generic mixed binary linear program representation and solution records."""
+"""Binary linear program representation and solution records."""
 
 from __future__ import annotations
 
@@ -37,7 +37,6 @@ class ModelError(ValueError):
 class Variable:
     id: int
     name: str
-    kind: str  # "binary" | "continuous"
     lower: float
     upper: float
     objective: float
@@ -52,9 +51,9 @@ class Constraint:
 
 
 class MilpModel:
-    """Minimization model over binary and continuous variables.
+    """Minimization model over binary variables.
 
-    Binary variables must keep their bounds inside [0, 1]; tightening to
+    Every variable is binary, with bounds inside [0, 1]; tightening them to
     [0, 0] or [1, 1] is how builders fix excluded entities.
     """
 
@@ -64,22 +63,16 @@ class MilpModel:
         self.constraints: list[Constraint] = []
         self._names: dict[str, int] = {}
 
-    def add_variable(self, name: str, kind: str = "continuous",
-                     lower: float = 0.0, upper: float | None = None,
+    def add_variable(self, name: str, lower: float = 0.0, upper: float = 1.0,
                      objective: float = 0.0) -> int:
-        if kind not in ("binary", "continuous"):
-            raise ModelError(f"unknown variable kind {kind!r}")
         if name in self._names:
             raise ModelError(f"duplicate variable name {name!r}")
-        if upper is None:
-            upper = 1.0 if kind == "binary" else math.inf
-        if kind == "binary":
-            if lower < 0 or upper > 1 or lower > upper:
-                raise ModelError(f"binary variable {name!r} bounds must lie inside [0, 1]")
-        elif lower > upper:
-            raise ModelError(f"variable {name!r} has lower > upper")
+        # false for a NaN bound too
+        if not 0 <= lower <= upper <= 1:
+            raise ModelError(f"variable {name!r} bounds [{lower}, {upper}] must lie "
+                             f"inside [0, 1] with lower <= upper")
         vid = len(self.variables)
-        self.variables.append(Variable(vid, name, kind, float(lower), float(upper), float(objective)))
+        self.variables.append(Variable(vid, name, float(lower), float(upper), float(objective)))
         self._names[name] = vid
         return vid
 
@@ -167,7 +160,7 @@ def check_solution(model: MilpModel, values: Mapping[int, float]) -> tuple[str, 
             continue
         if x < var.lower - FEASIBILITY_TOL or x > var.upper + FEASIBILITY_TOL:
             problems.append(f"variable {var.name} = {x} outside [{var.lower}, {var.upper}]")
-        if var.kind == "binary" and abs(x - round(x)) > INTEGRALITY_TOL:
+        if abs(x - round(x)) > INTEGRALITY_TOL:
             problems.append(f"variable {var.name} = {x} violates integrality")
     for con in model.constraints:
         lhs = sum(coef * values.get(vid, 0.0) for vid, coef in con.terms)

@@ -1,13 +1,15 @@
 """Bounded-variable simplex on a dense tableau: one path from any basis.
 
-Every solve starts from a basis of the columns ``[A | I]``, one slack per
-row: the caller's warm basis, or else the slack basis, in which every slack
-is basic and each structural sits at the finite bound its cost prefers.  If
-the basics of the start are outside their bounds, the bounded dual simplex
-makes the basis primal feasible; primal phase 2 then finishes with the true
-costs.  The dual simplex needs a dual feasible basis, so each nonbasic whose
-reduced cost has the wrong sign first has its cost shifted until that
-reduced cost is zero (dual phase 1 by cost modification; Koberstein 2005).
+Every structural variable lies in a finite box lo <= x <= hi; only a slack
+may have an infinite bound.  Every solve starts from a basis of the columns
+``[A | I]``, one slack per row: the caller's warm basis, or else the slack
+basis, in which every slack is basic and each structural sits at the bound
+its cost prefers.  If the basics of the start are outside their bounds, the
+bounded dual simplex makes the basis primal feasible; primal phase 2 then
+finishes with the true costs.  The dual simplex needs a dual feasible
+basis, so each nonbasic whose reduced cost has the wrong sign first has its
+cost shifted until that reduced cost is zero (dual phase 1 by cost
+modification; Koberstein 2005).
 
 Warm starts come in two kinds.  A branch-and-bound child starts from its
 parent's optimal basis with tightened bounds: that basis is dual feasible,
@@ -68,10 +70,10 @@ _DEGENERATE_LIMIT = 60
 _MAX_ITERATIONS = 50_000
 _REFACTOR_EVERY = 50
 
-_AT_LOWER, _AT_UPPER, _BASIC, _FREE = 0, 1, 2, 3
+_AT_LOWER, _AT_UPPER, _BASIC = 0, 1, 2
 # the direction a nonbasic of each status may move from its bound: up from
-# its lower one, down from its upper one; a free column is handled apart
-_SIGN = np.array([1.0, -1.0, 0.0, 0.0])
+# its lower one, down from its upper one
+_SIGN = np.array([1.0, -1.0, 0.0])
 
 
 class _Singular(Exception):
@@ -141,24 +143,14 @@ def _slack_bounds(relations: list[str]) -> tuple[np.ndarray, np.ndarray]:
     return lo, hi
 
 
-def _slack_basis(A: np.ndarray, relations: list[str], c: np.ndarray,
-                 lo: np.ndarray, hi: np.ndarray) -> LpBasis:
-    """Every slack basic; each structural at the finite bound its cost
-    prefers, else at its other finite bound, else free at zero."""
+def _slack_basis(A: np.ndarray, relations: list[str], c: np.ndarray) -> LpBasis:
+    """Every slack basic; each structural at the bound its cost prefers."""
     m, n = A.shape
     slack_lo, slack_hi = _slack_bounds(relations)
-    upper = np.isfinite(hi) & ((c < 0) | ~np.isfinite(lo))
-    status = np.where(upper, _AT_UPPER, np.where(np.isfinite(lo), _AT_LOWER, _FREE))
+    status = np.where(c < 0, _AT_UPPER, _AT_LOWER)
     return LpBasis(np.hstack([A, np.eye(m)]), slack_lo, slack_hi, n + np.arange(m),
                    np.concatenate([status, np.full(m, _BASIC)]).astype(np.int8),
                    np.eye(m), 0)
-
-
-def _fits(start: LpBasis, lo: np.ndarray, hi: np.ndarray) -> bool:
-    """Whether every bound that ``start`` holds a structural at is finite."""
-    status = start.status[:lo.size]
-    return bool(np.isfinite(lo[status == _AT_LOWER]).all()
-                and np.isfinite(hi[status == _AT_UPPER]).all())
 
 
 class _Tableau:
@@ -175,8 +167,6 @@ class _Tableau:
         self.movable = (self.hi - self.lo) > _PIV_TOL
         # +1 at the lower bound, -1 at the upper one, 0 basic or fixed
         self.sign = np.where(self.movable, _SIGN[self.status], 0.0)
-        self.free = self.movable & (self.status == _FREE)
-        self.any_free = bool(self.free.any())
         self.value = np.where(self.status == _AT_LOWER, self.lo,
                               np.where(self.status == _AT_UPPER, self.hi, 0.0))
         self.Binv = start.inverse.copy()
@@ -215,7 +205,6 @@ class _Tableau:
         self.basis[row] = entering
         self.status[entering] = _BASIC
         self.sign[entering] = 0.0
-        self.free[entering] = False
         self.pivots += 1
         self.since_refactor += 1
         if self.since_refactor >= _REFACTOR_EVERY:
@@ -249,8 +238,6 @@ class _Tableau:
             reduced = self.reduced_costs(c)
             # the objective's rate along each nonbasic's allowed direction
             rate = self.sign * reduced
-            if self.any_free:
-                rate = np.where(self.free, -np.abs(reduced), rate)
             eligible = rate < -_RC_TOL
             if not eligible.any():
                 self.refresh_basics()
@@ -262,7 +249,7 @@ class _Tableau:
             # Bland: the lowest eligible index; Dantzig: the steepest rate,
             # lowest index first
             entering = int(np.argmax(eligible) if bland else np.argmin(rate))
-            direction = int(self.sign[entering]) or (1 if reduced[entering] < 0 else -1)
+            direction = int(self.sign[entering])
 
             w = self.Binv @ self.A[:, entering]
             delta = -direction * w  # basics move by +t*delta
@@ -312,7 +299,7 @@ class _Tableau:
         nonbasic cost leaves the duals, and every other reduced cost, as
         they were."""
         d = self.reduced_costs(c)
-        wrong = (self.sign * d < -_DUAL_TOL) | (self.free & (np.abs(d) > _DUAL_TOL))
+        wrong = self.sign * d < -_DUAL_TOL
         return np.where(wrong, c - d, c)
 
     def dual_iterate(self, c: np.ndarray) -> str:
@@ -361,9 +348,6 @@ class _Tableau:
             # reduced cost is from changing sign
             reach = self.sign * a
             slack = self.sign * self.d
-            if self.any_free:
-                reach = np.where(self.free, np.abs(a), reach)
-                slack = np.where(self.free, np.abs(self.d), slack)
             if not (reach > _PIV_TOL).any():
                 self.certificate = tuple(
                     int(i) for i in np.nonzero(np.abs(self.Binv[row]) > _PIV_TOL)[0])
@@ -424,14 +408,14 @@ def simplex_solve(A: np.ndarray, relations: list[str], rhs: np.ndarray,
                   c: np.ndarray, lo: np.ndarray, hi: np.ndarray,
                   warm: LpBasis | None = None,
                   deadline: float | None = None) -> LpResult:
-    """Minimize c'x subject to A x (rel) rhs and lo <= x <= hi.
+    """Minimize c'x subject to A x (rel) rhs and lo <= x <= hi, where every
+    bound in ``lo`` and ``hi`` is finite.
 
-    The solve starts from ``warm`` if it is given and every structural it
-    holds at a bound has that bound finite, else from the slack basis; see
-    the module docstring for the path from there.  Pass as ``warm`` the basis
-    of an earlier optimal result when only the bounds ``lo``/``hi``, the
-    objective ``c`` or the ``rhs`` change; after rows are appended, pass
-    ``basis.with_rows(A, relations)``.
+    The solve starts from ``warm`` if it is given, else from the slack
+    basis; see the module docstring for the path from there.  Pass as
+    ``warm`` the basis of an earlier optimal result when only the bounds
+    ``lo``/``hi``, the objective ``c`` or the ``rhs`` change; after rows are
+    appended, pass ``basis.with_rows(A, relations)``.
 
     Returns structural variable values only.  An optimal result carries its
     basis, with that basis's inverse.  An infeasible result lists in
@@ -441,8 +425,8 @@ def simplex_solve(A: np.ndarray, relations: list[str], rhs: np.ndarray,
     ``deadline`` is a ``time.perf_counter()`` value checked before every
     pivot.
     """
-    if warm is None or not _fits(warm, lo, hi):
-        warm = _slack_basis(A, relations, c, lo, hi)
+    if warm is None:
+        warm = _slack_basis(A, relations, c)
     tab = _Tableau(warm, rhs, lo, hi, deadline)
     try:
         status = tab.solve(c)

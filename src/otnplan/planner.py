@@ -318,7 +318,7 @@ class _MilpPhases:
         if self.options.exact():
             for level in (1, 2):
                 vec = {v.id: float(naming.tie_weight(v.name, level))
-                       for v in model.variables if v.kind == "binary"}
+                       for v in model.variables}
                 staged.append((vec, 0.0, 0.5))
         sol = solve_milp(model, time_limit=self.options.time_limit, stages=staged)
         for idx, (stage, (_vec, stage_gap, _eps)) in enumerate(zip(sol.stages, staged)):

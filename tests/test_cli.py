@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from otnplan import planner
-from otnplan.cli import RunRequest, main, run_cli
+from otnplan.cli import RunRequest, build_parser, main, run_cli
 from otnplan.milp import simplex, solve_milp
 from otnplan.instance import (bundled_instance_path, config_from_dict,
                               load_instance)
@@ -503,3 +503,12 @@ class TestOtherCommands:
         assert inst.topology.n == 12
         assert len(set(inst.topology.links)) == 24
         assert len(inst.traffic) == 126
+
+
+def test_plan_defaults_are_run_request_and_plan_options_defaults():
+    args = build_parser().parse_args(["plan"])
+    request = RunRequest(instance=args.instance)
+    for field in dataclasses.fields(RunRequest):
+        assert getattr(args, field.name) == getattr(request, field.name), field.name
+    options = planner.PlanOptions()
+    assert (args.gap, args.time_limit) == (options.gap, options.time_limit)

@@ -1,5 +1,4 @@
 import hashlib
-import math
 
 import numpy as np
 import pytest
@@ -20,7 +19,7 @@ from conftest import make_instance
 
 def simple_model():
     m = MilpModel("simple")
-    x = m.add_variable("x", "binary", objective=1.0)
+    x = m.add_variable("x", objective=1.0)
     m.add_constraint("need", [(x, 1.0)], ">=", 1.0)
     return m
 
@@ -34,19 +33,19 @@ class TestEmitLpFile:
 
     def test_empty_objective_dummy_convention(self):
         m = MilpModel("no-objective")
-        x = m.add_variable("x", "binary")
+        x = m.add_variable("x")
         m.add_constraint("c", [(x, 1.0)], "<=", 1.0)
         text = emit_lp_file(m)
         assert "obj: 0 x_dummy" in text
         assert "x_dummy = 0" in text  # declared so the file stands alone
 
-    def test_continuous_bounds_lines(self):
+    def test_bounds_lines_only_for_tightened_binaries(self):
         m = MilpModel("bounds")
-        m.add_variable("a", "continuous", 0.0, 5.0, 1.0)
-        m.add_variable("b", "continuous", -math.inf, math.inf, 1.0)
+        m.add_variable("a", upper=0.0, objective=1.0)
+        m.add_variable("b", lower=1.0, objective=1.0)
+        m.add_variable("c", objective=1.0)
         text = emit_lp_file(m)
-        assert "0 <= a <= 5" in text
-        assert "b free" in text
+        assert text.endswith("Bounds\n 0 <= a <= 0\n 1 <= b <= 1\nBinary\n a\n b\n c\nEnd\n")
 
     def test_external_solver_matches_embedded_on_ring_model(self, ring4):
         """The exported model solved by an external MILP solver reproduces the
@@ -59,7 +58,7 @@ class TestEmitLpFile:
 
         n = len(model.variables)
         c = np.array([v.objective for v in model.variables])
-        integrality = np.array([1 if v.kind == "binary" else 0 for v in model.variables])
+        integrality = np.ones(n)
         lo = np.array([v.lower for v in model.variables])
         hi = np.array([v.upper for v in model.variables])
         constraints = []

@@ -17,19 +17,12 @@ from otnplan.milp.simplex import simplex_solve
 from otnplan.modes import SurvivabilityMode
 
 
-def lp_min_x_ge_3():
-    m = MilpModel("min-x")
-    x = m.add_variable("x", "continuous", 0, math.inf, objective=1.0)
-    m.add_constraint("floor", [(x, 1.0)], ">=", 3.0)
-    return m
-
-
-def relaxed(model):
-    """A copy of ``model`` with integrality dropped: its LP relaxation."""
-    lp = copy.deepcopy(model)
-    for var in lp.variables:
-        var.kind = "continuous"
-    return lp
+def root_lp(model):
+    """The LP relaxation of ``model`` solved from the slack basis, as the
+    branch-and-bound root solves it before any cut."""
+    arrays = branch_bound._Arrays(model)
+    return simplex_solve(arrays.A, arrays.relations, arrays.rhs, arrays.c, arrays.lo,
+                         arrays.hi)
 
 
 def highs(A, rels, b, c, lo, hi):
@@ -46,65 +39,73 @@ def highs(A, rels, b, c, lo, hi):
 
 class TestSolveLp:
     def test_simple_bound(self):
-        sol = solve_milp(lp_min_x_ge_3())
+        m = MilpModel("min-x")
+        x = m.add_variable("x", objective=3.0)
+        m.add_constraint("floor", [(x, 2.0)], ">=", 1.0)
+        sol = solve_milp(m)
         assert sol.status == "optimal"
         assert sol.objective == pytest.approx(3.0)
+        assert root_lp(m).objective == pytest.approx(1.5)
 
     def test_infeasible(self):
         m = MilpModel("infeasible")
-        x = m.add_variable("x", "continuous", 0, math.inf, 1.0)
+        x = m.add_variable("x", objective=1.0)
         m.add_constraint("ge", [(x, 1.0)], ">=", 1.0)
         m.add_constraint("le", [(x, 1.0)], "<=", 0.0)
         sol = solve_milp(m)
         assert sol.status == "infeasible"
         assert sol.infeasible_rows  # names the offending rows
 
-    def test_unbounded(self):
-        m = MilpModel("unbounded")
-        x = m.add_variable("x", "continuous", 0, math.inf, -1.0)
-        m.add_constraint("ge", [(x, 1.0)], ">=", 0.0)
-        assert solve_milp(m).status == "unbounded"
-
     def test_no_rows(self):
         # bounds alone: each variable sits at the bound its cost prefers
         m = MilpModel("bounds-only")
-        for name, lo, hi, cost in (("a", 0, 1, 1.0), ("b", 0, 2, -1.0),
-                                   ("c", -math.inf, 5, 0.0)):
-            m.add_variable(name, "continuous", lo, hi, objective=cost)
+        for name, lo, hi, cost in (("a", 0, 1, 1.0), ("b", 0, 1, -1.0),
+                                   ("c", 1, 1, 0.0)):
+            m.add_variable(name, lo, hi, objective=cost)
         sol = solve_milp(m)
         assert sol.status == "optimal"
-        assert [sol.value(v) for v in range(3)] == [0.0, 2.0, 5.0]
-        assert sol.objective == -2.0
-        m.add_variable("d", "continuous", 0, math.inf, objective=-1.0)
-        assert solve_milp(m).status == "unbounded"
+        assert [sol.value(v) for v in range(3)] == [0.0, 1.0, 1.0]
+        assert sol.objective == -1.0
+
+    @pytest.mark.parametrize("lower, upper", [
+        (math.nan, 1.0), (0.0, math.nan), (-math.inf, 1.0), (0.0, math.inf),
+        (math.inf, 1.0), (0.0, -math.inf), (-0.5, 1.0), (0.0, 1.5), (1.0, 0.0)],
+        ids=["nan-lower", "nan-upper", "-inf-lower", "inf-upper", "inf-lower",
+             "-inf-upper", "negative-lower", "upper-above-1", "lower-above-upper"])
+    def test_bounds_outside_the_unit_box_are_rejected(self, lower, upper):
+        m = MilpModel("bad-bounds")
+        with pytest.raises(ModelError, match="must lie inside"):
+            m.add_variable("x", lower, upper)
+        assert not m.variables
+        m.add_variable("x")  # the name was not taken
 
     def test_undeclared_variable_rejected(self):
         m = MilpModel("broken")
-        m.add_variable("x", "continuous", 0, 1, 1.0)
+        m.add_variable("x", objective=1.0)
         with pytest.raises(ModelError):
             m.add_constraint("bad", [(7, 1.0)], "<=", 1.0)
 
     def test_negative_variable_id_rejected(self):
         m = MilpModel("broken")
-        m.add_variable("x", "continuous", 0, 1, 1.0)
+        m.add_variable("x", objective=1.0)
         with pytest.raises(ModelError, match="undeclared variable id -1"):
             m.add_constraint("bad", [(0, 1.0), (-1, 1.0)], "<=", 1.0)
 
     def test_undeclared_variable_with_zero_coefficient_rejected(self):
         m = MilpModel("broken")
-        m.add_variable("x", "continuous", 0, 1, 1.0)
+        m.add_variable("x", objective=1.0)
         with pytest.raises(ModelError, match="undeclared variable id 1"):
             m.add_constraint("bad", [(0, 1.0), (1, 0.0)], "<=", 1.0)
 
     def test_one_pass_generator_keeps_every_term(self):
         m = MilpModel("generator")
-        ids = [m.add_variable(f"x{i}", "continuous", 0, 1, 1.0) for i in range(3)]
+        ids = [m.add_variable(f"x{i}", objective=1.0) for i in range(3)]
         m.add_constraint("sum", ((vid, vid + 1) for vid in ids), "<=", 4)
         assert m.constraints[0].terms == ((0, 1.0), (1, 2.0), (2, 3.0))
 
     def test_check_solution_reports_non_finite_value(self):
         m = MilpModel("nan")
-        x = m.add_variable("x", "continuous", 0, 1, 1.0)
+        x = m.add_variable("x", objective=1.0)
         m.add_constraint("cap", [(x, 1.0)], "<=", 1.0)
         assert check_solution(m, {x: math.nan}) == (
             "variable x = nan is not finite", "constraint cap: nan is not finite")
@@ -117,28 +118,18 @@ class TestSolveLp:
             A = np.round(rng.uniform(-4, 4, (rows, n)), 1)
             b = np.round(rng.uniform(-2, 6, rows), 1)
             c = np.round(rng.uniform(-3, 3, n), 1)
-            rels = rng.choice(["<=", ">=", "="], rows, p=[0.5, 0.3, 0.2])
-            hi = np.where(rng.random(n) < 0.7, rng.uniform(1, 5, n).round(1), np.inf)
-            m = MilpModel("rand")
-            ids = [m.add_variable(f"v{i}", "continuous", 0.0, hi[i], c[i])
-                   for i in range(n)]
-            for i in range(rows):
-                m.add_constraint(f"c{i}", [(ids[j], A[i, j]) for j in range(n)],
-                                 rels[i], b[i])
-            ours = solve_milp(m)
+            rels = list(rng.choice(["<=", ">=", "="], rows, p=[0.5, 0.3, 0.2]))
+            hi = np.where(rng.random(n) < 0.7, rng.uniform(1, 5, n).round(1), 10.0)
+            ours = simplex_solve(A, rels, b, c, np.zeros(n), hi)
             ref = highs(A, rels, b, c, np.zeros(n), hi)
+            assert ours.status == {0: "optimal", 2: "infeasible"}[ref.status]
             if ref.status == 0:
-                assert ours.status == "optimal"
                 assert ours.objective == pytest.approx(ref.fun, abs=1e-6, rel=1e-6)
-            elif ref.status == 2:
-                assert ours.status == "infeasible"
-            elif ref.status == 3:
-                assert ours.status == "unbounded"
 
 
 def knapsack_model():
     m = MilpModel("knapsack")
-    xs = [m.add_variable(f"x{i}", "binary", objective=c)
+    xs = [m.add_variable(f"x{i}", objective=c)
           for i, c in enumerate([-5.0, -4.0, -3.0])]
     m.add_constraint("cap", [(xs[0], 2.0), (xs[1], 3.0), (xs[2], 1.0)], "<=", 5.0)
     return m
@@ -147,8 +138,8 @@ def knapsack_model():
 class TestSolveMilp:
     def test_cover(self):
         m = MilpModel("cover")
-        x = m.add_variable("x", "binary", objective=1.0)
-        y = m.add_variable("y", "binary", objective=1.0)
+        x = m.add_variable("x", objective=1.0)
+        y = m.add_variable("y", objective=1.0)
         m.add_constraint("one", [(x, 1.0), (y, 1.0)], ">=", 1.0)
         sol = solve_milp(m, gap=0.0)
         assert sol.status == "optimal"
@@ -174,11 +165,11 @@ class TestSolveMilp:
 
     def test_empty_constraint_presolve(self):
         m = MilpModel("empty-rows")
-        m.add_variable("x", "binary", objective=1.0)
+        m.add_variable("x", objective=1.0)
         m.add_constraint("fine", [], "<=", 2.0)
         assert solve_milp(m).status == "optimal"
         m2 = MilpModel("contradiction")
-        m2.add_variable("x", "binary", objective=1.0)
+        m2.add_variable("x", objective=1.0)
         m2.add_constraint("impossible", [], ">=", 1.0)
         sol = solve_milp(m2)
         assert sol.status == "infeasible"
@@ -190,7 +181,7 @@ class TestSolveMilp:
         c = -np.round(rng.uniform(1, 9, n), 1)
         w = np.round(rng.uniform(1, 9, n), 1)
         m = MilpModel("loose")
-        ids = [m.add_variable(f"x{i}", "binary", objective=c[i]) for i in range(n)]
+        ids = [m.add_variable(f"x{i}", objective=c[i]) for i in range(n)]
         m.add_constraint("cap", [(ids[i], w[i]) for i in range(n)], "<=", float(w.sum() / 3))
         sol = solve_milp(m, gap=0.25)
         assert sol.status in ("optimal", "feasible-with-gap")
@@ -206,7 +197,7 @@ class TestSolveMilp:
             c = np.round(rng.uniform(-4, 4, n), 1)
             rels = rng.choice(["<=", ">=", "="], rows, p=[0.6, 0.3, 0.1])
             m = MilpModel("rb")
-            ids = [m.add_variable(f"v{i}", "binary", objective=c[i]) for i in range(n)]
+            ids = [m.add_variable(f"v{i}", objective=c[i]) for i in range(n)]
             for i in range(rows):
                 m.add_constraint(f"c{i}", [(ids[j], A[i, j]) for j in range(n)],
                                  rels[i], b[i])
@@ -236,24 +227,23 @@ def random_bounded_lp(rng):
     b = np.round(rng.uniform(-2, 8, rows), 1)
     c = np.round(rng.uniform(-3, 3, n), 1)
     rels = list(rng.choice(["<=", ">=", "="], rows, p=[0.5, 0.3, 0.2]))
-    hi = np.where(rng.random(n) < 0.7, rng.uniform(1, 5, n).round(1), np.inf)
+    hi = np.where(rng.random(n) < 0.7, rng.uniform(1, 5, n).round(1), 10.0)
     return A, rels, b, c, np.zeros(n), hi
 
 
 def random_integer_lp(rng):
     """A small LP with integer data, so degenerate vertices are common, over
-    free, boxed (possibly fixed), lower-bounded and upper-bounded variables."""
+    boxes [base - below, base + above] of width 0 (fixed) to 6."""
     n = int(rng.integers(2, 8))
     rows = int(rng.integers(1, 6))
     A = rng.integers(-3, 4, (rows, n)).astype(float)
     b = rng.integers(-3, 6, rows).astype(float)
     c = rng.integers(-3, 4, n).astype(float)
     rels = list(rng.choice(["<=", ">=", "="], rows, p=[0.5, 0.3, 0.2]))
-    kind = rng.integers(0, 4, n)  # free, boxed, lower only, upper only
+    below = rng.integers(0, 4, n)
     base = rng.integers(-2, 2, n).astype(float)
-    lo = np.where((kind == 1) | (kind == 2), base, -np.inf)
-    hi = np.where(kind == 1, base + rng.integers(0, 4, n),
-                  np.where(kind == 3, base, np.inf))
+    lo = base - below
+    hi = base + rng.integers(0, 4, n)
     return A, rels, b, c, lo, hi
 
 
@@ -345,7 +335,7 @@ class TestWarmStart:
 
     def test_appended_row_and_new_objective_stay_warm(self, cold_calls):
         rng = np.random.default_rng(29)
-        outcomes = {"optimal": 0, "unbounded": 0}
+        outcomes = {"optimal": 0}
         for _ in range(300):
             A, rels, b, c, lo, hi = random_bounded_lp(rng)
             base = simplex_solve(A, rels, b, c, lo, hi)
@@ -365,7 +355,7 @@ class TestWarmStart:
             if cold.status == "optimal":
                 assert warm.objective == pytest.approx(cold.objective, abs=1e-7)
             outcomes[cold.status] += 1
-        assert outcomes["optimal"] > 100 and outcomes["unbounded"] > 3
+        assert outcomes["optimal"] > 100
 
     def test_start_gives_the_same_optimum(self, cold_calls, fixings):
         # one call with stages equals separate pinned solves, every stage
@@ -382,7 +372,7 @@ class TestWarmStart:
             def model():
                 m = MilpModel("stages")
                 for i in range(n):
-                    m.add_variable(f"v{i}", "binary")
+                    m.add_variable(f"v{i}")
                 for i, (coefs, rel, rhs) in enumerate(rows):
                     m.add_constraint(f"c{i}", list(enumerate(coefs)), rel, rhs)
                 return m
@@ -561,7 +551,7 @@ class TestCarriedInverse:
     def test_exact_tie_branches_on_the_lower_id(self, monkeypatch):
         model = MilpModel("tie")
         for name in ("x0", "x1"):
-            model.add_variable(name, "binary", objective=-1.0)
+            model.add_variable(name, objective=-1.0)
         model.add_constraint("half0", [(0, 2.0)], "<=", 1.0)
         model.add_constraint("half1", [(1, 2.0)], "<=", 1.0)
         fixed = []
@@ -601,13 +591,13 @@ class TestProofsAndTermination:
         # every degenerate pivot switches the primal and the dual to Bland
         monkeypatch.setattr(simplex, "_DEGENERATE_LIMIT", 1)
         rng = np.random.default_rng(43)
-        outcomes = {"optimal": 0, "infeasible": 0, "unbounded": 0}
+        outcomes = {"optimal": 0, "infeasible": 0}
         warm_compared = 0
         for _ in range(400):
             A, rels, b, c, lo, hi = random_integer_lp(rng)
             res = simplex_solve(A, rels, b, c, lo, hi)
             ref = highs(A, rels, b, c, lo, hi)
-            status = {0: "optimal", 2: "infeasible", 3: "unbounded"}[ref.status]
+            status = {0: "optimal", 2: "infeasible"}[ref.status]
             assert res.status == status
             outcomes[status] += 1
             if status != "optimal":
@@ -650,14 +640,14 @@ class TestLimitsAndFailures:
         planner.plan(make_instance(topo, demands, SurvivabilityMode.SINGLE_LAYER),
                      planner.PlanOptions(gap=0.03))
         model = models[0]
-        root = solve_milp(relaxed(model))
+        root = root_lp(model)
         start = time.perf_counter()
         sol = solve_milp(model, gap=0.0, time_limit=0.01)
         elapsed = time.perf_counter() - start
         assert sol.status == "time-limit"
         assert elapsed < 0.5
         # the deadline stopped the root LP part-way
-        assert sol.stats.lp_iterations < root.stats.lp_iterations
+        assert sol.stats.lp_iterations < root.iterations
 
     def test_iteration_limit_is_a_status(self, monkeypatch):
         monkeypatch.setattr(simplex, "_MAX_ITERATIONS", 0)
@@ -682,7 +672,7 @@ class TestLimitsAndFailures:
         monkeypatch.setattr(np.linalg, "inv", singular)
         sol = solve_milp(knapsack_model(), gap=0.0)
         assert sol.status == "singular-basis"
-        assert solve_milp(relaxed(knapsack_model())).status == "singular-basis"
+        assert root_lp(knapsack_model()).status == "singular-basis"
 
 
 def implied_pairs(model):
@@ -712,7 +702,7 @@ def capacity_model(rng):
     A, b = np.array(A), np.array(b)
     c = np.round(rng.uniform(-4, 2, n), 1)
     model = MilpModel("capacity")
-    ids = [model.add_variable(f"v{j}", "binary", objective=c[j]) for j in range(n)]
+    ids = [model.add_variable(f"v{j}", objective=c[j]) for j in range(n)]
     for i in range(len(b)):
         model.add_constraint(f"c{i}", [(ids[j], A[i, j]) for j in range(n)], rels[i], b[i])
     return model, (A, rels, b), c
@@ -749,7 +739,7 @@ def staged_binary_model(rng):
     def build():
         model = MilpModel("staged")
         for j in range(n):
-            model.add_variable(f"v{j}", "binary")
+            model.add_variable(f"v{j}")
         for i in range(rows):
             model.add_constraint(f"c{i}", list(enumerate(A[i])), rels[i], b[i])
         return model
@@ -799,7 +789,7 @@ class TestReducedCostFixing:
         cost = [0.3, -0.1, -0.4, -0.4]
         m = MilpModel("on-the-pin")
         for j in range(4):
-            m.add_variable(f"x{j}", "binary")
+            m.add_variable(f"x{j}")
         m.add_constraint("row", list(enumerate(row)), ">=", 0.1)
         sol = solve_milp(m, stages=[(dict(enumerate(cost)), 0.0, 0.0),
                                     (dict(enumerate(tie)), 0.0, 1e-6)])
@@ -828,13 +818,11 @@ class TestImpliedBoundCuts:
 
     def test_rows_that_imply_nothing(self):
         m = MilpModel("nothing")
-        x, y, z, off = (m.add_variable(name, "binary") for name in ("x", "y", "z", "off"))
-        w = m.add_variable("w", "continuous", -math.inf, 0.0)
+        x, y, z, off = (m.add_variable(name) for name in ("x", "y", "z", "off"))
         m.add_constraint("two-negative", [(x, 2.0), (y, -1.0), (z, -1.0)], "<=", 0.0)
         m.add_constraint("absorbed", [(x, 2.0), (y, -3.0)], "<=", 2.0)
         m.add_constraint("greater", [(y, 1.0), (x, -1.0)], ">=", 0.0)
         m.add_constraint("fixed-y", [(x, 1.0), (off, -1.0)], "<=", 0.0)
-        m.add_constraint("unbounded", [(x, 1.0), (w, 1.0), (z, -1.0)], "<=", 0.0)
         m.variables[off].upper = 0.0
         assert implied_pairs(m) == set()
         m.add_constraint("capacity", [(x, 2.0), (z, 1.0), (y, -3.0)], "<=", 1.0)

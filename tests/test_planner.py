@@ -1,3 +1,5 @@
+import hashlib
+import json
 from fractions import Fraction
 
 import pytest
@@ -9,7 +11,7 @@ from otnplan.planner import (PlanError, PlanOptions, ResourceCounts,
                              apply_brs_sharing, assemble_configuration, plan,
                              total_cost, transit_traffic)
 
-from conftest import UNIT_CR1, make_instance
+from conftest import UNIT_CR1, config_without_phases, make_instance
 
 EXACT = PlanOptions(gap=0.0, time_limit=120)
 
@@ -214,3 +216,27 @@ class TestBeyondOracleBounds:
         cfg = plan(inst, EXACT)
         cost, _ = brute_force_optimum(inst)
         assert cfg.cost.total == cost
+
+
+# each mode's plan of the six-node fixture, sequential, CR1, gap 3%: the
+# sha256 of its configuration without the phase records, keys sorted
+FIXTURE6_PLANS = {
+    SurvivabilityMode.NONE:
+        "a1beb047e5315ac823f189211276a4473bfd384536c482c8f66242efe522d2aa",
+    SurvivabilityMode.SINGLE_LAYER:
+        "3d669715b903faa1e4f752ef8023dbea3bb1db8510a5f37e40ba05d44df1cda7",
+    SurvivabilityMode.ML_DOUBLE:
+        "e94116217d74de729a028288aedc1269e7c0362635e2ef8a8908b0707cb3c622",
+    SurvivabilityMode.ML_SPARE_UNPROTECTED:
+        "ef266119dec0e31dad29bef9843fcf6bb432886f66eb06612e6d11f87fee8ecc",
+    SurvivabilityMode.ML_INTERLAYER_BRS:
+        "7e94a9102c7064d9be485255ded7daabc0909218f45befa1188a703a3272157f",
+}
+
+
+@pytest.mark.parametrize("mode", list(FIXTURE6_PLANS), ids=lambda mode: mode.value)
+def test_fixture6_plans_are_pinned(six_node_fixture, mode):
+    topo, demands = six_node_fixture
+    cfg = plan(make_instance(topo, demands, mode), PlanOptions(gap=0.03))
+    text = json.dumps(config_without_phases(cfg), sort_keys=True)
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == FIXTURE6_PLANS[mode]
