@@ -558,11 +558,11 @@ def estimate_problem_size(instance: ProblemInstance, approach: Approach) -> int:
 def audit_model(model: MilpModel) -> str:
     """Per-equation-family constraint counts, one line each."""
     counts: dict[str, int] = {}
-    for con in model.constraints:
-        family = con.name.split("[", 1)[0]
+    for name in model.row_names:
+        family = name.split("[", 1)[0]
         counts[family] = counts.get(family, 0) + 1
-    lines = [f"{model.name}: {len(model.variables)} variables, "
-             f"{len(model.constraints)} constraints"]
+    lines = [f"{model.name}: {len(model.names)} variables, "
+             f"{len(model.row_names)} constraints"]
     for family in sorted(counts):
         lines.append(f"  {family}: {counts[family]}")
     return "\n".join(lines) + "\n"

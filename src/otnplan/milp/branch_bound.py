@@ -79,15 +79,12 @@ class _Arrays:
     every stage of a search."""
 
     def __init__(self, model: MilpModel):
-        self.A = np.zeros((len(model.constraints), len(model.variables)))
-        for row, con in enumerate(model.constraints):
-            for vid, coef in con.terms:
-                self.A[row, vid] += coef
-        self.relations = [con.relation for con in model.constraints]
-        self.rhs = np.array([con.rhs for con in model.constraints])
-        self.c = np.array([v.objective for v in model.variables])
-        self.lo = np.array([v.lower for v in model.variables])
-        self.hi = np.array([v.upper for v in model.variables])
+        self.A = _dense_rows(model, 0)
+        self.relations = list(model.relations)
+        self.rhs = np.array(model.rhs)
+        self.c = np.array(model.objective)
+        self.lo = np.array(model.lower)
+        self.hi = np.array(model.upper)
 
     def implied_bounds(self) -> np.ndarray:
         """Every pair (x, y) of binaries with bounds [0, 1] such that some
@@ -116,14 +113,26 @@ class _Arrays:
                rows: list[tuple[str, list[tuple[int, float]], float]]) -> None:
         """Append each (name, terms, rhs) as the row terms <= rhs to the
         model and to this snapshot."""
-        dense = np.zeros((len(rows), self.A.shape[1]))
-        for k, (name, terms, rhs) in enumerate(rows):
+        first = len(model.row_names)
+        for name, terms, rhs in rows:
             model.add_constraint(name, terms, "<=", rhs)
-            for vid, coef in model.constraints[-1].terms:
-                dense[k, vid] += coef
-        self.A = np.vstack([self.A, dense])
+        self.A = np.vstack([self.A, _dense_rows(model, first)])
         self.relations = self.relations + ["<="] * len(rows)
-        self.rhs = np.concatenate([self.rhs, [float(rhs) for _, _, rhs in rows]])
+        self.rhs = np.concatenate([self.rhs, model.rhs[first:]])
+
+
+def _dense_rows(model: MilpModel, first: int) -> np.ndarray:
+    """The model's rows from ``first`` on as a dense matrix.  A column named
+    twice in a row gets the sum of its coefficients, added in the order
+    given, as ``bincount`` adds them."""
+    n = len(model.names)
+    indptr = np.array(model.indptr[first:])
+    m = indptr.size - 1
+    begin = model.indptr[first]
+    # the flat index row * n + column of every term
+    cells = (np.arange(m).repeat(indptr[1:] - indptr[:-1]) * n
+             + np.array(model.indices[begin:], dtype=np.intp))
+    return np.bincount(cells, np.array(model.coefs[begin:]), m * n).reshape(m, n)
 
 
 class _Search:
@@ -184,7 +193,7 @@ class _Search:
         from the last stage's root basis and incumbent."""
         began = time.perf_counter()
         model, arrays, deadline = self.model, self.arrays, self.deadline
-        arrays.c = np.array([v.objective for v in model.variables])
+        arrays.c = np.array(model.objective)
         self.incumbent_obj = (math.inf if self.incumbent is None
                               else model.evaluate_objective(self.incumbent))
         nodes = lp_iters = 0
@@ -229,7 +238,7 @@ class _Search:
             if res.status == "infeasible":
                 if nodes == 1:
                     root_infeasible_rows = tuple(
-                        model.constraints[i].name for i in res.infeasible_rows)
+                        model.row_names[i] for i in res.infeasible_rows)
                 continue
             if res.status == "unbounded":
                 if nodes == 1:
@@ -300,7 +309,7 @@ def solve_milp(model: MilpModel, gap: float = 0.0, time_limit: float | None = No
     """
     began = time.perf_counter()
     if stages is None:
-        stages = [({v.id: v.objective for v in model.variables}, gap, 0.0)]
+        stages = [(dict(enumerate(model.objective)), gap, 0.0)]
     if not stages:
         raise ValueError("stages must list at least one stage")
     if not all(stage_gap >= 0 for _, stage_gap, _ in stages):

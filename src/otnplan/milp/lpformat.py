@@ -15,6 +15,7 @@ model variables for validation-only runs.
 from __future__ import annotations
 
 import math
+from itertools import islice, pairwise
 from typing import Mapping
 
 from .model import MilpModel, ModelError
@@ -75,7 +76,8 @@ def emit_lp_file(model: MilpModel) -> str:
     distinct coefficient's text is built once per call; nothing is kept
     between calls."""
     lines = [f"\\ {model.name}", "Minimize"]
-    obj_terms = [(v.name, v.objective) for v in model.variables if v.objective != 0.0]
+    names = model.names
+    obj_terms = [(name, coef) for name, coef in zip(names, model.objective) if coef != 0.0]
     dummy_needed = not obj_terms
     if dummy_needed:
         lines.append(" obj: 0 x_dummy")
@@ -83,21 +85,23 @@ def emit_lp_file(model: MilpModel) -> str:
         lines.append(f" obj: {_terms_text(obj_terms)}")
 
     lines.append("Subject To")
-    names = [v.name for v in model.variables]
     prefixes = _Prefixes()
-    for idx, con in enumerate(model.constraints):
-        if con.terms:  # add_constraint keeps no zero term
-            body = _expression([prefixes[coef] + names[vid] for vid, coef in con.terms])
+    terms = zip(model.indices, model.coefs)  # walked row by row
+    for idx, (name, relation, rhs, (start, end)) in enumerate(zip(
+            model.row_names, model.relations, model.rhs, pairwise(model.indptr))):
+        if end > start:  # add_constraint keeps no zero term
+            body = _expression([prefixes[coef] + names[vid]
+                                for vid, coef in islice(terms, end - start)])
         else:
             body = "0 x_dummy"
             dummy_needed = True
-        label = con.name.replace(" ", "_") or f"c{idx}"
-        lines.append(f" c{idx}_{label}: {body} {con.relation} {_fmt(con.rhs)}")
+        label = name.replace(" ", "_") or f"c{idx}"
+        lines.append(f" c{idx}_{label}: {body} {relation} {_fmt(rhs)}")
 
     lines.append("Bounds")
-    for v in model.variables:
-        if (v.lower, v.upper) != (0.0, 1.0):
-            lines.append(f" {_fmt(v.lower)} <= {v.name} <= {_fmt(v.upper)}")
+    for name, lower, upper in zip(names, model.lower, model.upper):
+        if (lower, upper) != (0.0, 1.0):
+            lines.append(f" {_fmt(lower)} <= {name} <= {_fmt(upper)}")
     if dummy_needed:
         lines.append(" x_dummy = 0")
 
@@ -141,7 +145,7 @@ def solution_values_by_id(model: MilpModel, named: Mapping[str, float]) -> dict[
     Unknown names (e.g. ``x_dummy`` or an external solver's extras) are
     ignored; missing model variables default to 0.
     """
-    values = {v.id: 0.0 for v in model.variables}
+    values = dict.fromkeys(range(len(model.names)), 0.0)
     for name, val in named.items():
         try:
             values[model.var_id(name)] = val

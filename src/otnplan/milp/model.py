@@ -4,7 +4,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping
+from itertools import islice, pairwise
+from typing import Iterable, Mapping, NamedTuple
 
 __all__ = [
     "ModelError",
@@ -33,8 +34,8 @@ class ModelError(ValueError):
     """Structural problem in a model: undeclared variable, bad relation, ..."""
 
 
-@dataclass(slots=True)
-class Variable:
+class Variable(NamedTuple):
+    """A read-only record of one column, built on demand."""
     id: int
     name: str
     lower: float
@@ -42,8 +43,8 @@ class Variable:
     objective: float
 
 
-@dataclass(slots=True)
-class Constraint:
+class Constraint(NamedTuple):
+    """A read-only record of one row and its nonzero terms, built on demand."""
     name: str
     terms: tuple[tuple[int, float], ...]
     relation: str
@@ -51,64 +52,130 @@ class Constraint:
 
 
 class MilpModel:
-    """Minimization model over binary variables.
+    """Minimization model over binary variables, kept in flat lists.
 
-    Every variable is binary, with bounds inside [0, 1]; tightening them to
-    [0, 0] or [1, 1] is how builders fix excluded entities.
+    Column j has ``names[j]``, bounds ``lower[j]`` and ``upper[j]`` inside
+    [0, 1], and cost ``objective[j]``; tightening the bounds to [0, 0] or
+    [1, 1] is how builders fix excluded entities.  Row r has
+    ``row_names[r]``, ``relations[r]`` and ``rhs[r]``, and its nonzero
+    terms, in the order given, are the column ids ``indices[k]`` with
+    coefficients ``coefs[k]`` for ``indptr[r] <= k < indptr[r + 1]``
+    (compressed sparse rows).  Every number is finite.  Code outside this
+    class reads the lists and changes the model only through its methods.
     """
 
     def __init__(self, name: str = "model"):
         self.name = name
-        self.variables: list[Variable] = []
-        self.constraints: list[Constraint] = []
-        self._names: dict[str, int] = {}
+        self.names: list[str] = []
+        self.lower: list[float] = []
+        self.upper: list[float] = []
+        self.objective: list[float] = []
+        self.row_names: list[str] = []
+        self.relations: list[str] = []
+        self.rhs: list[float] = []
+        self.indptr: list[int] = [0]
+        self.indices: list[int] = []
+        self.coefs: list[float] = []
+        self._ids: dict[str, int] = {}
+
+    @property
+    def variables(self) -> tuple[Variable, ...]:
+        """The columns as records, for readers outside the package."""
+        return tuple(map(Variable, range(len(self.names)), self.names, self.lower,
+                         self.upper, self.objective))
+
+    @property
+    def constraints(self) -> tuple[Constraint, ...]:
+        """The rows as records, for readers outside the package."""
+        terms = zip(self.indices, self.coefs)
+        return tuple(Constraint(name, tuple(islice(terms, end - start)), relation, rhs)
+                     for name, relation, rhs, (start, end) in zip(
+                         self.row_names, self.relations, self.rhs, pairwise(self.indptr)))
 
     def add_variable(self, name: str, lower: float = 0.0, upper: float = 1.0,
                      objective: float = 0.0) -> int:
-        if name in self._names:
+        if name in self._ids:
             raise ModelError(f"duplicate variable name {name!r}")
         # false for a NaN bound too
         if not 0 <= lower <= upper <= 1:
             raise ModelError(f"variable {name!r} bounds [{lower}, {upper}] must lie "
                              f"inside [0, 1] with lower <= upper")
-        vid = len(self.variables)
-        self.variables.append(Variable(vid, name, float(lower), float(upper), float(objective)))
-        self._names[name] = vid
+        objective = float(objective)
+        if not math.isfinite(objective):
+            raise ModelError(f"variable {name!r} objective {objective} is not finite")
+        vid = len(self.names)
+        self.names.append(name)
+        self.lower.append(float(lower))
+        self.upper.append(float(upper))
+        self.objective.append(objective)
+        self._ids[name] = vid
         return vid
 
     def add_constraint(self, name: str, terms: Iterable[tuple[int, float]],
                        relation: str, rhs: float) -> None:
+        """Append the row; its zero terms are left out.  A row that fails a
+        check leaves the model as it was."""
         if relation not in RELATIONS:
             raise ModelError(f"unknown relation {relation!r}")
-        declared = len(self.variables)
-        packed = []
-        for vid, coef in terms:
-            if not (0 <= vid < declared):
-                raise ModelError(f"constraint {name!r} references undeclared variable id {vid}")
-            if coef != 0.0:
-                packed.append((vid, float(coef)))
-        self.constraints.append(Constraint(name, tuple(packed), relation, float(rhs)))
+        rhs = float(rhs)
+        declared = len(self.names)
+        indices, coefs = self.indices, self.coefs
+        start = len(indices)
+        try:
+            for vid, coef in terms:
+                if not 0 <= vid < declared:
+                    raise ModelError(f"constraint {name!r} references undeclared variable id {vid}")
+                if coef != 0.0:
+                    indices.append(vid)
+                    coefs.append(float(coef))
+            # one sum per row: an infinite or NaN number makes it non-finite
+            if not math.isfinite(sum(coefs[start:], rhs)):
+                at = _first_non_finite(coefs[start:])
+                if at is not None:
+                    raise ModelError(f"constraint {name!r}: coefficient {coefs[start + at]} of "
+                                     f"variable {self.names[indices[start + at]]!r} is not finite")
+                if not math.isfinite(rhs):
+                    raise ModelError(f"constraint {name!r}: rhs {rhs} is not finite")
+        except BaseException:
+            del indices[start:], coefs[start:]
+            raise
+        self.row_names.append(name)
+        self.relations.append(relation)
+        self.rhs.append(rhs)
+        self.indptr.append(len(indices))
 
     def var_id(self, name: str) -> int:
         try:
-            return self._names[name]
+            return self._ids[name]
         except KeyError:
             raise ModelError(f"unknown variable name {name!r}") from None
 
     def var_name(self, vid: int) -> str:
-        return self.variables[vid].name
+        return self.names[vid]
 
     def set_objective(self, coefficients: Mapping[int, float]) -> None:
         """Replace the objective vector (used for staged solves)."""
-        for var in self.variables:
-            var.objective = 0.0
+        objective = [0.0] * len(self.names)
         for vid, coef in coefficients.items():
-            if not (0 <= vid < len(self.variables)):
+            if not 0 <= vid < len(objective):
                 raise ModelError(f"objective references undeclared variable id {vid}")
-            self.variables[vid].objective = float(coef)
+            objective[vid] = float(coef)
+        if not math.isfinite(sum(objective)):
+            at = _first_non_finite(objective)
+            if at is not None:
+                raise ModelError(f"variable {self.names[at]!r} objective {objective[at]} "
+                                 f"is not finite")
+        self.objective = objective
 
     def evaluate_objective(self, values: Mapping[int, float]) -> float:
-        return sum(v.objective * values.get(v.id, 0.0) for v in self.variables)
+        get = values.get
+        return sum(c * get(vid, 0.0) for vid, c in enumerate(self.objective))
+
+
+def _first_non_finite(numbers: list[float]) -> int | None:
+    """The index of the first infinite or NaN number; None if there is none,
+    when a sum of finite numbers overflowed."""
+    return next((k for k, x in enumerate(numbers) if not math.isfinite(x)), None)
 
 
 @dataclass(frozen=True)
@@ -153,23 +220,27 @@ def check_solution(model: MilpModel, values: Mapping[int, float]) -> tuple[str, 
     no state from the solver.
     """
     problems: list[str] = []
-    for var in model.variables:
-        x = values.get(var.id, 0.0)
+    get = values.get
+    for vid, (name, lower, upper) in enumerate(zip(model.names, model.lower, model.upper)):
+        x = get(vid, 0.0)
         if not math.isfinite(x):
-            problems.append(f"variable {var.name} = {x} is not finite")
+            problems.append(f"variable {name} = {x} is not finite")
             continue
-        if x < var.lower - FEASIBILITY_TOL or x > var.upper + FEASIBILITY_TOL:
-            problems.append(f"variable {var.name} = {x} outside [{var.lower}, {var.upper}]")
+        if x < lower - FEASIBILITY_TOL or x > upper + FEASIBILITY_TOL:
+            problems.append(f"variable {name} = {x} outside [{lower}, {upper}]")
         if abs(x - round(x)) > INTEGRALITY_TOL:
-            problems.append(f"variable {var.name} = {x} violates integrality")
-    for con in model.constraints:
-        lhs = sum(coef * values.get(vid, 0.0) for vid, coef in con.terms)
+            problems.append(f"variable {name} = {x} violates integrality")
+    # one walk over the terms, row by row, summing in the order they were given
+    terms = zip(model.indices, model.coefs)
+    for name, relation, rhs, (start, end) in zip(model.row_names, model.relations, model.rhs,
+                                                 pairwise(model.indptr)):
+        lhs = sum(coef * get(vid, 0.0) for vid, coef in islice(terms, end - start))
         if not math.isfinite(lhs):
-            problems.append(f"constraint {con.name}: {lhs} is not finite")
-        elif con.relation == "<=" and lhs > con.rhs + FEASIBILITY_TOL:
-            problems.append(f"constraint {con.name}: {lhs} > {con.rhs}")
-        elif con.relation == ">=" and lhs < con.rhs - FEASIBILITY_TOL:
-            problems.append(f"constraint {con.name}: {lhs} < {con.rhs}")
-        elif con.relation == "=" and abs(lhs - con.rhs) > FEASIBILITY_TOL:
-            problems.append(f"constraint {con.name}: {lhs} != {con.rhs}")
+            problems.append(f"constraint {name}: {lhs} is not finite")
+        elif relation == "<=" and lhs > rhs + FEASIBILITY_TOL:
+            problems.append(f"constraint {name}: {lhs} > {rhs}")
+        elif relation == ">=" and lhs < rhs - FEASIBILITY_TOL:
+            problems.append(f"constraint {name}: {lhs} < {rhs}")
+        elif relation == "=" and abs(lhs - rhs) > FEASIBILITY_TOL:
+            problems.append(f"constraint {name}: {lhs} != {rhs}")
     return tuple(problems)

@@ -317,8 +317,8 @@ class _MilpPhases:
         staged = [(vec, self.options.gap, _PIN_EPS) for vec in stages]
         if self.options.exact():
             for level in (1, 2):
-                vec = {v.id: float(naming.tie_weight(v.name, level))
-                       for v in model.variables}
+                vec = {vid: float(naming.tie_weight(name, level))
+                       for vid, name in enumerate(model.names)}
                 staged.append((vec, 0.0, 0.5))
         sol = solve_milp(model, time_limit=self.options.time_limit, stages=staged)
         for idx, (stage, (_vec, stage_gap, _eps)) in enumerate(zip(sol.stages, staged)):

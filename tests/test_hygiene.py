@@ -1,8 +1,9 @@
 """Static hygiene checks over the source tree, in place of a linter: no
 function or class in the package that nothing refers to, no unused import
 in the package or the tests, no import of a third-party module other
-than numpy when the package loads, no process-wide tricks, and no
-``np.linalg`` in the simplex outside its periodic refactorization."""
+than numpy when the package loads, no process-wide tricks, no
+``np.linalg`` in the simplex outside its periodic refactorization, and no
+per-record read of a model inside the package."""
 
 import ast
 import sys
@@ -181,3 +182,15 @@ def test_simplex_factorizes_only_when_it_refactorizes():
         if uses and id(node) not in allowed:
             found.append(f"{path.relative_to(ROOT)}:{node.lineno}")
     assert not found, "np.linalg outside _Tableau.refactor:\n" + "\n".join(found)
+
+
+def test_package_reads_models_through_their_lists():
+    """Inside the package a model is read through its flat lists (``names``,
+    ``row_names``, ``indptr``, ...).  ``MilpModel.variables`` and
+    ``constraints`` build a record per column or row on every call, for
+    readers outside the package; ``terms`` belongs to those records."""
+    found = [f"{path.relative_to(ROOT)}:{node.lineno} .{node.attr}"
+             for path, tree in _modules(PACKAGE).items() for node in ast.walk(tree)
+             if isinstance(node, ast.Attribute)
+             and node.attr in ("variables", "constraints", "terms")]
+    assert not found, "per-record model reads:\n" + "\n".join(found)

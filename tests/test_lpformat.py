@@ -5,6 +5,7 @@ import pytest
 from scipy.optimize import milp as scipy_milp
 from scipy.optimize import Bounds, LinearConstraint
 
+from otnplan import planner
 from otnplan.cli import main
 from otnplan.formulation import build_logical_design, WORKING
 from otnplan.instance import bundled_instance_path
@@ -12,7 +13,8 @@ from otnplan.milp import (MilpModel, check_solution, emit_lp_file,
                           parse_solution_listing, solution_values_by_id,
                           solve_milp)
 from otnplan.milp.lpformat import _terms_text
-from otnplan.modes import SurvivabilityMode
+from otnplan.modes import Approach, SurvivabilityMode
+from otnplan.netmodel import generate_topology
 
 from conftest import make_instance
 
@@ -123,6 +125,47 @@ def test_bundled_12_node_lp_text_is_pinned(approach, size, digest, tmp_path, cap
     assert capsys.readouterr().out.startswith(size + "\n")
     (path,) = tmp_path.glob("*.lp")
     assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+
+
+
+@pytest.mark.parametrize("approach, mode, digests", [
+    (Approach.SEQUENTIAL, SurvivabilityMode.SINGLE_LAYER, (
+        "08b0c133dc08e2d6f9761ab820164de08c181187275638de2329b95e0abf2e73",
+        "73597fc5569533805774cd2552901f1baeb7a1eda0e8ba37b3bf65bc7cf7c0cb",
+        "19c6d01524d035229332710342f06c7a6c9b97f3e0fbe39fbc1132032ae1e2ab",
+        "e893af08fe9403c06c270cbe2ef9cbc246fd207bdd0e47fa24ac83a51286468a")),
+    (Approach.SEQUENTIAL, SurvivabilityMode.ML_INTERLAYER_BRS, (
+        "08b0c133dc08e2d6f9761ab820164de08c181187275638de2329b95e0abf2e73",
+        "73597fc5569533805774cd2552901f1baeb7a1eda0e8ba37b3bf65bc7cf7c0cb",
+        "4e2753f68fb3e5b197197109d85424f4fe5aa0361c588d3ede0a9a2e0aa29b57")),
+    (Approach.INTEGRATED, SurvivabilityMode.SINGLE_LAYER, (
+        "b019db8bcf413760498b9008844d4365ec0b60070b49ceda4912e2fc01672f9c",
+        "de2e2e76b42e57001475fe60b518923b90a01ab2478ec62e3ec4dd45554e1ba6")),
+    (Approach.INTEGRATED, SurvivabilityMode.ML_INTERLAYER_BRS, (
+        "b019db8bcf413760498b9008844d4365ec0b60070b49ceda4912e2fc01672f9c",
+        "4e2753f68fb3e5b197197109d85424f4fe5aa0361c588d3ede0a9a2e0aa29b57")),
+], ids=["sequential-single-layer", "sequential-ml-interlayer-brs",
+        "integrated-single-layer", "integrated-ml-interlayer-brs"])
+def test_phase_model_lp_text_is_pinned(approach, mode, digests, monkeypatch):
+    """Every model a gap-0 plan builds, protection and spare-carrier phases
+    included, is written byte for byte as before: the text is taken when
+    the builder returns, before the search appends cut and pin rows."""
+    texts = []
+
+    def recording(build):
+        def wrapper(*args, **kwargs):
+            model, varmap = build(*args, **kwargs)
+            texts.append(emit_lp_file(model))
+            return model, varmap
+        return wrapper
+
+    for name in ("build_logical_design", "build_lightpath_routing", "build_integrated"):
+        monkeypatch.setattr(planner, name, recording(getattr(planner, name)))
+    inst = make_instance(generate_topology(5, 2.5, seed=7),
+                         [(0, 2, 4), (1, 3, 6), (2, 4, 3.5)], mode, approach)
+    planner.plan(inst, planner.PlanOptions(gap=0.0, time_limit=60))
+    assert tuple(hashlib.sha256(text.encode("utf-8")).hexdigest()
+                 for text in texts) == digests
 
 
 class TestSolutionListing:

@@ -1,6 +1,7 @@
 import copy
 import itertools
 import math
+import re
 import time
 
 import numpy as np
@@ -11,8 +12,8 @@ from conftest import make_instance
 from otnplan import planner
 from otnplan.formulation import (PROTECTION, WORKING, ExclusionSets, ProtectionContext,
                                  build_logical_design)
-from otnplan.milp import (MilpModel, ModelError, branch_bound, check_solution, simplex,
-                          solve_milp)
+from otnplan.milp import (MilpModel, ModelError, branch_bound, check_solution, emit_lp_file,
+                          simplex, solve_milp)
 from otnplan.milp.simplex import simplex_solve
 from otnplan.modes import SurvivabilityMode
 
@@ -102,6 +103,90 @@ class TestSolveLp:
         ids = [m.add_variable(f"x{i}", objective=1.0) for i in range(3)]
         m.add_constraint("sum", ((vid, vid + 1) for vid in ids), "<=", 4)
         assert m.constraints[0].terms == ((0, 1.0), (1, 2.0), (2, 3.0))
+
+    def test_records_are_read_only(self):
+        m = MilpModel("records")
+        x = m.add_variable("x", objective=2.0)
+        m.add_constraint("cap", [(x, 3.0)], "<=", 2.0)
+        assert m.variables == ((x, "x", 0.0, 1.0, 2.0),)
+        assert m.constraints == (("cap", ((x, 3.0),), "<=", 2.0),)
+        with pytest.raises(AttributeError):
+            m.variables[x].upper = 0.0
+        with pytest.raises(AttributeError):
+            m.constraints[0].rhs = 0.0
+
+    def test_failed_row_leaves_the_model_as_it_was(self):
+        m = MilpModel("atomic")
+        x, y = m.add_variable("x", objective=1.0), m.add_variable("y")
+        m.add_constraint("first", [(x, 1.0), (y, 2.0)], ">=", 1.0)
+        before = (len(m.row_names), len(m.indices), emit_lp_file(m))
+        with pytest.raises(ModelError, match="undeclared variable id 5"):
+            m.add_constraint("broken", [(y, 1.0), (x, 3.0), (5, 1.0)], "<=", 1.0)
+        assert (len(m.row_names), len(m.indices), emit_lp_file(m)) == before
+        m.add_constraint("next", [(y, 4.0)], "<=", 3.0)
+        assert m.constraints[-1] == ("next", ((y, 4.0),), "<=", 3.0)
+        assert (m.indptr, m.indices, m.coefs) == ([0, 2, 3], [x, y, y], [1.0, 2.0, 4.0])
+
+    def test_dense_snapshot_adds_repeated_terms_in_order(self):
+        """The snapshot equals a loop that adds each stored term to its cell
+        in order, bit for bit, including the rows appended later."""
+        rng = np.random.default_rng(5)
+        m = MilpModel("repeats")
+        for j in range(6):
+            m.add_variable(f"x{j}")
+        for r in range(8):
+            m.add_constraint(f"r{r}", [(int(rng.integers(6)), float(rng.normal()))
+                                       for _ in range(int(rng.integers(0, 12)))], "<=", 1.0)
+        arrays = branch_bound._Arrays(m)
+        arrays.append(m, [("extra", [(1, 0.1), (1, 0.2), (4, -1.0), (1, 0.3)], 0.0)])
+        reference = np.zeros((len(m.row_names), len(m.names)))
+        for row, con in enumerate(m.constraints):
+            for vid, coef in con.terms:
+                reference[row, vid] += coef
+        assert arrays.A.tobytes() == reference.tobytes()
+        assert arrays.A[-1, 1] == 0.1 + 0.2 + 0.3
+
+    @pytest.mark.parametrize("objective", [math.nan, math.inf, -math.inf],
+                             ids=["nan", "inf", "-inf"])
+    def test_non_finite_objective_is_rejected(self, objective):
+        m = MilpModel("bad-objective")
+        with pytest.raises(ModelError, match=f"variable 'x' objective {objective} is not finite"):
+            m.add_variable("x", objective=objective)
+        assert not m.names
+        m.add_variable("x")  # the name was not taken
+
+    def test_non_finite_stage_objective_is_rejected(self):
+        m = MilpModel("bad-stage")
+        x, y = m.add_variable("x", objective=1.0), m.add_variable("y", objective=2.0)
+        m.add_constraint("one", [(x, 1.0), (y, 1.0)], ">=", 1.0)
+        with pytest.raises(ModelError, match="variable 'y' objective nan is not finite"):
+            m.set_objective({x: 1.0, y: math.nan})
+        assert m.objective == [1.0, 2.0]
+        with pytest.raises(ModelError, match="variable 'x' objective inf is not finite"):
+            solve_milp(m, stages=[({x: math.inf}, 0.0, 0.0)])
+
+    @pytest.mark.parametrize("terms, rhs, message", [
+        ([(0, math.inf)], 1.0, "coefficient inf of variable 'x' is not finite"),
+        ([(0, 1.0), (1, -math.inf)], 1.0, "coefficient -inf of variable 'y' is not finite"),
+        ([(1, 2.0), (0, math.nan)], 1.0, "coefficient nan of variable 'x' is not finite"),
+        ([(0, 1.0)], math.nan, "rhs nan is not finite"),
+        ([(0, 1.0), (1, 1.0)], math.inf, "rhs inf is not finite"),
+        ([], -math.inf, "rhs -inf is not finite"),
+    ], ids=["inf-coef", "-inf-coef", "nan-coef", "nan-rhs", "inf-rhs", "empty-row-rhs"])
+    def test_non_finite_row_is_rejected(self, terms, rhs, message):
+        m = MilpModel("bad-row")
+        x, y = m.add_variable("x", objective=1.0), m.add_variable("y")
+        m.add_constraint("good", [(x, 1.0)], ">=", 1.0)
+        with pytest.raises(ModelError, match=re.escape(f"constraint 'bad': {message}")):
+            m.add_constraint("bad", terms, ">=", rhs)
+        assert (m.row_names, m.indptr, m.indices, m.coefs) == (["good"], [0, 1], [x], [1.0])
+
+    def test_finite_numbers_whose_sum_overflows_are_kept(self):
+        m = MilpModel("huge")
+        x, y = m.add_variable("x"), m.add_variable("y")
+        m.add_constraint("big", [(x, 1e308), (y, 1e308)], "<=", 1e308)
+        m.set_objective({x: 1e308, y: 1e308})
+        assert m.coefs == [1e308, 1e308] and m.objective == [1e308, 1e308]
 
     def test_check_solution_reports_non_finite_value(self):
         m = MilpModel("nan")
@@ -818,12 +903,12 @@ class TestImpliedBoundCuts:
 
     def test_rows_that_imply_nothing(self):
         m = MilpModel("nothing")
-        x, y, z, off = (m.add_variable(name) for name in ("x", "y", "z", "off"))
+        x, y, z = (m.add_variable(name) for name in ("x", "y", "z"))
+        off = m.add_variable("off", upper=0.0)
         m.add_constraint("two-negative", [(x, 2.0), (y, -1.0), (z, -1.0)], "<=", 0.0)
         m.add_constraint("absorbed", [(x, 2.0), (y, -3.0)], "<=", 2.0)
         m.add_constraint("greater", [(y, 1.0), (x, -1.0)], ">=", 0.0)
         m.add_constraint("fixed-y", [(x, 1.0), (off, -1.0)], "<=", 0.0)
-        m.variables[off].upper = 0.0
         assert implied_pairs(m) == set()
         m.add_constraint("capacity", [(x, 2.0), (z, 1.0), (y, -3.0)], "<=", 1.0)
         assert implied_pairs(m) == {(x, y)}  # z = 1 fits with y = 0
