@@ -199,30 +199,30 @@ def build_logical_design(instance: ProblemInstance, plane: str,
     excluded: Mapping[int, frozenset[Node]] = (
         context.exclusions.lsp_nodes if plane == PROTECTION else {})
 
-    for (i, j) in pairs:
-        for q in qs:
-            vid = model.add_variable(naming.beta(plane, i, j, q), objective=c_lp)
-            beta[(i, j, q)] = vid
-            varmap.mpls_objective[vid] = c_lp
+    # one block of columns per family and entity; each block's id list is
+    # shared by the varmap and the objective
+    beta_keys = [(i, j, q) for (i, j) in pairs for q in qs]
+    ids = model.add_variables(naming.beta_block(plane, naming.suffixes(beta_keys)),
+                              objective=c_lp)
+    beta.update(zip(beta_keys, ids))
+    varmap.mpls_objective.update(dict.fromkeys(ids, c_lp))
 
-    # δ[k, i, j, q] is own[position[i, j, q]] in LSP k's list of δ ids, so
+    # δ[k, i, j, q] is own[position[i, j, q]] in LSP k's block of δ ids, so
     # the rows below index lists instead of hashing a key per term
-    position = {key: n for n, key in enumerate(
-        (i, j, q) for (i, j) in _ordered_pairs(nodes) for q in qs)}
+    hops = [(i, j, q) for (i, j) in _ordered_pairs(nodes) for q in qs]
+    position = {key: n for n, key in enumerate(hops)}
+    hop_suffixes = naming.suffixes(hops)
     lsp_deltas: list[tuple[LspDemand, float, list[int]]] = []
     for lsp in lsps:
-        nex = excluded.get(lsp.id, frozenset())
+        k = lsp.id
+        nex = excluded.get(k, frozenset())
         b = float(lsp.bandwidth)
         transit = c_tt * b
-        own: list[int] = []
-        for (i, j, q) in position:
-            blocked = i in nex or j in nex
-            vid = model.add_variable(naming.delta(plane, lsp.id, i, j, q),
-                                     upper=0.0 if blocked else 1.0,
-                                     objective=transit)
-            delta[(lsp.id, i, j, q)] = vid
-            varmap.mpls_objective[vid] = transit
-            own.append(vid)
+        upper = [0.0 if i in nex or j in nex else 1.0 for (i, j, _q) in hops] if nex else 1.0
+        own = model.add_variables(naming.delta_block(plane, k, hop_suffixes),
+                                  upper=upper, objective=transit)
+        delta.update(zip([(k, i, j, q) for (i, j, q) in hops], own))
+        varmap.mpls_objective.update(dict.fromkeys(own, transit))
         lsp_deltas.append((lsp, b, own))
 
     # flow conservation, eq (9) working / eq (10) protection
@@ -319,16 +319,16 @@ def build_lightpath_routing(lightpaths: Sequence[Lightpath],
     nodemap = exclusions.lightpath_nodes
     linkmap = exclusions.lightpath_links
 
+    arc_suffixes = naming.suffixes(arcs)
     for lp in lightpaths:
         ex_nodes = nodemap.get(lp.id, frozenset())
         ex_links = linkmap.get(lp.id, frozenset())
-        for (m, n) in arcs:
-            blocked = m in ex_nodes or n in ex_nodes or normalize_link(m, n) in ex_links
-            vid = model.add_variable(naming.lam(plane, lp.id, m, n),
-                                     upper=0.0 if blocked else 1.0,
-                                     objective=c_wl)
-            lam[(lp.id, m, n)] = vid
-            varmap.optical_objective[vid] = c_wl
+        upper = [0.0 if m in ex_nodes or n in ex_nodes or normalize_link(m, n) in ex_links
+                 else 1.0 for (m, n) in arcs] if ex_nodes or ex_links else 1.0
+        ids = model.add_variables(naming.lam_block(plane, lp.id, arc_suffixes),
+                                  upper=upper, objective=c_wl)
+        lam.update(zip([(lp.id, m, n) for (m, n) in arcs], ids))
+        varmap.optical_objective.update(dict.fromkeys(ids, c_wl))
 
         for n in sorted(topology.nodes):
             if n in ex_nodes:
@@ -385,13 +385,13 @@ def build_integrated(instance: ProblemInstance, plane: str,
 
     beta, delta, lam = varmap.beta, varmap.delta, varmap.lam
 
+    arc_suffixes = naming.suffixes(arcs)
     for (i, j) in pairs:
         for q in qs:
-            for (m, n) in arcs:
-                vid = model.add_variable(naming.lam_integrated(plane, i, j, q, m, n),
-                                         objective=c_wl)
-                lam[(i, j, q, m, n)] = vid
-                varmap.optical_objective[vid] = c_wl
+            ids = model.add_variables(
+                naming.lam_integrated_block(plane, i, j, q, arc_suffixes), objective=c_wl)
+            lam.update(zip([(i, j, q, m, n) for (m, n) in arcs], ids))
+            varmap.optical_objective.update(dict.fromkeys(ids, c_wl))
 
     # eq (18): lightpath-level flow conservation tied to the existence binary
     for (i, j) in pairs:

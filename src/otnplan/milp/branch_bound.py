@@ -95,7 +95,7 @@ class _Arrays:
         negative = self.A < 0
         rows = np.nonzero((negative.sum(axis=1) == 1)
                           & np.array([rel == "<=" for rel in self.relations], bool))[0]
-        y = np.argmax(negative[rows], axis=1)
+        y = negative[rows].argmax(axis=1)
         unit = (self.lo == 0.0) & (self.hi == 1.0)
         keep = unit[y]
         rows, y = rows[keep], y[keep]
@@ -156,14 +156,15 @@ class _Search:
         integral root violates no cut, as it meets the row each cut is
         derived from."""
         iterations = 0
-        if res.status != "optimal" or (np.abs(res.x - np.round(res.x)) <= INTEGRALITY_TOL).all():
+        if res.status != "optimal" or np.count_nonzero(
+                np.abs(res.x - np.round(res.x)) <= INTEGRALITY_TOL) == res.x.size:
             return res, iterations
         if self.pairs is None:
             self.pairs = self.arrays.implied_bounds()
         model, arrays = self.model, self.arrays
         while res.status == "optimal" and self.pairs.size:
             cut = res.x[self.pairs[:, 0]] - res.x[self.pairs[:, 1]] > INTEGRALITY_TOL
-            if not cut.any():
+            if not np.count_nonzero(cut):
                 break
             arrays.append(model, [(f"imply[{model.var_name(x)}<={model.var_name(y)}]",
                                    [(x, 1.0), (y, -1.0)], 0.0)
@@ -263,7 +264,7 @@ class _Search:
                     continue
 
             scores = np.minimum(frac, 1.0 - frac)
-            pick = int(np.argmax(scores >= scores.max() - _TIE_TOL))
+            pick = int((scores >= scores.max() - _TIE_TOL).argmax())
             for fix in (0.0, 1.0):
                 lo2, hi2 = lo.copy(), hi.copy()
                 lo2[pick] = hi2[pick] = fix

@@ -3,9 +3,11 @@
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from itertools import islice, pairwise
-from typing import Iterable, Mapping, NamedTuple
+from numbers import Real
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 __all__ = [
     "ModelError",
@@ -92,24 +94,41 @@ class MilpModel:
                      for name, relation, rhs, (start, end) in zip(
                          self.row_names, self.relations, self.rhs, pairwise(self.indptr)))
 
-    def add_variable(self, name: str, lower: float = 0.0, upper: float = 1.0,
-                     objective: float = 0.0) -> int:
-        if name in self._ids:
-            raise ModelError(f"duplicate variable name {name!r}")
-        # false for a NaN bound too
-        if not 0 <= lower <= upper <= 1:
-            raise ModelError(f"variable {name!r} bounds [{lower}, {upper}] must lie "
-                             f"inside [0, 1] with lower <= upper")
-        objective = float(objective)
-        if not math.isfinite(objective):
-            raise ModelError(f"variable {name!r} objective {objective} is not finite")
-        vid = len(self.names)
-        self.names.append(name)
-        self.lower.append(float(lower))
-        self.upper.append(float(upper))
-        self.objective.append(objective)
-        self._ids[name] = vid
-        return vid
+    def add_variables(self, names: Sequence[str], lower: float | Sequence[float] = 0.0,
+                      upper: float | Sequence[float] = 1.0,
+                      objective: float | Sequence[float] = 0.0) -> list[int]:
+        """Append a block of columns, one per name, and return their ids.
+        ``lower``, ``upper`` and ``objective`` each give one number for the
+        whole block or one per column.  A block that fails a check leaves
+        the model as it was."""
+        n = len(names)
+        lower, upper, objective = (_per_column(x, n) for x in (lower, upper, objective))
+        # a NaN or infinite bound makes the sum non-finite
+        if n and not (math.isfinite(sum(lower) + sum(upper)) and min(lower) >= 0
+                      and max(upper) <= 1 and all(map(operator.le, lower, upper))):
+            at = next(k for k, (lo, hi) in enumerate(zip(lower, upper))
+                      if not 0 <= lo <= hi <= 1)
+            raise ModelError(f"variable {names[at]!r} bounds [{lower[at]}, {upper[at]}] "
+                             f"must lie inside [0, 1] with lower <= upper")
+        if not math.isfinite(sum(objective)):
+            at = _first_non_finite(objective)
+            if at is not None:
+                raise ModelError(f"variable {names[at]!r} objective {objective[at]} "
+                                 f"is not finite")
+        first = len(self.names)
+        ids = list(range(first, first + n))
+        try:
+            self._ids.update(zip(names, ids))
+            if len(self._ids) != first + n:
+                raise ModelError(f"duplicate variable name {_repeat(self.names, names)!r}")
+        except BaseException:
+            self._ids = dict(zip(self.names, range(first)))
+            raise
+        self.names += names
+        self.lower += lower
+        self.upper += upper
+        self.objective += objective
+        return ids
 
     def add_constraint(self, name: str, terms: Iterable[tuple[int, float]],
                        relation: str, rhs: float) -> None:
@@ -170,6 +189,27 @@ class MilpModel:
     def evaluate_objective(self, values: Mapping[int, float]) -> float:
         get = values.get
         return sum(c * get(vid, 0.0) for vid, c in enumerate(self.objective))
+
+
+def _per_column(value: float | Sequence[float], n: int) -> list[float]:
+    """One float per column of an ``n``-column block, from one number for
+    them all or one per column."""
+    if isinstance(value, Real):
+        return [float(value)] * n
+    column = list(map(float, value))
+    if len(column) != n:
+        raise ModelError(f"{len(column)} numbers given for a block of {n} columns")
+    return column
+
+
+def _repeat(known: list[str], names: Sequence[str]) -> str | None:
+    """The first of ``names`` that is in ``known`` or earlier in ``names``."""
+    seen = set(known)
+    for name in names:
+        if name in seen:
+            return name
+        seen.add(name)
+    return None
 
 
 def _first_non_finite(numbers: list[float]) -> int | None:

@@ -167,8 +167,13 @@ class _Tableau:
         self.movable = (self.hi - self.lo) > _PIV_TOL
         # +1 at the lower bound, -1 at the upper one, 0 basic or fixed
         self.sign = np.where(self.movable, _SIGN[self.status], 0.0)
-        self.value = np.where(self.status == _AT_LOWER, self.lo,
-                              np.where(self.status == _AT_UPPER, self.hi, 0.0))
+        # each nonbasic at its bound; a basic's entry is unused until
+        # ``refresh_basics`` sets it
+        self.value = np.where(self.status == _AT_UPPER, self.hi, self.lo)
+        # the bounds and values of the basics in row order, kept by each pivot
+        self.lob = self.lo[self.basis]
+        self.hib = self.hi[self.basis]
+        self.xb = np.empty(0)
         self.Binv = start.inverse.copy()
         self.since_refactor = start.since_refactor
         self.d = np.empty(0)  # the dual simplex's reduced costs
@@ -185,7 +190,8 @@ class _Tableau:
 
     def refresh_basics(self) -> None:
         self.value[self.basis] = 0.0
-        self.value[self.basis] = self.Binv @ (self.b - self.A @ self.value)
+        self.xb = self.Binv @ (self.b - self.A @ self.value)
+        self.value[self.basis] = self.xb
 
     def reduced_costs(self, c: np.ndarray) -> np.ndarray:
         return c - (c[self.basis] @ self.Binv) @ self.A
@@ -201,17 +207,21 @@ class _Tableau:
 
     def pivot(self, row: int, entering: int, w: np.ndarray) -> None:
         """Make ``entering`` basic in ``row``; ``w`` is Binv times its column.
-        The caller moves the values and rests the leaving variable."""
+        The caller moves the values, the entering one included, and rests
+        the leaving variable."""
         self.basis[row] = entering
         self.status[entering] = _BASIC
         self.sign[entering] = 0.0
+        self.lob[row] = self.lo[entering]
+        self.hib[row] = self.hi[entering]
+        self.xb[row] = self.value[entering]
         self.pivots += 1
         self.since_refactor += 1
         if self.since_refactor >= _REFACTOR_EVERY:
             self.refactor()
             return
         pivot_row = self.Binv[row] / w[row]
-        self.Binv -= np.outer(w, pivot_row)
+        self.Binv -= w[:, None] * pivot_row
         self.Binv[row] = pivot_row
 
     def solve(self, c: np.ndarray) -> str:
@@ -239,7 +249,7 @@ class _Tableau:
             # the objective's rate along each nonbasic's allowed direction
             rate = self.sign * reduced
             eligible = rate < -_RC_TOL
-            if not eligible.any():
+            if not np.count_nonzero(eligible):
                 self.refresh_basics()
                 return "optimal"
             if self.pivots >= _MAX_ITERATIONS:
@@ -248,15 +258,15 @@ class _Tableau:
                 return "time-limit"
             # Bland: the lowest eligible index; Dantzig: the steepest rate,
             # lowest index first
-            entering = int(np.argmax(eligible) if bland else np.argmin(rate))
+            entering = int(eligible.argmax() if bland else rate.argmin())
             direction = int(self.sign[entering])
 
             w = self.Binv @ self.A[:, entering]
             delta = -direction * w  # basics move by +t*delta
-            vb = self.value[self.basis]
+            vb = self.xb
             ratios = np.maximum(np.where(
-                delta > _PIV_TOL, (self.hi[self.basis] - vb) / delta,
-                np.where(delta < -_PIV_TOL, (self.lo[self.basis] - vb) / delta, math.inf)), 0.0)
+                delta > _PIV_TOL, (self.hib - vb) / delta,
+                np.where(delta < -_PIV_TOL, (self.lob - vb) / delta, math.inf)), 0.0)
             ratios = np.where(np.isnan(ratios), math.inf, ratios)
             span = self.hi[entering] - self.lo[entering]
             t_basic = float(ratios.min()) if self.m else math.inf
@@ -274,23 +284,23 @@ class _Tableau:
             if math.isfinite(span) and span <= t_basic + _PIV_TOL:
                 # bound flip: entering runs to its opposite bound, basis unchanged
                 self.pivots += 1
-                self.value[self.basis] = vb + span * delta
+                self.xb += span * delta
                 self.rest(entering, upper=direction > 0)
                 continue
 
             candidates = np.nonzero(ratios <= t_best + _PIV_TOL)[0]
             # deterministic: among blocking rows pick the lowest variable index
-            block_pos = int(candidates[np.argmin(self.basis[candidates])])
+            block_pos = int(candidates[self.basis[candidates].argmin()])
             leaving = int(self.basis[block_pos])
-            self.value[self.basis] = vb + t_best * delta
+            self.xb += t_best * delta
             self.value[entering] += direction * t_best
             self.rest(leaving, upper=delta[block_pos] > 0)
             self.pivot(block_pos, entering, w)
 
     def primal_feasible(self) -> bool:
-        vb = self.value[self.basis]
-        violation = np.maximum(self.lo[self.basis] - vb, vb - self.hi[self.basis])
-        return bool(np.all(violation <= _PRIMAL_TOL))
+        violation = np.maximum(self.lob - self.xb, self.xb - self.hib)
+        # a NaN violation is not within the tolerance
+        return np.count_nonzero(violation <= _PRIMAL_TOL) == violation.size
 
     def dual_feasible_costs(self, c: np.ndarray) -> np.ndarray:
         """c with the cost of each movable nonbasic whose reduced cost has
@@ -323,9 +333,9 @@ class _Tableau:
         bland = False
         self.d = self.reduced_costs(c)
         while True:
-            vb = self.value[self.basis]
-            below = self.lo[self.basis] - vb
-            above = vb - self.hi[self.basis]
+            vb = self.xb
+            below = self.lob - vb
+            above = vb - self.hib
             violation = np.maximum(below, above)
             violated = np.nonzero(violation > _PRIMAL_TOL)[0]
             if not violated.size:
@@ -335,9 +345,9 @@ class _Tableau:
             if self.out_of_time():
                 return "time-limit"
             if bland:
-                row = int(violated[np.argmin(self.basis[violated])])
+                row = int(violated[self.basis[violated].argmin()])
             else:
-                row = int(np.argmax(violation))  # first max = lowest row position
+                row = int(violation.argmax())  # first max = lowest row position
             rise = below[row] > 0  # the leaving basic goes up to its lower bound
 
             alpha = self.Binv[row] @ self.A
@@ -348,24 +358,24 @@ class _Tableau:
             # reduced cost is from changing sign
             reach = self.sign * a
             slack = self.sign * self.d
-            if not (reach > _PIV_TOL).any():
+            if not np.count_nonzero(reach > _PIV_TOL):
                 self.certificate = tuple(
                     int(i) for i in np.nonzero(np.abs(self.Binv[row]) > _PIV_TOL)[0])
                 return "infeasible"
             eligible = reach > _DUAL_PIV_TOL
-            usable = bool(eligible.any())
+            usable = np.count_nonzero(eligible) > 0
             if usable:
                 if bland:
                     # lowest index among the minimal ratios
                     ratio = np.where(eligible, np.maximum(slack, 0.0) / reach, math.inf)
-                    entering = int(np.argmax(ratio <= ratio.min() + _PIV_TOL))
+                    entering = int((ratio <= ratio.min() + _PIV_TOL).argmax())
                 else:
                     # Harris: among near-minimal ratios take the largest
                     # pivot, lowest index
-                    theta_max = float(np.min(np.where(eligible, (slack + _DUAL_TOL) / reach,
-                                                      math.inf)))
+                    theta_max = float(np.where(eligible, (slack + _DUAL_TOL) / reach,
+                                               math.inf).min())
                     within = eligible & (slack / reach <= theta_max)
-                    entering = int(np.argmax(np.where(within, reach, -1.0)))
+                    entering = int(np.where(within, reach, -1.0).argmax())
                 theta = max(float(slack[entering]), 0.0) / reach[entering]
                 w = self.Binv @ self.A[:, entering]
             if not usable or abs(w[row]) <= _PIV_TOL:
@@ -386,7 +396,7 @@ class _Tableau:
             leaving = int(self.basis[row])
             bound = self.lo[leaving] if rise else self.hi[leaving]
             step = (vb[row] - bound) / w[row]
-            self.value[self.basis] = vb - step * w
+            self.xb -= step * w
             self.value[entering] += step
             self.rest(leaving, upper=not rise)
             # the pivot row prices the basis change

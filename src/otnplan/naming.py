@@ -15,6 +15,11 @@ joined by underscores:
 * ``lam_integrated(plane, i, j, q, m, n)`` -> ``plam_i_j_q_m_n``: the same
   in the integrated model, where the lightpath is known by its (i, j, q).
 
+Builders name a block of columns at once: ``delta_block(plane, k,
+suffixes)`` joins the prefix ``pdelta_k`` to each suffix ``_i_j_q`` of
+``suffixes(keys)``, which a model computes once, and so on for each family.
+The strings are those of the one-name functions above.
+
 The names are a public contract: LP exports, audit dumps and the
 brute-force oracle all identify decision entities by these strings.  The
 tie-break weights turn "any optimum" into "one well-defined optimum": after a
@@ -27,6 +32,7 @@ oracle resolve ties identically.
 from __future__ import annotations
 
 import hashlib
+from typing import Iterable, Sequence
 
 WORKING = "working"
 PROTECTION = "protection"
@@ -49,6 +55,36 @@ def lam(plane: str, lp: int, m: int, n: int) -> str:
 
 def lam_integrated(plane: str, i: int, j: int, q: int, m: int, n: int) -> str:
     return f"{_LETTER[plane]}lam_{i}_{j}_{q}_{m}_{n}"
+
+
+def suffixes(keys: Iterable[tuple[int, ...]]) -> list[str]:
+    """The index part of each key's names: ``"_3_4_1"`` for (3, 4, 1)."""
+    return ["".join([f"_{x}" for x in key]) for key in keys]
+
+
+def beta_block(plane: str, suffixes: Sequence[str]) -> list[str]:
+    """``beta(plane, i, j, q)`` for each suffix of (i, j, q)."""
+    return _block(f"{_LETTER[plane]}beta", suffixes)
+
+
+def delta_block(plane: str, k: int, suffixes: Sequence[str]) -> list[str]:
+    """``delta(plane, k, i, j, q)`` for each suffix of (i, j, q)."""
+    return _block(f"{_LETTER[plane]}delta_{k}", suffixes)
+
+
+def lam_block(plane: str, lp: int, suffixes: Sequence[str]) -> list[str]:
+    """``lam(plane, lp, m, n)`` for each suffix of (m, n)."""
+    return _block(f"{_LETTER[plane]}lam_{lp}", suffixes)
+
+
+def lam_integrated_block(plane: str, i: int, j: int, q: int,
+                         suffixes: Sequence[str]) -> list[str]:
+    """``lam_integrated(plane, i, j, q, m, n)`` for each suffix of (m, n)."""
+    return _block(f"{_LETTER[plane]}lam_{i}_{j}_{q}", suffixes)
+
+
+def _block(prefix: str, suffixes: Sequence[str]) -> list[str]:
+    return list(map(prefix.__add__, suffixes))
 
 
 def tie_weight(name: str, level: int = 1) -> int:

@@ -14,10 +14,13 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
+
+from .milp.model import FEASIBILITY_TOL
 
 Node = int
 Link = tuple[Node, Node]
@@ -183,12 +186,17 @@ class SystemParams:
         if T is None:
             if n_nodes is None:
                 raise ValueError("either T or n_nodes is required")
+            if n_nodes < 2:
+                raise ValueError(f"T defaults to 2·Q·(N−1), which needs at least 2 nodes; "
+                                 f"the instance has {n_nodes} and gives no T")
             T = default_interface_limit(n_nodes, self.Q)
         object.__setattr__(self, "T", _whole_number("T", T))
         if self.Q not in (1, 2):
             raise ValueError(f"Q must be 1 or 2, got {self.Q}")
-        if self.C <= 0 or self.T <= 0:
-            raise ValueError("C and T must be positive")
+        if self.C <= 0:
+            raise ValueError(f"C must be positive, got {self.C}")
+        if self.T <= 0:
+            raise ValueError(f"T must be positive, got {self.T}")
 
 
 @dataclass(frozen=True)
@@ -232,11 +240,21 @@ def derive_unit_costs(ratios: CostRatios, C) -> UnitCosts:
     cap = as_gbps(C, "C")
     if cap <= 0:
         raise ValueError("C must be positive")
-    return UnitCosts(
+    unit = UnitCosts(
         c_lp=2 * (ratios.c_p_ip + ratios.c_p_oxc),
         c_wl=2 * (ratios.c_p_oxc + ratios.c_tr),
         c_tt=ratios.c_p_ip / cap,
     )
+    # the solver works in floats
+    for name in ("c_lp", "c_wl", "c_tt"):
+        try:
+            finite = math.isfinite(float(getattr(unit, name)))
+        except OverflowError:
+            finite = False
+        if not finite:
+            raise ValueError(f"unit cost {name} derived from the cost ratio is too large "
+                             f"for a float; scale the cost ratio down")
+    return unit
 
 
 @dataclass(frozen=True)
@@ -345,7 +363,9 @@ def split_demands(demands: Iterable, C,
     LspDemand objects; anything else raises ValueError naming the demand's
     index.  Bandwidth is conserved exactly.  When at most ``max_lightpaths``
     lightpaths can end at a node, a demand above ``max_lightpaths``·C can
-    never be carried, and it is rejected before it is split.
+    never be carried, and it is rejected before it is split.  So is a
+    demand within the solver's feasibility tolerance, which a capacity row
+    b·δ <= C·β holds with no lightpath open.
     """
     cap = as_gbps(C, "C")
     if cap <= 0:
@@ -367,6 +387,10 @@ def split_demands(demands: Iterable, C,
         bw = as_gbps(b, f"demand {index} bandwidth")
         if bw <= 0:
             raise ValueError(f"demand ({s},{d}) has non-positive bandwidth")
+        if float(bw) <= FEASIBILITY_TOL:
+            raise ValueError(f"demand {index} ({s},{d}) of {b} Gbps is within the solver's "
+                             f"feasibility tolerance {FEASIBILITY_TOL}: its capacity rows "
+                             f"would hold with no lightpath open")
         if max_lightpaths is not None and bw > max_lightpaths * cap:
             raise ValueError(f"demand {index} ({s},{d}) of {b} Gbps exceeds "
                              f"{max_lightpaths * cap} Gbps: at most {max_lightpaths} "

@@ -355,6 +355,13 @@ class _MilpPhases:
         walks = _decode_walks(varmap.delta, values,
                               {lsp.id: (lsp.source, lsp.destination) for lsp in lsps},
                               limit, f"decode-{plane}")
+        opened = set(pairs)
+        for k, (_path, hop) in walks.items():
+            for i, j, q in hop:
+                if (i, j, q) not in opened:
+                    # a row met only within the feasibility tolerance
+                    raise PlanError(f"decode-{plane}", f"LSP {k} crosses lightpath "
+                                                       f"({i},{j},q={q}), which is not open")
         hops = {k: hop for k, (_path, hop) in walks.items()}
         nodes = {k: path for k, (path, _hop) in walks.items()}
         pair_routes = {}

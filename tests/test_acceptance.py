@@ -194,7 +194,7 @@ def test_criterion_8_solver_soundness():
         c = np.round(rng.uniform(-5, 5, n), 1)
         rels = rng.choice(["<=", ">=", "="], rows, p=[0.6, 0.3, 0.1])
         model = MilpModel(f"rand{trial}")
-        ids = [model.add_variable(f"v{i}", objective=c[i]) for i in range(n)]
+        ids = model.add_variables([f"v{i}" for i in range(n)], objective=c)
         for i in range(rows):
             model.add_constraint(f"c{i}", [(ids[j], A[i, j]) for j in range(n)],
                                  rels[i], b[i])

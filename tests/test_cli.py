@@ -201,6 +201,31 @@ class TestPlanCommand:
         assert f"cannot load instance: {message}\n" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("edit, message", [
+        (lambda d: d["demands"][0].update(b=1e-6),
+         "demand 0 (0,2) of 1e-06 Gbps is within the solver's feasibility tolerance 1e-06: "
+         "its capacity rows would hold with no lightpath open"),
+        (lambda d: d["demands"][0].update(b=1e-7),
+         "demand 0 (0,2) of 1e-07 Gbps is within the solver's feasibility tolerance 1e-06: "
+         "its capacity rows would hold with no lightpath open"),
+        (lambda d: d.update(cost_ratio={"c_TR": 1e308, "c_P_IP": 1e308, "c_P_OXC": 1e308}),
+         "unit cost c_lp derived from the cost ratio is too large for a float; "
+         "scale the cost ratio down"),
+        (lambda d: d.update(nodes=[0], links=[], demands=[], params={"C": 10, "Q": 1}),
+         "T defaults to 2·Q·(N−1), which needs at least 2 nodes; the instance has 1 "
+         "and gives no T"),
+    ], ids=["b-1e-6", "b-1e-7", "cost-ratio-1e308", "one-node-no-T"])
+    def test_value_the_solver_cannot_hold_exits_2(self, edit, message, ring_instance_file,
+                                                  tmp_path, capsys):
+        data = json.loads(ring_instance_file.read_text())
+        edit(data)
+        ring_instance_file.write_text(json.dumps(data))
+        assert main(["plan", "--instance", str(ring_instance_file),
+                     "--output-dir", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert f"cannot load instance: {message}\n" in err
+        assert "Traceback" not in err
+
     @pytest.mark.parametrize("command", [["plan"], ["plan", "--emit-lp"], ["oracle"]],
                              ids=["plan", "emit-lp", "oracle"])
     def test_demand_no_node_can_take_exits_2(self, command, ring_instance_file,

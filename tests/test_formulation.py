@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from otnplan import planner
+from otnplan import naming, planner
 from otnplan.formulation import (PROTECTION, WORKING, ExclusionSets, Lightpath,
                                  ProblemInstance, ProtectionContext, audit_model,
                                  backup_exclusions, build_integrated,
@@ -14,7 +14,8 @@ from otnplan.formulation import (PROTECTION, WORKING, ExclusionSets, Lightpath,
 from otnplan.instance import bundled_instance_path, load_instance
 from otnplan.milp import check_solution, solve_milp
 from otnplan.modes import Approach, SurvivabilityMode
-from otnplan.netmodel import PhysicalTopology, SystemParams, split_demands
+from otnplan.netmodel import (PhysicalTopology, SystemParams, generate_topology,
+                              split_demands)
 from otnplan.planner import PlanError, PlanOptions, plan
 
 from conftest import UNIT_CR1, make_instance
@@ -324,3 +325,37 @@ def test_bundled_12_node_model_stays_small():
         tracemalloc.stop()
     assert (len(model.names), len(model.row_names)) == (33396, 1656)
     assert held < 10e6
+
+
+@pytest.mark.parametrize("mode, approach", [
+    (SurvivabilityMode.ML_INTERLAYER_BRS, Approach.SEQUENTIAL),
+    (SurvivabilityMode.SINGLE_LAYER, Approach.INTEGRATED)], ids=["sequential", "integrated"])
+def test_block_names_are_those_of_the_naming_functions(mode, approach, monkeypatch):
+    """Every column of every model that a five-node plan builds carries the
+    name that the one-name function of ``naming`` gives its varmap key."""
+    built = []
+
+    def recording(builder):
+        def wrapper(*args, **kwargs):
+            model, varmap = builder(*args, **kwargs)
+            plane = PROTECTION if model.name.endswith(PROTECTION) else WORKING
+            expected = {vid: naming.beta(plane, *key) for key, vid in varmap.beta.items()}
+            expected.update((vid, naming.delta(plane, *key))
+                            for key, vid in varmap.delta.items())
+            expected.update((vid, (naming.lam if len(key) == 3 else naming.lam_integrated)(
+                plane, *key)) for key, vid in varmap.lam.items())
+            assert sorted(expected) == list(range(len(model.names)))
+            assert [expected[vid] for vid in range(len(model.names))] == model.names
+            built.append(model)
+            return model, varmap
+        return wrapper
+
+    for name in ("build_logical_design", "build_lightpath_routing", "build_integrated"):
+        monkeypatch.setattr(planner, name, recording(getattr(planner, name)))
+    inst = make_instance(generate_topology(5, 2.5, seed=7),
+                         [(0, 2, 4), (1, 3, 6), (2, 4, 3.5)], mode, approach, q=2)
+    plan(inst, PlanOptions(gap=0.0, time_limit=60))
+    assert {model.name.endswith(PROTECTION) for model in built} == {False, True}
+    if approach is Approach.SEQUENTIAL:
+        # the exclusions fixed some columns of a protection block to 0
+        assert any(0.0 in model.upper for model in built)

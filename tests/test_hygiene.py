@@ -2,8 +2,9 @@
 function or class in the package that nothing refers to, no unused import
 in the package or the tests, no import of a third-party module other
 than numpy when the package loads, no process-wide tricks, no
-``np.linalg`` in the simplex outside its periodic refactorization, and no
-per-record read of a model inside the package."""
+``np.linalg`` in the simplex outside its periodic refactorization, no
+per-record read of a model inside the package, and no per-column call in
+the model builders."""
 
 import ast
 import sys
@@ -194,3 +195,16 @@ def test_package_reads_models_through_their_lists():
              if isinstance(node, ast.Attribute)
              and node.attr in ("variables", "constraints", "terms")]
     assert not found, "per-record model reads:\n" + "\n".join(found)
+
+
+def test_builders_add_columns_in_blocks():
+    """``formulation.py`` adds a family's columns one block per entity with
+    ``MilpModel.add_variables`` and names them with the block helpers of
+    ``naming``: no call adds or names one column at a time."""
+    path = PACKAGE / "formulation.py"
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    per_column = {"add_variable", "beta", "delta", "lam", "lam_integrated"}
+    found = [f"{path.relative_to(ROOT)}:{node.lineno} {node.func.attr}"
+             for node in ast.walk(tree) if isinstance(node, ast.Call)
+             and isinstance(node.func, ast.Attribute) and node.func.attr in per_column]
+    assert not found, "per-column calls in the builders:\n" + "\n".join(found)

@@ -21,7 +21,7 @@ from conftest import make_instance
 
 def simple_model():
     m = MilpModel("simple")
-    x = m.add_variable("x", objective=1.0)
+    x = m.add_variables(["x"], objective=1.0)[0]
     m.add_constraint("need", [(x, 1.0)], ">=", 1.0)
     return m
 
@@ -35,7 +35,7 @@ class TestEmitLpFile:
 
     def test_empty_objective_dummy_convention(self):
         m = MilpModel("no-objective")
-        x = m.add_variable("x")
+        x = m.add_variables(["x"])[0]
         m.add_constraint("c", [(x, 1.0)], "<=", 1.0)
         text = emit_lp_file(m)
         assert "obj: 0 x_dummy" in text
@@ -43,9 +43,7 @@ class TestEmitLpFile:
 
     def test_bounds_lines_only_for_tightened_binaries(self):
         m = MilpModel("bounds")
-        m.add_variable("a", upper=0.0, objective=1.0)
-        m.add_variable("b", lower=1.0, objective=1.0)
-        m.add_variable("c", objective=1.0)
+        m.add_variables(["a", "b", "c"], [0.0, 1.0, 0.0], [0.0, 1.0, 1.0], objective=1.0)
         text = emit_lp_file(m)
         assert text.endswith("Bounds\n 0 <= a <= 0\n 1 <= b <= 1\nBinary\n a\n b\n c\nEnd\n")
 

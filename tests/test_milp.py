@@ -41,7 +41,7 @@ def highs(A, rels, b, c, lo, hi):
 class TestSolveLp:
     def test_simple_bound(self):
         m = MilpModel("min-x")
-        x = m.add_variable("x", objective=3.0)
+        x = m.add_variables(["x"], objective=3.0)[0]
         m.add_constraint("floor", [(x, 2.0)], ">=", 1.0)
         sol = solve_milp(m)
         assert sol.status == "optimal"
@@ -50,7 +50,7 @@ class TestSolveLp:
 
     def test_infeasible(self):
         m = MilpModel("infeasible")
-        x = m.add_variable("x", objective=1.0)
+        x = m.add_variables(["x"], objective=1.0)[0]
         m.add_constraint("ge", [(x, 1.0)], ">=", 1.0)
         m.add_constraint("le", [(x, 1.0)], "<=", 0.0)
         sol = solve_milp(m)
@@ -60,9 +60,7 @@ class TestSolveLp:
     def test_no_rows(self):
         # bounds alone: each variable sits at the bound its cost prefers
         m = MilpModel("bounds-only")
-        for name, lo, hi, cost in (("a", 0, 1, 1.0), ("b", 0, 1, -1.0),
-                                   ("c", 1, 1, 0.0)):
-            m.add_variable(name, lo, hi, objective=cost)
+        m.add_variables(["a", "b", "c"], [0, 0, 1], [1, 1, 1], [1.0, -1.0, 0.0])
         sol = solve_milp(m)
         assert sol.status == "optimal"
         assert [sol.value(v) for v in range(3)] == [0.0, 1.0, 1.0]
@@ -76,37 +74,37 @@ class TestSolveLp:
     def test_bounds_outside_the_unit_box_are_rejected(self, lower, upper):
         m = MilpModel("bad-bounds")
         with pytest.raises(ModelError, match="must lie inside"):
-            m.add_variable("x", lower, upper)
+            m.add_variables(["x"], lower, upper)
         assert not m.variables
-        m.add_variable("x")  # the name was not taken
+        m.add_variables(["x"])  # the name was not taken
 
     def test_undeclared_variable_rejected(self):
         m = MilpModel("broken")
-        m.add_variable("x", objective=1.0)
+        m.add_variables(["x"], objective=1.0)
         with pytest.raises(ModelError):
             m.add_constraint("bad", [(7, 1.0)], "<=", 1.0)
 
     def test_negative_variable_id_rejected(self):
         m = MilpModel("broken")
-        m.add_variable("x", objective=1.0)
+        m.add_variables(["x"], objective=1.0)
         with pytest.raises(ModelError, match="undeclared variable id -1"):
             m.add_constraint("bad", [(0, 1.0), (-1, 1.0)], "<=", 1.0)
 
     def test_undeclared_variable_with_zero_coefficient_rejected(self):
         m = MilpModel("broken")
-        m.add_variable("x", objective=1.0)
+        m.add_variables(["x"], objective=1.0)
         with pytest.raises(ModelError, match="undeclared variable id 1"):
             m.add_constraint("bad", [(0, 1.0), (1, 0.0)], "<=", 1.0)
 
     def test_one_pass_generator_keeps_every_term(self):
         m = MilpModel("generator")
-        ids = [m.add_variable(f"x{i}", objective=1.0) for i in range(3)]
+        ids = m.add_variables(["x0", "x1", "x2"], objective=1.0)
         m.add_constraint("sum", ((vid, vid + 1) for vid in ids), "<=", 4)
         assert m.constraints[0].terms == ((0, 1.0), (1, 2.0), (2, 3.0))
 
     def test_records_are_read_only(self):
         m = MilpModel("records")
-        x = m.add_variable("x", objective=2.0)
+        x = m.add_variables(["x"], objective=2.0)[0]
         m.add_constraint("cap", [(x, 3.0)], "<=", 2.0)
         assert m.variables == ((x, "x", 0.0, 1.0, 2.0),)
         assert m.constraints == (("cap", ((x, 3.0),), "<=", 2.0),)
@@ -117,7 +115,7 @@ class TestSolveLp:
 
     def test_failed_row_leaves_the_model_as_it_was(self):
         m = MilpModel("atomic")
-        x, y = m.add_variable("x", objective=1.0), m.add_variable("y")
+        x, y = m.add_variables(["x", "y"], objective=[1.0, 0.0])
         m.add_constraint("first", [(x, 1.0), (y, 2.0)], ">=", 1.0)
         before = (len(m.row_names), len(m.indices), emit_lp_file(m))
         with pytest.raises(ModelError, match="undeclared variable id 5"):
@@ -132,8 +130,7 @@ class TestSolveLp:
         in order, bit for bit, including the rows appended later."""
         rng = np.random.default_rng(5)
         m = MilpModel("repeats")
-        for j in range(6):
-            m.add_variable(f"x{j}")
+        m.add_variables([f"x{j}" for j in range(6)])
         for r in range(8):
             m.add_constraint(f"r{r}", [(int(rng.integers(6)), float(rng.normal()))
                                        for _ in range(int(rng.integers(0, 12)))], "<=", 1.0)
@@ -151,13 +148,13 @@ class TestSolveLp:
     def test_non_finite_objective_is_rejected(self, objective):
         m = MilpModel("bad-objective")
         with pytest.raises(ModelError, match=f"variable 'x' objective {objective} is not finite"):
-            m.add_variable("x", objective=objective)
+            m.add_variables(["x"], objective=objective)
         assert not m.names
-        m.add_variable("x")  # the name was not taken
+        m.add_variables(["x"])  # the name was not taken
 
     def test_non_finite_stage_objective_is_rejected(self):
         m = MilpModel("bad-stage")
-        x, y = m.add_variable("x", objective=1.0), m.add_variable("y", objective=2.0)
+        x, y = m.add_variables(["x", "y"], objective=[1.0, 2.0])
         m.add_constraint("one", [(x, 1.0), (y, 1.0)], ">=", 1.0)
         with pytest.raises(ModelError, match="variable 'y' objective nan is not finite"):
             m.set_objective({x: 1.0, y: math.nan})
@@ -175,7 +172,7 @@ class TestSolveLp:
     ], ids=["inf-coef", "-inf-coef", "nan-coef", "nan-rhs", "inf-rhs", "empty-row-rhs"])
     def test_non_finite_row_is_rejected(self, terms, rhs, message):
         m = MilpModel("bad-row")
-        x, y = m.add_variable("x", objective=1.0), m.add_variable("y")
+        x, y = m.add_variables(["x", "y"], objective=[1.0, 0.0])
         m.add_constraint("good", [(x, 1.0)], ">=", 1.0)
         with pytest.raises(ModelError, match=re.escape(f"constraint 'bad': {message}")):
             m.add_constraint("bad", terms, ">=", rhs)
@@ -183,14 +180,14 @@ class TestSolveLp:
 
     def test_finite_numbers_whose_sum_overflows_are_kept(self):
         m = MilpModel("huge")
-        x, y = m.add_variable("x"), m.add_variable("y")
+        x, y = m.add_variables(["x", "y"])
         m.add_constraint("big", [(x, 1e308), (y, 1e308)], "<=", 1e308)
         m.set_objective({x: 1e308, y: 1e308})
         assert m.coefs == [1e308, 1e308] and m.objective == [1e308, 1e308]
 
     def test_check_solution_reports_non_finite_value(self):
         m = MilpModel("nan")
-        x = m.add_variable("x", objective=1.0)
+        x = m.add_variables(["x"], objective=1.0)[0]
         m.add_constraint("cap", [(x, 1.0)], "<=", 1.0)
         assert check_solution(m, {x: math.nan}) == (
             "variable x = nan is not finite", "constraint cap: nan is not finite")
@@ -212,10 +209,56 @@ class TestSolveLp:
                 assert ours.objective == pytest.approx(ref.fun, abs=1e-6, rel=1e-6)
 
 
+def model_state(m):
+    """Everything a model holds, its name map included."""
+    return (list(m.names), list(m.lower), list(m.upper), list(m.objective),
+            list(m._ids.items()), list(m.row_names), list(m.indptr), list(m.indices),
+            list(m.coefs), emit_lp_file(m))
+
+
+class TestAddVariables:
+    def test_block_appends_columns_with_consecutive_ids(self):
+        m = MilpModel("blocks")
+        assert m.add_variables(["a"], objective=2.0) == [0]
+        assert m.add_variables(["b", "c", "d"], upper=[1.0, 0.0, 1.0],
+                               objective=[1.0, 2.0, 3.0]) == [1, 2, 3]
+        assert m.add_variables([]) == []
+        assert m.variables == ((0, "a", 0.0, 1.0, 2.0), (1, "b", 0.0, 1.0, 1.0),
+                               (2, "c", 0.0, 0.0, 2.0), (3, "d", 0.0, 1.0, 3.0))
+        assert [m.var_id(name) for name in "abcd"] == [0, 1, 2, 3]
+
+    @pytest.mark.parametrize("names, lower, upper, objective, message", [
+        (["y", "z", "y"], 0.0, 1.0, 0.0, "duplicate variable name 'y'"),
+        (["y", "x"], 0.0, 1.0, 0.0, "duplicate variable name 'x'"),
+        (["y", "z"], [0.0, math.nan], 1.0, 0.0, r"variable 'z' bounds \[nan, 1.0\]"),
+        (["y", "z"], 0.0, [math.nan, 1.0], 0.0, r"variable 'y' bounds \[0.0, nan\]"),
+        (["y", "z"], 0.0, [1.0, 1.5], 0.0, r"variable 'z' bounds \[0.0, 1.5\]"),
+        (["y", "z"], [-0.5, 0.0], 1.0, 0.0, r"variable 'y' bounds \[-0.5, 1.0\]"),
+        (["y", "z"], [0.0, 1.0], [1.0, 0.0], 0.0, r"variable 'z' bounds \[1.0, 0.0\]"),
+        (["y", "z"], 0.0, math.inf, 0.0, r"variable 'y' bounds \[0.0, inf\]"),
+        (["y", "z"], 0.0, 1.0, [1.0, math.inf], "variable 'z' objective inf is not finite"),
+        (["y", "z"], 0.0, 1.0, math.nan, "variable 'y' objective nan is not finite"),
+        (["y", "z"], 0.0, 1.0, [1.0], "1 numbers given for a block of 2 columns"),
+    ], ids=["repeat-in-block", "repeat-of-earlier", "nan-lower", "nan-upper",
+            "upper-above-1", "negative-lower", "lower-above-upper", "inf-upper",
+            "inf-objective", "nan-objective", "short-objective"])
+    def test_failed_block_leaves_the_model_as_it_was(self, names, lower, upper, objective,
+                                                     message):
+        m = MilpModel("atomic-block")
+        x, w = m.add_variables(["x", "w"], objective=[1.0, 2.0])
+        m.add_constraint("row", [(x, 1.0), (w, -1.0)], "<=", 0.0)
+        before = model_state(m)
+        with pytest.raises(ModelError, match=message):
+            m.add_variables(names, lower, upper, objective)
+        assert model_state(m) == before
+        # nothing of the failed block was kept: its names are free
+        assert m.add_variables(["y", "z"]) == [2, 3]
+        assert [m.var_id(name) for name in "xwyz"] == [0, 1, 2, 3]
+
+
 def knapsack_model():
     m = MilpModel("knapsack")
-    xs = [m.add_variable(f"x{i}", objective=c)
-          for i, c in enumerate([-5.0, -4.0, -3.0])]
+    xs = m.add_variables(["x0", "x1", "x2"], objective=[-5.0, -4.0, -3.0])
     m.add_constraint("cap", [(xs[0], 2.0), (xs[1], 3.0), (xs[2], 1.0)], "<=", 5.0)
     return m
 
@@ -223,8 +266,7 @@ def knapsack_model():
 class TestSolveMilp:
     def test_cover(self):
         m = MilpModel("cover")
-        x = m.add_variable("x", objective=1.0)
-        y = m.add_variable("y", objective=1.0)
+        x, y = m.add_variables(["x", "y"], objective=1.0)
         m.add_constraint("one", [(x, 1.0), (y, 1.0)], ">=", 1.0)
         sol = solve_milp(m, gap=0.0)
         assert sol.status == "optimal"
@@ -250,11 +292,11 @@ class TestSolveMilp:
 
     def test_empty_constraint_presolve(self):
         m = MilpModel("empty-rows")
-        m.add_variable("x", objective=1.0)
+        m.add_variables(["x"], objective=1.0)
         m.add_constraint("fine", [], "<=", 2.0)
         assert solve_milp(m).status == "optimal"
         m2 = MilpModel("contradiction")
-        m2.add_variable("x", objective=1.0)
+        m2.add_variables(["x"], objective=1.0)
         m2.add_constraint("impossible", [], ">=", 1.0)
         sol = solve_milp(m2)
         assert sol.status == "infeasible"
@@ -266,7 +308,7 @@ class TestSolveMilp:
         c = -np.round(rng.uniform(1, 9, n), 1)
         w = np.round(rng.uniform(1, 9, n), 1)
         m = MilpModel("loose")
-        ids = [m.add_variable(f"x{i}", objective=c[i]) for i in range(n)]
+        ids = m.add_variables([f"x{i}" for i in range(n)], objective=c)
         m.add_constraint("cap", [(ids[i], w[i]) for i in range(n)], "<=", float(w.sum() / 3))
         sol = solve_milp(m, gap=0.25)
         assert sol.status in ("optimal", "feasible-with-gap")
@@ -282,7 +324,7 @@ class TestSolveMilp:
             c = np.round(rng.uniform(-4, 4, n), 1)
             rels = rng.choice(["<=", ">=", "="], rows, p=[0.6, 0.3, 0.1])
             m = MilpModel("rb")
-            ids = [m.add_variable(f"v{i}", objective=c[i]) for i in range(n)]
+            ids = m.add_variables([f"v{i}" for i in range(n)], objective=c)
             for i in range(rows):
                 m.add_constraint(f"c{i}", [(ids[j], A[i, j]) for j in range(n)],
                                  rels[i], b[i])
@@ -456,8 +498,7 @@ class TestWarmStart:
 
             def model():
                 m = MilpModel("stages")
-                for i in range(n):
-                    m.add_variable(f"v{i}")
+                m.add_variables([f"v{i}" for i in range(n)])
                 for i, (coefs, rel, rhs) in enumerate(rows):
                     m.add_constraint(f"c{i}", list(enumerate(coefs)), rel, rhs)
                 return m
@@ -635,8 +676,7 @@ class TestCarriedInverse:
 
     def test_exact_tie_branches_on_the_lower_id(self, monkeypatch):
         model = MilpModel("tie")
-        for name in ("x0", "x1"):
-            model.add_variable(name, objective=-1.0)
+        model.add_variables(["x0", "x1"], objective=-1.0)
         model.add_constraint("half0", [(0, 2.0)], "<=", 1.0)
         model.add_constraint("half1", [(1, 2.0)], "<=", 1.0)
         fixed = []
@@ -787,7 +827,7 @@ def capacity_model(rng):
     A, b = np.array(A), np.array(b)
     c = np.round(rng.uniform(-4, 2, n), 1)
     model = MilpModel("capacity")
-    ids = [model.add_variable(f"v{j}", objective=c[j]) for j in range(n)]
+    ids = model.add_variables([f"v{j}" for j in range(n)], objective=c)
     for i in range(len(b)):
         model.add_constraint(f"c{i}", [(ids[j], A[i, j]) for j in range(n)], rels[i], b[i])
     return model, (A, rels, b), c
@@ -823,8 +863,7 @@ def staged_binary_model(rng):
 
     def build():
         model = MilpModel("staged")
-        for j in range(n):
-            model.add_variable(f"v{j}")
+        model.add_variables([f"v{j}" for j in range(n)])
         for i in range(rows):
             model.add_constraint(f"c{i}", list(enumerate(A[i])), rels[i], b[i])
         return model
@@ -873,8 +912,7 @@ class TestReducedCostFixing:
         row, tie = [0.8, 0.6, -1.3, -2.4], [0.2, -0.3, -0.4, -0.1]
         cost = [0.3, -0.1, -0.4, -0.4]
         m = MilpModel("on-the-pin")
-        for j in range(4):
-            m.add_variable(f"x{j}")
+        m.add_variables([f"x{j}" for j in range(4)])
         m.add_constraint("row", list(enumerate(row)), ">=", 0.1)
         sol = solve_milp(m, stages=[(dict(enumerate(cost)), 0.0, 0.0),
                                     (dict(enumerate(tie)), 0.0, 1e-6)])
@@ -903,8 +941,8 @@ class TestImpliedBoundCuts:
 
     def test_rows_that_imply_nothing(self):
         m = MilpModel("nothing")
-        x, y, z = (m.add_variable(name) for name in ("x", "y", "z"))
-        off = m.add_variable("off", upper=0.0)
+        x, y, z = m.add_variables(["x", "y", "z"])
+        off = m.add_variables(["off"], upper=0.0)[0]
         m.add_constraint("two-negative", [(x, 2.0), (y, -1.0), (z, -1.0)], "<=", 0.0)
         m.add_constraint("absorbed", [(x, 2.0), (y, -3.0)], "<=", 2.0)
         m.add_constraint("greater", [(y, 1.0), (x, -1.0)], ">=", 0.0)
