@@ -24,7 +24,7 @@ from .milp import check_solution, emit_lp_file, parse_solution_listing, solution
 from .modes import APPROACH_CHOICES, MODE_CHOICES, Approach, SurvivabilityMode
 from .netmodel import average_connectivity, generate_topology, validate_topology
 from .oracle import OracleBoundsError, brute_force_optimum
-from .planner import PlanError, PlanOptions, export_phase_models, plan
+from .planner import PlanError, PlanOptions, export_phase_models, lightpath_overloads, plan
 from .report import emit_report
 from .verify import check_disjointness, check_restorability, enumerate_failures
 
@@ -79,14 +79,17 @@ def _load(request: RunRequest):
 
 
 def _verification(config) -> tuple[str, bool]:
-    """The failure-simulation report followed by any disjointness
-    violations, and whether both passed."""
+    """The failure-simulation report followed by any disjointness and
+    capacity violations, and whether all three passed."""
     rest = check_restorability(config, enumerate_failures(config))
     violations = check_disjointness(config)
+    overloads = lightpath_overloads(config)
     text = rest.render()
     if violations:
         text += "disjointness violations:\n" + "".join(f"  {v}\n" for v in violations)
-    return text, rest.fully_restorable and not violations
+    if overloads:
+        text += "capacity violations:\n" + "".join(f"  {v}\n" for v in overloads)
+    return text, rest.fully_restorable and not violations and not overloads
 
 
 def run_cli(request: RunRequest) -> int:

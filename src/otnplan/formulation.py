@@ -16,6 +16,7 @@ list per-family counts.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Iterable, Mapping, Sequence
 
 from . import naming
@@ -163,6 +164,33 @@ def _ordered_pairs(nodes: Sequence[Node]) -> list[tuple[Node, Node]]:
     return [(a, b) for a in s for b in s if a != b]
 
 
+def _arc_positions(topology: PhysicalTopology) -> dict[Node, list[int]]:
+    """Each node's flow-row terms as positions in a block of columns, one
+    per arc of ``topology.arcs()``: the arc out to each neighbour, then the
+    one back from it, by ascending neighbour.  ``arcs()`` puts the l-th
+    sorted link (a, b), a < b, at positions 2l (a -> b) and 2l + 1, and the
+    links that meet a node, in sorted order, reach its neighbours in
+    ascending order."""
+    flow: dict[Node, list[int]] = {n: [] for n in sorted(topology.nodes)}
+    for l, (a, b) in enumerate(sorted(topology.links)):
+        flow[a] += (2 * l, 2 * l + 1)
+        flow[b] += (2 * l + 1, 2 * l)
+    return flow
+
+
+def _link_budgets(model: MilpModel, family: str, topology: PhysicalTopology,
+                  used: Mapping[Link, int], blocks: Sequence[Sequence[int]]) -> None:
+    """One block of wavelength rows, a row per link: each lightpath's block
+    of arc columns, at the link's two arcs (``_arc_positions``), fits into
+    the W wavelengths less those ``used`` already."""
+    links = sorted(topology.links)
+    model.add_rows([f"{family}[m={m},n={n}]" for (m, n) in links], "<=",
+                   [float(topology.W - used.get(link, 0)) for link in links],
+                   [2 * len(blocks)] * len(links),
+                   [x for l in range(len(links)) for ids in blocks for x in ids[2 * l:2 * l + 2]],
+                   1.0)
+
+
 # ---------------------------------------------------------------------------
 # logical topology design + LSP routing (sequential steps I and II)
 
@@ -225,66 +253,68 @@ def build_logical_design(instance: ProblemInstance, plane: str,
         varmap.mpls_objective.update(dict.fromkeys(own, transit))
         lsp_deltas.append((lsp, b, own))
 
-    # flow conservation, eq (9) working / eq (10) protection
+    # flow conservation, eq (9) working / eq (10) protection: one block of
+    # rows per LSP.  Node i's row takes +δ out of i and −δ back into i for
+    # every hop (i, j, q), at the same positions of every LSP's δ block.
     eq_flow = "eq9" if plane == WORKING else "eq10"
-    # node i's row terms as (out, back) positions, the same for every LSP
-    flow = {i: [(position[(i, j, q)], position[(j, i, q)])
-                for j in nodes if j != i for q in qs] for i in nodes}
+    flow = {i: [p for j in nodes if j != i for q in qs
+                for p in (position[(i, j, q)], position[(j, i, q)])] for i in nodes}
+    every_node = list(chain.from_iterable(flow.values()))
+    row_length = 2 * (len(nodes) - 1) * params.Q
     for lsp, _, own in lsp_deltas:
         nex = excluded.get(lsp.id, frozenset())
-        for i in nodes:
-            if i in nex:
-                continue
-            terms = []
-            for out, back in flow[i]:
-                terms.append((own[out], 1.0))
-                terms.append((own[back], -1.0))
-            rhs = 1.0 if i == lsp.source else (-1.0 if i == lsp.destination else 0.0)
-            model.add_constraint(f"{eq_flow}[k={lsp.id},i={i}]", terms, "=", rhs)
+        rows = [i for i in nodes if i not in nex] if nex else nodes
+        positions = chain.from_iterable(map(flow.__getitem__, rows)) if nex else every_node
+        indices = list(map(own.__getitem__, positions))
+        model.add_rows([f"{eq_flow}[k={lsp.id},i={i}]" for i in rows], "=",
+                       [1.0 if i == lsp.source else -1.0 if i == lsp.destination else 0.0
+                        for i in rows],
+                       [row_length] * len(rows), indices, [1.0, -1.0] * (len(indices) // 2))
 
     # eq (11): a protected LSP crosses each logical link at most once; its
     # working and protection paths can never share a lightpath because the
     # working/protection planes are split into separate entities
+    pair_hops = [(i, j, q) for (i, j) in pairs for q in qs]
     if plane == PROTECTION:
-        for lsp in lsps:
-            for (i, j) in pairs:
-                for q in qs:
-                    model.add_constraint(
-                        f"eq11[k={lsp.id},i={i},j={j},q={q}]",
-                        [(delta[(lsp.id, i, j, q)], 1.0), (delta[(lsp.id, j, i, q)], 1.0)],
-                        "<=", 1.0)
+        tags = [f",i={i},j={j},q={q}]" for (i, j, q) in pair_hops]
+        both_ways = [p for (i, j, q) in pair_hops
+                     for p in (position[(i, j, q)], position[(j, i, q)])]
+        for lsp, _, own in lsp_deltas:
+            model.add_rows([f"eq11[k={lsp.id}{tag}" for tag in tags], "<=", 1.0,
+                           [2] * len(tags), list(map(own.__getitem__, both_ways)), 1.0)
 
-    # lightpath capacity, eq (12) working / eq (13) protection
+    # lightpath capacity, eq (12) working / eq (13) protection: one block,
+    # a row per lightpath over its β and every LSP's δ both ways, all rows
+    # with the same coefficients
     eq_cap = "eq12" if plane == WORKING else "eq13"
-    for (i, j) in pairs:
-        for q in qs:
-            out, back = position[(i, j, q)], position[(j, i, q)]
-            terms: list[tuple[int, float]] = [(beta[(i, j, q)], -c_cap)]
-            for _, b, own in lsp_deltas:
-                terms.append((own[out], b))
-                terms.append((own[back], b))
-            model.add_constraint(f"{eq_cap}[i={i},j={j},q={q}]", terms, "<=", 0.0)
+    capacity = [-c_cap] + [b for _, b, _ in lsp_deltas for _ in (0, 1)]
+    indices = []
+    for (i, j, q) in pair_hops:
+        out, back = position[(i, j, q)], position[(j, i, q)]
+        indices.append(beta[(i, j, q)])
+        indices += [own[p] for _, _, own in lsp_deltas for p in (out, back)]
+    model.add_rows([f"{eq_cap}[i={i},j={j},q={q}]" for (i, j, q) in pair_hops], "<=", 0.0,
+                   [len(capacity)] * len(pair_hops), indices, capacity * len(pair_hops))
 
     # router interface budget, eqs (7)+(8) (one row per node: every modelled
     # lightpath is bidirectional, so origination and termination coincide)
     usage = context.interface_usage if plane == PROTECTION else {}
-    for i in nodes:
-        terms = []
-        for (a, b_) in pairs:
-            if i in (a, b_):
-                for q in qs:
-                    terms.append((beta[(a, b_, q)], 1.0))
-        model.add_constraint(f"eq7[i={i}]", terms, "<=",
-                             float(params.T - usage.get(i, 0)))
+    ends: dict[Node, list[int]] = {i: [] for i in nodes}
+    for key in pair_hops:
+        ends[key[0]].append(beta[key])
+        ends[key[1]].append(beta[key])
+    model.add_rows([f"eq7[i={i}]" for i in nodes], "<=",
+                   [float(params.T - usage.get(i, 0)) for i in nodes],
+                   list(map(len, ends.values())), list(chain.from_iterable(ends.values())), 1.0)
 
     # no-good cuts from rejected spare-carrier groupings
-    if plane == PROTECTION:
-        for gi, grouping in enumerate(context.forbidden_groupings):
-            terms = []
-            for (k, i, j, q) in grouping:
-                terms.append((delta[(k, i, j, q)], 1.0))
-                terms.append((delta[(k, j, i, q)], 1.0))
-            model.add_constraint(f"cut[g={gi}]", terms, "<=", float(len(grouping) - 1))
+    groupings = context.forbidden_groupings if plane == PROTECTION else ()
+    if groupings:
+        model.add_rows([f"cut[g={gi}]" for gi in range(len(groupings))], "<=",
+                       [float(len(grouping) - 1) for grouping in groupings],
+                       [2 * len(grouping) for grouping in groupings],
+                       [delta[key] for grouping in groupings for (k, i, j, q) in grouping
+                        for key in ((k, i, j, q), (k, j, i, q))], 1.0)
 
     return model, varmap
 
@@ -313,13 +343,14 @@ def build_lightpath_routing(lightpaths: Sequence[Lightpath],
     lam = varmap.lam
     eq_flow = "eq15" if protection else "eq14"
     arcs = topology.arcs()
-    links = sorted(topology.links)
     used = wavelengths_used or {}
     exclusions = exclusions or ExclusionSets()
     nodemap = exclusions.lightpath_nodes
     linkmap = exclusions.lightpath_links
 
     arc_suffixes = naming.suffixes(arcs)
+    flow = _arc_positions(topology)
+    blocks: list[list[int]] = []
     for lp in lightpaths:
         ex_nodes = nodemap.get(lp.id, frozenset())
         ex_links = linkmap.get(lp.id, frozenset())
@@ -329,27 +360,18 @@ def build_lightpath_routing(lightpaths: Sequence[Lightpath],
                                   upper=upper, objective=c_wl)
         lam.update(zip([(lp.id, m, n) for (m, n) in arcs], ids))
         varmap.optical_objective.update(dict.fromkeys(ids, c_wl))
+        blocks.append(ids)
 
-        for n in sorted(topology.nodes):
-            if n in ex_nodes:
-                continue
-            terms = []
-            for m in topology.neighbors(n):
-                terms.append((lam[(lp.id, n, m)], 1.0))
-                terms.append((lam[(lp.id, m, n)], -1.0))
-            rhs = 1.0 if n == lp.i else (-1.0 if n == lp.j else 0.0)
-            if not terms and rhs == 0.0:
-                continue
-            model.add_constraint(f"{eq_flow}[lp={lp.id},n={n}]", terms, "=", rhs)
+        # one block of flow rows per lightpath; a node without links whose
+        # row would read 0 = 0 gets none
+        rows = [n for n in flow if n not in ex_nodes and (flow[n] or n in (lp.i, lp.j))]
+        indices = [ids[p] for n in rows for p in flow[n]]
+        model.add_rows([f"{eq_flow}[lp={lp.id},n={n}]" for n in rows], "=",
+                       [1.0 if n == lp.i else -1.0 if n == lp.j else 0.0 for n in rows],
+                       [len(flow[n]) for n in rows], indices, [1.0, -1.0] * (len(indices) // 2))
 
-    eq_cap = "eq17"
-    for (m, n) in links:
-        terms = []
-        for lp in lightpaths:
-            terms.append((lam[(lp.id, m, n)], 1.0))
-            terms.append((lam[(lp.id, n, m)], 1.0))
-        model.add_constraint(f"{eq_cap}[m={m},n={n}]", terms, "<=",
-                             float(topology.W - used.get((m, n), 0)))
+    # eq (17): one block, a row per link over every lightpath's arcs both ways
+    _link_budgets(model, "eq17", topology, used, blocks)
     return model, varmap
 
 
@@ -386,56 +408,54 @@ def build_integrated(instance: ProblemInstance, plane: str,
     beta, delta, lam = varmap.beta, varmap.delta, varmap.lam
 
     arc_suffixes = naming.suffixes(arcs)
-    for (i, j) in pairs:
-        for q in qs:
-            ids = model.add_variables(
-                naming.lam_integrated_block(plane, i, j, q, arc_suffixes), objective=c_wl)
-            lam.update(zip([(i, j, q, m, n) for (m, n) in arcs], ids))
-            varmap.optical_objective.update(dict.fromkeys(ids, c_wl))
+    keys = [(i, j, q) for (i, j) in pairs for q in qs]
+    blocks: list[list[int]] = []
+    for (i, j, q) in keys:
+        ids = model.add_variables(
+            naming.lam_integrated_block(plane, i, j, q, arc_suffixes), objective=c_wl)
+        lam.update(zip([(i, j, q, m, n) for (m, n) in arcs], ids))
+        varmap.optical_objective.update(dict.fromkeys(ids, c_wl))
+        blocks.append(ids)
 
-    # eq (18): lightpath-level flow conservation tied to the existence binary
-    for (i, j) in pairs:
-        for q in qs:
-            for n in nodes:
-                terms = []
-                for m in topo.neighbors(n):
-                    terms.append((lam[(i, j, q, n, m)], 1.0))
-                    terms.append((lam[(i, j, q, m, n)], -1.0))
-                if n == i:
-                    terms.append((beta[(i, j, q)], -1.0))
-                elif n == j:
-                    terms.append((beta[(i, j, q)], 1.0))
-                elif not terms:
-                    continue
-                model.add_constraint(f"eq18[i={i},j={j},q={q},n={n}]", terms, "=", 0.0)
+    # eq (18): lightpath-level flow conservation tied to the existence
+    # binary, one block of rows per (i, j, q); a node without links other
+    # than i and j gets no row
+    flow = _arc_positions(topo)
+    for (i, j, q), ids in zip(keys, blocks):
+        rows = [n for n in flow if flow[n] or n in (i, j)]
+        indices: list[int] = []
+        coefs: list[float] = []
+        for n in rows:
+            indices += map(ids.__getitem__, flow[n])
+            coefs += [1.0, -1.0] * (len(flow[n]) // 2)
+            if n in (i, j):
+                indices.append(beta[(i, j, q)])
+                coefs.append(-1.0 if n == i else 1.0)
+        model.add_rows([f"eq18[i={i},j={j},q={q},n={n}]" for n in rows], "=", 0.0,
+                       [len(flow[n]) + (n in (i, j)) for n in rows], indices, coefs)
 
     # eq (20): per-link wavelength budget
-    for (m, n) in sorted(topo.links):
-        terms = []
-        for (i, j) in pairs:
-            for q in qs:
-                terms.append((lam[(i, j, q, m, n)], 1.0))
-                terms.append((lam[(i, j, q, n, m)], 1.0))
-        model.add_constraint(f"eq20[m={m},n={n}]", terms, "<=",
-                             float(topo.W - used.get((m, n), 0)))
+    _link_budgets(model, "eq20", topo, used, blocks)
 
-    # conditional physical exclusions for spare-carrying lightpaths
+    # conditional physical exclusions for spare-carrying lightpaths, one
+    # block of rows per LSP: a row per lightpath and banned arc
     if plane == PROTECTION:
         for lsp in context.protected:
             nex = context.exclusions.lsp_phys_nodes.get(lsp.id, frozenset())
             lex = context.exclusions.lsp_links.get(lsp.id, frozenset())
-            if not nex and not lex:
+            banned = [p for p, (m, n) in enumerate(arcs)
+                      if m in nex or n in nex or normalize_link(m, n) in lex]
+            if not banned:
                 continue
-            for (i, j) in pairs:
-                for q in qs:
-                    d1 = delta[(lsp.id, i, j, q)]
-                    d2 = delta[(lsp.id, j, i, q)]
-                    for (m, n) in arcs:
-                        if m in nex or n in nex or normalize_link(m, n) in lex:
-                            model.add_constraint(
-                                f"exc[k={lsp.id},i={i},j={j},q={q},m={m},n={n}]",
-                                [(lam[(i, j, q, m, n)], 1.0), (d1, 1.0), (d2, 1.0)],
-                                "<=", 1.0)
+            names: list[str] = []
+            indices = []
+            for (i, j, q), ids in zip(keys, blocks):
+                d1, d2 = delta[(lsp.id, i, j, q)], delta[(lsp.id, j, i, q)]
+                for p in banned:
+                    m, n = arcs[p]
+                    names.append(f"exc[k={lsp.id},i={i},j={j},q={q},m={m},n={n}]")
+                    indices += (ids[p], d1, d2)
+            model.add_rows(names, "<=", 1.0, [3] * len(names), indices, 1.0)
     return model, varmap
 
 

@@ -14,10 +14,14 @@ empty one included; an empty row that cannot hold is proved infeasible by
 the dual simplex like any other.
 
 One search solves a model's lexicographic stages (a planning phase's cost,
-then its tie-breaks) over one dense snapshot, which grows in place.  After
-a stage, a row appended to the model pins its objective to its incumbent's
-value.  The next stage's root starts from the last root basis, with the
-pin row's slack basic, and from the last incumbent, which meets that row.
+then its tie-breaks) over one dense snapshot, which grows in place: one
+matrix ``[A | I]`` of the rows and their slack columns, with spare rows
+that double when they run out.  Each round of cuts and each pin row is
+appended to the model as one block of rows and written into the spare
+rows; the LPs take their views of the rows in use.  After a stage, a row
+appended to the model pins its objective to its incumbent's value.  The
+next stage's root starts from the last root basis, with the pin row's
+slack basic, and from the last incumbent, which meets that row.
 
 Between stages the search fixes binaries by their reduced costs (Nemhauser
 & Wolsey, *Integer and Combinatorial Optimization*, 1988; Achterberg 2007).
@@ -61,7 +65,7 @@ import numpy as np
 
 from .model import (FEASIBILITY_TOL, INTEGRALITY_TOL, SOLVER_FAILURES, MilpModel,
                     MilpSolution, MilpStats, check_solution, relative_gap)
-from .simplex import LpResult, simplex_solve
+from .simplex import LpResult, simplex_solve, with_slacks
 
 __all__ = ["solve_milp"]
 
@@ -76,15 +80,28 @@ class _Arrays:
     """Dense snapshot of a model, one row per constraint (an empty constraint
     is a zero row); per-node solves only swap bounds.  Rows appended to the
     model through ``append`` are appended here too, so one snapshot serves
-    every stage of a search."""
+    every stage of a search.
+
+    The rows live in one matrix ``[A | I]`` with spare rows, each with its
+    slack column set up already; ``A`` and ``columns`` are views of its
+    rows in use, the structural block and the whole.  An append writes the
+    new rows into the spares, and when they run out the matrix doubles.
+    A view taken earlier keeps reading its own rows, which no append
+    changes."""
 
     def __init__(self, model: MilpModel):
-        self.A = _dense_rows(model, 0)
+        self._grid = with_slacks(_dense_rows(model, 0))
+        self._view(len(model.row_names))
         self.relations = list(model.relations)
         self.rhs = np.array(model.rhs)
         self.c = np.array(model.objective)
         self.lo = np.array(model.lower)
         self.hi = np.array(model.upper)
+
+    def _view(self, m: int) -> None:
+        n = self._grid.shape[1] - self._grid.shape[0]
+        self.A = self._grid[:m, :n]
+        self.columns = self._grid[:m, :n + m]
 
     def implied_bounds(self) -> np.ndarray:
         """Every pair (x, y) of binaries with bounds [0, 1] such that some
@@ -109,15 +126,20 @@ class _Arrays:
         pairs = sorted(set(zip(x.tolist(), y[at].tolist())))
         return np.array(pairs, dtype=np.intp).reshape(-1, 2)
 
-    def append(self, model: MilpModel,
-               rows: list[tuple[str, list[tuple[int, float]], float]]) -> None:
-        """Append each (name, terms, rhs) as the row terms <= rhs to the
-        model and to this snapshot."""
+    def append(self, model: MilpModel, names: list[str], rhs: list[float],
+               lengths: list[int], indices: list[int], coefs: list[float]) -> None:
+        """Append the block of rows ``names``, each one's terms <= its rhs
+        (as ``MilpModel.add_rows`` reads them), to the model and to this
+        snapshot."""
         first = len(model.row_names)
-        for name, terms, rhs in rows:
-            model.add_constraint(name, terms, "<=", rhs)
-        self.A = np.vstack([self.A, _dense_rows(model, first)])
-        self.relations = self.relations + ["<="] * len(rows)
+        model.add_rows(names, "<=", rhs, lengths, indices, coefs)
+        m, n = self.A.shape
+        rows = m + len(names)
+        if rows > self._grid.shape[0]:
+            self._grid = with_slacks(self.A, max(rows, 2 * self._grid.shape[0]))
+        self._grid[m:rows, :n] = _dense_rows(model, first)
+        self._view(rows)
+        self.relations = self.relations + ["<="] * len(names)
         self.rhs = np.concatenate([self.rhs, model.rhs[first:]])
 
 
@@ -166,12 +188,13 @@ class _Search:
             cut = res.x[self.pairs[:, 0]] - res.x[self.pairs[:, 1]] > INTEGRALITY_TOL
             if not np.count_nonzero(cut):
                 break
-            arrays.append(model, [(f"imply[{model.var_name(x)}<={model.var_name(y)}]",
-                                   [(x, 1.0), (y, -1.0)], 0.0)
-                                  for x, y in self.pairs[cut].tolist()])
+            pairs = self.pairs[cut].tolist()
+            arrays.append(model, [f"imply[{model.var_name(x)}<={model.var_name(y)}]"
+                                  for x, y in pairs], [0.0] * len(pairs), [2] * len(pairs),
+                          [vid for pair in pairs for vid in pair], [1.0, -1.0] * len(pairs))
             self.pairs = self.pairs[~cut]
             res = simplex_solve(arrays.A, arrays.relations, arrays.rhs, arrays.c, arrays.lo,
-                                arrays.hi, res.basis.with_rows(arrays.A, arrays.relations),
+                                arrays.hi, res.basis.with_rows(arrays.columns, arrays.relations),
                                 self.deadline)
             iterations += res.iterations
         return res, iterations
@@ -209,7 +232,7 @@ class _Search:
                                 max(0.0, relative_gap(self.incumbent_obj, best_bound)), stats)
 
         # a heap of (parent bound, tiebreak counter, lo array, hi array, parent basis)
-        warm_root = self.root and self.root.basis.with_rows(arrays.A, arrays.relations)
+        warm_root = self.root and self.root.basis.with_rows(arrays.columns, arrays.relations)
         heap = [(-math.inf, 0, arrays.lo.copy(), arrays.hi.copy(), warm_root)]
         counter = 0
         self.root = None
@@ -229,7 +252,7 @@ class _Search:
 
             nodes += 1
             res = simplex_solve(arrays.A, arrays.relations, arrays.rhs, arrays.c, lo, hi,
-                                warm, deadline)
+                                warm, deadline, arrays.columns)
             lp_iters += res.iterations
             if nodes == 1:
                 res, iterations = self.cut_root(res)
@@ -323,8 +346,9 @@ def solve_milp(model: MilpModel, gap: float = 0.0, time_limit: float | None = No
         if idx:
             # the incumbent meets its own pin row, so it stays the first incumbent
             rhs = model.evaluate_objective(search.incumbent) + stages[idx - 1][2]
-            search.arrays.append(model, [(f"pin[stage={idx - 1}]",
-                                          list(stages[idx - 1][0].items()), rhs)])
+            pin = stages[idx - 1][0]
+            search.arrays.append(model, [f"pin[stage={idx - 1}]"], [rhs], [len(pin)],
+                                 list(pin), list(pin.values()))
             search.fix(rhs)
         model.set_objective(objective)
         solutions.append(search.stage(stage_gap))

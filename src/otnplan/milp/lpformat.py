@@ -5,6 +5,10 @@ The writer emits the CPLEX-style sections ``Minimize`` / ``Subject To`` /
 be handed to an external solver.  A model whose objective has no nonzero
 coefficient is written as ``obj: 0 x_dummy`` (with ``x_dummy`` declared fixed
 at 0 in ``Bounds``), which external solvers parse back without complaint.
+The objective is written in one pass over the columns and each row in one
+pass over its terms, with one table of coefficient texts for both;
+``Bounds`` lists only the columns whose bounds are not [0, 1], and
+``Binary`` is one join of the names.  The whole text is returned at once.
 
 Solutions come back as a plain listing, one ``name value`` pair per line;
 ``parse_solution_listing`` reads it, rejecting a value that is not a finite
@@ -15,7 +19,8 @@ model variables for validation-only runs.
 from __future__ import annotations
 
 import math
-from itertools import islice, pairwise
+from itertools import compress, islice, pairwise
+from operator import concat
 from typing import Mapping
 
 from .model import MilpModel, ModelError
@@ -44,12 +49,6 @@ class _Prefixes(dict):
         return text
 
 
-def _terms_text(terms) -> str:
-    """The expression of ``(name, coef)`` terms, zero terms left out."""
-    prefixes = _Prefixes()
-    return _expression([prefixes[coef] + name for name, coef in terms if coef != 0])
-
-
 def _expression(parts: list[str]) -> str:
     """Signed terms (``"+ x"``, ``"- 2.5 y"``) joined into one expression
     without a leading ``+``.  A line wraps before a term that would take it
@@ -72,24 +71,20 @@ def _expression(parts: list[str]) -> str:
 
 
 def emit_lp_file(model: MilpModel) -> str:
-    """The model as LP text.  The rows share one _Prefixes table, so each
-    distinct coefficient's text is built once per call; nothing is kept
-    between calls."""
-    lines = [f"\\ {model.name}", "Minimize"]
-    names = model.names
-    obj_terms = [(name, coef) for name, coef in zip(names, model.objective) if coef != 0.0]
-    dummy_needed = not obj_terms
-    if dummy_needed:
-        lines.append(" obj: 0 x_dummy")
-    else:
-        lines.append(f" obj: {_terms_text(obj_terms)}")
-
-    lines.append("Subject To")
+    """The model as LP text.  The objective and the rows share one
+    _Prefixes table, so each distinct coefficient's text is built once per
+    call; nothing is kept between calls."""
+    names, objective = model.names, model.objective
     prefixes = _Prefixes()
+    # one pass: the zero objective coefficients and their columns are left out
+    dummy_needed = not any(objective)
+    obj = "0 x_dummy" if dummy_needed else _expression(list(map(
+        concat, map(prefixes.__getitem__, filter(None, objective)), compress(names, objective))))
+    lines = [f"\\ {model.name}", "Minimize", f" obj: {obj}", "Subject To"]
     terms = zip(model.indices, model.coefs)  # walked row by row
     for idx, (name, relation, rhs, (start, end)) in enumerate(zip(
             model.row_names, model.relations, model.rhs, pairwise(model.indptr))):
-        if end > start:  # add_constraint keeps no zero term
+        if end > start:  # add_rows keeps no zero term
             body = _expression([prefixes[coef] + names[vid]
                                 for vid, coef in islice(terms, end - start)])
         else:
@@ -99,15 +94,15 @@ def emit_lp_file(model: MilpModel) -> str:
         lines.append(f" c{idx}_{label}: {body} {relation} {_fmt(rhs)}")
 
     lines.append("Bounds")
-    for name, lower, upper in zip(names, model.lower, model.upper):
-        if (lower, upper) != (0.0, 1.0):
-            lines.append(f" {_fmt(lower)} <= {name} <= {_fmt(upper)}")
+    # every column inside [0, 1]: only a tightened one has a line
+    if model.lower.count(0.0) + model.upper.count(1.0) != 2 * len(names):
+        lines.extend(f" {_fmt(lower)} <= {name} <= {_fmt(upper)}"
+                     for name, lower, upper in zip(names, model.lower, model.upper)
+                     if (lower, upper) != (0.0, 1.0))
     if dummy_needed:
         lines.append(" x_dummy = 0")
-
     if names:
-        lines.append("Binary")
-        lines.extend(f" {name}" for name in names)
+        lines.append("Binary\n " + "\n ".join(names))
     lines.append("End")
     return "\n".join(lines) + "\n"
 

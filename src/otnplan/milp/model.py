@@ -5,9 +5,10 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass, field
-from itertools import islice, pairwise
+from bisect import bisect_right
+from itertools import accumulate, compress, islice, pairwise
 from numbers import Real
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 __all__ = [
     "ModelError",
@@ -64,6 +65,10 @@ class MilpModel:
     coefficients ``coefs[k]`` for ``indptr[r] <= k < indptr[r + 1]``
     (compressed sparse rows).  Every number is finite.  Code outside this
     class reads the lists and changes the model only through its methods.
+
+    Columns and rows are appended in blocks, ``add_variables`` and
+    ``add_rows``: one call checks a whole block, and a block that fails a
+    check leaves the model as it was.
     """
 
     def __init__(self, name: str = "model"):
@@ -102,7 +107,8 @@ class MilpModel:
         whole block or one per column.  A block that fails a check leaves
         the model as it was."""
         n = len(names)
-        lower, upper, objective = (_per_column(x, n) for x in (lower, upper, objective))
+        lower, upper, objective = (_per_item(x, n, "columns")
+                                   for x in (lower, upper, objective))
         # a NaN or infinite bound makes the sum non-finite
         if n and not (math.isfinite(sum(lower) + sum(upper)) and min(lower) >= 0
                       and max(upper) <= 1 and all(map(operator.le, lower, upper))):
@@ -130,38 +136,51 @@ class MilpModel:
         self.objective += objective
         return ids
 
-    def add_constraint(self, name: str, terms: Iterable[tuple[int, float]],
-                       relation: str, rhs: float) -> None:
-        """Append the row; its zero terms are left out.  A row that fails a
-        check leaves the model as it was."""
+    def add_rows(self, names: Sequence[str], relation: str, rhs: float | Sequence[float],
+                 lengths: Sequence[int], indices: Sequence[int],
+                 coefs: float | Sequence[float]) -> None:
+        """Append a block of rows, all with ``relation``.  Row r is named
+        ``names[r]``, has right-hand side ``rhs[r]`` and takes the next
+        ``lengths[r]`` terms: the column ids ``indices`` with the
+        coefficients ``coefs``, in order.  ``rhs`` and ``coefs`` each give
+        one number for the whole block or one per row or term.  Zero terms
+        are left out.  A block that fails a check leaves the model as it
+        was."""
         if relation not in RELATIONS:
             raise ModelError(f"unknown relation {relation!r}")
-        rhs = float(rhs)
+        rows = len(names)
+        rhs = _per_item(rhs, rows, "rows")
+        coefs = _per_item(coefs, len(indices), "terms")
+        if len(lengths) != rows or sum(lengths) != len(indices) or (rows and min(lengths) < 0):
+            raise ModelError(f"row lengths {list(lengths)} do not split {len(indices)} "
+                             f"terms into {rows} rows")
         declared = len(self.names)
-        indices, coefs = self.indices, self.coefs
-        start = len(indices)
-        try:
-            for vid, coef in terms:
-                if not 0 <= vid < declared:
-                    raise ModelError(f"constraint {name!r} references undeclared variable id {vid}")
-                if coef != 0.0:
-                    indices.append(vid)
-                    coefs.append(float(coef))
-            # one sum per row: an infinite or NaN number makes it non-finite
-            if not math.isfinite(sum(coefs[start:], rhs)):
-                at = _first_non_finite(coefs[start:])
-                if at is not None:
-                    raise ModelError(f"constraint {name!r}: coefficient {coefs[start + at]} of "
-                                     f"variable {self.names[indices[start + at]]!r} is not finite")
-                if not math.isfinite(rhs):
-                    raise ModelError(f"constraint {name!r}: rhs {rhs} is not finite")
-        except BaseException:
-            del indices[start:], coefs[start:]
-            raise
-        self.row_names.append(name)
-        self.relations.append(relation)
-        self.rhs.append(rhs)
-        self.indptr.append(len(indices))
+        if indices and not (min(indices) >= 0 and max(indices) < declared):
+            at = next(k for k, vid in enumerate(indices) if not 0 <= vid < declared)
+            raise ModelError(f"constraint {names[_row_of(lengths, at)]!r} references "
+                             f"undeclared variable id {indices[at]}")
+        # one sum per block: an infinite or NaN number makes it non-finite
+        if not math.isfinite(sum(coefs, sum(rhs))):
+            at = _first_non_finite(coefs)
+            if at is not None:
+                raise ModelError(f"constraint {names[_row_of(lengths, at)]!r}: coefficient "
+                                 f"{coefs[at]} of variable {self.names[indices[at]]!r} "
+                                 f"is not finite")
+            at = _first_non_finite(rhs)
+            if at is not None:
+                raise ModelError(f"constraint {names[at]!r}: rhs {rhs[at]} is not finite")
+        if 0.0 in coefs:
+            nonzero = [coef != 0.0 for coef in coefs]
+            flags = iter(nonzero)
+            lengths = [sum(islice(flags, length)) for length in lengths]
+            indices = list(compress(indices, nonzero))
+            coefs = list(compress(coefs, nonzero))
+        self.row_names += names
+        self.relations += [relation] * rows
+        self.rhs += rhs
+        self.indptr += map(len(self.indices).__add__, accumulate(lengths))
+        self.indices += indices
+        self.coefs += coefs
 
     def var_id(self, name: str) -> int:
         try:
@@ -191,15 +210,21 @@ class MilpModel:
         return sum(c * get(vid, 0.0) for vid, c in enumerate(self.objective))
 
 
-def _per_column(value: float | Sequence[float], n: int) -> list[float]:
-    """One float per column of an ``n``-column block, from one number for
-    them all or one per column."""
-    if isinstance(value, Real):
+def _per_item(value: float | Sequence[float], n: int, items: str) -> list[float]:
+    """One float per item of a block of ``n`` columns, rows or terms, from
+    one number for them all or one per item."""
+    # concrete types before the abstract Real, whose check is slow
+    if not isinstance(value, (list, tuple)) and isinstance(value, (float, int, Real)):
         return [float(value)] * n
-    column = list(map(float, value))
-    if len(column) != n:
-        raise ModelError(f"{len(column)} numbers given for a block of {n} columns")
-    return column
+    numbers = list(map(float, value))
+    if len(numbers) != n:
+        raise ModelError(f"{len(numbers)} numbers given for a block of {n} {items}")
+    return numbers
+
+
+def _row_of(lengths: Sequence[int], term: int) -> int:
+    """The row of a block, split by ``lengths``, that holds term ``term``."""
+    return bisect_right(list(accumulate(lengths)), term)
 
 
 def _repeat(known: list[str], names: Sequence[str]) -> str | None:

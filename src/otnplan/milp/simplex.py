@@ -58,7 +58,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["LpBasis", "LpResult", "simplex_solve"]
+__all__ = ["LpBasis", "LpResult", "simplex_solve", "with_slacks"]
 
 _RC_TOL = 1e-9
 _PIV_TOL = 1e-9
@@ -99,15 +99,15 @@ class LpBasis:
     inverse: np.ndarray
     since_refactor: int
 
-    def with_rows(self, A: np.ndarray, relations: list[str]) -> LpBasis:
-        """This basis for the rows ``A`` (rel), whose first rows are this
-        basis's own and whose other rows are appended below them: each
-        appended row's slack is basic, and the inverse grows by the block
-        formula [[B⁻¹, 0], [−R_B·B⁻¹, I]]."""
+    def with_rows(self, columns: np.ndarray, relations: list[str]) -> LpBasis:
+        """This basis for the rows (rel) of ``columns`` = ``[A | I]``, whose
+        first rows are this basis's own and whose other rows are appended
+        below them: each appended row's slack is basic, and the inverse
+        grows by the block formula [[B⁻¹, 0], [−R_B·B⁻¹, I]]."""
         m = self.basis.size
-        rows, n = A.shape
+        rows = columns.shape[0]
+        n = columns.shape[1] - rows
         slack_lo, slack_hi = _slack_bounds(relations)
-        columns = np.hstack([A, np.eye(rows)])
         inverse = np.eye(rows)
         inverse[:m, :m] = self.inverse
         inverse[m:, :m] = -columns[m:, self.basis] @ self.inverse
@@ -143,12 +143,26 @@ def _slack_bounds(relations: list[str]) -> tuple[np.ndarray, np.ndarray]:
     return lo, hi
 
 
-def _slack_basis(A: np.ndarray, relations: list[str], c: np.ndarray) -> LpBasis:
-    """Every slack basic; each structural at the bound its cost prefers."""
+def with_slacks(A: np.ndarray, rows: int | None = None) -> np.ndarray:
+    """``[A | I]`` for the rows of ``A`` and, below them, room for up to
+    ``rows`` rows in all: a spare row r is zero but for the 1 of its own
+    slack column."""
     m, n = A.shape
+    rows = m if rows is None else rows
+    columns = np.zeros((rows, n + rows))
+    columns[:m, :n] = A
+    diagonal = np.arange(rows)
+    columns[diagonal, n + diagonal] = 1.0
+    return columns
+
+
+def _slack_basis(columns: np.ndarray, relations: list[str], c: np.ndarray) -> LpBasis:
+    """Every slack basic; each structural at the bound its cost prefers."""
+    m = columns.shape[0]
+    n = columns.shape[1] - m
     slack_lo, slack_hi = _slack_bounds(relations)
     status = np.where(c < 0, _AT_UPPER, _AT_LOWER)
-    return LpBasis(np.hstack([A, np.eye(m)]), slack_lo, slack_hi, n + np.arange(m),
+    return LpBasis(columns, slack_lo, slack_hi, n + np.arange(m),
                    np.concatenate([status, np.full(m, _BASIC)]).astype(np.int8),
                    np.eye(m), 0)
 
@@ -417,7 +431,8 @@ class _Tableau:
 def simplex_solve(A: np.ndarray, relations: list[str], rhs: np.ndarray,
                   c: np.ndarray, lo: np.ndarray, hi: np.ndarray,
                   warm: LpBasis | None = None,
-                  deadline: float | None = None) -> LpResult:
+                  deadline: float | None = None,
+                  columns: np.ndarray | None = None) -> LpResult:
     """Minimize c'x subject to A x (rel) rhs and lo <= x <= hi, where every
     bound in ``lo`` and ``hi`` is finite.
 
@@ -425,7 +440,9 @@ def simplex_solve(A: np.ndarray, relations: list[str], rhs: np.ndarray,
     basis; see the module docstring for the path from there.  Pass as
     ``warm`` the basis of an earlier optimal result when only the bounds
     ``lo``/``hi``, the objective ``c`` or the ``rhs`` change; after rows are
-    appended, pass ``basis.with_rows(A, relations)``.
+    appended, pass ``basis.with_rows(columns, relations)``.  ``columns``
+    is ``[A | I]`` if the caller keeps one (see ``with_slacks``); a solve
+    from the slack basis builds it when it is not given.
 
     Returns structural variable values only.  An optimal result carries its
     basis, with that basis's inverse.  An infeasible result lists in
@@ -436,7 +453,7 @@ def simplex_solve(A: np.ndarray, relations: list[str], rhs: np.ndarray,
     pivot.
     """
     if warm is None:
-        warm = _slack_basis(A, relations, c)
+        warm = _slack_basis(with_slacks(A) if columns is None else columns, relations, c)
     tab = _Tableau(warm, rhs, lo, hi, deadline)
     try:
         status = tab.solve(c)

@@ -39,6 +39,7 @@ __all__ = [
     "CostBreakdown",
     "NetworkConfiguration",
     "plan",
+    "lightpath_overloads",
     "transit_traffic",
     "apply_brs_sharing",
     "total_cost",
@@ -544,7 +545,30 @@ def plan(instance: ProblemInstance, options: PlanOptions | None = None) -> Netwo
     routes of step III before step II can be posed.
     """
     options = options or PlanOptions()
-    return _run_pipeline(instance, _MilpPhases(instance, options))
+    config = _run_pipeline(instance, _MilpPhases(instance, options))
+    overloads = lightpath_overloads(config)
+    if overloads:
+        raise PlanError("exact-capacity", "; ".join(overloads))
+    return config
+
+
+def lightpath_overloads(config: NetworkConfiguration) -> tuple[str, ...]:
+    """Each lightpath whose load exceeds the capacity C, in exact rationals.
+    A lightpath's load is what its capacity row, eq (12) or (13), sums: the
+    bandwidth of each LSP route through it, working routes over working
+    lightpaths and protection routes over protection ones.  The solver
+    holds that row only within its float tolerance, so this check is the
+    one that decides."""
+    capacity = config.instance.params.C
+    load: dict[int, Fraction] = {}
+    for lsp in config.instance.traffic:
+        route = config.lsp_routes[lsp.id]
+        for lp_id in route.working + (route.protection or ()):
+            load[lp_id] = load.get(lp_id, Fraction(0)) + lsp.bandwidth
+    return tuple(f"{lp.status} lightpath {lp.id} ({lp.i},{lp.j},q={lp.q}) carries "
+                 f"{float(load[lp.id])!r} Gbps, {float(load[lp.id] - capacity)!r} Gbps "
+                 f"over its capacity {float(capacity)!r}"
+                 for lp in config.lightpaths if load.get(lp.id, 0) > capacity)
 
 
 def transit_traffic(config: NetworkConfiguration) -> tuple[dict[Node, Fraction], Fraction]:

@@ -30,6 +30,14 @@ def make_instance(topology, demands, mode=SurvivabilityMode.NONE,
                            derive_unit_costs(ratios, C), mode, approach)
 
 
+def add_row(model, name, terms, relation, rhs) -> None:
+    """Append one row of (column id, coefficient) terms to ``model``, as a
+    block of one row."""
+    terms = list(terms)
+    model.add_rows([name], relation, [rhs], [len(terms)], [vid for vid, _ in terms],
+                   [coef for _, coef in terms])
+
+
 def config_without_phases(config) -> dict:
     """The serialised configuration minus the phase records, whose wall times
     differ between runs and which the enumeration oracle does not keep."""

@@ -17,7 +17,7 @@ from otnplan.report import fmt_cost
 from otnplan.verify import check_disjointness, check_restorability, enumerate_failures
 from otnplan.formulation import estimate_problem_size_raw
 
-from conftest import ALL_MODES, UNIT_CR1, config_without_phases, make_instance
+from conftest import ALL_MODES, UNIT_CR1, add_row, config_without_phases, make_instance
 
 EXACT = PlanOptions(gap=0.0, time_limit=300)
 DEFAULT = PlanOptions(gap=0.03, time_limit=300)
@@ -196,7 +196,7 @@ def test_criterion_8_solver_soundness():
         model = MilpModel(f"rand{trial}")
         ids = model.add_variables([f"v{i}" for i in range(n)], objective=c)
         for i in range(rows):
-            model.add_constraint(f"c{i}", [(ids[j], A[i, j]) for j in range(n)],
+            add_row(model, f"c{i}", [(ids[j], A[i, j]) for j in range(n)],
                                  rels[i], b[i])
         sol = solve_milp(model, gap=0.0)
         pts = np.array(list(itertools.product([0, 1], repeat=n)), dtype=np.int8)

@@ -437,6 +437,65 @@ class TestVerifyCommand:
         assert main(["verify", "--config", str(config)]) == 1
 
 
+def _triangle_file(tmp_path, second):
+    """Triangle 0-1-2, C = 10, Q = 1, with two LSPs 0 -> 1 of 5 and
+    ``second`` Gbps: the cheapest plans put both on one lightpath."""
+    data = {"nodes": [0, 1, 2], "links": [[0, 1], [1, 2], [2, 0]],
+            "params": {"C": 10, "W": 32, "Q": 1}, "cost_ratio": "CR1",
+            "demands": [{"s": 0, "d": 1, "b": 5}, {"s": 0, "d": 1, "b": second}]}
+    path = tmp_path / "triangle.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    return path
+
+
+class TestExactLightpathLoads:
+    """A lightpath's load is checked against C in rationals: the float
+    tolerance of the capacity rows lets 10.0000005 Gbps onto a 10 Gbps
+    lightpath."""
+
+    @pytest.mark.parametrize("approach", ["sequential", "integrated"])
+    @pytest.mark.parametrize("mode", ["none", "single-layer", "ml-double-protection"])
+    def test_overloading_plan_exits_1(self, mode, approach, tmp_path, capsys):
+        path = _triangle_file(tmp_path, 5.0000005)
+        assert main(["plan", "--instance", str(path), "--mode", mode, "--approach", approach,
+                     "--output-dir", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert ("no plan: phase exact-capacity: working lightpath 0 (0,1,q=1) carries "
+                "10.0000005 Gbps, 5e-07 Gbps over its capacity 10.0") in err
+        assert "Traceback" not in err
+        assert not list(tmp_path.glob("*.config.json"))
+
+    def test_verify_reports_an_overloaded_config(self, tmp_path, capsys):
+        path = _triangle_file(tmp_path, 5)
+        assert main(["plan", "--instance", str(path), "--mode", "single-layer",
+                     "--output-dir", str(tmp_path)]) == 0
+        (config_path,) = tmp_path.glob("*.config.json")
+        data = json.loads(config_path.read_text())
+        assert [route["working"] for route in data["lsp_routes"]] == [[0], [0]]
+        data["instance"]["demands"][1]["b"] = 5.0000005
+        config_path.write_text(json.dumps(data))
+        capsys.readouterr()
+        assert main(["verify", "--config", str(config_path)]) == 1
+        out = capsys.readouterr().out
+        assert ("capacity violations:\n"
+                "  working lightpath 0 (0,1,q=1) carries 10.0000005 Gbps, 5e-07 Gbps over "
+                "its capacity 10.0\n"
+                "  protection lightpath 1 (0,1,q=1) carries 10.0000005 Gbps, 5e-07 Gbps over "
+                "its capacity 10.0\n") in out
+
+    @pytest.mark.parametrize("approach", ["sequential", "integrated"])
+    @pytest.mark.parametrize("mode", ["single-layer", "ml-double-protection"])
+    def test_loads_of_exactly_c_plan_and_verify(self, mode, approach, tmp_path, capsys):
+        path = _triangle_file(tmp_path, 5)
+        assert main(["plan", "--instance", str(path), "--mode", mode, "--approach", approach,
+                     "--output-dir", str(tmp_path), "--verify"]) == 0
+        (config_path,) = tmp_path.glob("*.config.json")
+        assert [route["working"] for route in json.loads(
+            config_path.read_text())["lsp_routes"]] == [[0], [0]]
+        assert main(["verify", "--config", str(config_path)]) == 0
+        assert "capacity violations" not in capsys.readouterr().out
+
+
 class TestUnwritableOutput:
     """A write that fails ends in a diagnostic and exit code 2."""
 

@@ -5,7 +5,7 @@ import pytest
 
 from otnplan import naming, planner
 from otnplan.formulation import (PROTECTION, WORKING, ExclusionSets, Lightpath,
-                                 ProblemInstance, ProtectionContext, audit_model,
+                                 ProblemInstance, ProtectionContext, _arc_positions, audit_model,
                                  backup_exclusions, build_integrated,
                                  build_lightpath_routing, build_logical_design,
                                  compute_exclusion_sets, estimate_problem_size,
@@ -359,3 +359,17 @@ def test_block_names_are_those_of_the_naming_functions(mode, approach, monkeypat
     if approach is Approach.SEQUENTIAL:
         # the exclusions fixed some columns of a protection block to 0
         assert any(0.0 in model.upper for model in built)
+
+
+@pytest.mark.parametrize("topo", [
+    PhysicalTopology(nodes=[3, 0, 1, 2], links=[(2, 0), (1, 2)]),
+    generate_topology(5, 2.5, seed=7), generate_topology(7, 3.4, seed=2),
+    generate_topology(12, 4, seed=11)], ids=["path-and-isolated-node", "5", "7", "12"])
+def test_arc_positions_follow_the_neighbours(topo):
+    """The flow-row positions that ``_arc_positions`` derives from the link
+    order are those of each node's arcs in ``arcs()``, by ascending
+    neighbour: out to the neighbour, then back from it."""
+    arcs = topo.arcs()
+    assert _arc_positions(topo) == {
+        v: [arcs.index(arc) for m in topo.neighbors(v) for arc in ((v, m), (m, v))]
+        for v in sorted(topo.nodes)}

@@ -3,8 +3,8 @@ function or class in the package that nothing refers to, no unused import
 in the package or the tests, no import of a third-party module other
 than numpy when the package loads, no process-wide tricks, no
 ``np.linalg`` in the simplex outside its periodic refactorization, no
-per-record read of a model inside the package, and no per-column call in
-the model builders."""
+per-record read of a model inside the package, no per-column or per-row
+call in the model builders, and no stacked dense copy in the solver."""
 
 import ast
 import sys
@@ -197,14 +197,35 @@ def test_package_reads_models_through_their_lists():
     assert not found, "per-record model reads:\n" + "\n".join(found)
 
 
+def _attribute_calls(paths, attrs: set[str]) -> list[str]:
+    """Each call ``obj.attr(...)`` in ``paths`` whose ``attr`` is in
+    ``attrs``, as ``path:line attr``."""
+    return [f"{path.relative_to(ROOT)}:{node.lineno} {node.func.attr}"
+            for path in paths
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), filename=str(path)))
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+            and node.func.attr in attrs]
+
+
 def test_builders_add_columns_in_blocks():
     """``formulation.py`` adds a family's columns one block per entity with
     ``MilpModel.add_variables`` and names them with the block helpers of
     ``naming``: no call adds or names one column at a time."""
-    path = PACKAGE / "formulation.py"
-    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
-    per_column = {"add_variable", "beta", "delta", "lam", "lam_integrated"}
-    found = [f"{path.relative_to(ROOT)}:{node.lineno} {node.func.attr}"
-             for node in ast.walk(tree) if isinstance(node, ast.Call)
-             and isinstance(node.func, ast.Attribute) and node.func.attr in per_column]
+    found = _attribute_calls([PACKAGE / "formulation.py"],
+                             {"add_variable", "beta", "delta", "lam", "lam_integrated"})
     assert not found, "per-column calls in the builders:\n" + "\n".join(found)
+
+
+def test_builders_add_rows_in_blocks():
+    """``formulation.py`` adds a family's rows one block per entity with
+    ``MilpModel.add_rows``: no call adds one row of (id, coefficient)
+    tuples at a time."""
+    found = _attribute_calls([PACKAGE / "formulation.py"], {"add_constraint"})
+    assert not found, "per-row calls in the builders:\n" + "\n".join(found)
+
+
+def test_search_matrix_grows_in_place():
+    """Nothing in ``milp/`` stacks dense matrices: a search keeps one
+    ``[A | I]`` with spare rows and writes appended rows into it."""
+    found = _attribute_calls(sorted((PACKAGE / "milp").glob("*.py")), {"hstack", "vstack"})
+    assert not found, "dense copies in the solver:\n" + "\n".join(found)

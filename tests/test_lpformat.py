@@ -7,22 +7,23 @@ from scipy.optimize import Bounds, LinearConstraint
 
 from otnplan import planner
 from otnplan.cli import main
-from otnplan.formulation import build_logical_design, WORKING
+from otnplan.formulation import (PROTECTION, WORKING, ExclusionSets, ProtectionContext,
+                                 audit_model, build_integrated, build_lightpath_routing,
+                                 build_logical_design, expand_lightpaths)
 from otnplan.instance import bundled_instance_path
 from otnplan.milp import (MilpModel, check_solution, emit_lp_file,
                           parse_solution_listing, solution_values_by_id,
                           solve_milp)
-from otnplan.milp.lpformat import _terms_text
 from otnplan.modes import Approach, SurvivabilityMode
 from otnplan.netmodel import generate_topology
 
-from conftest import make_instance
+from conftest import add_row, make_instance
 
 
 def simple_model():
     m = MilpModel("simple")
     x = m.add_variables(["x"], objective=1.0)[0]
-    m.add_constraint("need", [(x, 1.0)], ">=", 1.0)
+    add_row(m, "need", [(x, 1.0)], ">=", 1.0)
     return m
 
 
@@ -36,7 +37,7 @@ class TestEmitLpFile:
     def test_empty_objective_dummy_convention(self):
         m = MilpModel("no-objective")
         x = m.add_variables(["x"])[0]
-        m.add_constraint("c", [(x, 1.0)], "<=", 1.0)
+        add_row(m, "c", [(x, 1.0)], "<=", 1.0)
         text = emit_lp_file(m)
         assert "obj: 0 x_dummy" in text
         assert "x_dummy = 0" in text  # declared so the file stands alone
@@ -87,6 +88,15 @@ class TestEmitLpFile:
         a = emit_lp_file(simple_model())
         b = emit_lp_file(simple_model())
         assert a == b
+
+
+def _terms_text(terms):
+    """The objective text that ``emit_lp_file`` writes for ``(name, coef)``
+    terms, one column each."""
+    m = MilpModel("terms")
+    m.add_variables([name for name, _ in terms], objective=[coef for _, coef in terms])
+    text = emit_lp_file(m)
+    return text[text.index(" obj: ") + 6:text.index("\nSubject To")]
 
 
 class TestTermsText:
@@ -164,6 +174,53 @@ def test_phase_model_lp_text_is_pinned(approach, mode, digests, monkeypatch):
     planner.plan(inst, planner.PlanOptions(gap=0.0, time_limit=60))
     assert tuple(hashlib.sha256(text.encode("utf-8")).hexdigest()
                  for text in texts) == digests
+
+
+def _protection_models():
+    """Protection-side models of a five-node, Q = 2 instance built straight
+    from a hand-made context, so that every row family appears: ``eq11``,
+    ``cut[g]`` from two forbidden groupings, ``exc`` from physical
+    exclusions, and ``eq15`` and ``eq17`` with exclusions and reserved
+    wavelengths."""
+    topo = generate_topology(5, 2.5, seed=7)
+    inst = make_instance(topo, [(0, 2, 4), (1, 3, 6), (2, 4, 3.5)],
+                         SurvivabilityMode.ML_DOUBLE, Approach.INTEGRATED, q=2)
+    links = sorted(topo.links)
+    exclusions = ExclusionSets(
+        lsp_nodes={0: frozenset({1}), 2: frozenset({3})},
+        lsp_phys_nodes={0: frozenset({1}), 1: frozenset({4})},
+        lsp_links={1: frozenset({links[0]}), 2: frozenset(links[1:3])},
+        lightpath_nodes={0: frozenset({2})},
+        lightpath_links={1: frozenset({links[-1]})})
+    context = ProtectionContext(
+        protected=inst.traffic, interface_usage={0: 1, 2: 2}, exclusions=exclusions,
+        forbidden_groupings=(((0, 0, 4, 1), (1, 1, 3, 2)), ((2, 2, 4, 1),)),
+        wavelengths_used={links[0]: 3, links[2]: 31})
+    lightpaths = expand_lightpaths([(0, 2, 1), (1, 3, 1)], [(0, 4, 1)])
+    return (build_logical_design(inst, PROTECTION, context)[0],
+            build_integrated(inst, PROTECTION, context)[0],
+            build_lightpath_routing(lightpaths, topo, inst.unit_costs, protection=True,
+                                    exclusions=exclusions,
+                                    wavelengths_used=context.wavelengths_used)[0])
+
+
+def test_protection_row_families_are_pinned():
+    """The row families that no plan of the phase-model pins reaches are
+    written byte for byte as before."""
+    models = _protection_models()
+    families = [audit_model(model) for model in models]
+    assert "  cut: 2\n" in families[0] and "  eq11: " in families[0]
+    assert "  cut: 2\n" in families[1] and "  exc: " in families[1]
+    assert "  eq15: " in families[2] and "  eq17: " in families[2]
+    assert tuple(hashlib.sha256(emit_lp_file(model).encode("utf-8")).hexdigest()
+                 for model in models) == PROTECTION_DIGESTS
+
+
+PROTECTION_DIGESTS = (
+    "a5adffa9535e6c7727c991fafe7317f00a9cbf93ed4d87d17cfdd35c06b70d0e",
+    "c634e9f728ec21906b024c22766b89ae5f275d021e3c02bb0694838dfb496402",
+    "e7be262378b170dd684d52b2c80f12020f26be39862bee04e12da37009b35ad0",
+)
 
 
 class TestSolutionListing:

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from scipy.optimize import linprog
 
-from conftest import make_instance
+from conftest import add_row, make_instance
 from otnplan import planner
 from otnplan.formulation import (PROTECTION, WORKING, ExclusionSets, ProtectionContext,
                                  build_logical_design)
@@ -42,7 +42,7 @@ class TestSolveLp:
     def test_simple_bound(self):
         m = MilpModel("min-x")
         x = m.add_variables(["x"], objective=3.0)[0]
-        m.add_constraint("floor", [(x, 2.0)], ">=", 1.0)
+        add_row(m, "floor", [(x, 2.0)], ">=", 1.0)
         sol = solve_milp(m)
         assert sol.status == "optimal"
         assert sol.objective == pytest.approx(3.0)
@@ -51,8 +51,8 @@ class TestSolveLp:
     def test_infeasible(self):
         m = MilpModel("infeasible")
         x = m.add_variables(["x"], objective=1.0)[0]
-        m.add_constraint("ge", [(x, 1.0)], ">=", 1.0)
-        m.add_constraint("le", [(x, 1.0)], "<=", 0.0)
+        add_row(m, "ge", [(x, 1.0)], ">=", 1.0)
+        add_row(m, "le", [(x, 1.0)], "<=", 0.0)
         sol = solve_milp(m)
         assert sol.status == "infeasible"
         assert sol.infeasible_rows  # names the offending rows
@@ -82,30 +82,30 @@ class TestSolveLp:
         m = MilpModel("broken")
         m.add_variables(["x"], objective=1.0)
         with pytest.raises(ModelError):
-            m.add_constraint("bad", [(7, 1.0)], "<=", 1.0)
+            add_row(m, "bad", [(7, 1.0)], "<=", 1.0)
 
     def test_negative_variable_id_rejected(self):
         m = MilpModel("broken")
         m.add_variables(["x"], objective=1.0)
         with pytest.raises(ModelError, match="undeclared variable id -1"):
-            m.add_constraint("bad", [(0, 1.0), (-1, 1.0)], "<=", 1.0)
+            add_row(m, "bad", [(0, 1.0), (-1, 1.0)], "<=", 1.0)
 
     def test_undeclared_variable_with_zero_coefficient_rejected(self):
         m = MilpModel("broken")
         m.add_variables(["x"], objective=1.0)
         with pytest.raises(ModelError, match="undeclared variable id 1"):
-            m.add_constraint("bad", [(0, 1.0), (1, 0.0)], "<=", 1.0)
+            add_row(m, "bad", [(0, 1.0), (1, 0.0)], "<=", 1.0)
 
     def test_one_pass_generator_keeps_every_term(self):
         m = MilpModel("generator")
         ids = m.add_variables(["x0", "x1", "x2"], objective=1.0)
-        m.add_constraint("sum", ((vid, vid + 1) for vid in ids), "<=", 4)
+        add_row(m, "sum", ((vid, vid + 1) for vid in ids), "<=", 4)
         assert m.constraints[0].terms == ((0, 1.0), (1, 2.0), (2, 3.0))
 
     def test_records_are_read_only(self):
         m = MilpModel("records")
         x = m.add_variables(["x"], objective=2.0)[0]
-        m.add_constraint("cap", [(x, 3.0)], "<=", 2.0)
+        add_row(m, "cap", [(x, 3.0)], "<=", 2.0)
         assert m.variables == ((x, "x", 0.0, 1.0, 2.0),)
         assert m.constraints == (("cap", ((x, 3.0),), "<=", 2.0),)
         with pytest.raises(AttributeError):
@@ -116,12 +116,12 @@ class TestSolveLp:
     def test_failed_row_leaves_the_model_as_it_was(self):
         m = MilpModel("atomic")
         x, y = m.add_variables(["x", "y"], objective=[1.0, 0.0])
-        m.add_constraint("first", [(x, 1.0), (y, 2.0)], ">=", 1.0)
+        add_row(m, "first", [(x, 1.0), (y, 2.0)], ">=", 1.0)
         before = (len(m.row_names), len(m.indices), emit_lp_file(m))
         with pytest.raises(ModelError, match="undeclared variable id 5"):
-            m.add_constraint("broken", [(y, 1.0), (x, 3.0), (5, 1.0)], "<=", 1.0)
+            add_row(m, "broken", [(y, 1.0), (x, 3.0), (5, 1.0)], "<=", 1.0)
         assert (len(m.row_names), len(m.indices), emit_lp_file(m)) == before
-        m.add_constraint("next", [(y, 4.0)], "<=", 3.0)
+        add_row(m, "next", [(y, 4.0)], "<=", 3.0)
         assert m.constraints[-1] == ("next", ((y, 4.0),), "<=", 3.0)
         assert (m.indptr, m.indices, m.coefs) == ([0, 2, 3], [x, y, y], [1.0, 2.0, 4.0])
 
@@ -132,16 +132,41 @@ class TestSolveLp:
         m = MilpModel("repeats")
         m.add_variables([f"x{j}" for j in range(6)])
         for r in range(8):
-            m.add_constraint(f"r{r}", [(int(rng.integers(6)), float(rng.normal()))
+            add_row(m, f"r{r}", [(int(rng.integers(6)), float(rng.normal()))
                                        for _ in range(int(rng.integers(0, 12)))], "<=", 1.0)
         arrays = branch_bound._Arrays(m)
-        arrays.append(m, [("extra", [(1, 0.1), (1, 0.2), (4, -1.0), (1, 0.3)], 0.0)])
+        arrays.append(m, ["extra"], [0.0], [4], [1, 1, 4, 1], [0.1, 0.2, -1.0, 0.3])
         reference = np.zeros((len(m.row_names), len(m.names)))
         for row, con in enumerate(m.constraints):
             for vid, coef in con.terms:
                 reference[row, vid] += coef
         assert arrays.A.tobytes() == reference.tobytes()
         assert arrays.A[-1, 1] == 0.1 + 0.2 + 0.3
+
+    def test_snapshot_grows_one_matrix_with_slacks(self):
+        """Appended rows go into the spare rows of one ``[A | I]``, which
+        doubles when they run out; a view taken before an append keeps its
+        rows."""
+        m = MilpModel("grow")
+        m.add_variables([f"x{j}" for j in range(4)])
+        for r in range(3):
+            add_row(m, f"r{r}", [(r, 1.0), (r + 1, 2.0)], "<=", 1.0)
+        arrays = branch_bound._Arrays(m)
+        first = arrays.columns
+        kept = first.copy()
+        grids = []
+        for k in (1, 2, 3):
+            arrays.append(m, [f"a{k}_{i}" for i in range(k)], [0.0] * k, [1] * k,
+                          list(range(k)), [float(k)] * k)
+            grids.append(arrays._grid.shape)
+        assert grids == [(6, 10), (6, 10), (12, 16)]
+        reference = np.zeros((len(m.row_names), len(m.names)))
+        for row, con in enumerate(m.constraints):
+            for vid, coef in con.terms:
+                reference[row, vid] += coef
+        assert np.array_equal(arrays.A, reference)
+        assert np.array_equal(arrays.columns, np.hstack([reference, np.eye(9)]))
+        assert np.array_equal(first, kept)
 
     @pytest.mark.parametrize("objective", [math.nan, math.inf, -math.inf],
                              ids=["nan", "inf", "-inf"])
@@ -155,7 +180,7 @@ class TestSolveLp:
     def test_non_finite_stage_objective_is_rejected(self):
         m = MilpModel("bad-stage")
         x, y = m.add_variables(["x", "y"], objective=[1.0, 2.0])
-        m.add_constraint("one", [(x, 1.0), (y, 1.0)], ">=", 1.0)
+        add_row(m, "one", [(x, 1.0), (y, 1.0)], ">=", 1.0)
         with pytest.raises(ModelError, match="variable 'y' objective nan is not finite"):
             m.set_objective({x: 1.0, y: math.nan})
         assert m.objective == [1.0, 2.0]
@@ -173,22 +198,22 @@ class TestSolveLp:
     def test_non_finite_row_is_rejected(self, terms, rhs, message):
         m = MilpModel("bad-row")
         x, y = m.add_variables(["x", "y"], objective=[1.0, 0.0])
-        m.add_constraint("good", [(x, 1.0)], ">=", 1.0)
+        add_row(m, "good", [(x, 1.0)], ">=", 1.0)
         with pytest.raises(ModelError, match=re.escape(f"constraint 'bad': {message}")):
-            m.add_constraint("bad", terms, ">=", rhs)
+            add_row(m, "bad", terms, ">=", rhs)
         assert (m.row_names, m.indptr, m.indices, m.coefs) == (["good"], [0, 1], [x], [1.0])
 
     def test_finite_numbers_whose_sum_overflows_are_kept(self):
         m = MilpModel("huge")
         x, y = m.add_variables(["x", "y"])
-        m.add_constraint("big", [(x, 1e308), (y, 1e308)], "<=", 1e308)
+        add_row(m, "big", [(x, 1e308), (y, 1e308)], "<=", 1e308)
         m.set_objective({x: 1e308, y: 1e308})
         assert m.coefs == [1e308, 1e308] and m.objective == [1e308, 1e308]
 
     def test_check_solution_reports_non_finite_value(self):
         m = MilpModel("nan")
         x = m.add_variables(["x"], objective=1.0)[0]
-        m.add_constraint("cap", [(x, 1.0)], "<=", 1.0)
+        add_row(m, "cap", [(x, 1.0)], "<=", 1.0)
         assert check_solution(m, {x: math.nan}) == (
             "variable x = nan is not finite", "constraint cap: nan is not finite")
 
@@ -212,8 +237,8 @@ class TestSolveLp:
 def model_state(m):
     """Everything a model holds, its name map included."""
     return (list(m.names), list(m.lower), list(m.upper), list(m.objective),
-            list(m._ids.items()), list(m.row_names), list(m.indptr), list(m.indices),
-            list(m.coefs), emit_lp_file(m))
+            list(m._ids.items()), list(m.row_names), list(m.relations), list(m.rhs),
+            list(m.indptr), list(m.indices), list(m.coefs), emit_lp_file(m))
 
 
 class TestAddVariables:
@@ -246,7 +271,7 @@ class TestAddVariables:
                                                      message):
         m = MilpModel("atomic-block")
         x, w = m.add_variables(["x", "w"], objective=[1.0, 2.0])
-        m.add_constraint("row", [(x, 1.0), (w, -1.0)], "<=", 0.0)
+        add_row(m, "row", [(x, 1.0), (w, -1.0)], "<=", 0.0)
         before = model_state(m)
         with pytest.raises(ModelError, match=message):
             m.add_variables(names, lower, upper, objective)
@@ -256,10 +281,58 @@ class TestAddVariables:
         assert [m.var_id(name) for name in "xwyz"] == [0, 1, 2, 3]
 
 
+class TestAddRows:
+    def test_block_appends_rows_without_zero_terms(self):
+        m = MilpModel("rows")
+        x, y, z = m.add_variables(["x", "y", "z"])
+        m.add_rows(["a", "b", "c", "d"], "<=", [1.0, 2, 0.0, 3.5], [2, 0, 3, 1],
+                   [x, y, x, z, y, z], [1.0, -2.0, 0.0, 4, 0.0, 1e-9])
+        m.add_rows(["e"], ">=", 1.0, [3], [z, y, x], 1.0)
+        m.add_rows([], "=", 0.0, [], [], 1.0)
+        assert m.constraints == (
+            ("a", ((x, 1.0), (y, -2.0)), "<=", 1.0), ("b", (), "<=", 2.0),
+            ("c", ((z, 4.0),), "<=", 0.0), ("d", ((z, 1e-9),), "<=", 3.5),
+            ("e", ((z, 1.0), (y, 1.0), (x, 1.0)), ">=", 1.0))
+        assert m.indptr == [0, 2, 2, 3, 4, 7]
+        assert all(type(number) is float for number in m.coefs + m.rhs)
+
+    @pytest.mark.parametrize("relation, rhs, lengths, indices, coefs, message", [
+        ("<=", 1.0, [2, 1], [0, 5, 1], 1.0, "constraint 'p' references undeclared variable id 5"),
+        ("<=", 1.0, [2, 1], [0, 1, -1], 1.0, "constraint 'q' references undeclared variable id -1"),
+        ("<=", 1.0, [2, 1], [0, 1, 2], [1.0, 0.0, 1.0],
+         "constraint 'q' references undeclared variable id 2"),
+        ("<=", 1.0, [2, 1], [0, 1, 1], [1.0, 1.0, math.nan],
+         "constraint 'q': coefficient nan of variable 'w' is not finite"),
+        ("<=", 1.0, [2, 1], [0, 1, 1], [1.0, -math.inf, 1.0],
+         "constraint 'p': coefficient -inf of variable 'w' is not finite"),
+        ("=", [1.0, math.inf], [2, 1], [0, 1, 1], 1.0, "constraint 'q': rhs inf is not finite"),
+        (">=", math.nan, [2, 1], [0, 1, 1], 1.0, "constraint 'p': rhs nan is not finite"),
+        ("<", 1.0, [2, 1], [0, 1, 1], 1.0, "unknown relation '<'"),
+        ("<=", 1.0, [2, 2], [0, 1, 1], 1.0, r"row lengths \[2, 2\] do not split 3 terms"),
+        ("<=", 1.0, [3], [0, 1, 1], 1.0, r"row lengths \[3\] do not split 3 terms into 2 rows"),
+        ("<=", 1.0, [4, -1], [0, 1, 1], 1.0, r"row lengths \[4, -1\] do not split"),
+        ("<=", [1.0], [2, 1], [0, 1, 1], 1.0, "1 numbers given for a block of 2 rows"),
+        ("<=", 1.0, [2, 1], [0, 1, 1], [1.0, 1.0], "2 numbers given for a block of 3 terms"),
+    ], ids=["undeclared-id", "negative-id", "undeclared-id-zero-coefficient", "nan-coefficient",
+            "inf-coefficient", "inf-rhs", "nan-rhs", "unknown-relation", "lengths-over",
+            "lengths-of-one-row", "negative-length", "short-rhs", "short-coefficients"])
+    def test_failed_block_leaves_the_model_as_it_was(self, relation, rhs, lengths, indices,
+                                                     coefs, message):
+        m = MilpModel("atomic-rows")
+        x, w = m.add_variables(["x", "w"], objective=[1.0, 2.0])
+        m.add_rows(["first"], "<=", 1.0, [2], [x, w], [1.0, -1.0])
+        before = model_state(m)
+        with pytest.raises(ModelError, match=message):
+            m.add_rows(["p", "q"], relation, rhs, lengths, indices, coefs)
+        assert model_state(m) == before
+        m.add_rows(["p", "q"], "<=", 1.0, [2, 1], [x, w, w], 1.0)
+        assert m.row_names == ["first", "p", "q"] and m.indptr == [0, 2, 4, 5]
+
+
 def knapsack_model():
     m = MilpModel("knapsack")
     xs = m.add_variables(["x0", "x1", "x2"], objective=[-5.0, -4.0, -3.0])
-    m.add_constraint("cap", [(xs[0], 2.0), (xs[1], 3.0), (xs[2], 1.0)], "<=", 5.0)
+    add_row(m, "cap", [(xs[0], 2.0), (xs[1], 3.0), (xs[2], 1.0)], "<=", 5.0)
     return m
 
 
@@ -267,7 +340,7 @@ class TestSolveMilp:
     def test_cover(self):
         m = MilpModel("cover")
         x, y = m.add_variables(["x", "y"], objective=1.0)
-        m.add_constraint("one", [(x, 1.0), (y, 1.0)], ">=", 1.0)
+        add_row(m, "one", [(x, 1.0), (y, 1.0)], ">=", 1.0)
         sol = solve_milp(m, gap=0.0)
         assert sol.status == "optimal"
         assert sol.objective == pytest.approx(1.0)
@@ -293,11 +366,11 @@ class TestSolveMilp:
     def test_empty_constraint_presolve(self):
         m = MilpModel("empty-rows")
         m.add_variables(["x"], objective=1.0)
-        m.add_constraint("fine", [], "<=", 2.0)
+        add_row(m, "fine", [], "<=", 2.0)
         assert solve_milp(m).status == "optimal"
         m2 = MilpModel("contradiction")
         m2.add_variables(["x"], objective=1.0)
-        m2.add_constraint("impossible", [], ">=", 1.0)
+        add_row(m2, "impossible", [], ">=", 1.0)
         sol = solve_milp(m2)
         assert sol.status == "infeasible"
         assert sol.infeasible_rows == ("impossible",)
@@ -309,7 +382,7 @@ class TestSolveMilp:
         w = np.round(rng.uniform(1, 9, n), 1)
         m = MilpModel("loose")
         ids = m.add_variables([f"x{i}" for i in range(n)], objective=c)
-        m.add_constraint("cap", [(ids[i], w[i]) for i in range(n)], "<=", float(w.sum() / 3))
+        add_row(m, "cap", [(ids[i], w[i]) for i in range(n)], "<=", float(w.sum() / 3))
         sol = solve_milp(m, gap=0.25)
         assert sol.status in ("optimal", "feasible-with-gap")
         assert sol.gap <= 0.25 + 1e-9
@@ -326,7 +399,7 @@ class TestSolveMilp:
             m = MilpModel("rb")
             ids = m.add_variables([f"v{i}" for i in range(n)], objective=c)
             for i in range(rows):
-                m.add_constraint(f"c{i}", [(ids[j], A[i, j]) for j in range(n)],
+                add_row(m, f"c{i}", [(ids[j], A[i, j]) for j in range(n)],
                                  rels[i], b[i])
             sol = solve_milp(m, gap=0.0)
             pts = np.array(list(itertools.product([0, 1], repeat=n)), float)
@@ -475,7 +548,7 @@ class TestWarmStart:
             b2 = np.append(b, float(row @ base.x) + float(rng.choice([0.0, 1e-6, 1.0])))
             c2 = np.round(rng.uniform(-3, 3, lo.size), 1)
             del cold_calls[:]
-            warm = simplex_solve(A2, rels2, b2, c2, lo, hi, base.basis.with_rows(A2, rels2))
+            warm = simplex_solve(A2, rels2, b2, c2, lo, hi, base.basis.with_rows(simplex.with_slacks(A2), rels2))
             assert not cold_calls  # primal phase 2 from the extended basis
             cold = simplex_solve(A2, rels2, b2, c2, lo, hi)
             assert warm.status == cold.status
@@ -500,7 +573,7 @@ class TestWarmStart:
                 m = MilpModel("stages")
                 m.add_variables([f"v{i}" for i in range(n)])
                 for i, (coefs, rel, rhs) in enumerate(rows):
-                    m.add_constraint(f"c{i}", list(enumerate(coefs)), rel, rhs)
+                    add_row(m, f"c{i}", list(enumerate(coefs)), rel, rhs)
                 return m
             del cold_calls[:]
             staged = solve_milp(model(), stages=[(c, 0.0, 1e-6) for c in objectives])
@@ -513,7 +586,7 @@ class TestWarmStart:
                 sol = solve_milp(separate, gap=0.0)
                 assert stage.status == sol.status == "optimal"
                 assert stage.objective == pytest.approx(sol.objective, abs=1e-9)
-                separate.add_constraint(f"pin{idx}", list(c.items()), "<=", sol.objective + 1e-6)
+                add_row(separate, f"pin{idx}", list(c.items()), "<=", sol.objective + 1e-6)
             assert staged.values == staged.stages[-1].values
             assert not check_solution(separate, staged.values)
             assert staged.stats.nodes == sum(stage.stats.nodes for stage in staged.stages)
@@ -576,7 +649,7 @@ class TestCarriedInverse:
             k = int(rng.integers(1, 4))
             A2 = np.vstack([A, np.round(rng.uniform(-4, 4, (k, lo.size)), 1)])
             rels2 = rels + list(rng.choice(["<=", ">=", "="], k))
-            grown = base.basis.with_rows(A2, rels2)
+            grown = base.basis.with_rows(simplex.with_slacks(A2), rels2)
             B = grown.columns[:, grown.basis]
             np.testing.assert_allclose(grown.inverse, np.linalg.inv(B), atol=1e-9)
             assert grown.since_refactor == base.basis.since_refactor
@@ -610,7 +683,7 @@ class TestCarriedInverse:
             b2 = np.append(b, float(row @ base.x))
             c2 = np.round(rng.uniform(-3, 3, lo.size), 1)
             del inversions[:]
-            root = simplex_solve(A2, rels2, b2, c2, lo, hi, base.basis.with_rows(A2, rels2))
+            root = simplex_solve(A2, rels2, b2, c2, lo, hi, base.basis.with_rows(simplex.with_slacks(A2), rels2))
             assert not inversions
             cold = simplex_solve(A2, rels2, b2, c2, lo, hi)
             assert root.status == cold.status
@@ -677,8 +750,8 @@ class TestCarriedInverse:
     def test_exact_tie_branches_on_the_lower_id(self, monkeypatch):
         model = MilpModel("tie")
         model.add_variables(["x0", "x1"], objective=-1.0)
-        model.add_constraint("half0", [(0, 2.0)], "<=", 1.0)
-        model.add_constraint("half1", [(1, 2.0)], "<=", 1.0)
+        add_row(model, "half0", [(0, 2.0)], "<=", 1.0)
+        add_row(model, "half1", [(1, 2.0)], "<=", 1.0)
         fixed = []
         solve = branch_bound.simplex_solve
 
@@ -829,7 +902,7 @@ def capacity_model(rng):
     model = MilpModel("capacity")
     ids = model.add_variables([f"v{j}" for j in range(n)], objective=c)
     for i in range(len(b)):
-        model.add_constraint(f"c{i}", [(ids[j], A[i, j]) for j in range(n)], rels[i], b[i])
+        add_row(model, f"c{i}", [(ids[j], A[i, j]) for j in range(n)], rels[i], b[i])
     return model, (A, rels, b), c
 
 
@@ -865,7 +938,7 @@ def staged_binary_model(rng):
         model = MilpModel("staged")
         model.add_variables([f"v{j}" for j in range(n)])
         for i in range(rows):
-            model.add_constraint(f"c{i}", list(enumerate(A[i])), rels[i], b[i])
+            add_row(model, f"c{i}", list(enumerate(A[i])), rels[i], b[i])
         return model
     return build, (A, rels, b), stages
 
@@ -892,7 +965,7 @@ class TestReducedCostFixing:
                 assert stage.status == alone.status == "optimal", trial
                 assert stage.objective == pytest.approx(best, abs=1e-9), trial
                 assert alone.objective == pytest.approx(best, abs=1e-9), trial
-                separate.add_constraint(f"pin{idx}", list(objective.items()), "<=",
+                add_row(separate, f"pin{idx}", list(objective.items()), "<=",
                                         alone.objective + tolerance)
                 if idx == len(stages) - 1:
                     break
@@ -913,7 +986,7 @@ class TestReducedCostFixing:
         cost = [0.3, -0.1, -0.4, -0.4]
         m = MilpModel("on-the-pin")
         m.add_variables([f"x{j}" for j in range(4)])
-        m.add_constraint("row", list(enumerate(row)), ">=", 0.1)
+        add_row(m, "row", list(enumerate(row)), ">=", 0.1)
         sol = solve_milp(m, stages=[(dict(enumerate(cost)), 0.0, 0.0),
                                     (dict(enumerate(tie)), 0.0, 1e-6)])
         points = feasible_points(np.array([row]), [">="], np.array([0.1]))
@@ -943,12 +1016,12 @@ class TestImpliedBoundCuts:
         m = MilpModel("nothing")
         x, y, z = m.add_variables(["x", "y", "z"])
         off = m.add_variables(["off"], upper=0.0)[0]
-        m.add_constraint("two-negative", [(x, 2.0), (y, -1.0), (z, -1.0)], "<=", 0.0)
-        m.add_constraint("absorbed", [(x, 2.0), (y, -3.0)], "<=", 2.0)
-        m.add_constraint("greater", [(y, 1.0), (x, -1.0)], ">=", 0.0)
-        m.add_constraint("fixed-y", [(x, 1.0), (off, -1.0)], "<=", 0.0)
+        add_row(m, "two-negative", [(x, 2.0), (y, -1.0), (z, -1.0)], "<=", 0.0)
+        add_row(m, "absorbed", [(x, 2.0), (y, -3.0)], "<=", 2.0)
+        add_row(m, "greater", [(y, 1.0), (x, -1.0)], ">=", 0.0)
+        add_row(m, "fixed-y", [(x, 1.0), (off, -1.0)], "<=", 0.0)
         assert implied_pairs(m) == set()
-        m.add_constraint("capacity", [(x, 2.0), (z, 1.0), (y, -3.0)], "<=", 1.0)
+        add_row(m, "capacity", [(x, 2.0), (z, 1.0), (y, -3.0)], "<=", 1.0)
         assert implied_pairs(m) == {(x, y)}  # z = 1 fits with y = 0
 
     def test_random_capacity_models_match_enumeration(self):
