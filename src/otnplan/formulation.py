@@ -15,9 +15,9 @@ list per-family counts.
 
 from __future__ import annotations
 
+from collections.abc import ItemsView, Iterable, Mapping, Sequence, ValuesView
 from dataclasses import dataclass, field
 from itertools import chain
-from typing import Iterable, Mapping, Sequence
 
 from . import naming
 from .milp import MilpModel
@@ -32,6 +32,8 @@ __all__ = [
     "ExclusionSets",
     "ProtectionContext",
     "DecisionVarMap",
+    "ColumnFamily",
+    "StageCosts",
     "build_logical_design",
     "build_lightpath_routing",
     "build_integrated",
@@ -138,20 +140,117 @@ class ProtectionContext:
     wavelengths_used: Mapping[Link, int] = field(default_factory=dict)
 
 
+class _BlockView(Mapping):
+    """A read-only map over blocks of consecutive column ids.  ``items``
+    and ``values`` walk the blocks instead of looking each key up."""
+
+    def items(self):
+        return _Items(self)
+
+    def values(self):
+        return _Values(self)
+
+
+class _Items(ItemsView):
+    def __iter__(self):
+        return self._mapping._items()
+
+
+class _Values(ValuesView):
+    def __iter__(self):
+        return self._mapping._values()
+
+
+class ColumnFamily(_BlockView):
+    """Key -> column id of one variable family, without a key per column.
+
+    Each entity owns one block of consecutive ids, one per hop of a table
+    that all its blocks share, ``position`` (hop -> place in the block).
+    A key is the entity's ``width`` items followed by a hop, and its id is
+    the first id of the entity's block plus ``position[hop]``.  Any other
+    key, whatever its length or type, raises ``KeyError``, so ``in`` and
+    ``get`` answer as a dict would.  Keys iterate in id order.
+    """
+
+    def __init__(self, hops: Sequence[tuple] = (), width: int = 0):
+        self.position = {hop: p for p, hop in enumerate(hops)}
+        self._width = width
+        self._size = width + len(hops[0]) if hops else -1
+        self._first: dict[tuple, int] = {}
+
+    def add(self, entity: tuple, ids: Sequence[int]) -> None:
+        """Record the block ``add_variables`` returned for ``entity``: one
+        id per hop, in table order."""
+        if ids:
+            self._first[entity] = ids[0]
+
+    def __getitem__(self, key) -> int:
+        if isinstance(key, tuple) and len(key) == self._size:
+            first = self._first.get(key[:self._width])
+            p = self.position.get(key[self._width:])
+            if first is not None and p is not None:
+                return first + p
+        raise KeyError(key)
+
+    def __len__(self) -> int:
+        return len(self._first) * len(self.position)
+
+    def __iter__(self):
+        return (entity + hop for entity in self._first for hop in self.position)
+
+    def _items(self):
+        n = len(self.position)
+        for entity, first in self._first.items():
+            yield from zip([entity + hop for hop in self.position], range(first, first + n))
+
+    def _values(self):
+        n = len(self.position)
+        return chain.from_iterable(range(first, first + n) for first in self._first.values())
+
+
+class StageCosts(_BlockView):
+    """Column id -> cost of one stage objective over a range of consecutive
+    ids, from a copy of the costs taken when the model was built: a staged
+    solve replaces ``model.objective`` and leaves these as they were."""
+
+    def __init__(self, first: int = 0, costs: Sequence[float] = ()):
+        self._costs = costs
+        self._ids = range(first, first + len(self._costs))
+
+    def __getitem__(self, vid) -> float:
+        if isinstance(vid, int) and vid in self._ids:
+            return self._costs[vid - self._ids.start]
+        raise KeyError(vid)
+
+    def __len__(self) -> int:
+        return len(self._ids)
+
+    def __iter__(self):
+        return iter(self._ids)
+
+    def _items(self):
+        return zip(self._ids, self._costs)
+
+    def _values(self):
+        return iter(self._costs)
+
+
 @dataclass
 class DecisionVarMap:
     """Semantic index -> model variable id, plus objective stage vectors.
 
-    A model covers one plane, so one map per family suffices: ``beta`` is
+    A model covers one plane, so one family per letter suffices: ``beta`` is
     keyed (i, j, q), ``delta`` (k, i, j, q), and ``lam`` (lp, m, n) when
     given lightpaths are routed or (i, j, q, m, n) in the integrated model.
+    Each is a ``ColumnFamily`` over the blocks the builder added, and each
+    objective a ``StageCosts``; a model without a family leaves it empty.
     """
 
-    beta: dict[tuple[Node, Node, int], int] = field(default_factory=dict)
-    delta: dict[tuple[int, Node, Node, int], int] = field(default_factory=dict)
-    lam: dict[tuple, int] = field(default_factory=dict)
-    mpls_objective: dict[int, float] = field(default_factory=dict)
-    optical_objective: dict[int, float] = field(default_factory=dict)
+    beta: ColumnFamily = field(default_factory=ColumnFamily)
+    delta: ColumnFamily = field(default_factory=ColumnFamily)
+    lam: ColumnFamily = field(default_factory=ColumnFamily)
+    mpls_objective: StageCosts = field(default_factory=StageCosts)
+    optical_objective: StageCosts = field(default_factory=StageCosts)
 
 
 def _node_pairs(nodes: Sequence[Node]) -> list[tuple[Node, Node]]:
@@ -203,6 +302,8 @@ def build_logical_design(instance: ProblemInstance, plane: str,
     ``protection``: route the protected LSPs over protection-status
     lightpaths, skipping excluded nodes; requires a ProtectionContext.
     Objective: transit-traffic cost plus lightpath cost of the phase.
+    The varmap holds the ``beta`` block, one ``delta`` block per LSP and,
+    as ``mpls_objective``, the costs of all of them.
     """
     if plane not in (WORKING, PROTECTION):
         raise ValueError(f"unknown plane {plane!r}")
@@ -220,25 +321,24 @@ def build_logical_design(instance: ProblemInstance, plane: str,
     c_tt = float(costs.c_tt)
 
     model = MilpModel(f"logical-{plane}")
-    varmap = DecisionVarMap()
-    beta, delta = varmap.beta, varmap.delta
 
     lsps = instance.traffic if plane == WORKING else context.protected
     excluded: Mapping[int, frozenset[Node]] = (
         context.exclusions.lsp_nodes if plane == PROTECTION else {})
 
-    # one block of columns per family and entity; each block's id list is
-    # shared by the varmap and the objective
+    # one block of columns per family and entity; a family keeps the first
+    # id of each block, and the objective copies the costs of all of them
     beta_keys = [(i, j, q) for (i, j) in pairs for q in qs]
-    ids = model.add_variables(naming.beta_block(plane, naming.suffixes(beta_keys)),
-                              objective=c_lp)
-    beta.update(zip(beta_keys, ids))
-    varmap.mpls_objective.update(dict.fromkeys(ids, c_lp))
+    beta = ColumnFamily(beta_keys)
+    beta_ids = model.add_variables(naming.beta_block(plane, naming.suffixes(beta_keys)),
+                                   objective=c_lp)
+    beta.add((), beta_ids)
 
     # δ[k, i, j, q] is own[position[i, j, q]] in LSP k's block of δ ids, so
     # the rows below index lists instead of hashing a key per term
     hops = [(i, j, q) for (i, j) in _ordered_pairs(nodes) for q in qs]
-    position = {key: n for n, key in enumerate(hops)}
+    delta = ColumnFamily(hops, 1)
+    position = delta.position
     hop_suffixes = naming.suffixes(hops)
     lsp_deltas: list[tuple[LspDemand, float, list[int]]] = []
     for lsp in lsps:
@@ -249,8 +349,7 @@ def build_logical_design(instance: ProblemInstance, plane: str,
         upper = [0.0 if i in nex or j in nex else 1.0 for (i, j, _q) in hops] if nex else 1.0
         own = model.add_variables(naming.delta_block(plane, k, hop_suffixes),
                                   upper=upper, objective=transit)
-        delta.update(zip([(k, i, j, q) for (i, j, q) in hops], own))
-        varmap.mpls_objective.update(dict.fromkeys(own, transit))
+        delta.add((k,), own)
         lsp_deltas.append((lsp, b, own))
 
     # flow conservation, eq (9) working / eq (10) protection: one block of
@@ -274,10 +373,9 @@ def build_logical_design(instance: ProblemInstance, plane: str,
     # eq (11): a protected LSP crosses each logical link at most once; its
     # working and protection paths can never share a lightpath because the
     # working/protection planes are split into separate entities
-    pair_hops = [(i, j, q) for (i, j) in pairs for q in qs]
     if plane == PROTECTION:
-        tags = [f",i={i},j={j},q={q}]" for (i, j, q) in pair_hops]
-        both_ways = [p for (i, j, q) in pair_hops
+        tags = [f",i={i},j={j},q={q}]" for (i, j, q) in beta_keys]
+        both_ways = [p for (i, j, q) in beta_keys
                      for p in (position[(i, j, q)], position[(j, i, q)])]
         for lsp, _, own in lsp_deltas:
             model.add_rows([f"eq11[k={lsp.id}{tag}" for tag in tags], "<=", 1.0,
@@ -289,20 +387,20 @@ def build_logical_design(instance: ProblemInstance, plane: str,
     eq_cap = "eq12" if plane == WORKING else "eq13"
     capacity = [-c_cap] + [b for _, b, _ in lsp_deltas for _ in (0, 1)]
     indices = []
-    for (i, j, q) in pair_hops:
+    for (i, j, q), beta_id in zip(beta_keys, beta_ids):
         out, back = position[(i, j, q)], position[(j, i, q)]
-        indices.append(beta[(i, j, q)])
+        indices.append(beta_id)
         indices += [own[p] for _, _, own in lsp_deltas for p in (out, back)]
-    model.add_rows([f"{eq_cap}[i={i},j={j},q={q}]" for (i, j, q) in pair_hops], "<=", 0.0,
-                   [len(capacity)] * len(pair_hops), indices, capacity * len(pair_hops))
+    model.add_rows([f"{eq_cap}[i={i},j={j},q={q}]" for (i, j, q) in beta_keys], "<=", 0.0,
+                   [len(capacity)] * len(beta_keys), indices, capacity * len(beta_keys))
 
     # router interface budget, eqs (7)+(8) (one row per node: every modelled
     # lightpath is bidirectional, so origination and termination coincide)
     usage = context.interface_usage if plane == PROTECTION else {}
     ends: dict[Node, list[int]] = {i: [] for i in nodes}
-    for key in pair_hops:
-        ends[key[0]].append(beta[key])
-        ends[key[1]].append(beta[key])
+    for (i, j, _q), beta_id in zip(beta_keys, beta_ids):
+        ends[i].append(beta_id)
+        ends[j].append(beta_id)
     model.add_rows([f"eq7[i={i}]" for i in nodes], "<=",
                    [float(params.T - usage.get(i, 0)) for i in nodes],
                    list(map(len, ends.values())), list(chain.from_iterable(ends.values())), 1.0)
@@ -316,7 +414,7 @@ def build_logical_design(instance: ProblemInstance, plane: str,
                        [delta[key] for grouping in groupings for (k, i, j, q) in grouping
                         for key in ((k, i, j, q), (k, j, i, q))], 1.0)
 
-    return model, varmap
+    return model, DecisionVarMap(beta, delta, mpls_objective=StageCosts(0, model.objective[:]))
 
 
 # ---------------------------------------------------------------------------
@@ -335,12 +433,12 @@ def build_lightpath_routing(lightpaths: Sequence[Lightpath],
 
     Exclusion nodes/links are fixed out of the flow system per entity;
     ``wavelengths_used`` reserves already-committed capacity on each link.
+    The varmap holds one ``lam`` block per lightpath, laid out by
+    ``topology.arcs()``, and their costs as ``optical_objective``.
     """
     plane = PROTECTION if protection else WORKING
     c_wl = float(unit_costs.c_wl)
     model = MilpModel(f"lightpath-{plane}")
-    varmap = DecisionVarMap()
-    lam = varmap.lam
     eq_flow = "eq15" if protection else "eq14"
     arcs = topology.arcs()
     used = wavelengths_used or {}
@@ -350,6 +448,7 @@ def build_lightpath_routing(lightpaths: Sequence[Lightpath],
 
     arc_suffixes = naming.suffixes(arcs)
     flow = _arc_positions(topology)
+    lam = ColumnFamily(arcs, 1)
     blocks: list[list[int]] = []
     for lp in lightpaths:
         ex_nodes = nodemap.get(lp.id, frozenset())
@@ -358,8 +457,7 @@ def build_lightpath_routing(lightpaths: Sequence[Lightpath],
                  else 1.0 for (m, n) in arcs] if ex_nodes or ex_links else 1.0
         ids = model.add_variables(naming.lam_block(plane, lp.id, arc_suffixes),
                                   upper=upper, objective=c_wl)
-        lam.update(zip([(lp.id, m, n) for (m, n) in arcs], ids))
-        varmap.optical_objective.update(dict.fromkeys(ids, c_wl))
+        lam.add((lp.id,), ids)
         blocks.append(ids)
 
         # one block of flow rows per lightpath; a node without links whose
@@ -372,7 +470,7 @@ def build_lightpath_routing(lightpaths: Sequence[Lightpath],
 
     # eq (17): one block, a row per link over every lightpath's arcs both ways
     _link_budgets(model, "eq17", topology, used, blocks)
-    return model, varmap
+    return model, DecisionVarMap(lam=lam, optical_objective=StageCosts(0, model.objective[:]))
 
 
 # ---------------------------------------------------------------------------
@@ -389,6 +487,9 @@ def build_integrated(instance: ProblemInstance, plane: str,
     must avoid each passenger's excluded nodes/links, expressed with
     conditional rows (a lightpath arc and a passenger indicator cannot both
     be active), and the working wavelengths of the context are reserved.
+    The varmap is that of ``build_logical_design`` plus one ``lam`` block
+    per (i, j, q), in the order of ``beta``, and their costs as
+    ``optical_objective``.
     """
     if plane == PROTECTION and context is None:
         raise ValueError("protection phase requires a ProtectionContext")
@@ -396,32 +497,29 @@ def build_integrated(instance: ProblemInstance, plane: str,
     model, varmap = build_logical_design(instance, plane, context)
     model.name = f"integrated-{plane}"
     topo = instance.topology
-    params = instance.params
-    costs = instance.unit_costs
-    nodes = sorted(topo.nodes)
-    pairs = _node_pairs(nodes)
-    qs = range(1, params.Q + 1)
     arcs = topo.arcs()
     used = context.wavelengths_used if context is not None else {}
-    c_wl = float(costs.c_wl)
+    c_wl = float(instance.unit_costs.c_wl)
 
-    beta, delta, lam = varmap.beta, varmap.delta, varmap.lam
-
+    # one block of λ columns per lightpath (i, j, q), in the order of β
+    delta = varmap.delta
+    lam = varmap.lam = ColumnFamily(arcs, 3)
     arc_suffixes = naming.suffixes(arcs)
-    keys = [(i, j, q) for (i, j) in pairs for q in qs]
+    keys = list(varmap.beta)
+    first = len(model.names)
     blocks: list[list[int]] = []
-    for (i, j, q) in keys:
-        ids = model.add_variables(
-            naming.lam_integrated_block(plane, i, j, q, arc_suffixes), objective=c_wl)
-        lam.update(zip([(i, j, q, m, n) for (m, n) in arcs], ids))
-        varmap.optical_objective.update(dict.fromkeys(ids, c_wl))
+    for key in keys:
+        ids = model.add_variables(naming.lam_integrated_block(plane, *key, arc_suffixes),
+                                  objective=c_wl)
+        lam.add(key, ids)
         blocks.append(ids)
+    varmap.optical_objective = StageCosts(first, model.objective[first:])
 
     # eq (18): lightpath-level flow conservation tied to the existence
     # binary, one block of rows per (i, j, q); a node without links other
     # than i and j gets no row
     flow = _arc_positions(topo)
-    for (i, j, q), ids in zip(keys, blocks):
+    for (i, j, q), ids, beta_id in zip(keys, blocks, varmap.beta.values()):
         rows = [n for n in flow if flow[n] or n in (i, j)]
         indices: list[int] = []
         coefs: list[float] = []
@@ -429,7 +527,7 @@ def build_integrated(instance: ProblemInstance, plane: str,
             indices += map(ids.__getitem__, flow[n])
             coefs += [1.0, -1.0] * (len(flow[n]) // 2)
             if n in (i, j):
-                indices.append(beta[(i, j, q)])
+                indices.append(beta_id)
                 coefs.append(-1.0 if n == i else 1.0)
         model.add_rows([f"eq18[i={i},j={j},q={q},n={n}]" for n in rows], "=", 0.0,
                        [len(flow[n]) + (n in (i, j)) for n in rows], indices, coefs)

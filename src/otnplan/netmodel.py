@@ -105,6 +105,7 @@ class PhysicalTopology:
     W: int = 32
     _adjacency: dict[Node, tuple[Node, ...]] = field(
         init=False, repr=False, compare=False)
+    _arcs: tuple[tuple[Node, Node], ...] = field(init=False, repr=False, compare=False)
 
     def __init__(self, nodes: Iterable[Node], links: Iterable[Sequence[Node]], W: int = 32):
         adjacency: dict[Node, list[Node]] = {}
@@ -134,6 +135,8 @@ class PhysicalTopology:
         object.__setattr__(self, "W", _whole_number("W", W))
         object.__setattr__(self, "_adjacency",
                            {v: tuple(sorted(ws)) for v, ws in adjacency.items()})
+        object.__setattr__(self, "_arcs", tuple(arc for a, b in sorted(declared)
+                                                for arc in ((a, b), (b, a))))
         if self.W <= 0:
             raise ValueError("W must be positive")
 
@@ -146,7 +149,7 @@ class PhysicalTopology:
 
     def arcs(self) -> tuple[tuple[Node, Node], ...]:
         """Both orientations of every link, in sorted link order."""
-        return tuple(arc for a, b in sorted(self.links) for arc in ((a, b), (b, a)))
+        return self._arcs
 
 
 @dataclass(frozen=True)

@@ -327,26 +327,62 @@ def test_bundled_12_node_model_stays_small():
     assert held < 10e6
 
 
+def _families_from_names(model, plane):
+    """Each family's key -> column id, read back from the column names: the
+    index part of a name is its key, and the one-name function of ``naming``
+    gives that key the very same name."""
+    one_name = {"beta": naming.beta, "delta": naming.delta, "lam": naming.lam}
+    families = {"beta": {}, "delta": {}, "lam": {}}
+    for vid, name in enumerate(model.names):
+        family, *index = name[1:].split("_")
+        key = tuple(map(int, index))
+        name_of = naming.lam_integrated if family == "lam" and len(key) == 5 else one_name[family]
+        assert name_of(plane, *key) == name
+        families[family][key] = vid
+    return families
+
+
+def _assert_outside(view, inside):
+    """Keys outside the view raise ``KeyError``, whatever their shape, so
+    that ``in`` and ``get`` answer as a dict would."""
+    outside = [5, None, "x", (), (None,)]
+    if inside:
+        key = next(iter(inside))
+        outside += [key[:-1], key + (0,), key[:-1] + (-1,), (-1,) + key[1:]]
+    for key in outside:
+        assert key not in view and view.get(key) is None
+        with pytest.raises(KeyError):
+            view[key]
+
+
 @pytest.mark.parametrize("mode, approach", [
     (SurvivabilityMode.ML_INTERLAYER_BRS, Approach.SEQUENTIAL),
-    (SurvivabilityMode.SINGLE_LAYER, Approach.INTEGRATED)], ids=["sequential", "integrated"])
+    (SurvivabilityMode.SINGLE_LAYER, Approach.SEQUENTIAL),
+    (SurvivabilityMode.SINGLE_LAYER, Approach.INTEGRATED)],
+    ids=["sequential", "single-layer-sequential", "integrated"])
 def test_block_names_are_those_of_the_naming_functions(mode, approach, monkeypatch):
-    """Every column of every model that a five-node plan builds carries the
-    name that the one-name function of ``naming`` gives its varmap key."""
+    """Every model that a five-node, Q = 2 plan builds, in both planes: each
+    family view of its varmap is the key -> id map that the column names
+    give through the one-name functions of ``naming``, with ``len``,
+    iteration in id order, ``in`` and ``KeyError`` as on a dict.  Each stage
+    objective holds the build-time costs of its columns, also once the
+    staged solve has replaced ``model.objective``."""
     built = []
 
     def recording(builder):
         def wrapper(*args, **kwargs):
             model, varmap = builder(*args, **kwargs)
             plane = PROTECTION if model.name.endswith(PROTECTION) else WORKING
-            expected = {vid: naming.beta(plane, *key) for key, vid in varmap.beta.items()}
-            expected.update((vid, naming.delta(plane, *key))
-                            for key, vid in varmap.delta.items())
-            expected.update((vid, (naming.lam if len(key) == 3 else naming.lam_integrated)(
-                plane, *key)) for key, vid in varmap.lam.items())
-            assert sorted(expected) == list(range(len(model.names)))
-            assert [expected[vid] for vid in range(len(model.names))] == model.names
-            built.append(model)
+            families = _families_from_names(model, plane)
+            for family, keys in families.items():
+                view = getattr(varmap, family)
+                assert dict(view.items()) == keys
+                assert len(view) == len(keys)
+                assert list(view) == list(keys)
+                assert list(view.values()) == sorted(keys.values())
+                assert all(key in view and view[key] == vid for key, vid in keys.items())
+                _assert_outside(view, keys)
+            built.append((model, varmap, families, list(model.objective)))
             return model, varmap
         return wrapper
 
@@ -355,10 +391,23 @@ def test_block_names_are_those_of_the_naming_functions(mode, approach, monkeypat
     inst = make_instance(generate_topology(5, 2.5, seed=7),
                          [(0, 2, 4), (1, 3, 6), (2, 4, 3.5)], mode, approach, q=2)
     plan(inst, PlanOptions(gap=0.0, time_limit=60))
-    assert {model.name.endswith(PROTECTION) for model in built} == {False, True}
+    assert {model.name.split("-")[0] for model, *_ in built} == (
+        {"logical", "lightpath"} if approach is Approach.SEQUENTIAL else {"integrated"})
+    assert {model.name.endswith(PROTECTION) for model, *_ in built} == {False, True}
+    for model, varmap, families, costs in built:
+        assert model.objective != costs  # the tie-break stages replaced it
+        for view, ids in ((varmap.mpls_objective, [*families["beta"].values(),
+                                                   *families["delta"].values()]),
+                          (varmap.optical_objective, list(families["lam"].values()))):
+            assert dict(view.items()) == {vid: costs[vid] for vid in ids}
+            assert list(view) == ids and list(view.values()) == [costs[vid] for vid in ids]
+            for vid in (-1, len(costs), "x", None, 1.5):
+                assert vid not in view
+                with pytest.raises(KeyError):
+                    view[vid]
     if approach is Approach.SEQUENTIAL:
         # the exclusions fixed some columns of a protection block to 0
-        assert any(0.0 in model.upper for model in built)
+        assert any(0.0 in model.upper for model, *_ in built)
 
 
 @pytest.mark.parametrize("topo", [

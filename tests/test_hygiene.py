@@ -4,7 +4,8 @@ in the package or the tests, no import of a third-party module other
 than numpy when the package loads, no process-wide tricks, no
 ``np.linalg`` in the simplex outside its periodic refactorization, no
 per-record read of a model inside the package, no per-column or per-row
-call in the model builders, and no stacked dense copy in the solver."""
+call in the model builders, no dict entry per column in them, and no
+stacked dense copy in the solver."""
 
 import ast
 import sys
@@ -222,6 +223,22 @@ def test_builders_add_rows_in_blocks():
     tuples at a time."""
     found = _attribute_calls([PACKAGE / "formulation.py"], {"add_constraint"})
     assert not found, "per-row calls in the builders:\n" + "\n".join(found)
+
+
+def test_builders_keep_no_per_column_keys():
+    """``formulation.py`` keeps no key or cost per column: a family is a
+    view over its blocks of ids, and an objective a copy of a cost slice.
+    No ``.update(zip(...))`` nor ``dict.fromkeys(...)`` fills a dict with
+    one entry per id of a block."""
+    tree = ast.parse((PACKAGE / "formulation.py").read_text(encoding="utf-8"))
+    found = [f"formulation.py:{node.lineno} {node.func.attr}" for node in ast.walk(tree)
+             if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+             and ((node.func.attr == "update" and node.args
+                   and isinstance(node.args[0], ast.Call)
+                   and isinstance(node.args[0].func, ast.Name) and node.args[0].func.id == "zip")
+                  or (node.func.attr == "fromkeys" and isinstance(node.func.value, ast.Name)
+                      and node.func.value.id == "dict"))]
+    assert not found, "per-column keys in the builders:\n" + "\n".join(found)
 
 
 def test_search_matrix_grows_in_place():
