@@ -383,14 +383,19 @@ def build_logical_design(instance: ProblemInstance, plane: str,
 
     # lightpath capacity, eq (12) working / eq (13) protection: one block,
     # a row per lightpath over its β and every LSP's δ both ways, all rows
-    # with the same coefficients
+    # with the same coefficients.  Every LSP's δ block holds one id per hop,
+    # so with the blocks laid end to end a hop's ids over all LSPs are one
+    # strided slice, and a row interleaves the slices of its two directions.
     eq_cap = "eq12" if plane == WORKING else "eq13"
     capacity = [-c_cap] + [b for _, b, _ in lsp_deltas for _ in (0, 1)]
+    deltas = list(chain.from_iterable(own for _, _, own in lsp_deltas))
+    both = [0] * (2 * len(lsp_deltas))
     indices = []
     for (i, j, q), beta_id in zip(beta_keys, beta_ids):
-        out, back = position[(i, j, q)], position[(j, i, q)]
+        both[::2] = deltas[position[(i, j, q)]::len(hops)]
+        both[1::2] = deltas[position[(j, i, q)]::len(hops)]
         indices.append(beta_id)
-        indices += [own[p] for _, _, own in lsp_deltas for p in (out, back)]
+        indices += both
     model.add_rows([f"{eq_cap}[i={i},j={j},q={q}]" for (i, j, q) in beta_keys], "<=", 0.0,
                    [len(capacity)] * len(beta_keys), indices, capacity * len(beta_keys))
 

@@ -83,7 +83,8 @@ class MilpModel:
         self.indptr: list[int] = [0]
         self.indices: list[int] = []
         self.coefs: list[float] = []
-        self._ids: dict[str, int] = {}
+        self._known: set[str] = set()  # the names, for the duplicate check
+        self._ids: dict[str, int] = {}  # name -> id, built by var_id
 
     @property
     def variables(self) -> tuple[Variable, ...]:
@@ -124,11 +125,11 @@ class MilpModel:
         first = len(self.names)
         ids = list(range(first, first + n))
         try:
-            self._ids.update(zip(names, ids))
-            if len(self._ids) != first + n:
+            self._known.update(names)
+            if len(self._known) != first + n:
                 raise ModelError(f"duplicate variable name {_repeat(self.names, names)!r}")
         except BaseException:
-            self._ids = dict(zip(self.names, range(first)))
+            self._known = set(self.names)
             raise
         self.names += names
         self.lower += lower
@@ -183,6 +184,10 @@ class MilpModel:
         self.coefs += coefs
 
     def var_id(self, name: str) -> int:
+        """The id of the column named ``name``; the name -> id map is built
+        on first use and again after columns are added."""
+        if len(self._ids) != len(self.names):
+            self._ids = dict(zip(self.names, range(len(self.names))))
         try:
             return self._ids[name]
         except KeyError:

@@ -524,6 +524,15 @@ class TestUnwritableOutput:
         assert f"error: cannot write {blocked}: Is a directory" in err
         assert "Traceback" not in err
 
+    def test_plan_lp_file_that_is_a_directory(self, ring_instance_file, tmp_path, capsys):
+        blocked = tmp_path / "ring4.none.phase-I-working-logical.lp"
+        blocked.mkdir()
+        assert main(["plan", "--instance", str(ring_instance_file), "--mode", "none",
+                     "--emit-lp", "--output-dir", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert f"error: cannot write {blocked}: Is a directory" in err
+        assert "Traceback" not in err
+
     def test_gen_topology_output_under_a_file(self, under_a_file, capsys):
         assert main(["gen-topology", "--nodes", "5", "--connectivity", "3",
                      "-o", str(under_a_file)]) == 2

@@ -4,8 +4,8 @@ in the package or the tests, no import of a third-party module other
 than numpy when the package loads, no process-wide tricks, no
 ``np.linalg`` in the simplex outside its periodic refactorization, no
 per-record read of a model inside the package, no per-column or per-row
-call in the model builders, no dict entry per column in them, and no
-stacked dense copy in the solver."""
+call in the model builders, no dict entry per column in them, no loop
+per term in the LP writer, and no stacked dense copy in the solver."""
 
 import ast
 import sys
@@ -239,6 +239,27 @@ def test_builders_keep_no_per_column_keys():
                   or (node.func.attr == "fromkeys" and isinstance(node.func.value, ast.Name)
                       and node.func.value.id == "dict"))]
     assert not found, "per-column keys in the builders:\n" + "\n".join(found)
+
+
+def test_lp_writer_has_no_per_term_loop():
+    """``emit_lp_file`` and ``_expression`` write the terms of an expression
+    in C-level passes: no ``for`` loop or comprehension iterates over
+    anything that reads ``indices``, ``coefs``, ``terms`` or ``parts`` (or
+    their lengths).  Loops over rows, over lines and over the tightened
+    columns of ``Bounds`` stay."""
+    path = PACKAGE / "milp" / "lpformat.py"
+    term_lists = {"indices", "coefs", "terms", "parts"}
+    functions = [node for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+                 if isinstance(node, ast.FunctionDef)
+                 and node.name in ("emit_lp_file", "_expression")]
+    assert len(functions) == 2
+    found = [f"lpformat.py:{loop.iter.lineno} {function.name}"
+             for function in functions for loop in ast.walk(function)
+             if isinstance(loop, (ast.For, ast.comprehension))
+             and any(isinstance(node, ast.Name) and node.id in term_lists
+                     or isinstance(node, ast.Attribute) and node.attr in term_lists
+                     for node in ast.walk(loop.iter))]
+    assert not found, "per-term loops in the LP writer:\n" + "\n".join(found)
 
 
 def test_search_matrix_grows_in_place():

@@ -1,4 +1,6 @@
 import hashlib
+import random
+import re
 
 import numpy as np
 import pytest
@@ -11,9 +13,10 @@ from otnplan.formulation import (PROTECTION, WORKING, ExclusionSets, ProtectionC
                                  audit_model, build_integrated, build_lightpath_routing,
                                  build_logical_design, expand_lightpaths)
 from otnplan.instance import bundled_instance_path
-from otnplan.milp import (MilpModel, check_solution, emit_lp_file,
+from otnplan.milp import (MilpModel, ModelError, check_solution, emit_lp_file,
                           parse_solution_listing, solution_values_by_id,
                           solve_milp)
+from otnplan.milp.lpformat import _expression, _Prefixes
 from otnplan.modes import Approach, SurvivabilityMode
 from otnplan.netmodel import generate_topology
 
@@ -116,6 +119,73 @@ class TestTermsText:
     def test_coefficient_text(self):
         terms = [("a", 1.0), ("b", -1.0), ("c", 2.5), ("d", 1e20), ("e", 0.0)]
         assert _terms_text(terms) == "a - b + 2.5 c + 1e+20 d"
+
+    def test_name_that_holds_the_separator_is_rejected(self):
+        """A name with a NUL would split its term in two and wrap there."""
+        m = MilpModel("separator")
+        m.add_variables(["x", "y\0z"], objective=1.0)
+        with pytest.raises(ModelError, match=re.escape("variable 'y\\x00z'")):
+            emit_lp_file(m)
+
+
+def _reference_lines(parts):
+    """The per-term wrapping loop that ``_expression`` replaced, kept as the
+    reference of its rule: each line's terms, breaking before a term that
+    would take the line past 200 columns, with at least one term a line."""
+    parts = list(parts)
+    if parts and parts[0].startswith("+ "):
+        parts[0] = parts[0][2:]
+        if not parts[0]:
+            del parts[0]
+    lines = []
+    start, width = 0, -1
+    for k, size in enumerate(map(len, parts)):
+        width += size + 1
+        if width > 200 and k > start:
+            lines.append(parts[start:k])
+            start, width = k, size
+    if parts:
+        lines.append(parts[start:])
+    return lines
+
+
+# coefficient -> the text that leads its term
+COEFFICIENT_TEXTS = {1.0: "+ ", -1.0: "- ", 2.5: "+ 2.5 ", -1e20: "- 1e+20 ", 3.0: "+ 3 "}
+
+
+def _random_terms(rng):
+    """(coefficient, name) terms: a name that is now and then wider than a
+    line, and now and then an unnamed term with coefficient 1."""
+    terms = []
+    for _ in range(rng.choice([0, 1, 2, 5, 12, 30, 60])):
+        name = ("" if rng.random() < 0.04 else
+                "w" * rng.randint(195, 230) if rng.random() < 0.03 else
+                "x" * rng.randint(1, 40))
+        terms.append((1.0 if not name else rng.choice(list(COEFFICIENT_TEXTS)), name))
+    return terms
+
+
+def test_expression_wraps_as_the_per_term_loop():
+    """``_expression`` breaks every line where the per-term loop did, on
+    seeded random term lists that reach lines of exactly 200 and 201
+    columns, terms wider than a line, empty lists and unnamed terms."""
+    rng = random.Random(20240601)
+    seen = set()
+    for _ in range(3000):
+        pairs = _random_terms(rng)
+        terms = [COEFFICIENT_TEXTS[coef] + name for coef, name in pairs]
+        lines = _reference_lines(terms)
+        expression = _expression([_Prefixes()[coef] for coef, _ in pairs],
+                                 [name for _, name in pairs])
+        assert "\n".join(expression) == "\n   ".join(map(" ".join, lines))
+        widths = [len(" ".join(line)) for line in lines]
+        seen.update(f"line of {width}" for width in widths if width in (199, 200))
+        seen.update(f"break at {width + 1 + len(after[0])}"
+                    for width, after in zip(widths, lines[1:]) if width + 1 + len(after[0]) == 201)
+        seen.update("term wider than a line" for line in lines if len(line[0]) > 200)
+        seen.update(["empty"] if not terms else ["unnamed first"] if terms[0] == "+ " else [])
+    assert seen == {"line of 199", "line of 200", "break at 201", "term wider than a line",
+                    "empty", "unnamed first"}
 
 
 @pytest.mark.parametrize("approach, size, digest", [

@@ -235,10 +235,10 @@ class TestSolveLp:
 
 
 def model_state(m):
-    """Everything a model holds, its name map included."""
+    """Everything a model holds, and the id ``var_id`` gives each name."""
     return (list(m.names), list(m.lower), list(m.upper), list(m.objective),
-            list(m._ids.items()), list(m.row_names), list(m.relations), list(m.rhs),
-            list(m.indptr), list(m.indices), list(m.coefs), emit_lp_file(m))
+            [m.var_id(name) for name in m.names], list(m.row_names), list(m.relations),
+            list(m.rhs), list(m.indptr), list(m.indices), list(m.coefs), emit_lp_file(m))
 
 
 class TestAddVariables:
@@ -276,9 +276,12 @@ class TestAddVariables:
         with pytest.raises(ModelError, match=message):
             m.add_variables(names, lower, upper, objective)
         assert model_state(m) == before
-        # nothing of the failed block was kept: its names are free
-        assert m.add_variables(["y", "z"]) == [2, 3]
-        assert [m.var_id(name) for name in "xwyz"] == [0, 1, 2, 3]
+        # nothing of the failed block was kept: its names are unknown and free
+        for name in sorted(set(names) - {"x", "w"}):
+            with pytest.raises(ModelError, match=f"unknown variable name '{name}'"):
+                m.var_id(name)
+        assert m.add_variables(["z"]) == [2] and m.add_variables(["y"]) == [3]
+        assert [m.var_id(name) for name in "xwzy"] == [0, 1, 2, 3]
 
 
 class TestAddRows:
