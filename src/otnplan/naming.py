@@ -96,7 +96,3 @@ def tie_weight(name: str, level: int = 1) -> int:
     digest = hashlib.blake2b(f"{level}:{name}".encode("ascii"), digest_size=6).digest()
     return 1 + int.from_bytes(digest, "big") % _WEIGHT_MODULUS
 
-
-def tie_score(names, level: int = 1) -> int:
-    """Total tie-break weight of a collection of active entity names."""
-    return sum(tie_weight(name, level) for name in names)

@@ -88,9 +88,8 @@ def test_seeded_draw_matches_oracle(draws, idx, approach, mode):
     pytest.param(REPRO_A, SurvivabilityMode.SINGLE_LAYER, Fraction(132), 60.0,
                  id="A-single-layer"),
     pytest.param(REPRO_B, SurvivabilityMode.NONE, Fraction(424, 5), 60.0, id="B-none"),
-    pytest.param(REPRO_B, SurvivabilityMode.SINGLE_LAYER, Fraction(863, 5), 2.0,
-                 id="B-single-layer",
-                 marks=pytest.mark.xfail(strict=True, reason="time limit in stage 0")),
+    pytest.param(REPRO_B, SurvivabilityMode.SINGLE_LAYER, Fraction(863, 5), 60.0,
+                 id="B-single-layer"),
 ])
 def test_integrated_repro_matches_oracle(repro, mode, cost, time_limit):
     topo, demands = repro

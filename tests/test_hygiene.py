@@ -5,7 +5,8 @@ than numpy when the package loads, no process-wide tricks, no
 ``np.linalg`` in the simplex outside its periodic refactorization, no
 per-record read of a model inside the package, no per-column or per-row
 call in the model builders, no dict entry per column in them, no loop
-per term in the LP writer, and no stacked dense copy in the solver."""
+per term in the LP writer, no stacked dense copy in the solver, and no
+solver code and no full product of routings in the oracle."""
 
 import ast
 import sys
@@ -267,3 +268,28 @@ def test_search_matrix_grows_in_place():
     ``[A | I]`` with spare rows and writes appended rows into it."""
     found = _attribute_calls(sorted((PACKAGE / "milp").glob("*.py")), {"hstack", "vstack"})
     assert not found, "dense copies in the solver:\n" + "\n".join(found)
+
+
+def test_oracle_enumerates_without_the_solver():
+    """The oracle checks the solver, so it imports nothing from
+    ``otnplan.milp``, numpy or scipy.  Its logical enumeration is a bounded
+    search: no ``product`` call materializes every routing."""
+    path = PACKAGE / "oracle.py"
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            module = ("otnplan." if node.level else "") + (node.module or "")
+            modules = [f"{module}.{alias.name}" for alias in node.names]
+        elif isinstance(node, ast.Import):
+            modules = [alias.name for alias in node.names]
+        else:
+            continue
+        found += [f"oracle.py:{node.lineno} imports {module}" for module in modules
+                  if module.split(".")[0] in ("numpy", "scipy")
+                  or module.startswith("otnplan.milp")]
+    found += [f"{where} call" for where in _attribute_calls([path], {"product"})]
+    found += [f"oracle.py:{node.lineno} product call" for node in ast.walk(tree)
+              if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+              and node.func.id == "product"]
+    assert not found, "solver code or a full product in the oracle:\n" + "\n".join(found)

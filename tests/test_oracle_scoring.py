@@ -1,5 +1,6 @@
-"""The oracle's logical enumeration against a direct re-scoring, and the
-integrated pick moving past an unplaceable cost optimum."""
+"""The oracle's logical cost levels against a direct re-scoring of every
+routing, and the integrated pick moving past an unplaceable cost optimum,
+reading no level past the one it picks."""
 
 import itertools
 import random
@@ -9,7 +10,7 @@ from otnplan import naming
 from otnplan.formulation import PROTECTION, WORKING, ExclusionSets, ProtectionContext
 from otnplan.modes import Approach, SurvivabilityMode
 from otnplan.netmodel import COST_RATIO_PRESETS, PhysicalTopology, normalize_link
-from otnplan.oracle import _best_logical, _pick_integrated
+from otnplan.oracle import _logical_levels, _pick_integrated
 
 from conftest import make_instance
 
@@ -23,10 +24,15 @@ def _reference_paths(nodes, s, d, banned):
                   for via in itertools.permutations(middle, r))
 
 
+def _tie_score(names, level):
+    return sum(naming.tie_weight(name, level) for name in names)
+
+
 def _reference_best_logical(instance, lsps, plane, excluded_nodes,
                             interface_used, forbidden):
-    """Score each routing on its own with Fraction loads and costs and with
-    ``naming.tie_score`` over its active entity names."""
+    """Score each routing of the product of every LSP's paths on its own,
+    with Fraction loads and costs and the tie weights of its active entity
+    names, and sort them all by (cost, tie1, tie2)."""
     params, uc = instance.params, instance.unit_costs
     nodes = sorted(instance.topology.nodes)
     per_lsp = [_reference_paths(nodes, lsp.source, lsp.destination,
@@ -56,17 +62,26 @@ def _reference_best_logical(instance, lsps, plane, excluded_nodes,
         names = [naming.beta(plane, i, j, 1) for (i, j) in load]
         names += [naming.delta(plane, lsp.id, a, b, 1) for lsp, path in zip(lsps, combo)
                   for a, b in zip(path, path[1:])]
-        results.append((cost, naming.tie_score(names, 1), naming.tie_score(names, 2),
+        results.append((cost, _tie_score(names, 1), _tie_score(names, 2),
                         {lsp.id: path for lsp, path in zip(lsps, combo)}))
     results.sort(key=lambda r: r[:3])
     return results
 
 
-def _random_case(rng):
+def _random_case(rng, symmetric=False):
+    """A ring of 3-5 nodes with 1-3 demands, some exclusions, a binding
+    interface budget and one or two forbidden groupings.  ``symmetric``
+    draws one demand, its reverse and possibly a copy, so that routings that
+    swap the LSPs' paths tie in cost."""
     n = rng.randint(3, 5)
     topo = PhysicalTopology(range(n), [(v, (v + 1) % n) for v in range(n)])
-    demands = [(*rng.sample(range(n), 2), rng.choice([2, 2.5, 3.5, 4, 6, 10]))
-               for _ in range(rng.randint(1, 3))]
+    if symmetric:
+        s, d = rng.sample(range(n), 2)
+        b = rng.choice([2, 2.5, 3.5, 4])
+        demands = [(s, d, b), (d, s, b), (s, d, b)][:rng.randint(2, 3)]
+    else:
+        demands = [(*rng.sample(range(n), 2), rng.choice([2, 2.5, 3.5, 4, 6, 10]))
+                   for _ in range(rng.randint(1, 3))]
     ratios = COST_RATIO_PRESETS[rng.choice(["CR1", "CR2", "CR3"])]
     inst = make_instance(topo, demands, ratios=ratios)
     lsps = inst.traffic
@@ -86,20 +101,37 @@ def _random_case(rng):
     return inst, lsps, plane, excluded, used, tuple(forbidden)
 
 
+def _levels(*args):
+    levels = list(_logical_levels(*args))
+    for level in levels:
+        assert level and {entry[0] for entry in level} == {level[0][0]}
+        assert type(level[0][0]) is Fraction
+        assert [entry[1:3] for entry in level] == sorted(entry[1:3] for entry in level)
+    costs = [level[0][0] for level in levels]
+    assert costs == sorted(set(costs))
+    return levels
+
+
 def test_best_logical_equals_direct_rescoring():
+    """The levels, concatenated, are the brute-force list: every feasible
+    routing, by cost, then tie scores, then product order."""
     rng = random.Random(20240611)
-    past_optimum = interface_bound = 0
-    for _ in range(60):
-        inst, lsps, plane, excluded, used, forbidden = _random_case(rng)
-        got = _best_logical(inst, lsps, plane, excluded, used, forbidden)
+    several_levels = interface_bound = 0
+    ties = {False: 0, True: 0}
+    for case in range(200):
+        symmetric = case % 4 == 3
+        inst, lsps, plane, excluded, used, forbidden = _random_case(rng, symmetric)
+        levels = _levels(inst, lsps, plane, excluded, used, forbidden)
         want = _reference_best_logical(inst, lsps, plane, excluded, used, forbidden)
-        assert got == want
-        assert all(type(entry[0]) is Fraction for entry in got)
-        past_optimum += sum(1 for entry in got if entry[0] > got[0][0])
+        assert [entry for level in levels for entry in level] == want
+        several_levels += len(levels) > 1
+        ties[symmetric] += sum(len(level) > 1 for level in levels)
         unbudgeted = _reference_best_logical(inst, lsps, plane, excluded, {}, forbidden)
         interface_bound += len(unbudgeted) > len(want)
-    # the cases reach past the cost optimum and the interface budget binds
-    assert past_optimum > 0
+    # the cases reach past the cost optimum, equal costs tie within a level
+    # (symmetric demands included) and the interface budget binds
+    assert several_levels > 0
+    assert ties[False] > 0 and ties[True] > 0
     assert interface_bound > 0
 
 
@@ -109,10 +141,18 @@ def test_best_logical_fractional_costs_and_loads():
     for label in ("CR1", "CR2", "CR3"):
         inst = make_instance(topo, [(0, 2, 2.5), (0, 2, 3.5), (0, 2, 4)],
                              ratios=COST_RATIO_PRESETS[label])
-        got = _best_logical(inst, inst.traffic, WORKING, {}, {}, ())
+        levels = _levels(inst, inst.traffic, WORKING, {}, {}, ())
+        got = [entry for level in levels for entry in level]
         assert got == _reference_best_logical(inst, inst.traffic, WORKING, {}, {}, ())
         assert got[0][3] == {lsp.id: (0, 2) for lsp in inst.traffic}
         assert got[0][0] == inst.unit_costs.c_lp
+
+
+def _reading(levels, read):
+    """Pass ``levels`` on, recording each level as it is read."""
+    for level in levels:
+        read.append(level)
+        yield level
 
 
 def test_pick_integrated_moves_past_unplaceable_optimum():
@@ -125,11 +165,15 @@ def test_pick_integrated_moves_past_unplaceable_optimum():
                          SurvivabilityMode.SINGLE_LAYER, Approach.INTEGRATED)
     uc = inst.unit_costs
     a, b = (lsp.id for lsp in inst.traffic)
-    logical = _best_logical(inst, inst.traffic, PROTECTION, {}, {}, ())
+    levels = _levels(inst, inst.traffic, PROTECTION, {}, {}, ())
+    logical = [entry for level in levels for entry in level]
     assert logical[0][3] == {a: (0, 2), b: (0, 2)}
     phys_links = {a: frozenset({(0, 1)}), b: frozenset({(0, 3)})}
     context = ProtectionContext(inst.traffic, {}, ExclusionSets(lsp_links=phys_links))
-    picked = _pick_integrated(inst, logical, PROTECTION, context)
+    read = []
+    picked = _pick_integrated(
+        inst, _reading(_logical_levels(inst, inst.traffic, PROTECTION, {}, {}, ()), read),
+        PROTECTION, context)
     assert picked is not None
     routes_logical, pair_routes = picked
 
@@ -141,16 +185,23 @@ def test_pick_integrated_moves_past_unplaceable_optimum():
     assert {entry[0] for entry in cheaper} == {
         uc.c_lp, 2 * uc.c_lp + uc.c_tt * Fraction(15, 2)}
     assert all(entry[3][a] == entry[3][b] for entry in cheaper)
+    # the pick read the two cheaper levels and its own, and no level past it
+    assert read == levels[:3]
+    assert len(levels) > 3
     # every placed lightpath avoids the links excluded for the LSPs it carries
     for (i, j, _q), walk in pair_routes.items():
         links = {normalize_link(m, n) for m, n in zip(walk, walk[1:])}
         for k, path in routes_logical.items():
             if (i, j) in {normalize_link(m, n) for m, n in zip(path, path[1:])}:
                 assert not links & phys_links[k]
-    # without the exclusions the cost optimum itself is placed
-    unblocked, _ = _pick_integrated(inst, logical, PROTECTION,
-                                    ProtectionContext(inst.traffic, {}, ExclusionSets()))
+    # without the exclusions the cost optimum itself is placed, from the
+    # first level alone
+    read = []
+    unblocked, _ = _pick_integrated(
+        inst, _reading(_logical_levels(inst, inst.traffic, PROTECTION, {}, {}, ()), read),
+        PROTECTION, ProtectionContext(inst.traffic, {}, ExclusionSets()))
     assert unblocked == logical[0][3]
+    assert read == levels[:1]
 
 
 def test_pick_integrated_nothing_placeable():
@@ -159,7 +210,7 @@ def test_pick_integrated_nothing_placeable():
     topo = PhysicalTopology(range(4), [(0, 1), (1, 2), (2, 3), (3, 0)], W=1)
     inst = make_instance(topo, [(0, 2, 4), (0, 2, 3.5)],
                          SurvivabilityMode.SINGLE_LAYER, Approach.INTEGRATED)
-    logical = _best_logical(inst, inst.traffic, PROTECTION, {}, {}, ())
+    levels = _logical_levels(inst, inst.traffic, PROTECTION, {}, {}, ())
     full = {(0, 1): 1, (0, 3): 1}
-    assert _pick_integrated(inst, logical, PROTECTION, ProtectionContext(
+    assert _pick_integrated(inst, levels, PROTECTION, ProtectionContext(
         inst.traffic, {}, ExclusionSets(), wavelengths_used=full)) is None
