@@ -6,6 +6,11 @@ solve) or failed verification, 2 usage errors, bad option values and
 malformed instances or configurations.  The default output directory comes
 from the ``OTNPLAN_OUT`` environment variable (falling back to the working
 directory).
+
+Every output file is written by ``_write``, in place: an existing file is
+overwritten from its start and cut to the new length, never truncated to
+zero first, which some file systems answer with a flush to disk on close
+(ext4's ``auto_da_alloc``).
 """
 
 from __future__ import annotations
@@ -49,6 +54,10 @@ class RunRequest:
     report_format: str = "table"
 
 
+# each report format and the extension of its file
+_REPORT_EXTENSIONS = {"table": "txt", "csv": "csv", "json": "json"}
+
+
 class _WriteError(Exception):
     """An output file or directory that cannot be written; exit code 2."""
 
@@ -63,8 +72,22 @@ def _out_dir(explicit: str | None) -> Path:
 
 
 def _write(path: Path, text: str) -> None:
+    """Write ``text`` to ``path`` in place (see the module docstring).
+    Anything that is not a regular file (``/dev/null``, ``/dev/stdout``, a
+    FIFO) is written as by ``Path.write_text``."""
     try:
-        path.write_text(text, encoding="utf-8")
+        if path.exists() and not path.is_file():
+            path.write_text(text, encoding="utf-8")
+            return
+        data = text.encode("utf-8")
+        fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+        try:
+            view = memoryview(data)
+            while view:
+                view = view[os.write(fd, view):]
+            os.ftruncate(fd, len(data))
+        finally:
+            os.close(fd)
     except OSError as exc:
         raise _WriteError(f"cannot write {path}: {exc.strerror or exc}") from None
 
@@ -106,6 +129,10 @@ def _run(request: RunRequest) -> int:
         options = PlanOptions(gap=request.gap, time_limit=request.time_limit)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    if request.report_format not in _REPORT_EXTENSIONS:
+        print(f"error: unknown report format {request.report_format!r} "
+              f"(choose from {', '.join(_REPORT_EXTENSIONS)})", file=sys.stderr)
         return 2
     try:
         inst = _load(request)
@@ -153,8 +180,7 @@ def _run(request: RunRequest) -> int:
     config_path = out / f"{stem}.config.json"
     _write(config_path, json.dumps(config_to_dict(config), indent=1) + "\n")
     report_text = emit_report([(request.mode, config)], fmt=request.report_format)
-    ext = {"table": "txt", "csv": "csv", "json": "json"}[request.report_format]
-    report_path = out / f"{stem}.report.{ext}"
+    report_path = out / f"{stem}.report.{_REPORT_EXTENSIONS[request.report_format]}"
     _write(report_path, report_text)
     print(report_text, end="")
     print(f"wrote {config_path}")
@@ -304,7 +330,7 @@ def build_parser() -> argparse.ArgumentParser:
                         "against the exported model (requires --emit-lp)")
     p.add_argument("--verify", action="store_true",
                    help="run failure simulation on the result")
-    p.add_argument("--report-format", choices=("table", "csv", "json"),
+    p.add_argument("--report-format", choices=tuple(_REPORT_EXTENSIONS),
                    default=RunRequest.report_format)
     p.set_defaults(func=_cmd_plan)
 
@@ -317,7 +343,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("report", help="side-by-side comparison of configurations")
     p.add_argument("configs", nargs="+")
     p.add_argument("--labels", nargs="*", default=[])
-    p.add_argument("--format", choices=("table", "csv", "json"), default="table")
+    p.add_argument("--format", choices=tuple(_REPORT_EXTENSIONS), default="table")
     p.add_argument("--diff", default=None,
                    help="add a relative total-cost row against this column label")
     p.set_defaults(func=_cmd_report)

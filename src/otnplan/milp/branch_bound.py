@@ -36,6 +36,23 @@ exactly those no later stage can reach, so each stage's optimum stays the
 same; the later stages take fewer nodes and pivots.  The model's own bounds
 do not change.
 
+The stages are settled once every column that the last root basis holds
+nonbasic has equal bounds: a structural fixed by its reduced cost or by
+the model's bounds, or the slack of an ``=`` row (the slack of a ``<=`` or
+``>=`` row is continuous, and reduced costs never fix it).  Then
+B·x_B = b − N·x_N leaves one point of the LP under the pin row, and the
+incumbent, which meets every row, every pin row and every fixing, is that
+point.  That stage and every later one are answered by the incumbent
+without a search: status ``optimal``, objective and best bound the
+incumbent's value, gap 0, no node and no pivot.  Their pin rows are
+appended to the model but not to the snapshot, which no search reads
+again.
+
+An integral LP point is checked against the snapshot in one product
+``A @ x``, each row against its rhs by its relation, and against the
+model's bounds, with ``check_solution``'s tolerance; the incumbent's dict
+of values is built only when the point is taken.
+
 The root is strengthened by implied-bound cuts (Achterberg, *Constraint
 Integer Programming*, 2007, ch. 8).  A ``<=`` row whose only negative
 coefficient is on a binary y implies x <= y for each binary x in it that
@@ -64,7 +81,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .model import (FEASIBILITY_TOL, INTEGRALITY_TOL, SOLVER_FAILURES, MilpModel,
-                    MilpSolution, MilpStats, check_solution, relative_gap)
+                    MilpSolution, MilpStats, relative_gap)
 from .simplex import LpResult, simplex_solve, with_slacks
 
 __all__ = ["solve_milp"]
@@ -94,9 +111,15 @@ class _Arrays:
         self._view(len(model.row_names))
         self.relations = list(model.relations)
         self.rhs = np.array(model.rhs)
+        # the rows with an upper side (<=, =) and those with a lower one (>=, =)
+        self.capped = np.array([rel != ">=" for rel in self.relations], bool)
+        self.floored = np.array([rel != "<=" for rel in self.relations], bool)
         self.c = np.array(model.objective)
-        self.lo = np.array(model.lower)
-        self.hi = np.array(model.upper)
+        # the model's bounds; ``lo`` and ``hi`` start as them and may close
+        self.lower = np.array(model.lower)
+        self.upper = np.array(model.upper)
+        self.lo = self.lower.copy()
+        self.hi = self.upper.copy()
 
     def _view(self, m: int) -> None:
         n = self._grid.shape[1] - self._grid.shape[0]
@@ -141,6 +164,18 @@ class _Arrays:
         self._view(rows)
         self.relations = self.relations + ["<="] * len(names)
         self.rhs = np.concatenate([self.rhs, model.rhs[first:]])
+        self.capped = np.concatenate([self.capped, np.ones(len(names), bool)])
+        self.floored = np.concatenate([self.floored, np.zeros(len(names), bool)])
+
+    def feasible(self, x: np.ndarray) -> bool:
+        """Whether the integral point ``x`` meets every row and the model's
+        bounds within ``FEASIBILITY_TOL``: the test of ``check_solution``,
+        in one product ``A @ x`` over the snapshot's rows.  A NaN fails."""
+        excess = self.A @ x - self.rhs
+        tol = FEASIBILITY_TOL
+        return not (np.count_nonzero(self.capped & ~(excess <= tol))
+                    or np.count_nonzero(self.floored & ~(excess >= -tol))
+                    or np.count_nonzero(~((x >= self.lower - tol) & (x <= self.upper + tol))))
 
 
 def _dense_rows(model: MilpModel, first: int) -> np.ndarray:
@@ -160,7 +195,8 @@ def _dense_rows(model: MilpModel, first: int) -> np.ndarray:
 class _Search:
     """The stages of one model, searched over one snapshot of it.  A stage
     leaves the next its root LP, its incumbent, the binaries that root fixes
-    and the implied pairs not yet appended."""
+    and the implied pairs not yet appended.  Once the stages are settled
+    (see ``pin``), every later one is answered by the incumbent."""
 
     def __init__(self, model: MilpModel, deadline: float | None):
         self.model = model
@@ -170,6 +206,7 @@ class _Search:
         self.root: LpResult | None = None  # the last root LP, cuts included
         self.incumbent: dict[int, float] | None = None
         self.incumbent_obj = math.inf
+        self.settled = False
 
     def cut_root(self, res: LpResult) -> tuple[LpResult, int]:
         """The root LP result once its violated implied-bound cuts are
@@ -212,14 +249,37 @@ class _Search:
                & (root.objective + np.abs(d) > bound + _FIX_MARGIN))
         arrays.lo[fix] = arrays.hi[fix] = root.x[fix]
 
+    def pin(self, name: str, objective: Mapping[int, float], rhs: float) -> None:
+        """Append the row ``objective`` <= ``rhs`` to the model and, unless
+        the stages are settled, to the snapshot; then fix binaries by the
+        last root's reduced costs and find whether the stages are settled
+        now: whether every column that the last root basis holds nonbasic
+        has equal bounds (see the module docstring)."""
+        block = ([name], [rhs], [len(objective)], list(objective), list(objective.values()))
+        if self.settled:
+            self.model.add_rows(block[0], "<=", *block[1:])
+            return
+        self.arrays.append(self.model, *block)
+        self.fix(rhs)
+        root, arrays = self.root, self.arrays
+        if root is not None:
+            basis = root.basis
+            free = np.concatenate([arrays.lo != arrays.hi, basis.slack_lo != basis.slack_hi])
+            free[basis.basis] = False
+            self.settled = not np.count_nonzero(free)
+
     def stage(self, gap: float) -> MilpSolution:
         """One branch-and-bound search for the model's current objective,
         from the last stage's root basis and incumbent."""
         began = time.perf_counter()
         model, arrays, deadline = self.model, self.arrays, self.deadline
-        arrays.c = np.array(model.objective)
         self.incumbent_obj = (math.inf if self.incumbent is None
                               else model.evaluate_objective(self.incumbent))
+        if self.settled:
+            return MilpSolution("optimal", dict(self.incumbent), self.incumbent_obj,
+                                self.incumbent_obj, 0.0,
+                                MilpStats(0, 0, time.perf_counter() - began))
+        arrays.c = np.array(model.objective)
         nodes = lp_iters = 0
         root_infeasible_rows: tuple[str, ...] = ()
 
@@ -276,11 +336,11 @@ class _Search:
             values = np.round(res.x)
             frac = np.abs(res.x - values)
             if frac.max(initial=0.0) <= INTEGRALITY_TOL:
-                cand = {i: float(values[i]) for i in range(len(values))}
-                if not check_solution(model, cand):
+                if arrays.feasible(values):
                     obj = float(arrays.c @ values)
                     if obj < incumbent_obj - 1e-12:
-                        self.incumbent, self.incumbent_obj = cand, obj
+                        self.incumbent = dict(enumerate(values.tolist()))
+                        self.incumbent_obj = obj
                     continue
                 # rounding broke feasibility: branch on the most fractional binary anyway
                 if frac.max(initial=0.0) <= 0:
@@ -317,6 +377,13 @@ def solve_milp(model: MilpModel, gap: float = 0.0, time_limit: float | None = No
     negative or NaN gap, or a pin tolerance that is negative or not finite
     raises ValueError.
 
+    Once the stages are settled (see the module docstring), each later
+    stage is answered by the incumbent without a search: status
+    ``optimal``, objective = best bound = the incumbent's value under that
+    stage's objective, gap 0, 0 nodes and 0 pivots.  Such a stage takes no
+    time, so it is answered even after ``time_limit``; its pin row is still
+    appended to ``model``.
+
     The returned incumbent always satisfies every constraint and every
     integrality requirement within 1e-6 (values are rounded and re-verified
     before acceptance).  The limit is checked between nodes and before every
@@ -346,10 +413,7 @@ def solve_milp(model: MilpModel, gap: float = 0.0, time_limit: float | None = No
         if idx:
             # the incumbent meets its own pin row, so it stays the first incumbent
             rhs = model.evaluate_objective(search.incumbent) + stages[idx - 1][2]
-            pin = stages[idx - 1][0]
-            search.arrays.append(model, [f"pin[stage={idx - 1}]"], [rhs], [len(pin)],
-                                 list(pin), list(pin.values()))
-            search.fix(rhs)
+            search.pin(f"pin[stage={idx - 1}]", stages[idx - 1][0], rhs)
         model.set_objective(objective)
         solutions.append(search.stage(stage_gap))
         if not solutions[-1].has_incumbent:

@@ -30,8 +30,9 @@ which guarantees termination.  Every tie is broken by a fixed index order, so
 solves are deterministic.
 
 The basis inverse travels with the basis.  The slack basis's is the
-identity; an optimal result hands on the inverse its tableau ended with, and
-``with_rows`` extends it to the appended rows by the block formula
+identity; an optimal result hands on the basis, the statuses and the
+inverse its tableau ended with, without copies, and ``with_rows`` extends
+the inverse to the appended rows by the block formula
 [[B⁻¹, 0], [−R_B·B⁻¹, I]], where R_B holds the appended rows' entries in the
 basic columns.  So no solve inverts its start basis.  Each pivot applies a
 rank-1 product-form update, and the inverse is recomputed from the basis
@@ -40,9 +41,10 @@ branch-and-bound child or a later stage's root counts on from the pivots its
 start basis has had since its last refactorization.  The basic values move
 along each pivot's direction instead of being re-solved; they are computed
 from the inverse when a basis is installed, at each refactorization and at
-optimality.  The dual simplex computes its reduced costs once and updates
-them from the pivot row it computes for the ratio test, recomputing them at
-each refactorization.
+optimality if a pivot or a bound flip has moved them since.  The dual
+simplex computes its reduced costs once and updates them from the pivot
+row it computes for the ratio test, recomputing them at each
+refactorization.
 
 An infeasible result carries a proof: when no nonbasic can move a violated
 basic toward its bound, that row of the basis inverse combines the
@@ -172,6 +174,7 @@ class _Tableau:
                  hi: np.ndarray, deadline: float | None):
         self.A = start.columns
         self.b = rhs
+        self.start = start
         self.lo = np.concatenate([lo, start.slack_lo])
         self.hi = np.concatenate([hi, start.slack_hi])
         self.deadline = deadline
@@ -192,6 +195,7 @@ class _Tableau:
         self.since_refactor = start.since_refactor
         self.d = np.empty(0)  # the dual simplex's reduced costs
         self.pivots = 0
+        self.refreshed_at = -1  # ``pivots`` when the basics were last computed
         self.certificate: tuple[int, ...] = ()
 
     def refactor(self) -> None:
@@ -206,6 +210,7 @@ class _Tableau:
         self.value[self.basis] = 0.0
         self.xb = self.Binv @ (self.b - self.A @ self.value)
         self.value[self.basis] = self.xb
+        self.refreshed_at = self.pivots
 
     def reduced_costs(self, c: np.ndarray) -> np.ndarray:
         return c - (c[self.basis] @ self.Binv) @ self.A
@@ -264,7 +269,8 @@ class _Tableau:
             rate = self.sign * reduced
             eligible = rate < -_RC_TOL
             if not np.count_nonzero(eligible):
-                self.refresh_basics()
+                if self.refreshed_at != self.pivots:  # a pivot or bound flip moved them
+                    self.refresh_basics()
                 return "optimal"
             if self.pivots >= _MAX_ITERATIONS:
                 return "iteration-limit"
@@ -423,9 +429,11 @@ class _Tableau:
                 self.d = self.reduced_costs(c)
 
     def snapshot(self) -> LpBasis:
-        n = self.ncols - self.m
-        return LpBasis(self.A, self.lo[n:].copy(), self.hi[n:].copy(),
-                       self.basis.copy(), self.status.copy(), self.Binv, self.since_refactor)
+        """The basis the solve ended with.  It takes the tableau's own
+        arrays, and the start's slack bounds, which no solve changes: the
+        tableau is not used after it."""
+        return LpBasis(self.A, self.start.slack_lo, self.start.slack_hi,
+                       self.basis, self.status, self.Binv, self.since_refactor)
 
 
 def simplex_solve(A: np.ndarray, relations: list[str], rhs: np.ndarray,

@@ -32,6 +32,7 @@ oracle resolve ties identically.
 from __future__ import annotations
 
 import hashlib
+from functools import lru_cache
 from typing import Iterable, Sequence
 
 WORKING = "working"
@@ -87,11 +88,14 @@ def _block(prefix: str, suffixes: Sequence[str]) -> list[str]:
     return list(map(prefix.__add__, suffixes))
 
 
+@lru_cache(maxsize=1 << 14)
 def tie_weight(name: str, level: int = 1) -> int:
     """Deterministic pseudo-random weight for an entity name.
 
     ``level`` selects independent weight families; two families make a
     collision between distinct equal-cost solutions vanishingly unlikely.
+    The weights of recent names are cached: every gap-0 model weighs each
+    of its columns at both levels, and the oracle each hop it routes over.
     """
     digest = hashlib.blake2b(f"{level}:{name}".encode("ascii"), digest_size=6).digest()
     return 1 + int.from_bytes(digest, "big") % _WEIGHT_MODULUS

@@ -5,7 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from otnplan import planner
+from otnplan import cli, planner
 from otnplan.cli import RunRequest, build_parser, main, run_cli
 from otnplan.milp import simplex, solve_milp
 from otnplan.instance import (bundled_instance_path, config_from_dict,
@@ -342,6 +342,19 @@ class TestPlanCommand:
                    "--solution-in", "whatever.txt"])
         assert rc == 2
 
+    def test_unknown_report_format_exits_2_before_planning(self, ring_instance_file,
+                                                           tmp_path, monkeypatch, capsys):
+        def no_plan(*args, **kwargs):
+            raise AssertionError("planned")
+        monkeypatch.setattr(cli, "plan", no_plan)
+        out = tmp_path / "out"
+        assert run_cli(RunRequest(instance=str(ring_instance_file), mode="single-layer",
+                                  output_dir=str(out), report_format="xml")) == 2
+        err = capsys.readouterr().err
+        assert "error: unknown report format 'xml' (choose from table, csv, json)" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
 
 class TestVerifyCommand:
     def test_roundtrip_verification(self, ring_instance_file, tmp_path):
@@ -549,6 +562,38 @@ class TestUnwritableOutput:
         assert main(["verify", "--config", str(config), "-o", str(under_a_file)]) == 2
         err = capsys.readouterr().err
         assert f"error: cannot write {under_a_file}: Not a directory" in err
+        assert "Traceback" not in err
+
+
+class TestInPlaceWriter:
+    """Every output file is rewritten in place and cut to its new length."""
+
+    def test_shorter_text_leaves_exactly_the_new_bytes(self, tmp_path):
+        path = tmp_path / "out.txt"
+        cli._write(path, "a long first text\n" * 1000)
+        cli._write(path, "short, not ASCII: \u00e9\u2192\n")
+        assert path.read_bytes() == "short, not ASCII: \u00e9\u2192\n".encode("utf-8")
+        cli._write(path, "")
+        assert path.read_bytes() == b""
+
+    def test_verify_output_to_dev_null(self, ring_instance_file, tmp_path, capsys):
+        assert main(["plan", "--instance", str(ring_instance_file), "--mode", "single-layer",
+                     "--gap", "0", "--output-dir", str(tmp_path)]) == 0
+        config = next(tmp_path.glob("*.config.json"))
+        capsys.readouterr()
+        assert main(["verify", "--config", str(config), "-o", "/dev/null"]) == 0
+        out = capsys.readouterr().out
+        assert "restorability: 100.0%" in out and "wrote /dev/null" in out
+
+    def test_unwritable_path_exits_2(self, ring_instance_file, tmp_path, capsys):
+        assert main(["plan", "--instance", str(ring_instance_file), "--mode", "single-layer",
+                     "--gap", "0", "--output-dir", str(tmp_path)]) == 0
+        config = next(tmp_path.glob("*.config.json"))
+        capsys.readouterr()
+        missing = tmp_path / "missing" / "verify.txt"
+        assert main(["verify", "--config", str(config), "-o", str(missing)]) == 2
+        err = capsys.readouterr().err
+        assert f"error: cannot write {missing}: No such file or directory" in err
         assert "Traceback" not in err
 
 

@@ -5,8 +5,9 @@ than numpy when the package loads, no process-wide tricks, no
 ``np.linalg`` in the simplex outside its periodic refactorization, no
 per-record read of a model inside the package, no per-column or per-row
 call in the model builders, no dict entry per column in them, no loop
-per term in the LP writer, no stacked dense copy in the solver, and no
-solver code and no full product of routings in the oracle."""
+per term in the LP writer, no stacked dense copy in the solver, no
+solver code and no full product of routings in the oracle, and no file
+written outside the CLI's in-place writer."""
 
 import ast
 import sys
@@ -293,3 +294,49 @@ def test_oracle_enumerates_without_the_solver():
               if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
               and node.func.id == "product"]
     assert not found, "solver code or a full product in the oracle:\n" + "\n".join(found)
+
+
+_WRITE_FLAGS = {"O_WRONLY", "O_RDWR", "O_CREAT", "O_APPEND", "O_TRUNC"}
+
+
+def _opens_for_writing(call: ast.Call) -> bool:
+    """Whether ``call`` is ``open``, ``io.open``, ``Path.open`` or
+    ``os.open`` with a mode that writes, or with a mode that is not a
+    string constant."""
+    func = call.func
+    if isinstance(func, ast.Name) or (isinstance(func, ast.Attribute)
+                                      and isinstance(func.value, ast.Name)
+                                      and func.value.id == "io"):
+        mode = call.args[1] if len(call.args) > 1 else None
+    elif isinstance(func.value, ast.Name) and func.value.id == "os":
+        return any(isinstance(node, ast.Attribute) and node.attr in _WRITE_FLAGS
+                   for arg in call.args[1:] for node in ast.walk(arg))
+    else:
+        mode = call.args[0] if call.args else None
+    mode = next((kw.value for kw in call.keywords if kw.arg == "mode"), mode)
+    if mode is None:
+        return False
+    return not (isinstance(mode, ast.Constant) and isinstance(mode.value, str)
+                and not set(mode.value) & set("wax+"))
+
+
+def test_outputs_are_written_only_in_place():
+    """Every output file goes through ``cli._write``, which rewrites a file
+    in place: nothing else in the package calls ``write_text`` or
+    ``write_bytes`` or opens a file for writing."""
+    modules = _modules(PACKAGE)
+    writers = [fn for fn in modules[PACKAGE / "cli.py"].body
+               if isinstance(fn, ast.FunctionDef) and fn.name == "_write"]
+    assert len(writers) == 1
+    allowed = {id(node) for node in ast.walk(writers[0])}
+    found = []
+    for path, tree in modules.items():
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call) or id(node) in allowed:
+                continue
+            func = node.func
+            name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+            if name in ("write_text", "write_bytes") or (name == "open"
+                                                         and _opens_for_writing(node)):
+                found.append(f"{path.relative_to(ROOT)}:{node.lineno} {name}")
+    assert not found, "files written outside cli._write:\n" + "\n".join(found)

@@ -841,9 +841,13 @@ class TestLimitsAndFailures:
         planner.plan(make_instance(topo, demands, SurvivabilityMode.SINGLE_LAYER),
                      planner.PlanOptions(gap=0.03))
         model = models[0]
-        root = root_lp(model)
         start = time.perf_counter()
-        sol = solve_milp(model, gap=0.0, time_limit=0.01)
+        root = root_lp(model)
+        root_s = time.perf_counter() - start
+        start = time.perf_counter()
+        # a quarter of the root LP's own time, so the deadline falls inside
+        # it however fast the host and the solver are
+        sol = solve_milp(model, gap=0.0, time_limit=root_s / 4)
         elapsed = time.perf_counter() - start
         assert sol.status == "time-limit"
         assert elapsed < 0.5
@@ -972,9 +976,14 @@ class TestReducedCostFixing:
                                         alone.objective + tolerance)
                 if idx == len(stages) - 1:
                     break
+                reachable = reachable[reachable @ costs <= best + tolerance + 1e-9]
+                if not staged.stages[idx + 1].stats.nodes:
+                    # a settled stage: the pin rows leave one point, the incumbent
+                    assert reachable.tolist() == [[staged.values[j] for j in range(A.shape[1])]]
+                if idx == len(fixings):
+                    continue  # settled at an earlier boundary, which fixed the last binaries
                 bound, ids, values = fixings[idx]
                 assert bound == pytest.approx(best + tolerance, abs=1e-9), trial
-                reachable = reachable[reachable @ costs <= bound + 1e-9]
                 assert (reachable[:, ids] == values).all(), trial
                 fixed += ids.size
             assert not check_solution(separate, staged.values), trial
@@ -998,6 +1007,136 @@ class TestReducedCostFixing:
         assert pinned.tolist() == [[1.0, 1.0, 1.0, 0.0]]
         assert (pinned[:, ids] == values).all()
         assert sol.objective == pytest.approx(float((pinned @ tie).min()), abs=1e-9)
+
+
+@pytest.fixture()
+def settling(monkeypatch):
+    """Counts the stage boundaries after which the stages are settled; with
+    ``settling["on"]`` false, every stage runs its own search instead."""
+    state = {"on": True, "settled": 0}
+    pin = branch_bound._Search.pin
+
+    def spy(search, *args):
+        pin(search, *args)
+        state["settled"] += search.settled
+        if not state["on"]:
+            search.settled = False
+    monkeypatch.setattr(branch_bound._Search, "pin", spy)
+    return state
+
+
+def searched(settling, solve):
+    """``solve()`` with every stage searched."""
+    settling["on"] = False
+    try:
+        return solve()
+    finally:
+        settling["on"] = True
+
+
+def assert_same_stages(settled, alone, label):
+    """Each stage equals its searched twin; a settled one took no node."""
+    assert len(settled.stages) == len(alone.stages), label
+    for stage, twin in zip(settled.stages, alone.stages):
+        assert (stage.status, stage.values, stage.objective, stage.best_bound, stage.gap) == (
+            twin.status, twin.values, twin.objective, twin.best_bound, twin.gap), label
+        if not stage.stats.nodes:
+            assert stage.stats.lp_iterations == 0 and stage.status == "optimal", label
+    assert settled.values == alone.values, label
+
+
+class TestSettledStages:
+    @pytest.mark.parametrize("gap", [0.0, 0.05])
+    def test_random_settled_stages_equal_their_search(self, gap, settling):
+        rng = np.random.default_rng(47)
+        settled = 0
+        for trial in range(150):
+            build, _rows, stages = staged_binary_model(rng)
+            stages = [(objective, gap, tolerance) for objective, _, tolerance in stages]
+            before = settling["settled"]
+            sol = solve_milp(build(), stages=stages)
+            alone = searched(settling, lambda: solve_milp(build(), stages=stages))
+            assert_same_stages(sol, alone, trial)
+            settled += sum(not stage.stats.nodes for stage in sol.stages)
+            if settling["settled"] > before:
+                assert not sol.stages[-1].stats.nodes, trial
+        assert settled > 10
+
+    def test_suite_settled_stages_equal_their_search(self, small_suite, settling,
+                                                     monkeypatch):
+        def twin(model, gap=0.0, time_limit=None, stages=None):
+            alone = searched(settling, lambda: solve_milp(
+                copy.deepcopy(model), gap, time_limit, stages))
+            sol = solve_milp(model, gap, time_limit, stages)
+            assert_same_stages(sol, alone, model.name)
+            return sol
+        monkeypatch.setattr(planner, "solve_milp", twin)
+        options = planner.PlanOptions(gap=0.0, time_limit=300)
+        for topo, demands in small_suite:
+            for mode in SurvivabilityMode:
+                planner.plan(make_instance(topo, demands, mode), options)
+        assert settling["settled"] > 0
+
+    @pytest.mark.parametrize("relation, settles", [("<=", False), ("=", True)])
+    def test_a_nonbasic_slack_settles_only_an_equality_row(self, relation, settles,
+                                                         settling, monkeypatch):
+        # stage 0's root holds x basic at 1 and y nonbasic at 0, fixed there
+        # by its reduced cost; the row x + y (rel) 1 is tight, its slack
+        # nonbasic at 0
+        frees = []
+        pin = branch_bound._Search.pin
+
+        def spy(search, *args):
+            pin(search, *args)
+            basis = search.root.basis
+            structurals = search.arrays.lo != search.arrays.hi
+            structurals[basis.basis[basis.basis < 2]] = False
+            slacks = np.ones(basis.basis.size, bool)
+            slacks[basis.basis[basis.basis >= 2] - 2] = False
+            frees.append((np.nonzero(structurals)[0].tolist(), np.nonzero(slacks)[0].tolist()))
+        monkeypatch.setattr(branch_bound._Search, "pin", spy)
+        m = MilpModel("slack")
+        x, y = m.add_variables(["x", "y"])
+        add_row(m, "row", [(x, 1.0), (y, 1.0)], relation, 1.0)
+        sol = solve_milp(m, stages=[({x: -2.0, y: -1.0}, 0.0, 0.0), ({x: 1.0, y: 1.0}, 0.0, 0.0)])
+        assert frees == [([], [0])]  # no structural is free; the row's slack is nonbasic
+        assert settling["settled"] == int(settles)
+        assert bool(sol.stages[1].stats.nodes) is not settles
+        assert sol.values == {x: 1.0, y: 0.0}
+        assert [row.name for row in m.constraints] == ["row", "pin[stage=0]"]
+
+    def test_vector_check_agrees_with_check_solution(self):
+        """On random models with all three relations and repeated column
+        terms, every row and bound of a binary point is met or missed by
+        0.5 tolerance, and half the points miss one of them by 1.5."""
+        rng = np.random.default_rng(59)
+        tol = 1e-6
+        verdicts = {True: 0, False: 0}
+        for trial in range(300):
+            n, rows = int(rng.integers(2, 7)), int(rng.integers(1, 6))
+            x = rng.integers(0, 2, n).astype(float)
+            out = int(rng.integers(n + rows)) if rng.random() < 0.5 else -1
+            miss = [1.5 * tol if k == out else float(rng.choice([0.0, 0.5 * tol]))
+                    for k in range(n + rows)]
+            m = MilpModel("check")
+            m.add_variables([f"x{j}" for j in range(n)],
+                            lower=[miss[j] if x[j] == 0 else 0.0 for j in range(n)],
+                            upper=[1.0 - miss[j] if x[j] == 1 else 1.0 for j in range(n)])
+            for r in range(rows):
+                terms = [(int(rng.integers(n)), float(np.round(rng.uniform(-3, 3), 2)))
+                         for _ in range(int(rng.integers(1, 2 * n)))]
+                lhs = sum(coef * x[vid] for vid, coef in terms)
+                relation = str(rng.choice(["<=", ">=", "="]))
+                by = miss[n + r]
+                if relation != "=" and by == 0.0 and rng.random() < 0.5:
+                    by = -1.0  # a slack row
+                sign = {"<=": -1.0, ">=": 1.0, "=": float(rng.choice([-1.0, 1.0]))}[relation]
+                add_row(m, f"r{r}", terms, relation, lhs + sign * by)
+            expected = out < 0
+            assert (not check_solution(m, dict(enumerate(x.tolist())))) is expected, trial
+            assert branch_bound._Arrays(m).feasible(x) is expected, trial
+            verdicts[expected] += 1
+        assert min(verdicts.values()) > 100
 
 
 class TestImpliedBoundCuts:
