@@ -9,8 +9,12 @@ directory).
 
 Every output file is written by ``_write``, in place: an existing file is
 overwritten from its start and cut to the new length, never truncated to
-zero first, which some file systems answer with a flush to disk on close
-(ext4's ``auto_da_alloc``).
+zero first.  A re-run into the same output directory so avoids the flush
+on close that ext4 (``auto_da_alloc``) gives a file truncated to zero and
+written again; a new file gains nothing.  That flush is the file system's
+guard for this rewrite pattern, and nothing here syncs: after a crash soon
+after a rewrite, a file may have its new length but old or mixed bytes.
+Every output is made again by running the same command.
 """
 
 from __future__ import annotations
@@ -18,6 +22,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import stat
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -72,20 +77,22 @@ def _out_dir(explicit: str | None) -> Path:
 
 
 def _write(path: Path, text: str) -> None:
-    """Write ``text`` to ``path`` in place (see the module docstring).
-    Anything that is not a regular file (``/dev/null``, ``/dev/stdout``, a
-    FIFO) is written as by ``Path.write_text``."""
+    """Write ``text`` to ``path`` in place (see the module docstring).  A
+    regular file is cut to the bytes written even when a write fails, so
+    no tail of its old text survives; ``/dev/null``, ``/dev/stdout`` or a
+    FIFO is only written."""
     try:
-        if path.exists() and not path.is_file():
-            path.write_text(text, encoding="utf-8")
-            return
-        data = text.encode("utf-8")
         fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
         try:
-            view = memoryview(data)
-            while view:
-                view = view[os.write(fd, view):]
-            os.ftruncate(fd, len(data))
+            regular = stat.S_ISREG(os.fstat(fd).st_mode)
+            view = memoryview(text.encode("utf-8"))
+            written = 0
+            try:
+                while written < len(view):
+                    written += os.write(fd, view[written:])
+            finally:
+                if regular:
+                    os.ftruncate(fd, written)
         finally:
             os.close(fd)
     except OSError as exc:

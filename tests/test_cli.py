@@ -1,5 +1,7 @@
 import dataclasses
+import errno
 import json
+import os
 from fractions import Fraction
 
 import numpy as np
@@ -575,6 +577,23 @@ class TestInPlaceWriter:
         assert path.read_bytes() == "short, not ASCII: \u00e9\u2192\n".encode("utf-8")
         cli._write(path, "")
         assert path.read_bytes() == b""
+
+    def test_failed_write_leaves_no_old_tail(self, tmp_path, monkeypatch):
+        path = tmp_path / "out.txt"
+        cli._write(path, "old text\n" * 1000)
+        real_write = os.write
+        calls = []
+
+        def write_then_fail(fd, data):
+            calls.append(len(data))
+            if len(calls) > 1:
+                raise OSError(errno.ENOSPC, "No space left on device")
+            return real_write(fd, data[:5])
+        monkeypatch.setattr(cli.os, "write", write_then_fail)
+        with pytest.raises(cli._WriteError, match="No space left on device"):
+            cli._write(path, "new text\n")
+        monkeypatch.undo()
+        assert path.read_bytes() == b"new t"
 
     def test_verify_output_to_dev_null(self, ring_instance_file, tmp_path, capsys):
         assert main(["plan", "--instance", str(ring_instance_file), "--mode", "single-layer",
