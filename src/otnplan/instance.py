@@ -11,7 +11,8 @@ Instance schema::
     }
 
 Demands are raw (possibly above lightpath capacity); loading splits them into
-LSPs.  ``T`` defaults to 2·Q·(N−1) when omitted.  Configuration files carry
+LSPs.  ``T`` defaults to 2·Q·(N−1) when omitted.  Any other key, at the top
+level or under ``params``, is rejected.  Configuration files carry
 the full instance echo plus every route, capacity vector, transit vector,
 cost breakdown and per-phase solver stats; everything a report prints is
 recomputable from the file alone.
@@ -44,6 +45,10 @@ __all__ = [
 ]
 
 
+_INSTANCE_KEYS = ("nodes", "links", "params", "cost_ratio", "demands")
+_PARAM_KEYS = ("C", "W", "Q", "T")
+
+
 def cost_ratio_from_spec(spec) -> CostRatios:
     if isinstance(spec, CostRatios):
         return spec
@@ -64,8 +69,10 @@ def instance_from_dict(data: Mapping[str, Any],
                        approach: Approach = Approach.SEQUENTIAL,
                        cost_ratio=None) -> ProblemInstance:
     _require_object(data, "instance file")
+    _require_known(data, _INSTANCE_KEYS, "instance file")
     p = data.get("params", {})
     _require_object(p, "instance params")
+    _require_known(p, _PARAM_KEYS, "instance params")
     topo = PhysicalTopology(nodes=_list_field(data, "nodes"),
                             links=_list_field(data, "links"), W=p.get("W", 32))
     params = SystemParams(C=p.get("C", 10), Q=p.get("Q", 2), T=p.get("T"),
@@ -82,6 +89,15 @@ def instance_from_dict(data: Mapping[str, Any],
 def _require_object(data: Any, what: str) -> None:
     if not isinstance(data, Mapping):
         raise ValueError(f"{what} must be a JSON object, not {type(data).__name__}")
+
+
+def _require_known(data: Mapping[str, Any], keys: tuple[str, ...], what: str) -> None:
+    """A key outside ``keys`` is a mistake, such as a parameter written at
+    the top level, that loading would otherwise ignore for a default."""
+    unknown = [key for key in data if key not in keys]
+    if unknown:
+        raise ValueError(f"{what} has unknown key{'s' * (len(unknown) > 1)} "
+                         f"{', '.join(map(repr, unknown))}; the keys are {', '.join(keys)}")
 
 
 def _list_field(data: Mapping[str, Any], key: str) -> list:

@@ -5,14 +5,17 @@ Every optimization phase is solved hierarchically: the phase cost first, then
 (at gap 0) two deterministic tie-break objectives over the active entity
 names.  Ties between equal-cost optima are therefore resolved identically by
 this planner and by the enumeration oracle, which makes "planner equals
-brute force at gap 0" a well-defined statement.  With the integrated
-approach the working model carries both layers and is solved MPLS terms
-first, wavelength term second, so the packet-layer resources match the
-sequential result while the optical layer can only improve.
+brute force at gap 0" a well-defined statement.  At gap 0 a
+lightpath-routing phase whose wavelength budgets are slack reaches the same
+optimum by shortest routes, without a search (``_MilpPhases.route``).  With
+the integrated approach the working model carries both layers and is solved
+MPLS terms first, wavelength term second, so the packet-layer resources
+match the sequential result while the optical layer can only improve.
 """
 
 from __future__ import annotations
 
+import heapq
 import time
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
@@ -25,7 +28,7 @@ from .formulation import (PROTECTION, WORKING, ExclusionSets, Lightpath,
                           build_integrated, build_lightpath_routing,
                           build_logical_design, compute_exclusion_sets,
                           expand_lightpaths, spare_carrier_exclusions)
-from .milp import SOLVER_FAILURES, MilpModel, solve_milp
+from .milp import SOLVER_FAILURES, MilpModel, check_solution, solve_milp
 from .modes import Approach, SurvivabilityMode
 from .netmodel import (Link, Node, PhysicalTopology, UnitCosts, normalize_link,
                        reachable, route_links)
@@ -228,6 +231,47 @@ def _decode_walks(family: Mapping[tuple, int], values: Mapping[int, float],
     return walks
 
 
+def _shortest_routes(model: MilpModel, lam: Mapping[tuple, int],
+                     lightpaths: Sequence[Lightpath]) -> dict[int, float] | None:
+    """Each lightpath's lexicographically shortest route over its open
+    ``lam`` columns (upper bound 1), by Dijkstra on the key (cost, tie 1,
+    tie 2): a column's cost in ``model`` and the two tie weights of its
+    name, the numbers the search minimises stage by stage.  The sums are
+    compared exactly.  Returns 1.0 for every column taken, or None when a
+    lightpath's far end cannot be reached."""
+    names, costs = model.names, model.objective
+    out: dict[int, dict[Node, list[tuple[Node, int]]]] = {}
+    for (lp_id, m, n), vid in lam.items():
+        if model.upper[vid] == 1.0:
+            out.setdefault(lp_id, {}).setdefault(m, []).append((n, vid))
+    values: dict[int, float] = {}
+    for lp in lightpaths:
+        arcs = out.get(lp.id, {})
+        best: dict[Node, tuple] = {lp.i: (0.0, 0, 0)}
+        via: dict[Node, tuple[Node, int]] = {}
+        heap = [(0.0, 0, 0, lp.i)]
+        while heap:
+            cost, tie1, tie2, m = heapq.heappop(heap)
+            if m == lp.j:
+                break
+            if (cost, tie1, tie2) > best[m]:
+                continue  # m was reached by a shorter route since
+            for n, vid in arcs.get(m, ()):
+                key = (cost + costs[vid], tie1 + naming.tie_weight(names[vid], 1),
+                       tie2 + naming.tie_weight(names[vid], 2))
+                if n not in best or key < best[n]:
+                    best[n] = key
+                    via[n] = (m, vid)
+                    heapq.heappush(heap, (*key, n))
+        else:
+            return None
+        n = lp.j
+        while n != lp.i:
+            n, vid = via[n]
+            values[vid] = 1.0
+    return values
+
+
 def _cut_off(lightpaths: Iterable[Lightpath], topology: PhysicalTopology,
              exclusions: ExclusionSets) -> list[Lightpath]:
     """The lightpaths whose exclusions cut their far end off, so that no
@@ -332,13 +376,16 @@ class _MilpPhases:
                                        f"incumbent {stage.objective:.6g}, bound "
                                        f"{stage.best_bound:.6g}, gap {stage.gap:.4g} "
                                        f"above {stage_gap:g}")
-        first, earlier = sol.stages[0], self.records.get(label)
+        first = sol.stages[0]
+        self._record(label, first.status, first.objective, first.best_bound, first.gap,
+                     sol.stats.nodes, sol.stats.lp_iterations, sol.stats.wall_time)
+        return dict(sol.values)
+
+    def _record(self, label: str, *fields) -> None:
+        earlier = self.records.get(label)
         # a phase solved again after regrouping keeps its place and counts it
         self.records[label] = PhaseRecord(
-            label, first.status, first.objective, first.best_bound, first.gap,
-            sol.stats.nodes, sol.stats.lp_iterations, sol.stats.wall_time,
-            retries=0 if earlier is None else earlier.retries + 1)
-        return dict(sol.values)
+            label, *fields, retries=0 if earlier is None else earlier.retries + 1)
 
     def logical(self, label: str, plane: str, context: ProtectionContext | None = None):
         instance = self.instance
@@ -375,20 +422,41 @@ class _MilpPhases:
     def route(self, label: str, lightpaths: Sequence[Lightpath],
               **routing) -> dict[int, tuple[Node, ...]]:
         """Lightpath-routing phase; an infeasible one is diagnosed within
-        what is left of the phase's time limit."""
+        what is left of the phase's time limit.
+
+        At gap 0 the phase is first answered by each lightpath's
+        lexicographically shortest route (``_shortest_routes``).  Each
+        lightpath has its own flow rows, eq (14)/(15), and only the link
+        budgets, eq (17), tie one lightpath to another.  Without them the
+        phase's (cost, tie 1, tie 2) stages separate by lightpath, and the
+        flow LP of a single path is integral (Ahuja, Magnanti & Orlin,
+        *Network Flows*, 1993), so the shortest routes are the optimum of
+        every stage.  If they also meet every row of the model under
+        ``check_solution``, they are the phase's gap-0 optimum, which the
+        search would find too.  The phase then records status ``optimal``,
+        the routes' cost as objective and best bound, gap 0, no node and no
+        pivot.  Otherwise a budget binds, or some lightpath has no route,
+        and the model is searched as at any gap.
+        """
         topology, unit_costs = self.instance.topology, self.instance.unit_costs
         started = time.perf_counter()
         model, varmap = build_lightpath_routing(list(lightpaths), topology,
                                                 unit_costs, **routing)
-        try:
-            values = self._solve(model, [varmap.optical_objective], label)
-        except PlanError as exc:
-            if exc.detail != "infeasible":
-                raise
-            left = self.options.time_limit - (time.perf_counter() - started)
-            binding = diagnose_lightpath_infeasibility(
-                lightpaths, topology, unit_costs, max(0.0, left), **routing)
-            raise PlanError(label, exc.detail, binding=binding) from exc
+        began = time.perf_counter()
+        values = _shortest_routes(model, varmap.lam, lightpaths) if self.options.exact() else None
+        if values is not None and not check_solution(model, values):
+            cost = model.evaluate_objective(values)
+            self._record(label, "optimal", cost, cost, 0.0, 0, 0, time.perf_counter() - began)
+        else:
+            try:
+                values = self._solve(model, [varmap.optical_objective], label)
+            except PlanError as exc:
+                if exc.detail != "infeasible":
+                    raise
+                left = self.options.time_limit - (time.perf_counter() - started)
+                binding = diagnose_lightpath_infeasibility(
+                    lightpaths, topology, unit_costs, max(0.0, left), **routing)
+                raise PlanError(label, exc.detail, binding=binding) from exc
         walks = _decode_walks(varmap.lam, values,
                               {lp.id: (lp.i, lp.j) for lp in lightpaths},
                               topology.n + 1,

@@ -23,6 +23,13 @@ ALL_MODES = tuple(SurvivabilityMode)
 SUITE_SIZE = 20
 
 
+# six nodes at W = 2: in a single-layer plan the shortest routes overrun a
+# wavelength budget in both lightpath-routing phases, so each is searched
+BINDING_TOPOLOGY = PhysicalTopology(range(6), [(2, 3), (2, 5), (0, 5), (0, 4), (1, 4),
+                                               (1, 3), (0, 2), (3, 5)], W=2)
+BINDING_DEMANDS = ((5, 2, 10), (3, 0, 8), (4, 2, 10), (2, 0, 4))
+
+
 def make_instance(topology, demands, mode=SurvivabilityMode.NONE,
                   approach=Approach.SEQUENTIAL, q=1, C=10, ratios=CR1):
     params = SystemParams(C=C, Q=q, n_nodes=topology.n)

@@ -290,6 +290,30 @@ class TestPlanCommand:
         assert ("cannot load instance: instance params must be a JSON object, not list"
                 in capsys.readouterr().err)
 
+    @pytest.mark.parametrize("command", ["plan", "oracle", "estimate-size"])
+    def test_unknown_instance_key_exits_2(self, command, ring_instance_file, tmp_path,
+                                          capsys):
+        # the parameters written at the top level, not under params, would
+        # load with the defaults Q = 2 and T = 2·Q·(N−1)
+        data = json.loads(ring_instance_file.read_text())
+        data.update(data.pop("params"))
+        data.pop("T")
+        ring_instance_file.write_text(json.dumps(data), encoding="utf-8")
+        args = [command, "--instance", str(ring_instance_file)]
+        assert main(args + ["--output-dir", str(tmp_path)] * (command == "plan")) == 2
+        err = capsys.readouterr().err
+        assert ("cannot load instance: instance file has unknown keys 'C', 'W', 'Q'; the "
+                "keys are nodes, links, params, cost_ratio, demands\n") in err
+        assert "Traceback" not in err
+        assert not list(tmp_path.glob("*.config.json"))
+        data["params"] = {"C": 10, "W": 32, "q": 1}
+        for key in ("C", "W", "Q"):
+            data.pop(key)
+        ring_instance_file.write_text(json.dumps(data), encoding="utf-8")
+        assert main(args) == 2
+        assert ("cannot load instance: instance params has unknown key 'q'; the keys are "
+                "C, W, Q, T\n") in capsys.readouterr().err
+
     def test_schema_error_exits_2(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text("{\"nodes\": [0, 1]}", encoding="utf-8")

@@ -366,7 +366,10 @@ def test_block_names_are_those_of_the_naming_functions(mode, approach, monkeypat
     give through the one-name functions of ``naming``, with ``len``,
     iteration in id order, ``in`` and ``KeyError`` as on a dict.  Each stage
     objective holds the build-time costs of its columns, also once the
-    staged solve has replaced ``model.objective``."""
+    staged solve has replaced ``model.objective``.  At gap 0 the plan
+    answers its lightpath-routing phases by shortest routes, whose budgets
+    W = 32 leaves slack, and solves no routing model; the test then solves
+    each one as the phase does when a budget binds."""
     built = []
 
     def recording(builder):
@@ -390,7 +393,13 @@ def test_block_names_are_those_of_the_naming_functions(mode, approach, monkeypat
         monkeypatch.setattr(planner, name, recording(getattr(planner, name)))
     inst = make_instance(generate_topology(5, 2.5, seed=7),
                          [(0, 2, 4), (1, 3, 6), (2, 4, 3.5)], mode, approach, q=2)
-    plan(inst, PlanOptions(gap=0.0, time_limit=60))
+    options = PlanOptions(gap=0.0, time_limit=60)
+    plan(inst, options)
+    for model, varmap, _families, costs in built:
+        if model.name.startswith("lightpath"):
+            assert model.objective == costs  # no search ran on it
+            planner._MilpPhases(inst, options)._solve(
+                model, [varmap.optical_objective], model.name)
     assert {model.name.split("-")[0] for model, *_ in built} == (
         {"logical", "lightpath"} if approach is Approach.SEQUENTIAL else {"integrated"})
     assert {model.name.endswith(PROTECTION) for model, *_ in built} == {False, True}

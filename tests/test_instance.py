@@ -1,11 +1,14 @@
+import importlib.util
 import json
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from otnplan.formulation import ProblemInstance
-from otnplan.instance import (bundled_instance_path, config_from_dict,
-                              config_to_dict, instance_from_dict, instance_to_dict)
+from otnplan.instance import (bundled_instance_path, config_from_dict, config_to_dict,
+                              instance_from_dict, instance_to_dict, load_instance)
 from otnplan.modes import Approach, SurvivabilityMode
 from otnplan.oracle import brute_force_optimum
 from otnplan.planner import PlanError, PlanOptions, plan
@@ -15,6 +18,7 @@ from otnplan.netmodel import (PhysicalTopology, SystemParams, split_demands,
 from conftest import UNIT_CR1, make_instance
 
 EXACT = PlanOptions(gap=0.0, time_limit=120)
+BENCH_WORKLOADS = Path(__file__).resolve().parent.parent / "bench" / "workloads.py"
 
 
 class TestInstanceFormat:
@@ -52,6 +56,19 @@ class TestInstanceFormat:
         inst = ProblemInstance(topo, split_demands([(0, 2, 4)], 10),
                                SystemParams(C=10, Q=1, n_nodes=3), UNIT_CR1)
         assert instance_from_dict(instance_to_dict(inst)).topology.W == 1
+
+
+    def test_bench_instances_load(self, tmp_path, monkeypatch):
+        """Every instance file that the benchmark's workloads write loads;
+        nothing outside the known keys slips in."""
+        spec = importlib.util.spec_from_file_location("bench_workloads", BENCH_WORKLOADS)
+        workloads = importlib.util.module_from_spec(spec)
+        monkeypatch.setitem(sys.modules, spec.name, workloads)
+        spec.loader.exec_module(workloads)
+        for name in ("fixture6", "suite20-gap0", "export12"):
+            requests = workloads.setup(name, 1, workloads.SUITE_SEED, tmp_path).requests
+            for path in {request.instance for request in requests}:
+                assert load_instance(path).traffic
 
 
 class TestConfigRoundTrip:

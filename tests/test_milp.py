@@ -8,10 +8,10 @@ import numpy as np
 import pytest
 from scipy.optimize import linprog
 
-from conftest import add_row, make_instance
+from conftest import BINDING_DEMANDS, BINDING_TOPOLOGY, add_row, make_instance
 from otnplan import planner
 from otnplan.formulation import (PROTECTION, WORKING, ExclusionSets, ProtectionContext,
-                                 build_logical_design)
+                                 build_lightpath_routing, build_logical_design)
 from otnplan.milp import (MilpModel, ModelError, branch_bound, check_solution, emit_lp_file,
                           simplex, solve_milp)
 from otnplan.milp.simplex import simplex_solve
@@ -597,7 +597,7 @@ class TestWarmStart:
         assert compared > 15
         assert sum(ids.size for _, ids, _ in fixings) > 0
 
-    def test_one_snapshot_and_one_derivation_per_call(self, ring4, monkeypatch):
+    def test_one_snapshot_and_one_derivation_per_call(self, monkeypatch):
         calls = {"arrays": 0, "implied": 0}
         per_solve = []
         build, implied = branch_bound._Arrays.__init__, branch_bound._Arrays.implied_bounds
@@ -619,7 +619,8 @@ class TestWarmStart:
         monkeypatch.setattr(branch_bound._Arrays, "__init__", counting_build)
         monkeypatch.setattr(branch_bound._Arrays, "implied_bounds", counting_implied)
         monkeypatch.setattr(planner, "solve_milp", counting_solve)
-        inst = make_instance(ring4, [(0, 2, 10), (1, 3, 6)], SurvivabilityMode.SINGLE_LAYER)
+        # budgets that bind, so that the routing phases are searched too
+        inst = make_instance(BINDING_TOPOLOGY, BINDING_DEMANDS, SurvivabilityMode.SINGLE_LAYER)
         planner.plan(inst, planner.PlanOptions(gap=0.0))
         assert len(per_solve) == 4  # one call per phase
         assert all(arrays == 1 and implied <= 1 and stages == 3
@@ -1070,11 +1071,24 @@ class TestSettledStages:
             sol = solve_milp(model, gap, time_limit, stages)
             assert_same_stages(sol, alone, model.name)
             return sol
+
+        def recording(*args, **kwargs):
+            model, varmap = build_lightpath_routing(*args, **kwargs)
+            routing.append((copy.deepcopy(model), varmap))
+            return model, varmap
         monkeypatch.setattr(planner, "solve_milp", twin)
+        monkeypatch.setattr(planner, "build_lightpath_routing", recording)
         options = planner.PlanOptions(gap=0.0, time_limit=300)
         for topo, demands in small_suite:
             for mode in SurvivabilityMode:
-                planner.plan(make_instance(topo, demands, mode), options)
+                routing = []
+                inst = make_instance(topo, demands, mode)
+                planner.plan(inst, options)
+                # the plan answers its routing phases by shortest routes;
+                # each is searched here as when a budget binds
+                for model, varmap in routing:
+                    planner._MilpPhases(inst, options)._solve(
+                        model, [varmap.optical_objective], model.name)
         assert settling["settled"] > 0
 
     @pytest.mark.parametrize("relation, settles", [("<=", False), ("=", True)])

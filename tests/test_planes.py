@@ -54,11 +54,14 @@ def test_q2_plan_uses_parallel_lightpaths(ring4, mode, approach):
         assert check_disjointness(config) == ()
 
 
-def test_routing_phase_at_its_time_limit_names_no_binding(ring4):
-    inst = make_instance(ring4, [(0, 2, 10)])
+def test_routing_phase_at_its_time_limit_names_no_binding():
+    # both lightpaths' shortest route is the link (0,1), which has room for
+    # one, so the phase is searched; the other can go round the ring
+    topo = PhysicalTopology(range(4), [(0, 1), (1, 2), (2, 3), (3, 0)], W=1)
+    inst = make_instance(topo, [(0, 1, 10), (0, 1, 10)], q=2)
     phases = _MilpPhases(inst, PlanOptions(gap=0.0, time_limit=0.0))
     with pytest.raises(PlanError) as err:
-        phases.route("III-working-lightpaths", expand_lightpaths([(0, 2, 1)]))
+        phases.route("III-working-lightpaths", expand_lightpaths([(0, 1, 1), (0, 1, 2)]))
     assert err.value.detail == "time-limit"
     assert err.value.binding == ()
 
