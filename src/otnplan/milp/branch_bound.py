@@ -36,18 +36,6 @@ exactly those no later stage can reach, so each stage's optimum stays the
 same; the later stages take fewer nodes and pivots.  The model's own bounds
 do not change.
 
-The stages are settled once every column that the last root basis holds
-nonbasic has equal bounds: a structural fixed by its reduced cost or by
-the model's bounds, or the slack of an ``=`` row (the slack of a ``<=`` or
-``>=`` row is continuous, and reduced costs never fix it).  Then
-B·x_B = b − N·x_N leaves one point of the LP under the pin row, and the
-incumbent, which meets every row, every pin row and every fixing, is that
-point.  That stage and every later one are answered by the incumbent
-without a search: status ``optimal``, objective and best bound the
-incumbent's value, gap 0, no node and no pivot.  Their pin rows are
-appended to the model but not to the snapshot, which no search reads
-again.
-
 An integral LP point is checked against the snapshot in one product
 ``A @ x``, each row against its rhs by its relation, and against the
 model's bounds, with ``check_solution``'s tolerance; the incumbent's dict
@@ -195,8 +183,7 @@ def _dense_rows(model: MilpModel, first: int) -> np.ndarray:
 class _Search:
     """The stages of one model, searched over one snapshot of it.  A stage
     leaves the next its root LP, its incumbent, the binaries that root fixes
-    and the implied pairs not yet appended.  Once the stages are settled
-    (see ``pin``), every later one is answered by the incumbent."""
+    and the implied pairs not yet appended."""
 
     def __init__(self, model: MilpModel, deadline: float | None):
         self.model = model
@@ -206,7 +193,6 @@ class _Search:
         self.root: LpResult | None = None  # the last root LP, cuts included
         self.incumbent: dict[int, float] | None = None
         self.incumbent_obj = math.inf
-        self.settled = False
 
     def cut_root(self, res: LpResult) -> tuple[LpResult, int]:
         """The root LP result once its violated implied-bound cuts are
@@ -250,23 +236,11 @@ class _Search:
         arrays.lo[fix] = arrays.hi[fix] = root.x[fix]
 
     def pin(self, name: str, objective: Mapping[int, float], rhs: float) -> None:
-        """Append the row ``objective`` <= ``rhs`` to the model and, unless
-        the stages are settled, to the snapshot; then fix binaries by the
-        last root's reduced costs and find whether the stages are settled
-        now: whether every column that the last root basis holds nonbasic
-        has equal bounds (see the module docstring)."""
-        block = ([name], [rhs], [len(objective)], list(objective), list(objective.values()))
-        if self.settled:
-            self.model.add_rows(block[0], "<=", *block[1:])
-            return
-        self.arrays.append(self.model, *block)
+        """Append the row ``objective`` <= ``rhs`` to the model and to the
+        snapshot, then fix binaries by the last root's reduced costs."""
+        self.arrays.append(self.model, [name], [rhs], [len(objective)], list(objective),
+                           list(objective.values()))
         self.fix(rhs)
-        root, arrays = self.root, self.arrays
-        if root is not None:
-            basis = root.basis
-            free = np.concatenate([arrays.lo != arrays.hi, basis.slack_lo != basis.slack_hi])
-            free[basis.basis] = False
-            self.settled = not np.count_nonzero(free)
 
     def stage(self, gap: float) -> MilpSolution:
         """One branch-and-bound search for the model's current objective,
@@ -275,10 +249,6 @@ class _Search:
         model, arrays, deadline = self.model, self.arrays, self.deadline
         self.incumbent_obj = (math.inf if self.incumbent is None
                               else model.evaluate_objective(self.incumbent))
-        if self.settled:
-            return MilpSolution("optimal", dict(self.incumbent), self.incumbent_obj,
-                                self.incumbent_obj, 0.0,
-                                MilpStats(0, 0, time.perf_counter() - began))
         arrays.c = np.array(model.objective)
         nodes = lp_iters = 0
         root_infeasible_rows: tuple[str, ...] = ()
@@ -376,13 +346,6 @@ def solve_milp(model: MilpModel, gap: float = 0.0, time_limit: float | None = No
     each stage's own solution in ``stages``.  An empty ``stages``, a
     negative or NaN gap, or a pin tolerance that is negative or not finite
     raises ValueError.
-
-    Once the stages are settled (see the module docstring), each later
-    stage is answered by the incumbent without a search: status
-    ``optimal``, objective = best bound = the incumbent's value under that
-    stage's objective, gap 0, 0 nodes and 0 pivots.  Such a stage takes no
-    time, so it is answered even after ``time_limit``; its pin row is still
-    appended to ``model``.
 
     The returned incumbent always satisfies every constraint and every
     integrality requirement within 1e-6 (values are rounded and re-verified

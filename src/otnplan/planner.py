@@ -6,8 +6,10 @@ Every optimization phase is solved hierarchically: the phase cost first, then
 names.  Ties between equal-cost optima are therefore resolved identically by
 this planner and by the enumeration oracle, which makes "planner equals
 brute force at gap 0" a well-defined statement.  At gap 0 a
-lightpath-routing phase whose wavelength budgets are slack reaches the same
-optimum by shortest routes, without a search (``_MilpPhases.route``).  With
+lightpath-routing phase whose wavelength budgets are slack, and a sequential
+logical-design phase with one LSP whose shortest route meets every row,
+reach the same optimum by lexicographic shortest paths, without a search
+(``_MilpPhases.route`` and ``_MilpPhases.logical``).  With
 the integrated approach the working model carries both layers and is solved
 MPLS terms first, wavelength term second, so the packet-layer resources
 match the sequential result while the optical layer can only improve.
@@ -30,8 +32,8 @@ from .formulation import (PROTECTION, WORKING, ExclusionSets, Lightpath,
                           expand_lightpaths, spare_carrier_exclusions)
 from .milp import SOLVER_FAILURES, MilpModel, check_solution, solve_milp
 from .modes import Approach, SurvivabilityMode
-from .netmodel import (Link, Node, PhysicalTopology, UnitCosts, normalize_link,
-                       reachable, route_links)
+from .netmodel import (Link, LspDemand, Node, PhysicalTopology, UnitCosts,
+                       normalize_link, reachable, route_links)
 
 __all__ = [
     "PlanOptions",
@@ -231,45 +233,70 @@ def _decode_walks(family: Mapping[tuple, int], values: Mapping[int, float],
     return walks
 
 
-def _shortest_routes(model: MilpModel, lam: Mapping[tuple, int],
-                     lightpaths: Sequence[Lightpath]) -> dict[int, float] | None:
-    """Each lightpath's lexicographically shortest route over its open
-    ``lam`` columns (upper bound 1), by Dijkstra on the key (cost, tie 1,
-    tie 2): a column's cost in ``model`` and the two tie weights of its
-    name, the numbers the search minimises stage by stage.  The sums are
-    compared exactly.  Returns 1.0 for every column taken, or None when a
-    lightpath's far end cannot be reached."""
+def _shortest_paths(model: MilpModel, arcs: Mapping[object, Mapping[Node, Sequence[tuple]]],
+                    ends: Mapping[object, tuple[Node, Node]]) -> dict[int, float] | None:
+    """Each entity's lexicographically shortest path from its source to its
+    target, ``ends[entity]``, by Dijkstra on the key (cost, tie 1, tie 2).
+    ``arcs[entity][m]`` lists each arc out of m as (its head, the ids of the
+    columns it takes), and an arc's key sums over those columns their cost
+    in ``model`` and the two tie weights of their names: the numbers the
+    search minimises stage by stage.  The sums are compared exactly.
+    Returns 1.0 for every column taken, or None when a target cannot be
+    reached."""
     names, costs = model.names, model.objective
-    out: dict[int, dict[Node, list[tuple[Node, int]]]] = {}
-    for (lp_id, m, n), vid in lam.items():
-        if model.upper[vid] == 1.0:
-            out.setdefault(lp_id, {}).setdefault(m, []).append((n, vid))
     values: dict[int, float] = {}
-    for lp in lightpaths:
-        arcs = out.get(lp.id, {})
-        best: dict[Node, tuple] = {lp.i: (0.0, 0, 0)}
-        via: dict[Node, tuple[Node, int]] = {}
-        heap = [(0.0, 0, 0, lp.i)]
+    for entity, (source, target) in ends.items():
+        out = arcs.get(entity, {})
+        best: dict[Node, tuple] = {source: (0.0, 0, 0)}
+        via: dict[Node, tuple[Node, tuple]] = {}
+        heap = [(0.0, 0, 0, source)]
         while heap:
             cost, tie1, tie2, m = heapq.heappop(heap)
-            if m == lp.j:
+            if m == target:
                 break
             if (cost, tie1, tie2) > best[m]:
-                continue  # m was reached by a shorter route since
-            for n, vid in arcs.get(m, ()):
-                key = (cost + costs[vid], tie1 + naming.tie_weight(names[vid], 1),
-                       tie2 + naming.tie_weight(names[vid], 2))
+                continue  # m was reached by a shorter path since
+            for n, ids in out.get(m, ()):
+                key = (cost, tie1, tie2)
+                for vid in ids:
+                    key = (key[0] + costs[vid], key[1] + naming.tie_weight(names[vid], 1),
+                           key[2] + naming.tie_weight(names[vid], 2))
                 if n not in best or key < best[n]:
                     best[n] = key
-                    via[n] = (m, vid)
+                    via[n] = (m, ids)
                     heapq.heappush(heap, (*key, n))
         else:
             return None
-        n = lp.j
-        while n != lp.i:
-            n, vid = via[n]
-            values[vid] = 1.0
+        n = target
+        while n != source:
+            n, ids = via[n]
+            values.update(dict.fromkeys(ids, 1.0))
     return values
+
+
+def _shortest_routes(model: MilpModel, lam: Mapping[tuple, int],
+                     lightpaths: Sequence[Lightpath]) -> dict[int, float] | None:
+    """Each lightpath's lexicographically shortest route over its open
+    ``lam`` columns (upper bound 1), one column per arc
+    (``_shortest_paths``)."""
+    arcs: dict[int, dict[Node, list[tuple[Node, tuple]]]] = {}
+    for (lp_id, m, n), vid in lam.items():
+        if model.upper[vid] == 1.0:
+            arcs.setdefault(lp_id, {}).setdefault(m, []).append((n, (vid,)))
+    return _shortest_paths(model, arcs, {lp.id: (lp.i, lp.j) for lp in lightpaths})
+
+
+def _shortest_lsp_route(model: MilpModel, delta: Mapping[tuple, int],
+                        beta: Mapping[tuple, int], lsp: LspDemand) -> dict[int, float] | None:
+    """One LSP's lexicographically shortest logical route over its open
+    ``delta`` columns (upper bound 1): a hop (i -> j, q) takes its δ column
+    and the β column of the lightpath (min, max, q) it crosses
+    (``_shortest_paths``)."""
+    arcs: dict[Node, list[tuple[Node, tuple]]] = {}
+    for (_k, i, j, q), vid in delta.items():
+        if model.upper[vid] == 1.0:
+            arcs.setdefault(i, []).append((j, (vid, beta[normalize_link(i, j) + (q,)])))
+    return _shortest_paths(model, {lsp.id: arcs}, {lsp.id: (lsp.source, lsp.destination)})
 
 
 def _cut_off(lightpaths: Iterable[Lightpath], topology: PhysicalTopology,
@@ -387,7 +414,38 @@ class _MilpPhases:
         self.records[label] = PhaseRecord(
             label, *fields, retries=0 if earlier is None else earlier.retries + 1)
 
+    def _answered(self, label: str, model: MilpModel, values: dict[int, float] | None,
+                  began: float) -> bool:
+        """Whether a shortest-path point ``values`` meets every row of
+        ``model``; if so, it is recorded as the phase's optimum: status
+        ``optimal``, its cost as objective and best bound, gap 0, no node
+        and no pivot, and the time since ``began``."""
+        if values is None or check_solution(model, values):
+            return False
+        cost = model.evaluate_objective(values)
+        self._record(label, "optimal", cost, cost, 0.0, 0, 0, time.perf_counter() - began)
+        return True
+
     def logical(self, label: str, plane: str, context: ProtectionContext | None = None):
+        """Logical-design phase of one plane (steps I and II, fused with
+        step III or the spare-carrier placement in the integrated approach).
+
+        At gap 0 in the sequential approach, a phase with one LSP is first
+        answered by that LSP's lexicographically shortest route
+        (``_shortest_lsp_route``), each hop keyed by its δ and β columns
+        together, and recorded by ``_answered``.  One LSP has nothing to
+        groom.  Costs are non-negative (load rejects negative element
+        costs), tie weights are at least 1, and every feasible point covers
+        a simple source-destination path in δ plus the β of each of its
+        hops, which the capacity row b·δ <= C·β opens (load rejects a
+        bandwidth within the feasibility tolerance).  Any other column at 1
+        only adds to the key, so the route is the least (cost, tie 1, tie 2)
+        over a superset of the feasible points.  If it meets every row
+        under ``check_solution`` (eq 7, eq 11 and the no-good grouping
+        cuts), it is the optimum of every stage.  Otherwise, and with two or
+        more LSPs, at a gap above 0 or in the integrated approach, the model
+        is searched.
+        """
         instance = self.instance
         integrated = instance.approach is Approach.INTEGRATED
         lsps = instance.traffic if context is None else context.protected
@@ -397,7 +455,11 @@ class _MilpPhases:
         else:
             model, varmap = build_logical_design(instance, plane, context)
             stages = [varmap.mpls_objective]
-        values = self._solve(model, stages, label)
+        began = time.perf_counter()
+        values = (_shortest_lsp_route(model, varmap.delta, varmap.beta, lsps[0])
+                  if self.options.exact() and not integrated and len(lsps) == 1 else None)
+        if not self._answered(label, model, values, began):
+            values = self._solve(model, stages, label)
         limit = instance.topology.n + 1
         pairs = sorted(key for key, vid in varmap.beta.items() if values.get(vid, 0.0) > 0.5)
         walks = _decode_walks(varmap.delta, values,
@@ -433,10 +495,9 @@ class _MilpPhases:
         *Network Flows*, 1993), so the shortest routes are the optimum of
         every stage.  If they also meet every row of the model under
         ``check_solution``, they are the phase's gap-0 optimum, which the
-        search would find too.  The phase then records status ``optimal``,
-        the routes' cost as objective and best bound, gap 0, no node and no
-        pivot.  Otherwise a budget binds, or some lightpath has no route,
-        and the model is searched as at any gap.
+        search would find too, and ``_answered`` records them.  Otherwise a
+        budget binds, or some lightpath has no route, and the model is
+        searched as at any gap.
         """
         topology, unit_costs = self.instance.topology, self.instance.unit_costs
         started = time.perf_counter()
@@ -444,10 +505,7 @@ class _MilpPhases:
                                                 unit_costs, **routing)
         began = time.perf_counter()
         values = _shortest_routes(model, varmap.lam, lightpaths) if self.options.exact() else None
-        if values is not None and not check_solution(model, values):
-            cost = model.evaluate_objective(values)
-            self._record(label, "optimal", cost, cost, 0.0, 0, 0, time.perf_counter() - began)
-        else:
+        if not self._answered(label, model, values, began):
             try:
                 values = self._solve(model, [varmap.optical_objective], label)
             except PlanError as exc:

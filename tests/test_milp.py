@@ -11,7 +11,7 @@ from scipy.optimize import linprog
 from conftest import BINDING_DEMANDS, BINDING_TOPOLOGY, add_row, make_instance
 from otnplan import planner
 from otnplan.formulation import (PROTECTION, WORKING, ExclusionSets, ProtectionContext,
-                                 build_lightpath_routing, build_logical_design)
+                                 build_logical_design)
 from otnplan.milp import (MilpModel, ModelError, branch_bound, check_solution, emit_lp_file,
                           simplex, solve_milp)
 from otnplan.milp.simplex import simplex_solve
@@ -978,11 +978,6 @@ class TestReducedCostFixing:
                 if idx == len(stages) - 1:
                     break
                 reachable = reachable[reachable @ costs <= best + tolerance + 1e-9]
-                if not staged.stages[idx + 1].stats.nodes:
-                    # a settled stage: the pin rows leave one point, the incumbent
-                    assert reachable.tolist() == [[staged.values[j] for j in range(A.shape[1])]]
-                if idx == len(fixings):
-                    continue  # settled at an earlier boundary, which fixed the last binaries
                 bound, ids, values = fixings[idx]
                 assert bound == pytest.approx(best + tolerance, abs=1e-9), trial
                 assert (reachable[:, ids] == values).all(), trial
@@ -1010,115 +1005,7 @@ class TestReducedCostFixing:
         assert sol.objective == pytest.approx(float((pinned @ tie).min()), abs=1e-9)
 
 
-@pytest.fixture()
-def settling(monkeypatch):
-    """Counts the stage boundaries after which the stages are settled; with
-    ``settling["on"]`` false, every stage runs its own search instead."""
-    state = {"on": True, "settled": 0}
-    pin = branch_bound._Search.pin
-
-    def spy(search, *args):
-        pin(search, *args)
-        state["settled"] += search.settled
-        if not state["on"]:
-            search.settled = False
-    monkeypatch.setattr(branch_bound._Search, "pin", spy)
-    return state
-
-
-def searched(settling, solve):
-    """``solve()`` with every stage searched."""
-    settling["on"] = False
-    try:
-        return solve()
-    finally:
-        settling["on"] = True
-
-
-def assert_same_stages(settled, alone, label):
-    """Each stage equals its searched twin; a settled one took no node."""
-    assert len(settled.stages) == len(alone.stages), label
-    for stage, twin in zip(settled.stages, alone.stages):
-        assert (stage.status, stage.values, stage.objective, stage.best_bound, stage.gap) == (
-            twin.status, twin.values, twin.objective, twin.best_bound, twin.gap), label
-        if not stage.stats.nodes:
-            assert stage.stats.lp_iterations == 0 and stage.status == "optimal", label
-    assert settled.values == alone.values, label
-
-
-class TestSettledStages:
-    @pytest.mark.parametrize("gap", [0.0, 0.05])
-    def test_random_settled_stages_equal_their_search(self, gap, settling):
-        rng = np.random.default_rng(47)
-        settled = 0
-        for trial in range(150):
-            build, _rows, stages = staged_binary_model(rng)
-            stages = [(objective, gap, tolerance) for objective, _, tolerance in stages]
-            before = settling["settled"]
-            sol = solve_milp(build(), stages=stages)
-            alone = searched(settling, lambda: solve_milp(build(), stages=stages))
-            assert_same_stages(sol, alone, trial)
-            settled += sum(not stage.stats.nodes for stage in sol.stages)
-            if settling["settled"] > before:
-                assert not sol.stages[-1].stats.nodes, trial
-        assert settled > 10
-
-    def test_suite_settled_stages_equal_their_search(self, small_suite, settling,
-                                                     monkeypatch):
-        def twin(model, gap=0.0, time_limit=None, stages=None):
-            alone = searched(settling, lambda: solve_milp(
-                copy.deepcopy(model), gap, time_limit, stages))
-            sol = solve_milp(model, gap, time_limit, stages)
-            assert_same_stages(sol, alone, model.name)
-            return sol
-
-        def recording(*args, **kwargs):
-            model, varmap = build_lightpath_routing(*args, **kwargs)
-            routing.append((copy.deepcopy(model), varmap))
-            return model, varmap
-        monkeypatch.setattr(planner, "solve_milp", twin)
-        monkeypatch.setattr(planner, "build_lightpath_routing", recording)
-        options = planner.PlanOptions(gap=0.0, time_limit=300)
-        for topo, demands in small_suite:
-            for mode in SurvivabilityMode:
-                routing = []
-                inst = make_instance(topo, demands, mode)
-                planner.plan(inst, options)
-                # the plan answers its routing phases by shortest routes;
-                # each is searched here as when a budget binds
-                for model, varmap in routing:
-                    planner._MilpPhases(inst, options)._solve(
-                        model, [varmap.optical_objective], model.name)
-        assert settling["settled"] > 0
-
-    @pytest.mark.parametrize("relation, settles", [("<=", False), ("=", True)])
-    def test_a_nonbasic_slack_settles_only_an_equality_row(self, relation, settles,
-                                                         settling, monkeypatch):
-        # stage 0's root holds x basic at 1 and y nonbasic at 0, fixed there
-        # by its reduced cost; the row x + y (rel) 1 is tight, its slack
-        # nonbasic at 0
-        frees = []
-        pin = branch_bound._Search.pin
-
-        def spy(search, *args):
-            pin(search, *args)
-            basis = search.root.basis
-            structurals = search.arrays.lo != search.arrays.hi
-            structurals[basis.basis[basis.basis < 2]] = False
-            slacks = np.ones(basis.basis.size, bool)
-            slacks[basis.basis[basis.basis >= 2] - 2] = False
-            frees.append((np.nonzero(structurals)[0].tolist(), np.nonzero(slacks)[0].tolist()))
-        monkeypatch.setattr(branch_bound._Search, "pin", spy)
-        m = MilpModel("slack")
-        x, y = m.add_variables(["x", "y"])
-        add_row(m, "row", [(x, 1.0), (y, 1.0)], relation, 1.0)
-        sol = solve_milp(m, stages=[({x: -2.0, y: -1.0}, 0.0, 0.0), ({x: 1.0, y: 1.0}, 0.0, 0.0)])
-        assert frees == [([], [0])]  # no structural is free; the row's slack is nonbasic
-        assert settling["settled"] == int(settles)
-        assert bool(sol.stages[1].stats.nodes) is not settles
-        assert sol.values == {x: 1.0, y: 0.0}
-        assert [row.name for row in m.constraints] == ["row", "pin[stage=0]"]
-
+class TestIntegralPointCheck:
     def test_vector_check_agrees_with_check_solution(self):
         """On random models with all three relations and repeated column
         terms, every row and bound of a binary point is met or missed by
