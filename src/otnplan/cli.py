@@ -99,6 +99,21 @@ def _write(path: Path, text: str) -> None:
         raise _WriteError(f"cannot write {path}: {exc.strerror or exc}") from None
 
 
+def _config_text(data: dict) -> str:
+    """The configuration ``data`` as JSON text: one top-level key per line,
+    and a non-empty list under a top-level key one element per line.  Each
+    piece is written by ``json.dumps`` without ``indent``, which takes the C
+    encoder."""
+    lines = []
+    for key, value in data.items():
+        if isinstance(value, list) and value:
+            text = "[\n" + ",\n".join(map(json.dumps, value)) + "\n]"
+        else:
+            text = json.dumps(value)
+        lines.append(f"{json.dumps(key)}: {text}")
+    return "{\n" + ",\n".join(lines) + "\n}\n"
+
+
 def _load(request: RunRequest):
     cost_ratio = None
     if request.cost_ratio:
@@ -185,7 +200,7 @@ def _run(request: RunRequest) -> int:
 
     stem = f"{Path(request.instance).stem}.{request.mode}.{request.approach}"
     config_path = out / f"{stem}.config.json"
-    _write(config_path, json.dumps(config_to_dict(config), indent=1) + "\n")
+    _write(config_path, _config_text(config_to_dict(config)))
     report_text = emit_report([(request.mode, config)], fmt=request.report_format)
     report_path = out / f"{stem}.report.{_REPORT_EXTENSIONS[request.report_format]}"
     _write(report_path, report_text)

@@ -121,8 +121,7 @@ class _Arrays:
         bounds: then x <= y at every feasible point.  Returns the pairs as
         the rows of a (k, 2) array, sorted, without repeats."""
         negative = self.A < 0
-        rows = np.nonzero((negative.sum(axis=1) == 1)
-                          & np.array([rel == "<=" for rel in self.relations], bool))[0]
+        rows = np.nonzero((negative.sum(axis=1) == 1) & self.capped & ~self.floored)[0]
         y = negative[rows].argmax(axis=1)
         unit = (self.lo == 0.0) & (self.hi == 1.0)
         keep = unit[y]
@@ -166,6 +165,14 @@ class _Arrays:
                     or np.count_nonzero(~((x >= self.lower - tol) & (x <= self.upper + tol))))
 
 
+def _fractionality(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
+    """The LP point ``x`` rounded, each entry's distance from its rounding,
+    and the largest distance (0 with no entries, NaN if one is NaN)."""
+    values = np.round(x)
+    frac = np.abs(x - values)
+    return values, frac, np.maximum.reduce(frac, initial=0.0)
+
+
 def _dense_rows(model: MilpModel, first: int) -> np.ndarray:
     """The model's rows from ``first`` on as a dense matrix.  A column named
     twice in a row gets the sum of its coefficients, added in the order
@@ -195,15 +202,12 @@ class _Search:
         self.incumbent_obj = math.inf
 
     def cut_root(self, res: LpResult) -> tuple[LpResult, int]:
-        """The root LP result once its violated implied-bound cuts are
-        appended and the root re-solved from its basis, round after round
-        until none is violated, and the pivots the re-solves took.  An
-        integral root violates no cut, as it meets the row each cut is
-        derived from."""
+        """The optimal, fractional root LP result ``res`` once its violated
+        implied-bound cuts are appended and the root re-solved from its
+        basis, round after round until none is violated, and the pivots the
+        re-solves took.  An integral root violates no cut, as it meets the
+        row each cut is derived from, so it is not passed here."""
         iterations = 0
-        if res.status != "optimal" or np.count_nonzero(
-                np.abs(res.x - np.round(res.x)) <= INTEGRALITY_TOL) == res.x.size:
-            return res, iterations
         if self.pairs is None:
             self.pairs = self.arrays.implied_bounds()
         model, arrays = self.model, self.arrays
@@ -284,9 +288,13 @@ class _Search:
             res = simplex_solve(arrays.A, arrays.relations, arrays.rhs, arrays.c, lo, hi,
                                 warm, deadline, arrays.columns)
             lp_iters += res.iterations
-            if nodes == 1:
-                res, iterations = self.cut_root(res)
-                lp_iters += iterations
+            if res.status == "optimal":
+                values, frac, worst = _fractionality(res.x)
+                if nodes == 1 and not worst <= INTEGRALITY_TOL:
+                    res, iterations = self.cut_root(res)
+                    lp_iters += iterations
+                    if res.status == "optimal":
+                        values, frac, worst = _fractionality(res.x)
             if res.status == "time-limit" or res.status in SOLVER_FAILURES:
                 return build(res.status, min(open_bound, incumbent_obj))
             if res.status == "infeasible":
@@ -303,9 +311,7 @@ class _Search:
             if self.incumbent is not None and res.objective >= incumbent_obj - 1e-9:
                 continue
 
-            values = np.round(res.x)
-            frac = np.abs(res.x - values)
-            if frac.max(initial=0.0) <= INTEGRALITY_TOL:
+            if worst <= INTEGRALITY_TOL:
                 if arrays.feasible(values):
                     obj = float(arrays.c @ values)
                     if obj < incumbent_obj - 1e-12:
@@ -313,11 +319,11 @@ class _Search:
                         self.incumbent_obj = obj
                     continue
                 # rounding broke feasibility: branch on the most fractional binary anyway
-                if frac.max(initial=0.0) <= 0:
+                if worst <= 0:
                     continue
 
             scores = np.minimum(frac, 1.0 - frac)
-            pick = int((scores >= scores.max() - _TIE_TOL).argmax())
+            pick = int((scores >= np.maximum.reduce(scores) - _TIE_TOL).argmax())
             for fix in (0.0, 1.0):
                 lo2, hi2 = lo.copy(), hi.copy()
                 lo2[pick] = hi2[pick] = fix

@@ -42,9 +42,11 @@ start basis has had since its last refactorization.  The basic values move
 along each pivot's direction instead of being re-solved; they are computed
 from the inverse when a basis is installed, at each refactorization and at
 optimality if a pivot or a bound flip has moved them since.  The dual
-simplex computes its reduced costs once and updates them from the pivot
-row it computes for the ratio test, recomputing them at each
-refactorization.
+simplex takes its first reduced costs from the cost shift, which computes
+the product c_B·B⁻¹·A for the true costs: a basic column's cost is never
+shifted, so the same product prices the shifted costs.  It then updates
+them from the pivot row it computes for the ratio test, recomputing them
+at each refactorization.
 
 An infeasible result carries a proof: when no nonbasic can move a violated
 basic toward its bound, that row of the basis inverse combines the
@@ -105,16 +107,20 @@ class LpBasis:
         """This basis for the rows (rel) of ``columns`` = ``[A | I]``, whose
         first rows are this basis's own and whose other rows are appended
         below them: each appended row's slack is basic, and the inverse
-        grows by the block formula [[B⁻¹, 0], [−R_B·B⁻¹, I]]."""
+        grows by the block formula [[B⁻¹, 0], [−R_B·B⁻¹, I]].  Only the
+        appended rows' slack bounds and inverse rows are computed."""
         m = self.basis.size
         rows = columns.shape[0]
         n = columns.shape[1] - rows
-        slack_lo, slack_hi = _slack_bounds(relations)
-        inverse = np.eye(rows)
+        slack_lo, slack_hi = _slack_bounds(relations[m:])
+        inverse = np.zeros((rows, rows))
         inverse[:m, :m] = self.inverse
         inverse[m:, :m] = -columns[m:, self.basis] @ self.inverse
-        return LpBasis(columns, slack_lo, slack_hi,
-                       np.concatenate([self.basis, n + np.arange(m, rows)]),
+        appended = np.arange(m, rows)
+        inverse[appended, appended] = 1.0
+        return LpBasis(columns, np.concatenate([self.slack_lo, slack_lo]),
+                       np.concatenate([self.slack_hi, slack_hi]),
+                       np.concatenate([self.basis, n + appended]),
                        np.concatenate([self.status, np.full(rows - m, _BASIC, np.int8)]),
                        inverse, self.since_refactor)
 
@@ -215,9 +221,6 @@ class _Tableau:
     def reduced_costs(self, c: np.ndarray) -> np.ndarray:
         return c - (c[self.basis] @ self.Binv) @ self.A
 
-    def out_of_time(self) -> bool:
-        return self.deadline is not None and time.perf_counter() >= self.deadline
-
     def rest(self, j: int, upper: bool) -> None:
         """Make ``j`` nonbasic at its upper or lower bound."""
         self.status[j] = _AT_UPPER if upper else _AT_LOWER
@@ -252,7 +255,7 @@ class _Tableau:
             self.refresh_basics()
             cost = np.concatenate([c, np.zeros(self.m)])
             if not self.primal_feasible():
-                state = self.dual_iterate(self.dual_feasible_costs(cost))
+                state = self.dual_iterate(*self.dual_feasible_costs(cost))
                 if state != "feasible":
                     return state
                 self.refresh_basics()
@@ -263,33 +266,43 @@ class _Tableau:
         Returns optimal | unbounded | time-limit | iteration-limit."""
         degenerate_run = 0
         bland = False
+        A, basis, sign, value = self.A, self.basis, self.sign, self.value
+        lo, hi, lob, hib = self.lo, self.hi, self.lob, self.hib
+        deadline, m, ncols = self.deadline, self.m, self.ncols
         while True:
+            xb = self.xb  # a refactorization replaces it
             reduced = self.reduced_costs(c)
             # the objective's rate along each nonbasic's allowed direction
-            rate = self.sign * reduced
-            eligible = rate < -_RC_TOL
-            if not np.count_nonzero(eligible):
+            rate = sign * reduced
+            # Bland: the lowest eligible index; Dantzig: the steepest rate,
+            # lowest index first (a NaN rate, where there is one, enters
+            # if any rate is eligible)
+            if bland:
+                eligible = rate < -_RC_TOL
+                entering = int(eligible.argmax())
+                priced = bool(eligible[entering])
+            else:
+                entering = int(rate.argmin())
+                priced = bool(rate[entering] < -_RC_TOL) or (
+                    math.isnan(rate[entering]) and (rate < -_RC_TOL).any())
+            if not priced:
                 if self.refreshed_at != self.pivots:  # a pivot or bound flip moved them
                     self.refresh_basics()
                 return "optimal"
             if self.pivots >= _MAX_ITERATIONS:
                 return "iteration-limit"
-            if self.out_of_time():
+            if deadline is not None and time.perf_counter() >= deadline:
                 return "time-limit"
-            # Bland: the lowest eligible index; Dantzig: the steepest rate,
-            # lowest index first
-            entering = int(eligible.argmax() if bland else rate.argmin())
-            direction = int(self.sign[entering])
+            direction = int(sign[entering])
 
-            w = self.Binv @ self.A[:, entering]
-            delta = -direction * w  # basics move by +t*delta
-            vb = self.xb
+            w = self.Binv @ A[:, entering]
+            delta = -w if direction > 0 else w  # basics move by +t*delta
             ratios = np.maximum(np.where(
-                delta > _PIV_TOL, (self.hib - vb) / delta,
-                np.where(delta < -_PIV_TOL, (self.lob - vb) / delta, math.inf)), 0.0)
+                delta > _PIV_TOL, (hib - xb) / delta,
+                np.where(delta < -_PIV_TOL, (lob - xb) / delta, math.inf)), 0.0)
             ratios = np.where(np.isnan(ratios), math.inf, ratios)
-            span = self.hi[entering] - self.lo[entering]
-            t_basic = float(ratios.min()) if self.m else math.inf
+            span = hi[entering] - lo[entering]
+            t_basic = float(np.minimum.reduce(ratios)) if m else math.inf
             t_best = min(t_basic, span)
             if math.isinf(t_best):
                 return "unbounded"
@@ -304,38 +317,43 @@ class _Tableau:
             if math.isfinite(span) and span <= t_basic + _PIV_TOL:
                 # bound flip: entering runs to its opposite bound, basis unchanged
                 self.pivots += 1
-                self.xb += span * delta
+                xb += span * delta
                 self.rest(entering, upper=direction > 0)
                 continue
 
-            candidates = np.nonzero(ratios <= t_best + _PIV_TOL)[0]
             # deterministic: among blocking rows pick the lowest variable index
-            block_pos = int(candidates[self.basis[candidates].argmin()])
-            leaving = int(self.basis[block_pos])
-            self.xb += t_best * delta
-            self.value[entering] += direction * t_best
+            block_pos = int(np.where(ratios <= t_best + _PIV_TOL, basis, ncols).argmin())
+            leaving = int(basis[block_pos])
+            xb += t_best * delta
+            value[entering] += direction * t_best
             self.rest(leaving, upper=delta[block_pos] > 0)
             self.pivot(block_pos, entering, w)
 
     def primal_feasible(self) -> bool:
         violation = np.maximum(self.lob - self.xb, self.xb - self.hib)
         # a NaN violation is not within the tolerance
-        return np.count_nonzero(violation <= _PRIMAL_TOL) == violation.size
+        return bool(np.maximum.reduce(violation, initial=-math.inf) <= _PRIMAL_TOL)
 
-    def dual_feasible_costs(self, c: np.ndarray) -> np.ndarray:
+    def dual_feasible_costs(self, c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """c with the cost of each movable nonbasic whose reduced cost has
-        the wrong sign for its status shifted so that reduced cost is zero:
-        the installed basis is dual feasible for the result.  Shifting a
-        nonbasic cost leaves the duals, and every other reduced cost, as
-        they were."""
-        d = self.reduced_costs(c)
+        the wrong sign for its status shifted so that reduced cost is zero,
+        and the reduced costs for the result: the installed basis is dual
+        feasible for it.  Only nonbasic costs move, so the duals and the
+        product c_B·B⁻¹·A stay as they were, and that one product gives
+        both reduced costs."""
+        priced = (c[self.basis] @ self.Binv) @ self.A
+        d = c - priced
         wrong = self.sign * d < -_DUAL_TOL
-        return np.where(wrong, c - d, c)
+        if not np.count_nonzero(wrong):  # nothing to shift
+            return c, d
+        shifted = np.where(wrong, c - d, c)
+        return shifted, shifted - priced
 
-    def dual_iterate(self, c: np.ndarray) -> str:
-        """Bounded dual simplex for objective c from a dual feasible basis
-        until the basics are within their bounds.  Returns feasible |
-        infeasible | singular-basis | time-limit | iteration-limit.
+    def dual_iterate(self, c: np.ndarray, d: np.ndarray) -> str:
+        """Bounded dual simplex for objective c from a dual feasible basis,
+        whose reduced costs are ``d``, until the basics are within their
+        bounds.  Returns feasible | infeasible | singular-basis | time-limit
+        | iteration-limit.
 
         The row with the largest violation leaves and a Harris two-pass
         ratio test picks the entering column.  After ``_DEGENERATE_LIMIT``
@@ -347,63 +365,74 @@ class _Tableau:
         refactorizes once; if it vanishes again straight after, the result
         is singular-basis.
 
-        The reduced costs ``d`` are computed on entry and at each
-        refactorization; each pivot updates them from its pivot row."""
+        Each pivot updates ``d`` from its pivot row, and each
+        refactorization computes it afresh."""
         degenerate_run = 0
         bland = False
-        self.d = self.reduced_costs(c)
+        A, basis, sign, value = self.A, self.basis, self.sign, self.value
+        lo, hi, lob, hib = self.lo, self.hi, self.lob, self.hib
+        deadline, ncols = self.deadline, self.ncols
+        self.d = d
         while True:
-            vb = self.xb
-            below = self.lob - vb
-            above = vb - self.hib
+            xb, Binv = self.xb, self.Binv  # a refactorization replaces them
+            below = lob - xb
+            above = xb - hib
             violation = np.maximum(below, above)
-            violated = np.nonzero(violation > _PRIMAL_TOL)[0]
-            if not violated.size:
+            if bland:
+                violated = violation > _PRIMAL_TOL
+                row = int(np.where(violated, basis, ncols).argmin())
+                found = bool(violated[row])
+            else:
+                row = int(violation.argmax())  # first max = lowest row position
+                # a NaN is the largest violation, and leaves if any row is violated
+                found = bool(violation[row] > _PRIMAL_TOL) or (
+                    math.isnan(violation[row]) and (violation > _PRIMAL_TOL).any())
+            if not found:
                 return "feasible"
             if self.pivots >= _MAX_ITERATIONS:
                 return "iteration-limit"
-            if self.out_of_time():
+            if deadline is not None and time.perf_counter() >= deadline:
                 return "time-limit"
-            if bland:
-                row = int(violated[self.basis[violated].argmin()])
-            else:
-                row = int(violation.argmax())  # first max = lowest row position
             rise = below[row] > 0  # the leaving basic goes up to its lower bound
 
-            alpha = self.Binv[row] @ self.A
+            alpha = Binv[row] @ A
             # a > 0: raising x_j moves the leaving basic toward its bound
             a = -alpha if rise else alpha
             # how far a unit move of each nonbasic, in its allowed direction,
             # brings the leaving basic toward its bound, and how far its
             # reduced cost is from changing sign
-            reach = self.sign * a
-            slack = self.sign * self.d
-            if not np.count_nonzero(reach > _PIV_TOL):
+            reach = sign * a
+            slack = sign * d
+            # the largest reach, NaNs aside
+            top = np.fmax.reduce(reach)
+            if not top > _PIV_TOL:
                 self.certificate = tuple(
-                    int(i) for i in np.nonzero(np.abs(self.Binv[row]) > _PIV_TOL)[0])
+                    int(i) for i in np.nonzero(np.abs(Binv[row]) > _PIV_TOL)[0])
                 return "infeasible"
-            eligible = reach > _DUAL_PIV_TOL
-            usable = np.count_nonzero(eligible) > 0
+            usable = top > _DUAL_PIV_TOL
             if usable:
+                eligible = reach > _DUAL_PIV_TOL
                 if bland:
                     # lowest index among the minimal ratios
                     ratio = np.where(eligible, np.maximum(slack, 0.0) / reach, math.inf)
-                    entering = int((ratio <= ratio.min() + _PIV_TOL).argmax())
+                    entering = int((ratio <= np.minimum.reduce(ratio) + _PIV_TOL).argmax())
                 else:
                     # Harris: among near-minimal ratios take the largest
-                    # pivot, lowest index
-                    theta_max = float(np.where(eligible, (slack + _DUAL_TOL) / reach,
-                                               math.inf).min())
-                    within = eligible & (slack / reach <= theta_max)
-                    entering = int(np.where(within, reach, -1.0).argmax())
+                    # pivot, lowest index.  The column that sets theta_max
+                    # has a near-minimal ratio, and a column outside
+                    # ``eligible`` reaches less than any eligible one, so
+                    # it never wins
+                    theta_max = float(np.minimum.reduce(
+                        (slack + _DUAL_TOL) / reach, where=eligible, initial=math.inf))
+                    entering = int(np.where(slack / reach <= theta_max, reach, -1.0).argmax())
                 theta = max(float(slack[entering]), 0.0) / reach[entering]
-                w = self.Binv @ self.A[:, entering]
+                w = Binv @ A[:, entering]
             if not usable or abs(w[row]) <= _PIV_TOL:
                 # only pivots too small to trust: refactorize once, then give up
                 if self.since_refactor == 0:
                     return "singular-basis"
                 self.refactor()
-                self.d = self.reduced_costs(c)
+                self.d = d = self.reduced_costs(c)
                 continue
 
             if theta <= _DEGENERATE_STEP:
@@ -413,20 +442,20 @@ class _Tableau:
             else:
                 degenerate_run = 0
 
-            leaving = int(self.basis[row])
-            bound = self.lo[leaving] if rise else self.hi[leaving]
-            step = (vb[row] - bound) / w[row]
-            self.xb -= step * w
-            self.value[entering] += step
+            leaving = int(basis[row])
+            bound = lo[leaving] if rise else hi[leaving]
+            step = (xb[row] - bound) / w[row]
+            xb -= step * w
+            value[entering] += step
             self.rest(leaving, upper=not rise)
             # the pivot row prices the basis change
-            dual_step = self.d[entering] / alpha[entering]
-            self.d -= dual_step * alpha
-            self.d[entering] = 0.0
-            self.d[leaving] = -dual_step
+            dual_step = d[entering] / alpha[entering]
+            d -= dual_step * alpha
+            d[entering] = 0.0
+            d[leaving] = -dual_step
             self.pivot(row, entering, w)
             if self.since_refactor == 0:
-                self.d = self.reduced_costs(c)
+                self.d = d = self.reduced_costs(c)
 
     def snapshot(self) -> LpBasis:
         """The basis the solve ended with.  It takes the tableau's own

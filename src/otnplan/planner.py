@@ -288,13 +288,13 @@ def _shortest_routes(model: MilpModel, lam: Mapping[tuple, int],
 
 def _shortest_lsp_route(model: MilpModel, delta: Mapping[tuple, int],
                         beta: Mapping[tuple, int], lsp: LspDemand) -> dict[int, float] | None:
-    """One LSP's lexicographically shortest logical route over its open
+    """``lsp``'s lexicographically shortest logical route over its own open
     ``delta`` columns (upper bound 1): a hop (i -> j, q) takes its δ column
     and the β column of the lightpath (min, max, q) it crosses
-    (``_shortest_paths``)."""
+    (``_shortest_paths``).  Other LSPs' δ columns are not arcs."""
     arcs: dict[Node, list[tuple[Node, tuple]]] = {}
-    for (_k, i, j, q), vid in delta.items():
-        if model.upper[vid] == 1.0:
+    for (k, i, j, q), vid in delta.items():
+        if k == lsp.id and model.upper[vid] == 1.0:
             arcs.setdefault(i, []).append((j, (vid, beta[normalize_link(i, j) + (q,)])))
     return _shortest_paths(model, {lsp.id: arcs}, {lsp.id: (lsp.source, lsp.destination)})
 

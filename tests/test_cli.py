@@ -10,7 +10,7 @@ import pytest
 from otnplan import cli, planner
 from otnplan.cli import RunRequest, build_parser, main, run_cli
 from otnplan.milp import simplex, solve_milp
-from otnplan.instance import (bundled_instance_path, config_from_dict,
+from otnplan.instance import (bundled_instance_path, config_from_dict, config_to_dict,
                               load_instance)
 from otnplan.modes import SurvivabilityMode
 
@@ -43,6 +43,23 @@ class TestPlanCommand:
         config = config_from_dict(json.loads(config_files[0].read_text()))
         assert config.mode is SurvivabilityMode.ML_INTERLAYER_BRS
         assert "restorability: 100.0%" in verify_files[0].read_text()
+
+    def test_config_file_has_a_line_per_key_and_per_list_element(self, ring_instance_file,
+                                                                   tmp_path):
+        assert main(["plan", "--instance", str(ring_instance_file), "--mode", "single-layer",
+                     "--gap", "0", "--output-dir", str(tmp_path)]) == 0
+        text = next(tmp_path.glob("*.config.json")).read_text(encoding="utf-8")
+        data = json.loads(text)
+        assert config_to_dict(config_from_dict(data)) == data
+        lines = [line.removesuffix(",") for line in text.splitlines()]
+        expected = ["{"]
+        for key, value in data.items():
+            if isinstance(value, list) and value:
+                expected += [f"{json.dumps(key)}: [", *map(json.dumps, value), "]"]
+            else:
+                expected.append(f"{json.dumps(key)}: {json.dumps(value)}")
+        assert lines == expected + ["}"]
+        assert sum(isinstance(v, list) and len(v) > 1 for v in data.values()) >= 2
 
     def test_bogus_mode_exits_2(self, ring_instance_file, capsys):
         with pytest.raises(SystemExit) as err:

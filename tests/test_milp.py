@@ -1,14 +1,20 @@
 import copy
 import itertools
+import json
 import math
+import os
 import re
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.optimize import linprog
 
 from conftest import BINDING_DEMANDS, BINDING_TOPOLOGY, add_row, make_instance
+import otnplan
 from otnplan import planner
 from otnplan.formulation import (PROTECTION, WORKING, ExclusionSets, ProtectionContext,
                                  build_logical_design)
@@ -518,7 +524,7 @@ class TestWarmStart:
 
         def spy(tab, c):
             out = costs(tab, c)
-            shifted.append(not np.array_equal(out, c))
+            shifted.append(not np.array_equal(out[0], c))
             return out
         monkeypatch.setattr(simplex._Tableau, "dual_feasible_costs", spy)
         del cold_calls[:]
@@ -731,9 +737,9 @@ class TestCarriedInverse:
         compared = []
         dual_iterate = simplex._Tableau.dual_iterate
 
-        def spy(tab, c):
+        def spy(tab, c, d):
             before = tab.pivots
-            state = dual_iterate(tab, c)
+            state = dual_iterate(tab, c, d)
             fresh = c - (c[tab.basis] @ np.linalg.inv(tab.A[:, tab.basis])) @ tab.A
             np.testing.assert_allclose(tab.d, fresh, atol=1e-8)
             compared.append(tab.pivots - before)
@@ -750,6 +756,31 @@ class TestCarriedInverse:
             hi2 = np.minimum(hi, np.floor(base.x) + 0.5)
             simplex_solve(A, rels, b, c, lo2, np.maximum(lo2, hi2), base.basis)
         assert sum(pivots >= 2 for pivots in compared) > 30
+
+    def test_shifted_reduced_costs_are_the_fresh_ones_bit_for_bit(self, monkeypatch):
+        # the dual simplex starts from the cost shift's own product
+        # c_B·B⁻¹·A, which a shift leaves as it was: basic costs never move
+        shifts = []
+        costs = simplex._Tableau.dual_feasible_costs
+
+        def spy(tab, c):
+            shifted, d = costs(tab, c)
+            fresh = shifted - (shifted[tab.basis] @ tab.Binv) @ tab.A
+            assert np.array_equal(d, fresh)
+            shifts.append(not np.array_equal(shifted, c))
+            return shifted, d
+        monkeypatch.setattr(simplex._Tableau, "dual_feasible_costs", spy)
+        rng = np.random.default_rng(59)
+        for _ in range(300):
+            A, rels, b, c, lo, hi = random_bounded_lp(rng)
+            base = simplex_solve(A, rels, b, c, lo, hi)
+            if base.status != "optimal":
+                continue
+            # tighter bounds and a new objective: neither primal nor dual feasible
+            hi2 = np.maximum(lo, np.minimum(hi, np.floor(base.x)))
+            c2 = np.round(rng.uniform(-3, 3, lo.size), 1)
+            simplex_solve(A, rels, b, c2, lo, hi2, base.basis)
+        assert sum(shifts) > 30 and len(shifts) > sum(shifts)
 
     def test_exact_tie_branches_on_the_lower_id(self, monkeypatch):
         model = MilpModel("tie")
@@ -770,6 +801,36 @@ class TestCarriedInverse:
         sol = solve_milp(model, gap=0.0)
         assert sol.status == "optimal" and sol.objective == 0.0
         assert fixed[1] == [0]
+
+
+class TestNanViolation:
+    @pytest.mark.parametrize("basics, rows", [([math.nan, -1.0, 1.0], [0]),
+                                              ([math.nan, 1.0, 1.0], [])],
+                             ids=["another-row-violated", "alone"])
+    def test_a_nan_row_leaves_only_while_another_row_is_violated(self, basics, rows,
+                                                                  monkeypatch):
+        # a NaN violation is the largest, so its row leaves first; alone it
+        # is not a violation, and the dual simplex ends at once
+        class Stop(Exception):
+            pass
+
+        def pivot(tab, row, *args):
+            left.append(row)
+            raise Stop
+        left = []
+        monkeypatch.setattr(simplex._Tableau, "pivot", pivot)
+        A, rels, c = np.array([[1.0, 1.0], [1.0, -1.0], [1.0, 0.0]]), ["<="] * 3, np.ones(2)
+        tab = simplex._Tableau(simplex._slack_basis(simplex.with_slacks(A), rels, c),
+                               np.ones(3), np.zeros(2), np.ones(2), None)
+        tab.refresh_basics()
+        tab.xb[:] = basics
+        with np.errstate(invalid="ignore", divide="ignore"):
+            try:
+                state = tab.dual_iterate(*tab.dual_feasible_costs(np.append(c, np.zeros(3))))
+            except Stop:
+                state = None
+        assert left == rows
+        assert state == (None if rows else "feasible")
 
 
 class TestProofsAndTermination:
@@ -819,6 +880,43 @@ class TestProofsAndTermination:
                 assert warm.objective == pytest.approx(cold.objective, abs=1e-7)
             warm_compared += 1
         assert min(outcomes.values()) > 20 and warm_compared > 50
+
+
+def _openblas_with_two_cpus() -> bool:
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]["name"]
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    return "openblas" in blas.lower() and (cpus or 1) >= 2
+
+
+class TestBlasThreads:
+    @pytest.mark.skipif(not _openblas_with_two_cpus(),
+                        reason="needs OpenBLAS and two CPUs to vary the thread count")
+    @pytest.mark.xfail(strict=True, reason="ROADMAP item 5: the dense tableau's matrix "
+                       "products run on threaded BLAS, whose sums differ by thread count")
+    def test_fixture6_phase_is_the_same_at_one_and_two_blas_threads(self, six_node_fixture,
+                                                                    tmp_path):
+        # the single-layer protection phase, each plan in a fresh process
+        topo, demands = six_node_fixture
+        instance = tmp_path / "fixture6.json"
+        instance.write_text(json.dumps({
+            "nodes": list(topo.nodes), "links": [list(l) for l in topo.links],
+            "params": {"C": 10, "W": topo.W, "Q": 1}, "cost_ratio": "CR1",
+            "demands": [list(d) for d in demands]}), encoding="utf-8")
+        src = str(Path(otnplan.__file__).resolve().parents[1])
+        records = {}
+        for threads in ("1", "2"):
+            out = tmp_path / threads
+            env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
+                   "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+            subprocess.run([sys.executable, "-m", "otnplan.cli", "plan", "--instance",
+                            str(instance), "--mode", "single-layer", "--gap", "0.03",
+                            "--output-dir", str(out)], env=env, check=True,
+                           capture_output=True)
+            config = json.loads(next(out.glob("*.config.json")).read_text(encoding="utf-8"))
+            (phase,) = [p for p in config["phases"] if p["name"] == "II-protection-logical"]
+            records[threads] = (phase["nodes"], phase["lp_iterations"], phase["objective"])
+        assert records["1"][0] > 1
+        assert records["1"] == records["2"]
 
 
 class TestLimitsAndFailures:

@@ -147,6 +147,27 @@ def test_shortest_lsp_routes_equal_the_search_unless_a_row_binds():
     assert min(counts.values()) > 10, counts
 
 
+def test_shortest_lsp_route_keeps_to_its_own_lsp(ring4):
+    """On a two-LSP model the route takes only its own LSP's δ columns,
+    although the other LSP's, at a smaller bandwidth, cost less; it is the
+    route the LSP gets on a model of its own: the direct hop."""
+    demands = [(0, 2, 8), (1, 3, 2)]
+    inst = make_instance(ring4, demands)
+    lsp, other = inst.traffic
+    model, varmap = build_logical_design(inst, "working")
+    alone, alone_map = build_logical_design(make_instance(ring4, demands[:1]), "working")
+    assert (model.objective[varmap.delta[(other.id, 0, 2, 1)]]
+            < model.objective[varmap.delta[(lsp.id, 0, 2, 1)]])
+
+    def keys(route, varmap):
+        return ({key for key, vid in varmap.delta.items() if vid in route},
+                {key for key, vid in varmap.beta.items() if vid in route})
+    route = keys(planner._shortest_lsp_route(model, varmap.delta, varmap.beta, lsp), varmap)
+    assert route == ({(lsp.id, 0, 2, 1)}, {(0, 2, 1)})
+    assert route == keys(
+        planner._shortest_lsp_route(alone, alone_map.delta, alone_map.beta, lsp), alone_map)
+
+
 def _lsp_count(config, name: str) -> int:
     """How many LSPs the logical phase ``name`` of a plan routed: every LSP
     on the working plane, the protected ones on the protection plane."""
